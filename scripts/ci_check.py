@@ -18,32 +18,36 @@ Runs, in order (see :func:`stage_plan`):
    the produced snapshot (CI uploads it as an artifact).
 5. ``phase micro-benchmarks (quick mode)`` -- the superclustering /
    interconnection phase drivers run once, assertions only.
-6. ``capacity ladder (quick mode)`` -- ``repro capacity`` on a tiny budget
+6. ``benchmark self-tests`` -- ``python -m pytest perfbench -q``: the
+   benchmark's own tests at tiny sizes (every workload end to end, the
+   certificate, host-speed rescaling, layer tracing and its restoration, and
+   the metric list against BENCHMARK.json).
+7. ``capacity ladder (quick mode)`` -- ``repro capacity`` on a tiny budget
    and window: exercises the measured-capacity search and its CLI end to end
    on every push without paying real measurement time.
-7. ``capacity ladder (quick mode, numpy kernel)`` -- the same quick ladder
+8. ``capacity ladder (quick mode, numpy kernel)`` -- the same quick ladder
    under ``repro --kernel numpy``: drives the vectorized kernels through the
    whole capacity CLI.
-8. ``fault injection (quick mode)`` -- ``repro chaos`` over the
+9. ``fault injection (quick mode)`` -- ``repro chaos`` over the
    chaos-primitives matrix with a wall-clock task timeout: every injected
    fault schedule must terminate in a typed outcome (the scenario checks
    enforce it) and the failure manifest must validate against its schema.
-9. ``dynamic churn (quick mode)`` -- ``repro dynamic`` over the
-   dynamic-churn matrix: every incremental-capable algorithm maintains its
-   spanner through seeded churn traces and the scenario checks re-verify the
-   declared guarantee after every single step.
-10. ``store-corruption smoke`` -- ``repro chaos --store-smoke``: corrupt one
+10. ``dynamic churn (quick mode)`` -- ``repro dynamic`` over the
+    dynamic-churn matrix: every incremental-capable algorithm maintains its
+    spanner through seeded churn traces and the scenario checks re-verify the
+    declared guarantee after every single step.
+11. ``store-corruption smoke`` -- ``repro chaos --store-smoke``: corrupt one
     cached task entry, then prove the store invalidates it, recomputes exactly
     that task on resume, and reproduces a byte-identical record.
-11. ``serve smoke (quick mode)`` -- ``repro serve --check`` on a small seeded
+12. ``serve smoke (quick mode)`` -- ``repro serve --check`` on a small seeded
     mixed load: the request broker must show cache hits and coalesced
     single-flight builds and lose no request (zero dropped / failed /
     rejected responses).
-12. ``registry completeness`` -- ``scripts/registry_check.py``: every
+13. ``registry completeness`` -- ``scripts/registry_check.py``: every
     registered algorithm must have a measured CAPACITY.json entry, a row in
     EXPERIMENTS.md's Algorithm registry table, and membership in at least
     one scenario matrix.  Registration drift fails the build.
-13. ``experiments-md drift`` -- the committed EXPERIMENTS.md must match the
+14. ``experiments-md drift`` -- the committed EXPERIMENTS.md must match the
     current algorithm/scenario registries.
 
 Stages run sequentially and the first failure stops the run (later stages
@@ -180,6 +184,10 @@ def stage_plan(args: argparse.Namespace, snapshot_path: str) -> List[Tuple[str, 
                 str(REPO_ROOT / "benchmarks" / "bench_phases.py"),
                 "--benchmark-disable",
             ],
+        ),
+        (
+            "benchmark self-tests",
+            [sys.executable, "-m", "pytest", "perfbench", "-q"],
         ),
         (
             "capacity ladder (quick mode)",

@@ -13,15 +13,33 @@ protocol.  As a wall-clock optimization the simulator *fast-forwards* rounds
 in which nothing at all would happen; protocols report their scheduled
 ("nominal") round counts separately through the ledger (see
 :mod:`repro.congest.ledger`).
+
+Protocols with a fixed broadcast schedule -- a fixed set of senders, each
+broadcasting one queued payload per round, while receivers only record what
+they receive -- skip the per-node machinery through
+:meth:`Simulator.run_broadcast_schedule`: no programs, inboxes or message
+objects, one ``deliver`` callback per broadcast walking the sender's CSR row.
+The simulator keeps the word-size check, the bandwidth audit, the executed
+round count, the tracer events and the ledger charge exactly as the program
+form would produce them.  The schedule is exact for receivers whose record
+depends only on the order in which they receive: callbacks run in (round,
+ascending sender) order, which is the order in which the program form's
+receivers would read their inboxes.  Algorithm 1's fault-free exploration
+phases run this way (:mod:`repro.primitives.exploration`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..graphs.graph import Graph
-from .errors import CongestionViolation, ProtocolError, RoundLimitExceeded
+from .errors import (
+    CongestionViolation,
+    MessageTooLarge,
+    ProtocolError,
+    RoundLimitExceeded,
+)
 from .faults import NEVER, FaultPlan, fresh_fault_counters
 from .ledger import RoundLedger
 from .message import Message
@@ -101,10 +119,6 @@ class Simulator:
         self._pending: List[NodeContext] = []
         self._contexts_version = -1
         self._dirty = False
-        # Bound-method cache keyed on the programs list identity: protocols
-        # that re-run the same program objects (the exploration phases) skip
-        # rebinding n callbacks per run.
-        self._program_bindings: Optional[Tuple[object, list, list]] = None
 
     def _node_contexts(self) -> List[NodeContext]:
         """Shared per-vertex contexts built from the graph's CSR snapshot."""
@@ -130,10 +144,6 @@ class Simulator:
             self._contexts_version = self.graph.version
         return self._contexts
 
-    def release_program_bindings(self) -> None:
-        """Drop the bound-method cache seeded by ``reuse_bindings=True``."""
-        self._program_bindings = None
-
     # ------------------------------------------------------------------
     # Protocol execution
     # ------------------------------------------------------------------
@@ -147,7 +157,6 @@ class Simulator:
         collect_results: bool = True,
         message_driven: bool = False,
         starters: Optional[Sequence[int]] = None,
-        reuse_bindings: bool = False,
         fault_plan: Optional[FaultPlan] = None,
     ) -> ProtocolRun:
         """Run ``programs`` (one per vertex) to quiescence.
@@ -179,13 +188,6 @@ class Simulator:
         (``ProtocolRun.results`` is empty) for protocols whose programs
         report through shared driver-side state.
 
-        ``reuse_bindings=True`` caches the per-program bound callbacks keyed
-        on the programs list identity, so a driver that re-runs the same
-        program objects (the exploration phases) skips rebinding ``n``
-        methods per run.  The caller must drop the cache with
-        :meth:`release_program_bindings` when done, otherwise the simulator
-        pins the programs (and everything they reference) alive.
-
         ``fault_plan`` injects a deterministic fault schedule (see
         :mod:`repro.congest.faults`): the run is routed through a separate
         fault-mode scheduler that applies drops, duplications, delays, link
@@ -193,9 +195,9 @@ class Simulator:
         counters in ``ProtocolRun.fault_counters``.  With no plan (or an
         inactive one) the optimized fault-free path runs completely
         untouched -- zero overhead, bit-identical outcomes.  The wall-clock
-        hints (``starters``, ``initially_awake``, ``message_driven``,
-        ``reuse_bindings``) are ignored in fault mode; they never change
-        protocol outcomes, only speed.
+        hints (``starters``, ``initially_awake``, ``message_driven``) are
+        ignored in fault mode; they never change protocol outcomes, only
+        speed.
         """
         n = self.graph.num_vertices
         if len(programs) != n:
@@ -237,11 +239,104 @@ class Simulator:
                 collect_results,
                 message_driven,
                 starters,
-                reuse_bindings,
             )
         except BaseException:
             self._dirty = True
             raise
+
+    def run_broadcast_schedule(
+        self,
+        queues: Sequence[Tuple[int, Sequence[Tuple[Any, ...]]]],
+        deliver: Callable[[int, Tuple[Any, ...], Tuple[int, ...]], None],
+        *,
+        label: str,
+        nominal_rounds: Optional[int] = None,
+    ) -> ProtocolRun:
+        """Run a protocol with a fixed broadcast schedule, without node programs.
+
+        ``queues`` lists ``(sender, payloads)`` pairs in strictly ascending
+        sender order.  In round ``r`` every sender holding more than ``r``
+        payloads broadcasts ``payloads[r]`` -- a flat tuple of scalar words,
+        as for :meth:`NodeContext.broadcast_flat` -- to all its neighbours.
+        Receivers only record what they receive: ``deliver(sender, payload,
+        row)`` is called once per broadcast, in (round, ascending sender)
+        order, with the sender's sorted CSR neighbour row, and must neither
+        send nor change the queues.
+
+        The accounting equals running the same schedule as node programs on
+        :meth:`run_protocol`: every payload passes the word-size check (before
+        the first round, so an oversized payload delivers nothing), each
+        sender broadcasts at most once per round (so every used edge carries
+        exactly one message and congestion is 1), round ``r`` executes while
+        a broadcast is in flight or a sender still holds payloads, the tracer
+        sees one event per executed round, and the ledger is charged under
+        ``label``.
+        """
+        n = self.graph.num_vertices
+        rows = self.graph.csr().rows()
+        max_words = self.max_words_per_message
+        active: List[Tuple[int, Sequence[Tuple[Any, ...]], Tuple[int, ...]]] = []
+        # Every broadcast reaches the sender's whole row and is counted in
+        # the round after it is sent (that round always executes), so the
+        # word total is known before the first round.
+        words_delivered = 0
+        previous = -1
+        for sender, payloads in queues:
+            if not previous < sender < n:
+                raise ProtocolError(
+                    f"broadcast schedule senders must be ascending vertex ids, "
+                    f"got {sender} after {previous}"
+                )
+            previous = sender
+            if not payloads:
+                continue
+            widest = max(map(len, payloads))
+            if widest > max_words:
+                raise MessageTooLarge(widest, max_words)
+            row = rows[sender]
+            words_delivered += len(row) * sum(map(len, payloads))
+            active.append((sender, payloads, row))
+
+        tracer = self.tracer
+        trace_round = None if type(tracer) is NullTracer else tracer.on_round
+        round_index = 0
+        messages_delivered = 0
+        while active:
+            # Round ``round_index``'s broadcasts, delivered (and processed by
+            # their receivers) in the next round.
+            in_flight = 0
+            still_sending = []
+            next_round = round_index + 1
+            for entry in active:
+                sender, payloads, row = entry
+                deliver(sender, payloads[round_index], row)
+                in_flight += len(row)
+                if len(payloads) > next_round:
+                    still_sending.append(entry)
+            active = still_sending
+            if not in_flight and not active:
+                break
+            round_index = next_round
+            messages_delivered += in_flight
+            if trace_round is not None:
+                trace_round(round_index, in_flight)
+
+        max_congestion = 1 if messages_delivered else 0
+        self.ledger.charge(
+            label=label,
+            nominal_rounds=nominal_rounds if nominal_rounds is not None else round_index,
+            simulated_rounds=round_index,
+            messages=messages_delivered,
+            words=words_delivered,
+            max_edge_congestion=max_congestion,
+        )
+        return ProtocolRun(
+            rounds_executed=round_index,
+            messages_delivered=messages_delivered,
+            words_delivered=words_delivered,
+            max_edge_congestion=max_congestion,
+            results=[],
+        )
 
     def _run_protocol(
         self,
@@ -255,7 +350,6 @@ class Simulator:
         collect_results: bool = True,
         message_driven: bool = False,
         starters: Optional[Sequence[int]] = None,
-        reuse_bindings: bool = False,
     ) -> ProtocolRun:
         """Execute the scheduler loop (buffers are clean on entry and exit)."""
         n = len(contexts)
@@ -277,18 +371,8 @@ class Simulator:
 
         # Pre-bound per-node callbacks: the round loop below calls these up to
         # once per node per round, so avoid rebinding methods every time.
-        # With ``reuse_bindings`` the bindings are cached on the programs
-        # list identity, so drivers that re-run the same program objects (the
-        # exploration phases) skip the rebind; they release the cache when
-        # done so the simulator never pins a finished protocol's programs.
-        cache = self._program_bindings
-        if cache is not None and cache[0] is programs:
-            on_round_of, is_idle_of = cache[1], cache[2]
-        else:
-            on_round_of = [p.on_round for p in programs]
-            is_idle_of = [p.is_idle for p in programs]
-            if reuse_bindings:
-                self._program_bindings = (programs, on_round_of, is_idle_of)
+        on_round_of = [p.on_round for p in programs]
+        is_idle_of = [p.is_idle for p in programs]
         track_idle = not message_driven
 
         # The scheduler keeps an explicit active set instead of scanning all n

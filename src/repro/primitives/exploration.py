@@ -13,8 +13,13 @@ messages it learned in phase ``j-1`` -- at most ``deg_i`` of them, one per
 round, so the CONGEST bandwidth is respected.
 
 Our implementation runs each phase as a sub-protocol on the simulator (the
-per-round pacing inside a phase is faithfully one message per edge per round);
-phases in which the network is already quiet are skipped by the simulator as a
+per-round pacing inside a phase is faithfully one message per edge per round).
+Fault-free, a phase is a fixed broadcast schedule
+(:meth:`~repro.congest.simulator.Simulator.run_broadcast_schedule`): its
+senders and their buffers are known when it starts, and receivers only record
+first arrivals.  Under a :class:`~repro.congest.faults.FaultPlan` the phases
+run as per-node programs on the simulator's fault-mode scheduler.  Rounds in
+which the network is already quiet are skipped by the simulator as a
 wall-clock optimization, but the *nominal* cost charged to the ledger is the
 full ``1 + deg_i * delta_i`` rounds exactly as the paper counts it.
 
@@ -30,19 +35,19 @@ Guarantees verified by the test-suite (Theorem 2.1 / Lemma A.1):
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from ..congest.errors import ProtocolFault, RoundLimitExceeded
 from ..congest.faults import FaultPlan, fault_round_limit, fresh_fault_counters
 from ..congest.message import Message
 from ..congest.node import NodeContext, NodeProgram
-from ..congest.simulator import Simulator
+from ..congest.simulator import ProtocolRun, Simulator
 from ..kernels import require_numpy, use_numpy
 
 EXPLORE_TAG = "explore"
 
 # Shared empty phase buffer for vertices with nothing to forward.
-_NO_BUFFER: List[Tuple[int, int]] = []
+_NO_BUFFER: List[Tuple[str, int, int]] = []
 
 # KnownCenter is a NamedTuple with no constructor logic, so the hot loops
 # build entries through tuple.__new__ directly -- ~2x faster than going
@@ -112,7 +117,7 @@ class ExplorationResult:
         nominal_rounds: int,
         simulated_rounds: int = 0,
         messages: int = 0,
-        fault_counters: Optional[Dict[int, int]] = None,
+        fault_counters: Optional[Dict[str, int]] = None,
         attempts: int = 1,
     ) -> None:
         self.known_dist = known_dist
@@ -169,77 +174,100 @@ class ExplorationResult:
 
 
 class _ExplorationPhaseProgram(NodeProgram):
-    """One phase of Algorithm 1: flush the phase buffer at one message/edge/round."""
+    """One phase of Algorithm 1 as a node program.
+
+    The program flushes its phase buffer at one broadcast per round and
+    records the first arrival of every center.  The fault-free path runs the
+    same phase as a broadcast schedule (:func:`_phase_deliverer`); this
+    per-node form is the one the fault-mode scheduler injects faults into,
+    and the reference the schedule is tested against.
+    """
 
     __slots__ = ("node_id", "outbuf", "_next_send", "known_dist", "known_via", "newly_learned", "learners")
 
     def __init__(
         self,
         node_id: int,
-        outbuf: List[Tuple[int, int]],
         known_dist: Dict[int, int],
         known_via: Dict[int, Optional[int]],
         newly_learned: List[int],
         learners: List[int],
     ) -> None:
         self.node_id = node_id
-        # The phase driver hands over a fresh (or shared-empty) buffer per
-        # phase and the program never mutates it, so no defensive copy.
-        self.outbuf = outbuf
+        # Payloads to broadcast this phase, installed by the phase runner
+        # (the program never mutates it, so no defensive copy).
+        self.outbuf: Sequence[Tuple[str, int, int]] = _NO_BUFFER
         self._next_send = 0
         self.known_dist = known_dist
         self.known_via = known_via
         self.newly_learned = newly_learned
         # Shared registry: a program appends its id on the phase's first
-        # learning event, so the driver resets only the touched programs.
+        # learning event, so the driver visits only the touched vertices.
         self.learners = learners
 
     def on_start(self, ctx: NodeContext) -> None:
         self._send_next(ctx)
 
     def on_round(self, ctx: NodeContext, inbox: List[Message]) -> None:
-        # The historical implementation processed the inbox sorted by
-        # (center, sender).  Inboxes arrive in ascending sender order (the
-        # scheduler drains outboxes sender-by-sender) with at most one
-        # message per sender per round, so for every center the first
-        # arrival already is the smallest announcing sender: processing in
-        # arrival order adopts bit-identical (distance, via) entries.
-        # Exploration phases carry only EXPLORE messages, so the payload is
-        # always ``(tag, center, distance)``; a learn event is two int dict
-        # inserts -- no record objects on this, the build's hottest path.
-        # Messages are NamedTuples: unpacking them beats two attribute reads
-        # per message on this, the highest-volume inbox loop of the build.
+        # Inboxes arrive in ascending sender order (the scheduler drains
+        # outboxes sender-by-sender) with at most one message per sender per
+        # round, so for every center the first arrival is the smallest
+        # announcing sender.
         known_dist = self.known_dist
-        known_via = self.known_via
-        newly = self.newly_learned
         for sender, content, _ in inbox:
-            center = content[1]
+            _, center, distance = content
             if center not in known_dist:
-                known_dist[center] = content[2] + 1
-                known_via[center] = sender
-                if not newly:
+                known_dist[center] = distance + 1
+                self.known_via[center] = sender
+                if not self.newly_learned:
                     self.learners.append(self.node_id)
-                newly.append(center)
-        # Inlined _send_next: this runs once per activation, which makes the
-        # extra method call measurable.
-        i = self._next_send
-        outbuf = self.outbuf
-        if i < len(outbuf):
-            center, distance = outbuf[i]
-            self._next_send = i + 1
-            ctx.broadcast_flat(EXPLORE_TAG, center, distance)
+                self.newly_learned.append(center)
+        self._send_next(ctx)
 
     def _send_next(self, ctx: NodeContext) -> None:
-        if self._next_send < len(self.outbuf):
-            center, distance = self.outbuf[self._next_send]
-            self._next_send += 1
-            ctx.broadcast_flat(EXPLORE_TAG, center, distance)
+        i = self._next_send
+        if i < len(self.outbuf):
+            self._next_send = i + 1
+            ctx.broadcast_flat(*self.outbuf[i])
 
     def is_idle(self) -> bool:
         return self._next_send >= len(self.outbuf)
 
     def result(self):
         return None
+
+
+def _phase_deliverer(
+    known_dist: List[Dict[int, int]],
+    known_via: List[Dict[int, Optional[int]]],
+    newly: List[List[int]],
+    learners: List[int],
+) -> Callable[[int, Tuple[str, int, int], Tuple[int, ...]], None]:
+    """The receivers' side of a phase, for :meth:`Simulator.run_broadcast_schedule`.
+
+    A receiver adopts ``(distance + 1, sender)`` for every center it does not
+    know yet.  Within a phase receivers never forward (the phase buffers are
+    fixed when it starts), so taking the broadcasts in (round, ascending
+    sender) order reproduces :class:`_ExplorationPhaseProgram`'s
+    first-arrival-wins knowledge exactly.  This carries most of the build's
+    message volume, so a learn event is two int dict inserts and nothing else
+    is allocated.
+    """
+
+    def deliver(sender: int, payload: Tuple[str, int, int], row: Tuple[int, ...]) -> None:
+        _, center, distance = payload
+        distance += 1
+        for u in row:
+            dist_u = known_dist[u]
+            if center not in dist_u:
+                dist_u[center] = distance
+                known_via[u][center] = sender
+                fresh = newly[u]
+                if not fresh:
+                    learners.append(u)
+                fresh.append(center)
+
+    return deliver
 
 
 def run_bounded_exploration(
@@ -302,56 +330,73 @@ def _run_exploration_once(
     plan: Optional[FaultPlan],
     attempt_number: int,
 ) -> ExplorationResult:
-    """One (possibly faulted) execution of Algorithm 1 from fresh state."""
+    """One execution of Algorithm 1 from fresh state.
+
+    With no ``plan`` every phase is a broadcast schedule on the simulator.
+    With one, the phases run as :class:`_ExplorationPhaseProgram` instances
+    under phase-derived plans; an inactive plan runs those programs on the
+    simulator's ordinary scheduler, the reference the schedule is tested
+    against.
+    """
     n = simulator.graph.num_vertices
     known_dist: List[Dict[int, int]] = [dict() for _ in range(n)]
     known_via: List[Dict[int, Optional[int]]] = [dict() for _ in range(n)]
-    # Non-senders share the one empty buffer; only centers start with a real
-    # phase-1 buffer (programs never mutate their buffer).
-    outbufs: List[List[Tuple[int, int]]] = [_NO_BUFFER] * n
+    newly: List[List[int]] = [[] for _ in range(n)]
+    learners: List[int] = []
+    # A phase's ``(sender, payloads)`` pairs in ascending sender order; the
+    # centers open phase 1 by announcing themselves.
+    queues: List[Tuple[int, List[Tuple[str, int, int]]]] = []
     for center in center_list:
         known_dist[center][center] = 0
         known_via[center][center] = None
-        outbufs[center] = [(center, 0)]
+        queues.append((center, [(EXPLORE_TAG, center, 0)]))
 
-    nominal_rounds = 1 + cap * depth
+    fault_totals: Optional[Dict[str, int]] = None
+    if plan is None:
+        deliver = _phase_deliverer(known_dist, known_via, newly, learners)
+    else:
+        fault_totals = fresh_fault_counters()
+        run_program_phase = _program_phase_runner(
+            simulator, plan, known_dist, known_via, newly, learners, fault_totals
+        )
+
+    charged_rounds = 0
     simulated_rounds = 0
     messages = 0
-    charged_rounds = 0
-
-    # Vertices holding a non-empty phase buffer -- the only candidates for
-    # sending (and for being awake) when a phase protocol starts; passed to
-    # the scheduler so round 0 and the idle poll touch only them.  Programs
-    # and their newly-learned accumulators are created once and reset between
-    # phases instead of reallocated ``n``-at-a-time per phase.
-    senders: List[int] = list(center_list)
-    newly: List[List[int]] = [[] for _ in range(n)]
-    learners: List[int] = []
-    programs = [
-        _ExplorationPhaseProgram(
-            v, outbufs[v], known_dist[v], known_via[v], newly[v], learners
-        )
-        for v in range(n)
-    ]
-    counters = {"charged": 0, "simulated": 0, "messages": 0}
-    fault_totals = fresh_fault_counters() if plan is not None else None
-    try:
-        _run_exploration_phases(
-            simulator, programs, newly, known_dist, senders, learners,
-            depth, cap, label, counters, plan, fault_totals,
-        )
-    finally:
-        # The phase programs are finished (or the run aborted); let the
-        # scheduler's binding cache go so it does not pin them (and the
-        # knowledge they reference) alive.
-        simulator.release_program_bindings()
-    charged_rounds = counters["charged"]
-    simulated_rounds = counters["simulated"]
-    messages = counters["messages"]
+    for phase in range(1, depth + 1):
+        if not queues:
+            break
+        phase_label = f"{label}:phase{phase}"
+        phase_nominal = cap if phase > 1 else cap + 1
+        if plan is None:
+            run = simulator.run_broadcast_schedule(
+                queues, deliver, label=phase_label, nominal_rounds=phase_nominal
+            )
+        else:
+            run = run_program_phase(queues, phase, phase_label, phase_nominal, charged_rounds)
+        charged_rounds += phase_nominal
+        simulated_rounds += run.rounds_executed
+        messages += run.messages_delivered
+        # The next phase's buffers: every learner forwards up to ``cap`` of
+        # the centers it learned (deterministically the smallest IDs; the
+        # paper allows an arbitrary choice).  A center enters ``newly`` at
+        # most once per phase (it is known from then on), so the lists are
+        # duplicate-free.
+        queues = []
+        for v in sorted(learners):
+            fresh_centers = newly[v]
+            fresh_centers.sort()
+            known_v = known_dist[v]
+            queues.append(
+                (v, [(EXPLORE_TAG, center, known_v[center]) for center in fresh_centers[:cap]])
+            )
+            fresh_centers.clear()
+        learners.clear()
 
     # The paper's schedule always occupies 1 + cap * depth rounds even when
     # the network goes quiet early; charge the idle remainder so the ledger
     # reflects the nominal cost of Algorithm 1.
+    nominal_rounds = 1 + cap * depth
     idle_rounds = max(0, nominal_rounds - charged_rounds)
     if idle_rounds:
         simulator.ledger.charge(label=f"{label}:idle-schedule", nominal_rounds=idle_rounds)
@@ -394,88 +439,64 @@ def _phase_crashes(
     return local
 
 
-def _run_exploration_phases(
+def _program_phase_runner(
     simulator: Simulator,
-    programs: List[_ExplorationPhaseProgram],
-    newly: List[List[int]],
+    plan: FaultPlan,
     known_dist: List[Dict[int, int]],
-    senders: List[int],
+    known_via: List[Dict[int, Optional[int]]],
+    newly: List[List[int]],
     learners: List[int],
-    depth: int,
-    cap: int,
-    label: str,
-    counters: Dict[str, int],
-    plan: Optional[FaultPlan] = None,
-    fault_totals: Optional[Dict[str, int]] = None,
-) -> None:
-    """The phase loop of Algorithm 1 (split out so the caller can guarantee
-    the scheduler's binding cache is released even on an aborted run).
+    fault_totals: Dict[str, int],
+) -> Callable[..., ProtocolRun]:
+    """Run phases as :class:`_ExplorationPhaseProgram` instances under ``plan``.
 
-    Under a fault plan each phase runs as its own faulted sub-protocol under
-    a phase-derived plan; the plan's crash schedule is computed once against
-    the *nominal* global round numbering and projected onto each phase, so a
-    crash-stopped node stays dead for the rest of the exploration.
+    Each phase runs as its own faulted sub-protocol under a phase-derived
+    plan; the plan's crash schedule is computed once against the *nominal*
+    global round numbering and projected onto each phase, so a crash-stopped
+    node stays dead for the rest of the exploration.  Fault counters are
+    summed into ``fault_totals``.
     """
-    crash_at = plan.crash_schedule(len(programs)) if plan is not None else {}
-    if fault_totals is not None:
-        fault_totals["crashed_nodes"] = len(crash_at)
-    for phase in range(1, depth + 1):
-        if not senders:
-            break
-        phase_nominal = cap if phase > 1 else cap + 1
-        phase_kwargs = {}
-        if plan is not None:
-            phase_plan = replace(
-                plan.derive(phase),
-                crash_fraction=0.0,
-                crashes=tuple(
-                    sorted(_phase_crashes(crash_at, counters["charged"], phase_nominal).items())
-                ),
-            )
-            phase_kwargs = dict(
-                fault_plan=phase_plan,
-                max_rounds=fault_round_limit(phase_nominal, phase_plan),
-            )
+    n = len(known_dist)
+    programs = [
+        _ExplorationPhaseProgram(v, known_dist[v], known_via[v], newly[v], learners)
+        for v in range(n)
+    ]
+    crash_at = plan.crash_schedule(n)
+    fault_totals["crashed_nodes"] = len(crash_at)
+
+    def run_phase(
+        queues: List[Tuple[int, List[Tuple[str, int, int]]]],
+        phase: int,
+        phase_label: str,
+        phase_nominal: int,
+        phase_start: int,
+    ) -> ProtocolRun:
+        for sender, payloads in queues:
+            program = programs[sender]
+            program.outbuf = payloads
+            program._next_send = 0
+        phase_plan = replace(
+            plan.derive(phase),
+            crash_fraction=0.0,
+            crashes=tuple(sorted(_phase_crashes(crash_at, phase_start, phase_nominal).items())),
+        )
         run = simulator.run_protocol(
             programs,
-            label=f"{label}:phase{phase}",
+            label=phase_label,
             nominal_rounds=phase_nominal,
-            initially_awake=senders,
             collect_results=False,
-            starters=senders,
-            reuse_bindings=True,
-            **phase_kwargs,
+            fault_plan=phase_plan,
+            max_rounds=fault_round_limit(phase_nominal, phase_plan),
         )
-        counters["charged"] += phase_nominal
-        counters["simulated"] += run.rounds_executed
-        counters["messages"] += run.messages_delivered
-        if fault_totals is not None and run.fault_counters is not None:
+        for sender, _ in queues:
+            programs[sender].outbuf = _NO_BUFFER
+        if run.fault_counters is not None:
             for key, value in run.fault_counters.items():
                 if key != "crashed_nodes":
                     fault_totals[key] += value
-        # Build the next phase's buffers: forward up to ``cap`` newly learned
-        # centers (deterministically the smallest IDs; the paper allows an
-        # arbitrary choice).  Only the programs that sent or learned this
-        # phase are touched -- last phase's senders are rewound, the learners
-        # (from the shared registry) become the new senders.
-        for v in senders:
-            program = programs[v]
-            program.outbuf = _NO_BUFFER
-            program._next_send = 0
-        senders = sorted(learners)
-        learners.clear()
-        for v in senders:
-            program = programs[v]
-            known_v = known_dist[v]
-            fresh_centers = newly[v]
-            # A center enters ``newly`` at most once per phase (it is in
-            # ``known`` from then on), so the list is duplicate-free.
-            fresh_centers.sort()
-            program.outbuf = [
-                (center, known_v[center]) for center in fresh_centers[:cap]
-            ]
-            fresh_centers.clear()
-            program._next_send = 0
+        return run
+
+    return run_phase
 
 
 @dataclass

@@ -9,6 +9,7 @@ import pytest
 from repro.congest import (
     CongestionViolation,
     Message,
+    MessageTooLarge,
     NodeContext,
     NodeProgram,
     ProtocolError,
@@ -16,7 +17,7 @@ from repro.congest import (
     RoundLimitExceeded,
     Simulator,
 )
-from repro.graphs import Graph, cycle_graph, path_graph, star_graph
+from repro.graphs import Graph, cycle_graph, grid_graph, path_graph, star_graph
 
 
 class FloodOnce(NodeProgram):
@@ -66,6 +67,27 @@ class NeverIdle(NodeProgram):
 
     def is_idle(self) -> bool:
         return False
+
+
+class QueueBroadcaster(NodeProgram):
+    """Broadcasts its queued payloads one per round; logs every reception."""
+
+    def __init__(self, node_id: int, queue, log) -> None:
+        self.node_id = node_id
+        self.queue = list(queue)
+        self.log = log
+
+    def on_start(self, ctx: NodeContext) -> None:
+        if self.queue:
+            ctx.broadcast_flat(*self.queue.pop(0))
+
+    def on_round(self, ctx: NodeContext, inbox: List[Message]) -> None:
+        for message in inbox:
+            self.log.append((self.node_id, message.sender, message.content))
+        self.on_start(ctx)
+
+    def is_idle(self) -> bool:
+        return not self.queue
 
 
 class TestBasicExecution:
@@ -175,3 +197,92 @@ class TestTerminationAndLedger:
         assert tracer.rounds_seen == 6
         assert tracer.total_messages > 0
         assert tracer.busiest_round()[1] >= 1
+
+
+class TestBroadcastSchedule:
+    """``run_broadcast_schedule`` accounts exactly like the same schedule as programs."""
+
+    @staticmethod
+    def run_both(graph, queues):
+        outcomes = []
+        for schedule in (False, True):
+            tracer = RecordingTracer()
+            sim = Simulator(graph, tracer=tracer)
+            log = []
+            if schedule:
+
+                def deliver(sender, payload, row):
+                    log.extend((receiver, sender, payload) for receiver in row)
+
+                run = sim.run_broadcast_schedule(queues, deliver, label="sched", nominal_rounds=7)
+            else:
+                by_sender = dict(queues)
+                programs = [
+                    QueueBroadcaster(v, by_sender.get(v, ()), log)
+                    for v in range(graph.num_vertices)
+                ]
+                run = sim.run_protocol(programs, label="sched", nominal_rounds=7)
+            # Per-receiver reception order is what a receiver can observe.
+            per_receiver = sorted(log, key=lambda event: event[0])
+            outcomes.append((
+                run.rounds_executed,
+                run.messages_delivered,
+                run.words_delivered,
+                run.max_edge_congestion,
+                run.congestion_violations,
+                sim.ledger.charges,
+                tracer.events,
+                per_receiver,
+            ))
+        assert outcomes[0] == outcomes[1]
+        return outcomes[1]
+
+    @pytest.mark.parametrize(
+        "graph, queues",
+        [
+            (star_graph(5), [(0, [("a", 1), ("b", 2)]), (3, [("c", 3)])]),
+            (grid_graph(3, 4), [(1, [("x",)] * 3), (5, [("y",)]), (11, [("z", 9)] * 2)]),
+            (cycle_graph(6), [(v, [("r", v)] * (v % 3)) for v in range(6)]),
+            (path_graph(4), []),
+        ],
+    )
+    def test_matches_program_form(self, graph, queues):
+        self.run_both(graph, queues)
+
+    def test_isolated_sender_keeps_rounds_executing_until_its_queue_empties(self):
+        graph = Graph(4, [(0, 1), (1, 2)])
+        rounds, messages, *_ = self.run_both(graph, [(0, [("m",)]), (3, [("i",)] * 4)])
+        assert (rounds, messages) == (3, 1)
+
+    def test_isolated_sole_sender_executes_no_round(self):
+        graph = Graph(3, [(0, 1)])
+        rounds, messages, _, congestion, _, charges, events, _ = self.run_both(
+            graph, [(2, [("i",)])]
+        )
+        assert (rounds, messages, congestion, events) == (0, 0, 0, [])
+        assert charges[0].nominal_rounds == 7
+
+    def test_nominal_rounds_default_to_executed(self):
+        sim = Simulator(path_graph(3))
+        run = sim.run_broadcast_schedule([(0, [("a",), ("b",)])], lambda *_: None, label="s")
+        assert run.rounds_executed == 2
+        assert sim.ledger.charges[0].nominal_rounds == 2
+
+    def test_word_size_is_checked(self):
+        sim = Simulator(path_graph(3), max_words_per_message=2)
+        with pytest.raises(MessageTooLarge):
+            sim.run_broadcast_schedule([(0, [("a", 1, 2)])], lambda *_: None, label="s")
+        assert sim.ledger.charges == []
+
+    @pytest.mark.parametrize(
+        "queues",
+        [
+            [(1, [("a",)]), (1, [("b",)])],
+            [(2, [("a",)]), (0, [("b",)])],
+            [(3, [("a",)])],
+        ],
+    )
+    def test_senders_must_be_ascending_vertices(self, queues):
+        sim = Simulator(path_graph(3))
+        with pytest.raises(ProtocolError):
+            sim.run_broadcast_schedule(queues, lambda *_: None, label="s")

@@ -2,19 +2,33 @@
 
 from __future__ import annotations
 
+from typing import List
+
 import pytest
 
-from repro.congest import Simulator
+from repro.congest import (
+    CongestionViolation,
+    FaultPlan,
+    Message,
+    MessageTooLarge,
+    NodeContext,
+    NodeProgram,
+    RecordingTracer,
+    Simulator,
+)
 from repro.graphs import (
+    Graph,
     bfs_distances,
     complete_graph,
     cycle_graph,
     gnp_random_graph,
     grid_graph,
     path_graph,
+    sparse_gnp_random_graph,
     star_graph,
 )
 from repro.primitives import centralized_bounded_exploration, run_bounded_exploration
+from repro.primitives.exploration import _run_exploration_once
 
 
 def run_both(graph, centers, depth, cap):
@@ -158,3 +172,136 @@ class TestSchedulingAndAccounting:
         assert centralized.known_centers(0) == [0, 1, 2, 3, 4]
         assert centralized.distance_to(0, 3) == 1
         assert centralized.distance_to(0, 99) is None
+
+
+def explore_traced(graph, centers, depth, cap, plan=None, simulator=None):
+    """One exploration from fresh state with everything observable recorded.
+
+    ``plan=None`` runs the phases as broadcast schedules; an inactive
+    :class:`FaultPlan` runs the per-node reference programs on the
+    simulator's ordinary scheduler.
+    """
+    tracer = RecordingTracer()
+    sim = simulator if simulator is not None else Simulator(graph, tracer=tracer)
+    if simulator is not None:
+        sim.tracer = tracer
+    result = _run_exploration_once(
+        sim, sorted(set(centers)), depth, cap, "exploration", plan, 1
+    )
+    return {
+        "known_dist": result.known_dist,
+        "known_via": result.known_via,
+        "popular": result.popular,
+        "simulated_rounds": result.simulated_rounds,
+        "messages": result.messages,
+        "charges": sim.ledger.charges,
+        "events": tracer.events,
+    }, result
+
+
+def _isolated_center_graph():
+    graph = Graph(7, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)])
+    return graph, [0, 3, 6]
+
+
+EQUIVALENCE_CASES = {
+    "sparse-gnp-a": (sparse_gnp_random_graph(120, 0.05, seed=1), range(0, 120, 2), 3, 4),
+    "sparse-gnp-b": (sparse_gnp_random_graph(200, 0.03, seed=7), range(0, 200, 5), 4, 3),
+    "sparse-gnp-c": (sparse_gnp_random_graph(150, 0.06, seed=12), range(150), 2, 6),
+    "grid": (grid_graph(6, 7), range(0, 42, 3), 3, 3),
+    "star": (star_graph(9), range(10), 2, 3),
+    "all-centers-depth-1": (gnp_random_graph(60, 0.1, seed=4), range(60), 1, 5),
+    "cap-truncation": (complete_graph(12), range(12), 2, 2),
+    "depth-saturates-graph": (path_graph(9), [0, 4, 8], 12, 10),
+    "empty-centers": (cycle_graph(8), [], 3, 2),
+    "isolated-center": (*_isolated_center_graph(), 3, 2),
+}
+
+
+class TestBroadcastScheduleEquivalence:
+    """The fault-free broadcast schedule reproduces the per-node programs exactly."""
+
+    @pytest.mark.parametrize("case", sorted(EQUIVALENCE_CASES))
+    def test_schedule_matches_reference_programs(self, case):
+        graph, centers, depth, cap = EQUIVALENCE_CASES[case]
+        schedule, schedule_result = explore_traced(graph, centers, depth, cap)
+        reference, reference_result = explore_traced(
+            graph, centers, depth, cap, plan=FaultPlan(seed=0)
+        )
+        assert schedule == reference
+        # The two paths really differ: only the program path keeps fault counters.
+        assert schedule_result.fault_counters is None
+        assert reference_result.fault_counters is not None
+
+    def test_cap_truncation_case_truncates(self):
+        graph, centers, depth, cap = EQUIVALENCE_CASES["cap-truncation"]
+        outcome, _ = explore_traced(graph, centers, depth, cap)
+        assert all(len(known) > cap for known in outcome["known_dist"])
+        assert outcome["popular"] == set(centers)
+
+    def test_isolated_center_executes_no_extra_round(self):
+        graph, centers, depth, cap = EQUIVALENCE_CASES["isolated-center"]
+        outcome, _ = explore_traced(graph, centers, depth, cap)
+        assert outcome["known_dist"][6] == {6: 0}
+        # Phase 1 delivers the connected centers' announcements in one round.
+        assert outcome["charges"][0].simulated_rounds == 1
+
+    def test_isolated_sole_center_is_charged_without_executing(self):
+        graph = Graph(3, [(0, 1)])
+        outcome, _ = explore_traced(graph, [2], 2, 2)
+        labels = [(c.label, c.simulated_rounds, c.messages) for c in outcome["charges"]]
+        assert labels == [
+            ("exploration:phase1", 0, 0),
+            ("exploration:idle-schedule", 0, 0),
+        ]
+        assert outcome["events"] == []
+
+
+class TestBroadcastScheduleErrorPaths:
+    def test_oversized_messages_still_raise(self):
+        sim = Simulator(cycle_graph(6), max_words_per_message=2)
+        with pytest.raises(MessageTooLarge):
+            run_bounded_exploration(sim, [0, 3], depth=2, cap=2)
+        assert sim.ledger.charges == []
+
+    def test_lenient_congestion_records_no_violations(self):
+        graph = sparse_gnp_random_graph(100, 0.06, seed=3)
+        sim = Simulator(graph, strict_congestion=False)
+        runs = []
+        schedule = sim.run_broadcast_schedule
+
+        def spy(*args, **kwargs):
+            runs.append(schedule(*args, **kwargs))
+            return runs[-1]
+
+        sim.run_broadcast_schedule = spy
+        lenient = run_bounded_exploration(sim, range(100), depth=3, cap=4)
+        strict = run_bounded_exploration(Simulator(graph), range(100), depth=3, cap=4)
+        assert runs and all(run.congestion_violations == [] for run in runs)
+        assert all(run.max_edge_congestion <= 1 for run in runs)
+        assert lenient.known_dist == strict.known_dist
+        assert lenient.known_via == strict.known_via
+
+    def test_exploration_after_aborted_run_matches_fresh_simulator(self):
+        class SendsTwice(NodeProgram):
+            def on_start(self, ctx: NodeContext) -> None:
+                for neighbor in ctx.neighbors:
+                    ctx.send(neighbor, "spam")
+                    ctx.send(neighbor, "spam")
+
+            def on_round(self, ctx: NodeContext, inbox: List[Message]) -> None:
+                return None
+
+        graph = grid_graph(5, 5)
+        aborted = Simulator(graph)
+        with pytest.raises(CongestionViolation):
+            aborted.run_protocol([SendsTwice() for _ in range(25)])
+        after_abort, _ = explore_traced(graph, range(0, 25, 2), 3, 3, simulator=aborted)
+        fresh, _ = explore_traced(graph, range(0, 25, 2), 3, 3)
+        assert after_abort == fresh
+        # The reference programs, which do use the scheduler's buffers, agree too.
+        reference, _ = explore_traced(
+            graph, range(0, 25, 2), 3, 3, plan=FaultPlan(seed=0), simulator=aborted
+        )
+        assert reference["known_dist"] == fresh["known_dist"]
+        assert reference["known_via"] == fresh["known_via"]

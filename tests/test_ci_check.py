@@ -24,6 +24,7 @@ EXPECTED_STAGE_ORDER = [
     "tier-1 tests (pure-python kernel)",
     "golden counters",
     "phase micro-benchmarks (quick mode)",
+    "benchmark self-tests",
     "capacity ladder (quick mode)",
     "capacity ladder (quick mode, numpy kernel)",
     "fault injection (quick mode)",
@@ -107,6 +108,10 @@ class TestStagePlan:
         plan = dict(ci_check.stage_plan(_args(), "snap.json"))
         gate = plan["registry completeness"]
         assert any("registry_check.py" in part for part in gate)
+
+    def test_benchmark_self_tests_stage_runs_the_perfbench_suite(self, ci_check):
+        plan = dict(ci_check.stage_plan(_args(), "snap.json"))
+        assert plan["benchmark self-tests"][1:] == ["-m", "pytest", "perfbench", "-q"]
 
     def test_fast_skips_only_the_pytest_stages(self, ci_check, with_ruff):
         plan = ci_check.stage_plan(_args(fast=True), "snap.json")
@@ -231,6 +236,7 @@ class TestMainOrchestration:
         out = capsys.readouterr().out
         assert "FAILED (exit 3)" in out
         assert "phase micro-benchmarks (quick mode): skipped (earlier stage failed)" in out
+        assert "benchmark self-tests: skipped (earlier stage failed)" in out
         assert "registry completeness: skipped (earlier stage failed)" in out
         assert "CHECKS FAILED" in out
 
