@@ -14,23 +14,27 @@ in which nothing at all would happen; protocols report their scheduled
 ("nominal") round counts separately through the ledger (see
 :mod:`repro.congest.ledger`).
 
-Protocols with a fixed broadcast schedule -- a fixed set of senders, each
-broadcasting one queued payload per round, while receivers only record what
-they receive -- skip the per-node machinery through
-:meth:`Simulator.run_broadcast_schedule`: no programs, inboxes or message
-objects, one ``deliver`` callback per broadcast walking the sender's CSR row.
-The simulator keeps the word-size check, the bandwidth audit, the executed
-round count, the tracer events and the ledger charge exactly as the program
-form would produce them.  The schedule is exact for receivers whose record
-depends only on the order in which they receive: callbacks run in (round,
-ascending sender) order, which is the order in which the program form's
-receivers would read their inboxes.  Algorithm 1's fault-free exploration
-phases run this way (:mod:`repro.primitives.exploration`).
+Protocols with a broadcast schedule -- senders each broadcasting one queued
+payload per round, while receivers record what they receive and, at the end
+of a round, may join the schedule as senders themselves -- skip the per-node
+machinery through :meth:`Simulator.run_broadcast_schedule`: no programs,
+inboxes or message objects, one ``deliver`` callback per broadcast walking
+the sender's CSR row and one ``step`` callback per executed round.  The
+simulator keeps the word-size check, the bandwidth audit, the executed round
+count, the tracer events and the ledger charge exactly as the program form
+would produce them.  The schedule is exact for receivers whose record depends
+only on the order in which they receive: callbacks run in (round, ascending
+sender) order, which is the order in which the program form's receivers
+would read their inboxes.  Two protocols run this way when fault-free:
+Algorithm 1's exploration phases, whose senders are fixed when a phase starts
+(:mod:`repro.primitives.exploration`), and depth-bounded BFS forests, whose
+frontier joins round by round (:mod:`repro.primitives.bfs_forest`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..graphs.graph import Graph
@@ -181,8 +185,8 @@ class Simulator:
 
         ``message_driven=True`` declares that every program's ``is_idle()``
         is constantly true (all progress happens in reaction to received
-        messages, as in the BFS-forest and forest-markup protocols); the
-        scheduler then skips idle tracking altogether.
+        messages, as in the forest-markup protocol); the scheduler then skips
+        idle tracking altogether.
 
         ``collect_results=False`` skips the per-node ``result()`` sweep
         (``ProtocolRun.results`` is empty) for protocols whose programs
@@ -251,52 +255,38 @@ class Simulator:
         *,
         label: str,
         nominal_rounds: Optional[int] = None,
+        step: Optional[Callable[[int], Sequence[Tuple[int, Sequence[Tuple[Any, ...]]]]]] = None,
     ) -> ProtocolRun:
-        """Run a protocol with a fixed broadcast schedule, without node programs.
+        """Run a protocol with a broadcast schedule, without node programs.
 
         ``queues`` lists ``(sender, payloads)`` pairs in strictly ascending
         sender order.  In round ``r`` every sender holding more than ``r``
         payloads broadcasts ``payloads[r]`` -- a flat tuple of scalar words,
         as for :meth:`NodeContext.broadcast_flat` -- to all its neighbours.
-        Receivers only record what they receive: ``deliver(sender, payload,
-        row)`` is called once per broadcast, in (round, ascending sender)
-        order, with the sender's sorted CSR neighbour row, and must neither
+        ``deliver(sender, payload, row)`` is called once per broadcast, in
+        (round, ascending sender) order, with the sender's sorted CSR
+        neighbour row; it records what the receivers learn and must neither
         send nor change the queues.
 
-        The accounting equals running the same schedule as node programs on
-        :meth:`run_protocol`: every payload passes the word-size check (before
-        the first round, so an oversized payload delivers nothing), each
-        sender broadcasts at most once per round (so every used edge carries
-        exactly one message and congestion is 1), round ``r`` executes while
-        a broadcast is in flight or a sender still holds payloads, the tracer
-        sees one event per executed round, and the ledger is charged under
-        ``label``.
-        """
-        n = self.graph.num_vertices
-        rows = self.graph.csr().rows()
-        max_words = self.max_words_per_message
-        active: List[Tuple[int, Sequence[Tuple[Any, ...]], Tuple[int, ...]]] = []
-        # Every broadcast reaches the sender's whole row and is counted in
-        # the round after it is sent (that round always executes), so the
-        # word total is known before the first round.
-        words_delivered = 0
-        previous = -1
-        for sender, payloads in queues:
-            if not previous < sender < n:
-                raise ProtocolError(
-                    f"broadcast schedule senders must be ascending vertex ids, "
-                    f"got {sender} after {previous}"
-                )
-            previous = sender
-            if not payloads:
-                continue
-            widest = max(map(len, payloads))
-            if widest > max_words:
-                raise MessageTooLarge(widest, max_words)
-            row = rows[sender]
-            words_delivered += len(row) * sum(map(len, payloads))
-            active.append((sender, payloads, row))
+        Receivers that forward do so through ``step(round_index)``, called
+        once at the end of every executed round, after the deliveries its
+        receivers process.  It returns ``(sender, payloads)`` pairs, in
+        strictly ascending sender order, that join the schedule: their
+        ``payloads[k]`` is broadcast in round ``round_index + k``.  A joining
+        sender must not still hold payloads from earlier.  Without a step the
+        schedule is fixed when the run starts, and receivers only record.
 
+        The accounting equals running the same schedule as node programs on
+        :meth:`run_protocol`: every payload passes the word-size check (an
+        initial payload before the first round, a forwarded one when its
+        sender joins), each sender broadcasts at most once per round (so
+        every used edge carries exactly one message and congestion is 1),
+        round ``r`` executes while a broadcast is in flight or a sender still
+        holds payloads, the tracer sees one event per executed round, and the
+        ledger is charged under ``label``.
+        """
+        rows = self.graph.csr().rows()
+        active, words_delivered = self._schedule_entries(queues, rows, 0)
         tracer = self.tracer
         trace_round = None if type(tracer) is NullTracer else tracer.on_round
         round_index = 0
@@ -308,10 +298,10 @@ class Simulator:
             still_sending = []
             next_round = round_index + 1
             for entry in active:
-                sender, payloads, row = entry
-                deliver(sender, payloads[round_index], row)
+                sender, payloads, row, start = entry
+                deliver(sender, payloads[round_index - start], row)
                 in_flight += len(row)
-                if len(payloads) > next_round:
+                if len(payloads) > next_round - start:
                     still_sending.append(entry)
             active = still_sending
             if not in_flight and not active:
@@ -320,6 +310,22 @@ class Simulator:
             messages_delivered += in_flight
             if trace_round is not None:
                 trace_round(round_index, in_flight)
+            if step is None:
+                continue
+            joined, joined_words = self._schedule_entries(step(round_index), rows, round_index)
+            if not joined:
+                continue
+            words_delivered += joined_words
+            if active:
+                holding = {entry[0] for entry in active}
+                for entry in joined:
+                    if entry[0] in holding:
+                        raise ProtocolError(
+                            f"forwarded sender {entry[0]} still holds queued payloads"
+                        )
+                active = sorted(active + joined, key=itemgetter(0))
+            else:
+                active = joined
 
         max_congestion = 1 if messages_delivered else 0
         self.ledger.charge(
@@ -337,6 +343,42 @@ class Simulator:
             max_edge_congestion=max_congestion,
             results=[],
         )
+
+    def _schedule_entries(
+        self,
+        queues: Sequence[Tuple[int, Sequence[Tuple[Any, ...]]]],
+        rows: Sequence[Tuple[int, ...]],
+        start: int,
+    ) -> Tuple[List[Tuple[int, Sequence[Tuple[Any, ...]], Tuple[int, ...], int]], int]:
+        """Check ``(sender, payloads)`` pairs joining a broadcast schedule at ``start``.
+
+        Returns the ``(sender, payloads, row, start)`` entries of the senders
+        with payloads and the words their broadcasts will deliver.  Every
+        broadcast reaches the sender's whole row and is counted in the round
+        after it is sent (that round always executes), so the word total is
+        known as soon as a sender joins.
+        """
+        n = len(rows)
+        max_words = self.max_words_per_message
+        entries = []
+        words = 0
+        previous = -1
+        for sender, payloads in queues:
+            if not previous < sender < n:
+                raise ProtocolError(
+                    f"broadcast schedule senders must be ascending vertex ids, "
+                    f"got {sender} after {previous}"
+                )
+            previous = sender
+            if not payloads:
+                continue
+            widest = max(map(len, payloads))
+            if widest > max_words:
+                raise MessageTooLarge(widest, max_words)
+            row = rows[sender]
+            words += len(row) * sum(map(len, payloads))
+            entries.append((sender, payloads, row, start))
+        return entries, words
 
     def _run_protocol(
         self,

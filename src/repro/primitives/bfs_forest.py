@@ -3,12 +3,21 @@
 This is the protocol the superclustering step uses to grow superclusters
 around the ruling-set vertices (paper, Section 2.2): a BFS exploration rooted
 at the set ``RS_i`` is executed to depth ``(2/rho) * delta_i``, producing a
-forest ``F_i`` rooted at the vertices of ``RS_i``.
+forest ``F_i`` rooted at the vertices of ``RS_i``.  The ruling set's
+knock-outs are the same protocol with depth ``q``.
 
 Each vertex adopts the first root it hears about (ties broken by root ID, then
 by parent ID, which keeps the construction deterministic) and forwards the
 announcement once, so at most one message crosses any edge in any round --
 well within the CONGEST bandwidth.
+
+Fault-free, the forest is level-synchronous: in round ``r`` exactly the
+vertices at distance ``r - 1`` broadcast.  It therefore runs as a broadcast
+schedule (:meth:`~repro.congest.simulator.Simulator.run_broadcast_schedule`)
+whose end-of-round step hands the round's adopters back as the next
+frontier, with no per-vertex programs.  Under a
+:class:`~repro.congest.faults.FaultPlan` it runs as :class:`_ForestProgram`
+instances on the simulator's fault-mode scheduler.
 """
 
 from __future__ import annotations
@@ -77,10 +86,11 @@ class ForestResult:
 class _ForestProgram(NodeProgram):
     """Per-vertex program implementing the depth-bounded BFS forest.
 
+    Runs the forest under a :class:`~repro.congest.faults.FaultPlan`, and is
+    the reference the fault-free broadcast schedule is tested against.
     Adopted labels are written through to the driver's shared ``root`` /
     ``dist`` / ``parent`` lists as they happen, so callers that do not need
-    the per-node result sweep (the ruling-set knock-outs, the engine's
-    supercluster forest) can skip collection entirely.
+    the per-node result sweep can skip collection entirely.
     """
 
     __slots__ = ("node_id", "is_source", "depth", "root", "dist", "parent", "_shared")
@@ -176,35 +186,29 @@ def run_bfs_forest(
     if depth < 0:
         raise ValueError("depth must be non-negative")
 
-    if fault_plan is None or not fault_plan.active:
-        plans: List[Optional[FaultPlan]] = [None]
-    else:
-        plans = [fault_plan.retry(k) for k in range(max(1, max_attempts))]
     starters = sorted(source_set)
+    if fault_plan is None or not fault_plan.active:
+        root, dist, parent = _fresh_labels(n, starters)
+        run = _run_forest_schedule(simulator, starters, depth, label, root, dist, parent)
+        if collect_node_results:
+            run.results = list(zip(root, dist, parent))
+        return ForestResult(
+            root=root, dist=dist, parent=parent, depth=depth, nominal_rounds=depth, run=run
+        )
+
+    plans = [fault_plan.retry(k) for k in range(max(1, max_attempts))]
     for attempt, plan in enumerate(plans):
-        root: List[Optional[int]] = [None] * n
-        dist: List[Optional[int]] = [None] * n
-        parent: List[Optional[int]] = [None] * n
+        root, dist, parent = _fresh_labels(n, starters)
         shared = (root, dist, parent)
         programs = [_ForestProgram(v, v in source_set, depth, shared) for v in range(n)]
-        fault_kwargs = {}
-        if plan is not None:
-            fault_kwargs = dict(
-                fault_plan=plan,
-                max_rounds=fault_round_limit(depth, plan),
-            )
-        # Forest programs are never spontaneously active (is_idle is constant
-        # True); all progress is message-driven, so the idle poll can be
-        # skipped (the hint is ignored in fault mode).
         try:
             run = simulator.run_protocol(
                 programs,
                 label=label,
                 nominal_rounds=depth,
-                message_driven=True,
-                starters=starters,
                 collect_results=collect_node_results,
-                **fault_kwargs,
+                fault_plan=plan,
+                max_rounds=fault_round_limit(depth, plan),
             )
         except RoundLimitExceeded:
             if attempt == len(plans) - 1:
@@ -220,6 +224,69 @@ def run_bfs_forest(
             attempts=attempt + 1,
         )
     raise AssertionError("unreachable")
+
+
+def _fresh_labels(
+    n: int, sources: List[int]
+) -> Tuple[List[Optional[int]], List[Optional[int]], List[Optional[int]]]:
+    """``root`` / ``dist`` / ``parent`` lists with only the sources labelled."""
+    root: List[Optional[int]] = [None] * n
+    dist: List[Optional[int]] = [None] * n
+    for s in sources:
+        root[s] = s
+        dist[s] = 0
+    return root, dist, [None] * n
+
+
+def _run_forest_schedule(
+    simulator: Simulator,
+    sources: List[int],
+    depth: int,
+    label: str,
+    root: List[Optional[int]],
+    dist: List[Optional[int]],
+    parent: List[Optional[int]],
+) -> ProtocolRun:
+    """Grow the fault-free forest as a broadcast schedule, labelling in place.
+
+    Round ``r``'s broadcasts all carry distance ``r``, so a receiver's
+    :class:`_ForestProgram` choice -- the smallest ``(dist + 1, root,
+    sender)`` -- is the smallest ``(root, sender)`` among that round's
+    announcements.  Broadcasts arrive in ascending sender order, so a
+    receiver keeps the first sender of the smallest root it sees.  A vertex
+    whose ``dist`` is still ``None`` is undecided: ``root``/``parent`` hold
+    its best offer so far, and the end-of-round step fixes ``dist`` for the
+    round's adopters and returns those below ``depth`` as the next frontier.
+    """
+    adopters: List[int] = []
+
+    def deliver(sender: int, payload: Tuple[str, int, int], row: Tuple[int, ...]) -> None:
+        announced = payload[1]
+        for u in row:
+            if dist[u] is None:
+                offered = root[u]
+                if offered is None:
+                    root[u] = announced
+                    parent[u] = sender
+                    adopters.append(u)
+                elif announced < offered:
+                    root[u] = announced
+                    parent[u] = sender
+
+    def step(round_index: int) -> List[Tuple[int, Tuple[Tuple[str, int, int]]]]:
+        adopters.sort()
+        for u in adopters:
+            dist[u] = round_index
+        frontier = []
+        if round_index < depth:
+            frontier = [(u, ((FOREST_TAG, root[u], round_index),)) for u in adopters]
+        adopters.clear()
+        return frontier
+
+    queues = [(s, ((FOREST_TAG, s, 0),)) for s in sources] if depth > 0 else []
+    return simulator.run_broadcast_schedule(
+        queues, deliver, label=label, nominal_rounds=depth, step=step
+    )
 
 
 def forest_membership(result: ForestResult) -> Dict[int, List[int]]:

@@ -73,3 +73,11 @@ class TestDistributedBuildGoldenRun:
         assert result.nominal_rounds == 31496
         assert result.num_edges == 126
         assert _digest(sorted(result.spanner.edge_set())) == "8f0c24506186ec50"
+        # Every sub-protocol's charge, in order: any drift in per-protocol
+        # rounds, messages, words or congestion fails here.
+        charges = [
+            [c.label, c.nominal_rounds, c.simulated_rounds, c.messages, c.words,
+             c.max_edge_congestion]
+            for c in result.ledger.charges
+        ]
+        assert _digest(charges) == "0854280b37d1284e"

@@ -70,12 +70,18 @@ class NeverIdle(NodeProgram):
 
 
 class QueueBroadcaster(NodeProgram):
-    """Broadcasts its queued payloads one per round; logs every reception."""
+    """Broadcasts its queued payloads one per round; logs every reception.
 
-    def __init__(self, node_id: int, queue, log) -> None:
+    A vertex that starts without a queue forwards: the first round it hears
+    anything, it queues ``copies`` payloads of its own.
+    """
+
+    def __init__(self, node_id: int, queue, log, copies: int = 0) -> None:
         self.node_id = node_id
         self.queue = list(queue)
         self.log = log
+        self.copies = copies
+        self.forwards = not self.queue
 
     def on_start(self, ctx: NodeContext) -> None:
         if self.queue:
@@ -84,6 +90,9 @@ class QueueBroadcaster(NodeProgram):
     def on_round(self, ctx: NodeContext, inbox: List[Message]) -> None:
         for message in inbox:
             self.log.append((self.node_id, message.sender, message.content))
+        if inbox and self.forwards:
+            self.forwards = False
+            self.queue = [("fwd", self.node_id, ctx.round_index)] * self.copies
         self.on_start(ctx)
 
     def is_idle(self) -> bool:
@@ -203,22 +212,44 @@ class TestBroadcastSchedule:
     """``run_broadcast_schedule`` accounts exactly like the same schedule as programs."""
 
     @staticmethod
-    def run_both(graph, queues):
+    def run_both(graph, queues, copies=0):
+        """Run :class:`QueueBroadcaster` as programs and as a schedule.
+
+        With ``copies`` the schedule forwards through an end-of-round step.
+        """
         outcomes = []
         for schedule in (False, True):
             tracer = RecordingTracer()
             sim = Simulator(graph, tracer=tracer)
             log = []
             if schedule:
+                heard = {sender for sender, payloads in queues if payloads}
+                fresh = []
 
                 def deliver(sender, payload, row):
-                    log.extend((receiver, sender, payload) for receiver in row)
+                    for receiver in row:
+                        log.append((receiver, sender, payload))
+                        if receiver not in heard:
+                            heard.add(receiver)
+                            fresh.append(receiver)
 
-                run = sim.run_broadcast_schedule(queues, deliver, label="sched", nominal_rounds=7)
+                def step(round_index):
+                    fresh.sort()
+                    joined = [(v, [("fwd", v, round_index)] * copies) for v in fresh]
+                    fresh.clear()
+                    return joined
+
+                run = sim.run_broadcast_schedule(
+                    queues,
+                    deliver,
+                    label="sched",
+                    nominal_rounds=7,
+                    step=step if copies else None,
+                )
             else:
                 by_sender = dict(queues)
                 programs = [
-                    QueueBroadcaster(v, by_sender.get(v, ()), log)
+                    QueueBroadcaster(v, by_sender.get(v, ()), log, copies)
                     for v in range(graph.num_vertices)
                 ]
                 run = sim.run_protocol(programs, label="sched", nominal_rounds=7)
@@ -286,3 +317,83 @@ class TestBroadcastSchedule:
         sim = Simulator(path_graph(3))
         with pytest.raises(ProtocolError):
             sim.run_broadcast_schedule(queues, lambda *_: None, label="s")
+
+    @pytest.mark.parametrize(
+        "graph, queues, copies",
+        [
+            (star_graph(5), [(0, [("a", 1)])], 2),
+            (grid_graph(3, 4), [(5, [("x",)] * 3)], 1),
+            (grid_graph(3, 4), [(0, [("x",)]), (7, [("y",)] * 4), (11, [])], 2),
+            (path_graph(6), [(0, [("s",)])], 3),
+            (cycle_graph(7), [(2, [("c", 2)]), (4, [("c", 4)] * 2)], 1),
+        ],
+    )
+    def test_forwarding_matches_program_form(self, graph, queues, copies):
+        _, _, _, congestion, *_ = self.run_both(graph, queues, copies)
+        assert congestion == 1
+
+    def test_step_runs_once_per_executed_round(self):
+        calls = []
+        sim = Simulator(path_graph(4))
+        run = sim.run_broadcast_schedule(
+            [(0, [("a",)])],
+            lambda *_: None,
+            label="s",
+            step=lambda r: calls.append(r) or ([(r, [("b",)])] if r < 3 else []),
+        )
+        assert calls == [1, 2, 3]
+        assert run.rounds_executed == 3
+
+    @pytest.mark.parametrize(
+        "joined",
+        [
+            [(2, [("a",)]), (1, [("b",)])],
+            [(1, [("a",)]), (1, [("b",)])],
+            [(3, [("a",)])],
+        ],
+    )
+    def test_forwarded_senders_must_be_ascending_vertices(self, joined):
+        sim = Simulator(path_graph(3))
+        with pytest.raises(ProtocolError):
+            sim.run_broadcast_schedule(
+                [(0, [("a",)])],
+                lambda *_: None,
+                label="s",
+                step=lambda r: joined if r == 1 else [],
+            )
+
+    def test_forwarded_sender_still_holding_payloads_is_rejected(self):
+        sim = Simulator(path_graph(3))
+        with pytest.raises(ProtocolError):
+            sim.run_broadcast_schedule(
+                [(0, [("a",)] * 3)],
+                lambda *_: None,
+                label="s",
+                step=lambda r: [(0, [("b",)])] if r == 1 else [],
+            )
+        assert sim.ledger.charges == []
+
+    def test_forwarded_word_size_is_checked(self):
+        sim = Simulator(path_graph(3), max_words_per_message=2)
+        with pytest.raises(MessageTooLarge):
+            sim.run_broadcast_schedule(
+                [(0, [("a",)])],
+                lambda *_: None,
+                label="s",
+                step=lambda r: [(1, [("a", 1, 2)])] if r == 1 else [],
+            )
+        assert sim.ledger.charges == []
+
+    def test_isolated_forwarded_wave_executes_no_round(self):
+        tracer = RecordingTracer()
+        sim = Simulator(Graph(4, [(0, 1)]), tracer=tracer)
+        calls = []
+
+        def step(round_index):
+            calls.append(round_index)
+            return [(2, [("i",)]), (3, [("j",)])] if round_index == 1 else []
+
+        run = sim.run_broadcast_schedule([(0, [("a",)])], lambda *_: None, label="s", step=step)
+        assert calls == [1]
+        assert (run.rounds_executed, run.messages_delivered, run.words_delivered) == (1, 1, 1)
+        assert tracer.events == [(1, 1)]

@@ -10,8 +10,15 @@ from __future__ import annotations
 
 import pytest
 
+import repro
 from repro.core import build_spanner
-from repro.graphs import cycle_graph, gnp_random_graph, grid_graph, planted_partition_graph
+from repro.graphs import (
+    cycle_graph,
+    gnp_random_graph,
+    grid_graph,
+    planted_partition_graph,
+    sparse_gnp_random_graph,
+)
 
 GRAPHS = {
     "gnp": gnp_random_graph(40, 0.1, seed=7),
@@ -70,3 +77,24 @@ def test_edge_counts_are_close(both_results):
     centralized, distributed = both_results
     assert centralized.num_edges <= distributed.num_edges * 1.5 + 5
     assert distributed.num_edges <= centralized.num_edges * 1.5 + 5
+
+
+def test_engines_agree_at_benchmark_scale():
+    """The ``congest-4k`` benchmark graph (n=4096, expected degree 16, seed 3).
+
+    The small graphs above never reach the later phases' ruling sets and
+    forests at scale; here every phase must agree on every structural set.
+    """
+    graph = sparse_gnp_random_graph(4096, 16 / 4095, seed=3)
+    centralized = repro.build("new-centralized", graph, seed=3).source
+    distributed = repro.build("new-distributed", graph, seed=3).source
+    assert len(centralized.phase_records) == len(distributed.phase_records)
+    for rc, rd in zip(centralized.phase_records, distributed.phase_records):
+        assert rc.popular_centers == rd.popular_centers
+        assert rc.ruling_set == rd.ruling_set
+        assert rc.superclustered_centers == rd.superclustered_centers
+        assert sorted(rc.interconnection_pairs) == sorted(rd.interconnection_pairs)
+    assert len(centralized.cluster_history) == len(distributed.cluster_history)
+    for pc, pd in zip(centralized.cluster_history, distributed.cluster_history):
+        assert pc.vertex_to_center() == pd.vertex_to_center()
+    assert any(record.ruling_set for record in distributed.phase_records)

@@ -2,11 +2,32 @@
 
 from __future__ import annotations
 
+from typing import List
+
 import pytest
 
-from repro.congest import Simulator
-from repro.graphs import Graph, bfs_distances, cycle_graph, grid_graph, multi_source_bfs, path_graph
+from repro.congest import (
+    CongestionViolation,
+    Message,
+    MessageTooLarge,
+    NodeContext,
+    NodeProgram,
+    RecordingTracer,
+    Simulator,
+)
+from repro.graphs import (
+    Graph,
+    bfs_distances,
+    cycle_graph,
+    gnp_random_graph,
+    grid_graph,
+    multi_source_bfs,
+    path_graph,
+    sparse_gnp_random_graph,
+    star_graph,
+)
 from repro.primitives import forest_membership, run_bfs_forest
+from repro.primitives.bfs_forest import _ForestProgram
 
 
 def simulator_for(graph):
@@ -102,3 +123,135 @@ class TestMultiSource:
         sim = simulator_for(path_6)
         with pytest.raises(ValueError):
             run_bfs_forest(sim, [0], depth=-1)
+
+
+def forest_traced(graph, sources, depth, *, programs=False, collect=True, simulator=None):
+    """One forest with everything observable recorded.
+
+    ``programs=False`` runs :func:`run_bfs_forest` (the fault-free broadcast
+    schedule); ``programs=True`` runs :class:`_ForestProgram` instances on
+    :meth:`Simulator.run_protocol` with the hints the program form always
+    used, the reference the schedule must reproduce.
+    """
+    tracer = RecordingTracer()
+    sim = simulator if simulator is not None else Simulator(graph)
+    sim.tracer = tracer
+    if programs:
+        n = graph.num_vertices
+        source_set = set(sources)
+        root, dist, parent = [None] * n, [None] * n, [None] * n
+        shared = (root, dist, parent)
+        run = sim.run_protocol(
+            [_ForestProgram(v, v in source_set, depth, shared) for v in range(n)],
+            label="forest",
+            nominal_rounds=depth,
+            message_driven=True,
+            starters=sorted(source_set),
+            collect_results=collect,
+        )
+    else:
+        forest = run_bfs_forest(sim, sources, depth, label="forest", collect_node_results=collect)
+        root, dist, parent, run = forest.root, forest.dist, forest.parent, forest.run
+    return {
+        "root": root,
+        "dist": dist,
+        "parent": parent,
+        "run": run,
+        "charges": sim.ledger.charges,
+        "events": tracer.events,
+    }
+
+
+def _isolated_source_graph():
+    return Graph(7, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]), [0, 6]
+
+
+EQUIVALENCE_CASES = {
+    "sparse-gnp-a": (sparse_gnp_random_graph(120, 0.05, seed=1), range(0, 120, 9), 3),
+    "sparse-gnp-b": (sparse_gnp_random_graph(200, 0.03, seed=7), [5, 77, 150, 151], 6),
+    "sparse-gnp-c": (sparse_gnp_random_graph(150, 0.06, seed=12), range(0, 150, 4), 2),
+    "grid": (grid_graph(6, 7), [0, 20, 41], 5),
+    "path-tie": (path_graph(9), [0, 8], 10),
+    "star": (star_graph(9), [3, 5, 7], 2),
+    "adjacent-sources": (path_graph(6), [2, 3], 3),
+    "all-sources": (gnp_random_graph(60, 0.1, seed=4), range(60), 3),
+    "depth-0": (grid_graph(4, 4), [0, 5], 0),
+    "depth-1": (grid_graph(4, 4), [0, 5], 1),
+    "depth-beyond-eccentricity": (path_graph(9), [0], 30),
+    "no-sources": (cycle_graph(8), [], 3),
+    "isolated-source": (*_isolated_source_graph(), 4),
+    "smaller-root-from-later-sender": (Graph(5, [(4, 1), (1, 3), (3, 2), (2, 0)]), [0, 4], 3),
+}
+
+
+class TestBroadcastScheduleEquivalence:
+    """The fault-free schedule reproduces the per-node programs exactly."""
+
+    @pytest.mark.parametrize("collect", [True, False])
+    @pytest.mark.parametrize("case", sorted(EQUIVALENCE_CASES))
+    def test_schedule_matches_reference_programs(self, case, collect):
+        graph, sources, depth = EQUIVALENCE_CASES[case]
+        schedule = forest_traced(graph, sources, depth, collect=collect)
+        reference = forest_traced(graph, sources, depth, programs=True, collect=collect)
+        assert schedule == reference
+        if collect:
+            assert len(schedule["run"].results) == graph.num_vertices
+
+    def test_path_tie_goes_to_smaller_root(self):
+        outcome = forest_traced(*EQUIVALENCE_CASES["path-tie"])
+        assert (outcome["root"][4], outcome["parent"][4]) == (0, 3)
+
+    def test_later_sender_with_smaller_root_wins(self):
+        # Vertex 3 hears root 4 from vertex 1 before root 0 from vertex 2.
+        outcome = forest_traced(*EQUIVALENCE_CASES["smaller-root-from-later-sender"])
+        assert (outcome["root"][3], outcome["dist"][3], outcome["parent"][3]) == (0, 2, 2)
+
+    def test_isolated_sole_source_executes_no_round(self):
+        outcome = forest_traced(Graph(3, [(0, 1)]), [2], 3)
+        assert outcome["run"].rounds_executed == 0
+        assert outcome["events"] == []
+        assert [(c.nominal_rounds, c.messages) for c in outcome["charges"]] == [(3, 0)]
+
+
+class TestBroadcastScheduleErrorPaths:
+    @pytest.mark.parametrize("programs", [False, True])
+    def test_oversized_messages_raise_and_charge_nothing(self, programs):
+        sim = Simulator(cycle_graph(6), max_words_per_message=2)
+        with pytest.raises(MessageTooLarge):
+            forest_traced(sim.graph, [0, 3], 2, programs=programs, simulator=sim)
+        assert sim.ledger.charges == []
+
+    @pytest.mark.parametrize("sources, depth", [([0, 3], 0), ([], 4)])
+    def test_nothing_broadcast_means_nothing_oversized(self, sources, depth):
+        # The program form never broadcasts here, so the narrow word limit
+        # is never hit; the schedule must not raise either.
+        outcomes = []
+        for programs in (False, True):
+            sim = Simulator(cycle_graph(6), max_words_per_message=2)
+            outcomes.append(
+                forest_traced(sim.graph, sources, depth, programs=programs, simulator=sim)
+            )
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0]["run"].messages_delivered == 0
+
+    def test_forest_after_aborted_run_matches_fresh_simulator(self):
+        class SendsTwice(NodeProgram):
+            def on_start(self, ctx: NodeContext) -> None:
+                for neighbor in ctx.neighbors:
+                    ctx.send(neighbor, "spam")
+                    ctx.send(neighbor, "spam")
+
+            def on_round(self, ctx: NodeContext, inbox: List[Message]) -> None:
+                return None
+
+        graph = grid_graph(5, 5)
+        aborted = Simulator(graph)
+        with pytest.raises(CongestionViolation):
+            aborted.run_protocol([SendsTwice() for _ in range(25)])
+        after_abort = forest_traced(graph, [0, 12, 24], 3, simulator=aborted)
+        fresh = forest_traced(graph, [0, 12, 24], 3)
+        assert after_abort == fresh
+        # The reference programs, which do use the scheduler's buffers, agree too.
+        reference = forest_traced(graph, [0, 12, 24], 3, programs=True, simulator=aborted)
+        assert reference["run"] == fresh["run"]
+        assert reference["root"] == fresh["root"]
