@@ -17,7 +17,9 @@ Runs, in order (see :func:`stage_plan`):
    BFS-forest protocol must stay bit-identical.  ``--snapshot PATH`` keeps
    the produced snapshot (CI uploads it as an artifact).
 5. ``phase micro-benchmarks (quick mode)`` -- the superclustering /
-   interconnection phase drivers run once, assertions only.
+   interconnection phase drivers run once, assertions only, plus the
+   fault-injection guard that no plan (or an inactive one) reproduces the
+   ``BENCH_seed.json`` forest goldens.
 6. ``benchmark self-tests`` -- ``python -m pytest perfbench -q``: the
    benchmark's own tests at tiny sizes (every workload end to end, the
    certificate, host-speed rescaling, layer tracing and its restoration, and
@@ -182,6 +184,7 @@ def stage_plan(args: argparse.Namespace, snapshot_path: str) -> List[Tuple[str, 
                 "pytest",
                 "-q",
                 str(REPO_ROOT / "benchmarks" / "bench_phases.py"),
+                str(REPO_ROOT / "benchmarks" / "bench_faults.py"),
                 "--benchmark-disable",
             ],
         ),

@@ -14,6 +14,10 @@ in which nothing at all would happen; protocols report their scheduled
 ("nominal") round counts separately through the ledger (see
 :mod:`repro.congest.ledger`).
 
+A :class:`~repro.congest.faults.FaultPlan` runs on the same round loop: it
+only swaps step 1's delivery for a filter that drops, duplicates, delays or
+loses messages and removes crashed nodes from the schedule.
+
 Protocols with a broadcast schedule -- senders each broadcasting one queued
 payload per round, while receivers record what they receive and, at the end
 of a round, may join the schedule as senders themselves -- skip the per-node
@@ -34,6 +38,7 @@ frontier joins round by round (:mod:`repro.primitives.bfs_forest`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from operator import itemgetter
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -64,8 +69,8 @@ class ProtocolRun:
     max_edge_congestion: int
     results: List[Any]
     congestion_violations: List[Tuple[int, int, int, int]] = field(default_factory=list)
-    # Per-fault-class counters recorded by the fault-mode scheduler; ``None``
-    # for every fault-free run (the default path never touches this field).
+    # Per-fault-class counters of a run under an active fault plan; ``None``
+    # for every fault-free run.
     fault_counters: Optional[Dict[str, int]] = None
 
     @property
@@ -193,15 +198,11 @@ class Simulator:
         report through shared driver-side state.
 
         ``fault_plan`` injects a deterministic fault schedule (see
-        :mod:`repro.congest.faults`): the run is routed through a separate
-        fault-mode scheduler that applies drops, duplications, delays, link
-        outages and crash-stops at delivery time and records per-fault-class
-        counters in ``ProtocolRun.fault_counters``.  With no plan (or an
-        inactive one) the optimized fault-free path runs completely
-        untouched -- zero overhead, bit-identical outcomes.  The wall-clock
-        hints (``starters``, ``initially_awake``, ``message_driven``) are
-        ignored in fault mode; they never change protocol outcomes, only
-        speed.
+        :mod:`repro.congest.faults`): delivery applies drops, duplications,
+        delays, link outages and crash-stops to every delivery event and
+        records per-fault-class counters in ``ProtocolRun.fault_counters``.
+        With no plan (or an inactive one) delivery checks no fault at all.
+        The wall-clock hints apply either way.
         """
         n = self.graph.num_vertices
         if len(programs) != n:
@@ -220,18 +221,9 @@ class Simulator:
             self._pending.clear()
             self._dirty = False
 
+        if fault_plan is not None and not fault_plan.active:
+            fault_plan = None
         try:
-            if fault_plan is not None and fault_plan.active:
-                return self._run_protocol_faulted(
-                    programs,
-                    contexts,
-                    inboxes,
-                    max_rounds,
-                    label,
-                    nominal_rounds,
-                    collect_results,
-                    fault_plan,
-                )
             return self._run_protocol(
                 programs,
                 contexts,
@@ -243,6 +235,7 @@ class Simulator:
                 collect_results,
                 message_driven,
                 starters,
+                fault_plan,
             )
         except BaseException:
             self._dirty = True
@@ -388,17 +381,58 @@ class Simulator:
         max_rounds: int,
         label: str,
         nominal_rounds: Optional[int],
-        initially_awake: Optional[Iterable[int]] = None,
-        collect_results: bool = True,
-        message_driven: bool = False,
-        starters: Optional[Sequence[int]] = None,
+        initially_awake: Optional[Iterable[int]],
+        collect_results: bool,
+        message_driven: bool,
+        starters: Optional[Sequence[int]],
+        plan: Optional[FaultPlan],
     ) -> ProtocolRun:
-        """Execute the scheduler loop (buffers are clean on entry and exit)."""
+        """Execute the scheduler loop (buffers are clean on entry and exit).
+
+        With an active ``plan``, :meth:`_deliver_faulted` filters every
+        delivery event through the plan; delayed messages join the inboxes of
+        the round they are due in (after that round's on-time messages),
+        crashed nodes leave the active set, and rounds in which only delayed
+        messages are in flight are fast-forwarded over.
+
+        Fault semantics:
+
+        * The bandwidth audit runs on the protocol's *attempted* sends, before
+          any fault is applied -- injected duplicates are the network's fault,
+          not the protocol's, and dropped messages still consumed bandwidth.
+        * ``messages_delivered``/``words_delivered`` count messages actually
+          placed in an inbox (duplicates count twice, drops not at all).
+        * A node crashing at round ``t`` executes rounds ``0..t-1``; messages
+          that would be processed at round >= ``t`` are lost
+          (``lost_to_crash``).
+        """
         n = len(contexts)
+        # Messages a plan delays, keyed by the round they are due in.
+        delayed: Dict[int, List[Tuple[int, Message]]] = {}
+        if plan is None:
+            crash_at: Dict[int, int] = {}
+            counters = None
+            deliver = self._deliver
+        else:
+            crash_at = plan.crash_schedule(n)
+            counters = fresh_fault_counters()
+            counters["crashed_nodes"] = len(crash_at)
+            deliver = partial(
+                self._deliver_faulted,
+                plan=plan,
+                crash_at=crash_at,
+                counters=counters,
+                delayed=delayed,
+            )
 
         # Round 0: on_start may queue messages.  ``starters`` narrows the
         # sweep to the programs whose on_start actually does something.
         round0 = range(n) if starters is None else starters
+        candidates = range(n) if initially_awake is None else initially_awake
+        if crash_at:
+            # A node crashing at round 0 neither starts nor counts as awake.
+            round0 = [v for v in round0 if crash_at.get(v, NEVER) > 0]
+            candidates = [v for v in candidates if crash_at.get(v, NEVER) > 0]
         for v in round0:
             ctx = contexts[v]
             ctx.round_index = 0
@@ -407,7 +441,6 @@ class Simulator:
         rounds_executed = 0
         messages_delivered = 0
         words_delivered = 0
-        violations: List[Tuple[int, int, int, int]] = []
         tracer = self.tracer
         trace_round = None if type(tracer) is NullTracer else tracer.on_round
 
@@ -424,22 +457,32 @@ class Simulator:
         # ``initially_awake`` narrows the start-of-protocol idle poll to the
         # caller-declared candidates; ``message_driven`` protocols skip idle
         # tracking entirely.
-        if track_idle:
-            candidates = range(n) if initially_awake is None else initially_awake
-            awake = {v for v in candidates if not is_idle_of[v]()}
-        else:
-            awake = set()
+        awake = {v for v in candidates if not is_idle_of[v]()} if track_idle else set()
 
         # Collect round-0 sends (senders registered themselves in on_start).
-        receivers, in_flight, in_flight_words, max_congestion, violations = self._deliver(
-            0, inboxes
-        )
+        receivers, in_flight, in_flight_words, max_congestion, violations = deliver(0, inboxes)
 
         round_index = 0
-        while receivers or awake:
+        while receivers or awake or delayed:
             if rounds_executed >= max_rounds:
                 raise RoundLimitExceeded(max_rounds)
             round_index += 1
+            if plan is not None:
+                if not receivers and not awake:
+                    # Only delayed messages remain; fast-forward to the next
+                    # due round (idle gap rounds are not counted as executed).
+                    round_index = min(delayed)
+                if crash_at:
+                    awake = {v for v in awake if crash_at.get(v, NEVER) > round_index}
+                for neighbor, message in delayed.pop(round_index, ()):
+                    inbox = inboxes[neighbor]
+                    if not inbox:
+                        receivers.append(neighbor)
+                    inbox.append(message)
+                    in_flight += 1
+                    in_flight_words += message.words
+                if not receivers and not awake:
+                    continue
             rounds_executed += 1
             messages_delivered += in_flight
             words_delivered += in_flight_words
@@ -451,7 +494,7 @@ class Simulator:
                 active.update(awake)
                 ran = sorted(active)
             else:
-                # _deliver hands back a fresh list each round; sort in place.
+                # Delivery hands back a fresh list each round; sort in place.
                 receivers.sort()
                 ran = receivers
             for v in ran:
@@ -469,189 +512,12 @@ class Simulator:
 
             # Only nodes that queued this round are in the sender registry.
             receivers, in_flight, in_flight_words, round_congestion, round_violations = (
-                self._deliver(round_index, inboxes)
+                deliver(round_index, inboxes)
             )
             if round_congestion > max_congestion:
                 max_congestion = round_congestion
             if round_violations:
                 violations.extend(round_violations)
-
-        run = ProtocolRun(
-            rounds_executed=rounds_executed,
-            messages_delivered=messages_delivered,
-            words_delivered=words_delivered,
-            max_edge_congestion=max_congestion,
-            results=[p.result() for p in programs] if collect_results else [],
-            congestion_violations=violations,
-        )
-        self.ledger.charge(
-            label=label,
-            nominal_rounds=nominal_rounds if nominal_rounds is not None else rounds_executed,
-            simulated_rounds=rounds_executed,
-            messages=messages_delivered,
-            words=words_delivered,
-            max_edge_congestion=max_congestion,
-        )
-        return run
-
-    def _run_protocol_faulted(
-        self,
-        programs: Sequence[NodeProgram],
-        contexts: List[NodeContext],
-        inboxes: List[List[Message]],
-        max_rounds: int,
-        label: str,
-        nominal_rounds: Optional[int],
-        collect_results: bool,
-        plan: FaultPlan,
-    ) -> ProtocolRun:
-        """Execute the fault-mode scheduler loop.
-
-        A deliberately simple, unoptimized sibling of :meth:`_run_protocol`:
-        it applies the :class:`FaultPlan` to every delivery event and keeps a
-        delayed-message queue, at the price of polling every program's
-        idleness each round.  Keeping it separate guarantees the fault-free
-        hot path stays byte-identical to its pre-fault behaviour.
-
-        Semantics:
-
-        * The bandwidth audit runs on the protocol's *attempted* sends, before
-          any fault is applied -- injected duplicates are the network's fault,
-          not the protocol's, and dropped messages still consumed bandwidth.
-        * ``messages_delivered``/``words_delivered`` count messages actually
-          placed in an inbox (duplicates count twice, drops not at all).
-        * A node crashing at round ``t`` executes rounds ``0..t-1``; messages
-          that would be processed at round >= ``t`` are lost
-          (``lost_to_crash``).
-        """
-        n = len(contexts)
-        crash_at = plan.crash_schedule(n)
-        counters = fresh_fault_counters()
-        counters["crashed_nodes"] = len(crash_at)
-        bandwidth = self.bandwidth_messages
-        strict = self.strict_congestion
-        tracer = self.tracer
-        trace_round = None if type(tracer) is NullTracer else tracer.on_round
-
-        delayed: Dict[int, List[Tuple[int, Message]]] = {}
-        receivers: set = set()
-        violations: List[Tuple[int, int, int, int]] = []
-        max_congestion = 0
-        in_flight = 0
-        in_flight_words = 0
-
-        def deliver(round_index: int) -> None:
-            """Drain sender outboxes, applying the plan per delivery event."""
-            nonlocal max_congestion, in_flight, in_flight_words
-            pending = list(self._pending)
-            self._pending.clear()
-            for ctx in pending:
-                sends = ctx.drain_outbox()
-                if not sends:
-                    continue
-                sender = ctx.node_id
-                # Audit attempted (pre-fault) per-edge counts.
-                counts: Dict[int, int] = {}
-                for neighbor, _ in sends:
-                    counts[neighbor] = counts.get(neighbor, 0) + 1
-                for neighbor, count in counts.items():
-                    if count > max_congestion:
-                        max_congestion = count
-                    if count > bandwidth:
-                        if strict:
-                            raise CongestionViolation(
-                                round_index, sender, neighbor, count, bandwidth
-                            )
-                        violations.append((round_index, sender, neighbor, count))
-                copy_of: Dict[int, int] = {}
-                for neighbor, message in sends:
-                    copy = copy_of.get(neighbor, 0)
-                    copy_of[neighbor] = copy + 1
-                    if plan.link_down(round_index, sender, neighbor):
-                        counters["link_down"] += 1
-                        continue
-                    if plan.drops(round_index, sender, neighbor, copy):
-                        counters["dropped"] += 1
-                        continue
-                    copies = 1
-                    if plan.duplicates(round_index, sender, neighbor, copy):
-                        copies = 2
-                        counters["duplicated"] += 1
-                    for extra in range(copies):
-                        lag = plan.delay(round_index, sender, neighbor, 2 * copy + extra)
-                        target = round_index + 1 + lag
-                        if crash_at.get(neighbor, NEVER) <= target:
-                            counters["lost_to_crash"] += 1
-                            continue
-                        if lag:
-                            counters["delayed"] += 1
-                            counters["delay_rounds"] += lag
-                            delayed.setdefault(target, []).append((neighbor, message))
-                        else:
-                            inboxes[neighbor].append(message)
-                            receivers.add(neighbor)
-                            in_flight += 1
-                            in_flight_words += message.words
-
-        # Round 0: on_start for every node alive at round 0.
-        for v in range(n):
-            if crash_at.get(v, NEVER) <= 0:
-                continue
-            ctx = contexts[v]
-            ctx.round_index = 0
-            programs[v].on_start(ctx)
-        deliver(0)
-        awake = {
-            v
-            for v in range(n)
-            if crash_at.get(v, NEVER) > 0 and not programs[v].is_idle()
-        }
-
-        rounds_executed = 0
-        messages_delivered = 0
-        words_delivered = 0
-        round_index = 0
-        while receivers or awake or delayed:
-            if rounds_executed >= max_rounds:
-                raise RoundLimitExceeded(max_rounds)
-            if not receivers and not awake:
-                # Only delayed messages remain; fast-forward to the next due
-                # round (idle gap rounds are not counted as executed).
-                round_index = min(delayed) - 1
-            round_index += 1
-            if crash_at:
-                awake = {v for v in awake if crash_at.get(v, NEVER) > round_index}
-            due = delayed.pop(round_index, None)
-            if due:
-                for neighbor, message in due:
-                    inboxes[neighbor].append(message)
-                    receivers.add(neighbor)
-                    in_flight += 1
-                    in_flight_words += message.words
-            if not receivers and not awake:
-                continue
-            rounds_executed += 1
-            messages_delivered += in_flight
-            words_delivered += in_flight_words
-            if trace_round is not None:
-                trace_round(round_index, in_flight)
-            in_flight = 0
-            in_flight_words = 0
-
-            ran = sorted(receivers | awake)
-            receivers = set()
-            for v in ran:
-                ctx = contexts[v]
-                ctx.round_index = round_index
-                inbox = inboxes[v]
-                programs[v].on_round(ctx, inbox)
-                if inbox:
-                    inbox.clear()
-                if programs[v].is_idle():
-                    awake.discard(v)
-                else:
-                    awake.add(v)
-            deliver(round_index)
 
         run = ProtocolRun(
             rounds_executed=rounds_executed,
@@ -768,4 +634,77 @@ class Simulator:
         # the floor once instead of branching per sender inside the loop.
         if messages and not max_congestion:
             max_congestion = 1
+        return receivers, messages, words, max_congestion, violations
+
+    def _deliver_faulted(
+        self,
+        round_index: int,
+        inboxes: List[List[Message]],
+        *,
+        plan: FaultPlan,
+        crash_at: Dict[int, int],
+        counters: Dict[str, int],
+        delayed: Dict[int, List[Tuple[int, Message]]],
+    ) -> Tuple[List[int], int, int, int, List[Tuple[int, int, int, int]]]:
+        """:meth:`_deliver` with ``plan`` applied to every delivery event.
+
+        Each sender's attempted sends are audited first; every delivery
+        event then passes link-down, drop, duplicate, delay and lost-to-crash
+        in that order, and ``counters`` tallies each fault.  On-time messages
+        land in the inboxes; delayed ones are queued in ``delayed`` under the
+        round they are due in.  Returns the same tuple as :meth:`_deliver`,
+        counting on-time messages only.
+        """
+        receivers: List[int] = []
+        violations: List[Tuple[int, int, int, int]] = []
+        max_congestion = 0
+        messages = 0
+        words = 0
+        bandwidth = self.bandwidth_messages
+        pending = self._pending
+        for ctx in pending:
+            sends = ctx.drain_outbox()
+            sender = ctx.node_id
+            counts: Dict[int, int] = {}
+            for neighbor, _ in sends:
+                counts[neighbor] = counts.get(neighbor, 0) + 1
+            for neighbor, count in counts.items():
+                if count > max_congestion:
+                    max_congestion = count
+                if count > bandwidth:
+                    if self.strict_congestion:
+                        raise CongestionViolation(round_index, sender, neighbor, count, bandwidth)
+                    violations.append((round_index, sender, neighbor, count))
+            copy_of: Dict[int, int] = {}
+            for neighbor, message in sends:
+                copy = copy_of.get(neighbor, 0)
+                copy_of[neighbor] = copy + 1
+                if plan.link_down(round_index, sender, neighbor):
+                    counters["link_down"] += 1
+                    continue
+                if plan.drops(round_index, sender, neighbor, copy):
+                    counters["dropped"] += 1
+                    continue
+                copies = 1
+                if plan.duplicates(round_index, sender, neighbor, copy):
+                    copies = 2
+                    counters["duplicated"] += 1
+                for extra in range(copies):
+                    lag = plan.delay(round_index, sender, neighbor, 2 * copy + extra)
+                    target = round_index + 1 + lag
+                    if crash_at.get(neighbor, NEVER) <= target:
+                        counters["lost_to_crash"] += 1
+                        continue
+                    if lag:
+                        counters["delayed"] += 1
+                        counters["delay_rounds"] += lag
+                        delayed.setdefault(target, []).append((neighbor, message))
+                        continue
+                    inbox = inboxes[neighbor]
+                    if not inbox:
+                        receivers.append(neighbor)
+                    inbox.append(message)
+                    messages += 1
+                    words += message.words
+        pending.clear()
         return receivers, messages, words, max_congestion, violations

@@ -11,12 +11,10 @@ from .ablation import (
     epsilon_ablation_spec,
     kappa_ablation_spec,
     rho_ablation_spec,
-    run_all_ablations,
     run_epsilon_ablation,
     run_kappa_ablation,
     run_rho_ablation,
 )
-from .families import run_family
 from .figures import (
     ALL_FIGURES,
     build_result,
@@ -99,10 +97,8 @@ __all__ = [
     "measurement_row",
     "register",
     "rho_ablation_spec",
-    "run_all_ablations",
     "run_all_figures",
     "run_epsilon_ablation",
-    "run_family",
     "run_kappa_ablation",
     "run_rho_ablation",
     "run_scaling",

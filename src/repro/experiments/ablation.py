@@ -331,12 +331,3 @@ def run_kappa_ablation(
             kappas=kappas, epsilon=epsilon, graph=graph, sample_pairs=sample_pairs
         )
     )
-
-
-def run_all_ablations(graph: Optional[Graph] = None) -> Dict[str, ExperimentRecord]:
-    """Run the three ablations (optionally on a shared graph)."""
-    return {
-        "epsilon": run_epsilon_ablation(graph=graph),
-        "rho": run_rho_ablation(graph=graph),
-        "kappa": run_kappa_ablation(graph=graph),
-    }

@@ -352,15 +352,3 @@ def chaos_sweep_spec(
 
 register(chaos_primitives_spec())
 register(chaos_sweep_spec())
-
-
-def run_chaos_primitives(**kwargs) -> ExperimentRecord:
-    from .pipeline import run_scenario
-
-    return run_scenario(chaos_primitives_spec(), **kwargs)
-
-
-def run_chaos_sweep(**kwargs) -> ExperimentRecord:
-    from .pipeline import run_scenario
-
-    return run_scenario(chaos_sweep_spec(), **kwargs)

@@ -255,10 +255,3 @@ TORUS_SPEC = register(
         sample_pairs=100,
     )
 )
-
-
-def run_family(name: str) -> ExperimentRecord:
-    """Run one registered family scenario through the pipeline."""
-    from .pipeline import run_scenario
-
-    return run_scenario(name)

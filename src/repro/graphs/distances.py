@@ -166,11 +166,6 @@ def all_pairs_distances(graph: Graph) -> List[List[float]]:
     return [single_source_distances(graph, s) for s in graph.vertices()]
 
 
-def distances_from_sources(graph: Graph, sources: Iterable[int]) -> Dict[int, List[float]]:
-    """Return ``{s: distance vector from s}`` for the given sources."""
-    return {s: single_source_distances(graph, s) for s in sources}
-
-
 def pairwise_distance(graph: Graph, u: int, v: int) -> float:
     """Return the exact distance between ``u`` and ``v`` (``inf`` if disconnected)."""
     dist = bfs_distances(graph, u)

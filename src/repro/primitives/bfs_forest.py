@@ -17,7 +17,7 @@ schedule (:meth:`~repro.congest.simulator.Simulator.run_broadcast_schedule`)
 whose end-of-round step hands the round's adopters back as the next
 frontier, with no per-vertex programs.  Under a
 :class:`~repro.congest.faults.FaultPlan` it runs as :class:`_ForestProgram`
-instances on the simulator's fault-mode scheduler.
+instances on the simulator's round loop, whose delivery applies the plan.
 """
 
 from __future__ import annotations

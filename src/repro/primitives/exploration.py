@@ -18,10 +18,11 @@ Fault-free, a phase is a fixed broadcast schedule
 (:meth:`~repro.congest.simulator.Simulator.run_broadcast_schedule`): its
 senders and their buffers are known when it starts, and receivers only record
 first arrivals.  Under a :class:`~repro.congest.faults.FaultPlan` the phases
-run as per-node programs on the simulator's fault-mode scheduler.  Rounds in
-which the network is already quiet are skipped by the simulator as a
-wall-clock optimization, but the *nominal* cost charged to the ledger is the
-full ``1 + deg_i * delta_i`` rounds exactly as the paper counts it.
+run as per-node programs on the simulator's round loop, whose delivery applies
+the plan.  Rounds in which the network is already quiet are skipped by the
+simulator as a wall-clock optimization, but the *nominal* cost charged to the
+ledger is the full ``1 + deg_i * delta_i`` rounds exactly as the paper counts
+it.
 
 Guarantees verified by the test-suite (Theorem 2.1 / Lemma A.1):
 
@@ -179,8 +180,8 @@ class _ExplorationPhaseProgram(NodeProgram):
     The program flushes its phase buffer at one broadcast per round and
     records the first arrival of every center.  The fault-free path runs the
     same phase as a broadcast schedule (:func:`_phase_deliverer`); this
-    per-node form is the one the fault-mode scheduler injects faults into,
-    and the reference the schedule is tested against.
+    per-node form is the one a fault plan injects faults into, and the
+    reference the schedule is tested against.
     """
 
     __slots__ = ("node_id", "outbuf", "_next_send", "known_dist", "known_via", "newly_learned", "learners")

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 from typing import List
 
 import pytest
@@ -13,14 +15,22 @@ from repro.congest import (
     Message,
     NodeContext,
     NodeProgram,
+    ProtocolError,
+    ProtocolFault,
     RecordingTracer,
     RoundLimitExceeded,
     Simulator,
     fault_round_limit,
 )
 from repro.congest.faults import fresh_fault_counters
-from repro.graphs import Graph, cycle_graph, path_graph
+from repro.experiments.chaos import FAULT_PROFILES
+from repro.graphs import Graph, cycle_graph, grid_graph, make_workload, path_graph
+from repro.primitives.aggregation import run_broadcast, run_convergecast
 from repro.primitives.bfs_forest import run_bfs_forest
+from repro.primitives.exploration import run_bounded_exploration
+from repro.primitives.fragments import run_boruvka_msf
+from repro.primitives.ruling_set import run_ruling_set
+from repro.primitives.traceback import run_forest_path_markup, run_traceback
 
 
 # ----------------------------------------------------------------------
@@ -223,6 +233,30 @@ def test_crash_at_later_round_forwards_first():
     assert dist == [0, 1, 2, 3, 4, 5]
 
 
+def test_crash_stops_an_awake_node_without_executing_its_round():
+    class Ticker(NodeProgram):
+        def __init__(self, busy: bool) -> None:
+            self.busy = busy
+            self.ticks = 0
+
+        def on_round(self, ctx: NodeContext, inbox: List[Message]) -> None:
+            self.ticks += 1
+
+        def is_idle(self) -> bool:
+            return not self.busy
+
+    tracer = RecordingTracer()
+    simulator = Simulator(path_graph(3), tracer=tracer)
+    programs = [Ticker(v == 1) for v in range(3)]
+    plan = FaultPlan(seed=0, crashes={1: 3})  # alive for rounds 0..2
+    run = simulator.run_protocol(programs, max_rounds=20, fault_plan=plan)
+    # Node 1 never goes idle on its own; its crash ends the protocol, and
+    # the crash round, with nothing left to run, is not an executed round.
+    assert [p.ticks for p in programs] == [0, 2, 0]
+    assert run.rounds_executed == 2
+    assert tracer.events == [(1, 0), (2, 0)]
+
+
 def test_link_outage_blocks_edge_both_ways():
     graph = path_graph(4)
     plan = FaultPlan(seed=0, link_outages=[LinkOutage(1, 2, 0, 100)])
@@ -293,7 +327,7 @@ def test_tracer_sees_fault_mode_rounds():
     shared = ([None] * n, [None] * n, [None] * n)
     programs = [_ForestProgram(v, v == 0, 4, shared) for v in range(n)]
     simulator.run_protocol(programs, fault_plan=FaultPlan(seed=3, duplicate_rate=0.5))
-    assert tracer.events  # fault scheduler reports per-round deliveries
+    assert tracer.events  # faulted runs report per-round deliveries
 
 
 def test_fresh_counters_shape():
@@ -318,3 +352,195 @@ def test_run_bfs_forest_accepts_plan_and_counts():
     )
     assert forest.run.fault_counters is not None
     assert forest.run.fault_counters["dropped"] > 0
+
+
+# ----------------------------------------------------------------------
+# Pinned faulted outcomes
+# ----------------------------------------------------------------------
+def _faulted_cases():
+    """``(graph, plan_name, plan)`` triples covering every fault class.
+
+    The chaos palette, a link-outage plan on the first source's edges, an
+    explicit crash killing a starter at round 0, and a delay plan long
+    enough to leave rounds in which only delayed messages are in flight.
+    """
+    graphs = [make_workload("sparse_gnp", 36, seed=7), grid_graph(5, 6)]
+    for graph in graphs:
+        row = sorted(graph.neighbors(0))
+        plans = [
+            (name, FaultPlan(seed=31, **overrides))
+            for name, overrides in FAULT_PROFILES.items()
+            if name != "none"
+        ]
+        outages = [LinkOutage(0, nb, 0, 3) for nb in row]
+        plans.append(("link-outages", FaultPlan(seed=31, link_outages=outages)))
+        plans.append(("starter-crash", FaultPlan(seed=31, crashes={0: 0, row[0]: 2})))
+        plans.append(("long-delays", FaultPlan(seed=31, delay_rate=0.5, max_delay=5)))
+        for name, plan in plans:
+            yield graph, name, plan
+
+
+def _run_faulted_primitive(primitive, graph, plan):
+    """Run one hardened primitive under ``plan`` and return its outcome."""
+    n = graph.num_vertices
+    tracer = RecordingTracer()
+    simulator = Simulator(graph, tracer=tracer)
+    try:
+        if primitive == "forest":
+            result = run_bfs_forest(
+                simulator, [0, n // 3, (2 * n) // 3], depth=4, fault_plan=plan, max_attempts=2
+            )
+            run = result.run
+            outcome = {
+                "labels": [result.root, result.dist, result.parent],
+                "run": [
+                    run.rounds_executed,
+                    run.messages_delivered,
+                    run.words_delivered,
+                    run.max_edge_congestion,
+                ],
+                "counters": run.fault_counters,
+                "attempts": result.attempts,
+            }
+        elif primitive == "exploration":
+            result = run_bounded_exploration(
+                simulator, range(0, n, 4), depth=3, cap=3, fault_plan=plan, max_attempts=2
+            )
+            outcome = {
+                "known": [sorted(d.items()) for d in result.known_dist],
+                "via": [sorted(d.items()) for d in result.known_via],
+                "popular": sorted(result.popular),
+                "run": [result.simulated_rounds, result.messages],
+                "counters": result.fault_counters,
+                "attempts": result.attempts,
+            }
+        else:
+            result = run_ruling_set(
+                simulator, range(n), q=2, c=2, fault_plan=plan, max_attempts=2
+            )
+            outcome = {
+                "ruling_set": sorted(result.ruling_set),
+                "run": [result.simulated_rounds],
+                "counters": result.fault_counters,
+                "attempts": result.attempts,
+            }
+    except ProtocolFault as fault:
+        outcome = {"fault": [fault.label, fault.reason, fault.attempts]}
+    outcome["ledger"] = [
+        [c.label, c.nominal_rounds, c.simulated_rounds, c.messages, c.words, c.max_edge_congestion]
+        for c in simulator.ledger.charges
+    ]
+    outcome["trace"] = tracer.events
+    return outcome
+
+
+def test_faulted_outcomes_are_pinned():
+    # Recorded while faulted runs still had a scheduler loop of their own;
+    # any drift means the fault filter changed what a faulted run delivers.
+    outcomes = []
+    gap_seen = False
+    for graph, name, plan in _faulted_cases():
+        for primitive in ("forest", "exploration", "ruling-set"):
+            outcome = _run_faulted_primitive(primitive, graph, plan)
+            outcomes.append([graph.num_vertices, name, primitive, outcome])
+            if name == "long-delays":
+                events = outcome["trace"]
+                gap_seen |= any(b[0] > a[0] + 1 for a, b in zip(events, events[1:]))
+    assert gap_seen  # some round index was fast-forwarded over
+    payload = json.dumps(outcomes, sort_keys=True, separators=(",", ":"))
+    digest = hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
+    assert digest == "790440ff812bfc01"
+
+
+# ----------------------------------------------------------------------
+# Wall-clock hints under faults
+# ----------------------------------------------------------------------
+_HINTS = ("starters", "initially_awake", "message_driven")
+
+
+class _PlannedSimulator(Simulator):
+    """Runs every protocol under one plan, with or without the caller's hints.
+
+    Each :class:`ProtocolRun` is recorded so two runs of the same caller can
+    be compared field by field.
+    """
+
+    def __init__(self, graph, plan, keep_hints):
+        super().__init__(graph)
+        self.plan = plan
+        self.keep_hints = keep_hints
+        self.runs = []
+
+    def run_protocol(self, programs, **kwargs):
+        if not self.keep_hints:
+            for hint in _HINTS:
+                kwargs.pop(hint, None)
+        run = super().run_protocol(programs, fault_plan=self.plan, **kwargs)
+        self.runs.append(run)
+        return run
+
+
+def _hinted_callers():
+    """``name -> caller(simulator)`` for every protocol driver that passes hints."""
+    graph = make_workload("sparse_gnp", 36, seed=7)
+    n = graph.num_vertices
+    exploration = run_bounded_exploration(Simulator(graph), range(0, n, 3), depth=3, cap=4)
+    requests = {
+        c: [k for k in exploration.known_dist[c] if k != c] for c in exploration.centers
+    }
+    forest = run_bfs_forest(Simulator(graph), [0, n // 2], depth=5)
+    tree = run_bfs_forest(Simulator(graph), [0], depth=n)
+    callers = {
+        "traceback": lambda sim: run_traceback(sim, exploration, requests),
+        "forest-markup": lambda sim: run_forest_path_markup(
+            sim, forest, forest.spanned_vertices()[::2]
+        ),
+        "flood": lambda sim: run_broadcast(sim, 0, 5),
+        "convergecast": lambda sim: run_convergecast(
+            sim, 0, list(range(n)), lambda a, b: a + b, tree=tree
+        ),
+        "fragments": run_boruvka_msf,
+    }
+    return graph, callers
+
+
+@pytest.mark.parametrize(
+    "plan",
+    [
+        FaultPlan(
+            seed=17,
+            drop_rate=0.1,
+            duplicate_rate=0.1,
+            delay_rate=0.2,
+            max_delay=3,
+            crash_fraction=0.1,
+            crash_round=3,
+        ),
+        FaultPlan(seed=17, delay_rate=0.3, max_delay=2, crashes={0: 0, 1: 0, 3: 1}),
+    ],
+    ids=["mixed", "starter-crash"],
+)
+def test_hints_are_outcome_neutral_under_faults(plan):
+    graph, callers = _hinted_callers()
+    for name, caller in callers.items():
+        observed = []
+        for keep_hints in (True, False):
+            simulator = _PlannedSimulator(graph, plan, keep_hints)
+            try:
+                outcome = caller(simulator)
+            except (KeyError, ProtocolError) as error:
+                # Boruvka is not fault-hardened: a faulted phase can leave
+                # its merge bookkeeping inconsistent.
+                outcome = (type(error).__name__, str(error))
+            observed.append((outcome, simulator.runs, simulator.ledger.charges))
+        hinted, plain = observed
+        assert hinted == plain, name
+        runs = hinted[1]
+        assert runs and all(run.fault_counters is not None for run in runs), name
+        injected = sum(
+            count
+            for run in runs
+            for key, count in run.fault_counters.items()
+            if key != "delay_rounds"
+        )
+        assert injected > 0, name
