@@ -101,6 +101,13 @@ QUICK_DYNAMIC_TASK_TIMEOUT = "120"
 #: enough to finish in a couple of seconds.
 QUICK_SERVE_REQUESTS = "200"
 
+#: Test files the array-message-plane stage runs under ``REPRO_KERNEL=numpy``.
+ARRAY_PLANE_TESTS = (
+    "primitives/test_exploration.py",
+    "congest/test_golden_run.py",
+    "core/test_engine_cross_validation.py",
+)
+
 
 @dataclass
 class StageResult:
@@ -174,6 +181,21 @@ def stage_plan(args: argparse.Namespace, snapshot_path: str) -> List[Tuple[str, 
                 snapshot_path,
                 "--baseline",
                 str(REPO_ROOT / "BENCH_seed.json"),
+            ],
+        ),
+        (
+            # The tests that pin the exploration phases, the golden build and
+            # the engine cross-validation, forced onto the array message
+            # plane: tier-1 graphs sit below its auto threshold, so the
+            # default stage only covers the per-broadcast form.
+            "array message plane (numpy kernel)",
+            [
+                "REPRO_KERNEL=numpy",
+                sys.executable,
+                "-m",
+                "pytest",
+                "-q",
+                *(str(REPO_ROOT / "tests" / path) for path in ARRAY_PLANE_TESTS),
             ],
         ),
         (

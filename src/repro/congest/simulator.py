@@ -33,6 +33,13 @@ would read their inboxes.  Two protocols run this way when fault-free:
 Algorithm 1's exploration phases, whose senders are fixed when a phase starts
 (:mod:`repro.primitives.exploration`), and depth-bounded BFS forests, whose
 frontier joins round by round (:mod:`repro.primitives.bfs_forest`).
+
+A fixed schedule (no ``step``) with one payload width also has an array form
+on the vectorized kernel tier, :meth:`Simulator.run_broadcast_arrays`: the
+caller passes the payloads' senders and rounds as arrays and receives the
+deliveries as arrays, in blocks of :data:`BROADCAST_BLOCK`, with the same
+checks, round count, tracer events and ledger charge.  The exploration phases
+use it from :data:`~repro.kernels.AUTO_MIN_SCHEDULE_VERTICES` vertices up.
 """
 
 from __future__ import annotations
@@ -43,6 +50,7 @@ from operator import itemgetter
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..graphs.graph import Graph
+from ..kernels import require_numpy
 from .errors import (
     CongestionViolation,
     MessageTooLarge,
@@ -57,6 +65,12 @@ from .tracing import NullTracer, Tracer
 
 DEFAULT_MAX_WORDS_PER_MESSAGE = 4
 DEFAULT_BANDWIDTH_MESSAGES = 1
+
+#: Deliveries handed to :meth:`Simulator.run_broadcast_arrays`'s callback at
+#: once.  Blocks bound the temporary arrays of a schedule (an exploration
+#: phase can deliver a million messages, each costing several int64 words of
+#: temporaries) while keeping the per-block NumPy call overhead negligible.
+BROADCAST_BLOCK = 1 << 16
 
 
 @dataclass
@@ -320,19 +334,121 @@ class Simulator:
             else:
                 active = joined
 
-        max_congestion = 1 if messages_delivered else 0
+        return self._charge_schedule(
+            label, nominal_rounds, round_index, messages_delivered, words_delivered
+        )
+
+    def run_broadcast_arrays(
+        self,
+        senders: Any,
+        rounds: Any,
+        width: int,
+        deliver: Callable[[Any, Any], None],
+        *,
+        label: str,
+        nominal_rounds: Optional[int] = None,
+    ) -> ProtocolRun:
+        """Run a fixed broadcast schedule given as arrays (vectorized tier).
+
+        Payload ``i`` is a ``width``-word broadcast by ``senders[i]`` to all
+        its neighbours in round ``rounds[i]``; the payloads are listed in
+        strictly ascending (round, sender) order.  ``deliver(payloads,
+        receivers)`` is called with int64 arrays in which ``receivers[k]``
+        receives payload ``payloads[k]``, once per block of about
+        :data:`BROADCAST_BLOCK` deliveries.  The blocks cover every delivery
+        in (round, ascending sender) order, each sender's row ascending, and
+        no row is split across two blocks.
+
+        The accounting is :meth:`run_broadcast_schedule`'s for the same
+        schedule with every sender holding payloads from round 0 to its last
+        one: the word-size check runs before anything is delivered or
+        charged, congestion is 1, every round up to the last scheduled one
+        executes and the last one only if it has messages in flight, the
+        tracer sees one event per executed round, and the ledger is charged
+        under ``label``.
+        """
+        np = require_numpy()
+        csr = self.graph.csr()
+        indptr, adj = csr.indptr_np, csr.adj_np
+        senders = np.asarray(senders, dtype=np.int64)
+        rounds = np.asarray(rounds, dtype=np.int64)
+        count = len(senders)
+        if len(rounds) != count:
+            raise ProtocolError("array broadcast needs one round per payload")
+        scheduled = 0
+        if count:
+            order = rounds * csr.num_vertices + senders
+            if (
+                rounds[0] < 0
+                or senders.min() < 0
+                or senders.max() >= csr.num_vertices
+                or bool((order[1:] <= order[:-1]).any())
+            ):
+                raise ProtocolError(
+                    "array broadcast payloads must be vertex ids in strictly "
+                    "ascending (round, sender) order"
+                )
+            if width > self.max_words_per_message:
+                raise MessageTooLarge(width, self.max_words_per_message)
+            scheduled = int(rounds[-1]) + 1
+        degrees = indptr[senders + 1] - indptr[senders]
+        ends = np.cumsum(degrees)
+        in_flight = np.bincount(rounds, weights=degrees, minlength=scheduled).astype(np.int64)
+        executed = scheduled if scheduled and in_flight[-1] else max(scheduled - 1, 0)
+
+        block = BROADCAST_BLOCK
+        start = 0
+        done = 0
+        while start < count:
+            stop = max(int(np.searchsorted(ends, done + block, side="right")), start + 1)
+            total = int(ends[stop - 1]) - done
+            if total:
+                counts = degrees[start:stop]
+                # Delivery ``j`` of the block is entry ``j - (deliveries
+                # before its payload's row)`` of that row.
+                row_starts = indptr[senders[start:stop]] - (ends[start:stop] - counts - done)
+                deliver(
+                    np.repeat(np.arange(start, stop), counts),
+                    adj[np.repeat(row_starts, counts) + np.arange(total)],
+                )
+                done += total
+            start = stop
+
+        tracer = self.tracer
+        if type(tracer) is not NullTracer:
+            for round_index, messages in enumerate(in_flight[:executed].tolist(), 1):
+                tracer.on_round(round_index, messages)
+        messages_delivered = int(ends[-1]) if count else 0
+        return self._charge_schedule(
+            label, nominal_rounds, executed, messages_delivered, width * messages_delivered
+        )
+
+    def _charge_schedule(
+        self,
+        label: str,
+        nominal_rounds: Optional[int],
+        rounds: int,
+        messages: int,
+        words: int,
+    ) -> ProtocolRun:
+        """Charge a finished broadcast schedule to the ledger and report it.
+
+        Every used edge carried one message per round, so congestion is 1
+        when anything was delivered.
+        """
+        max_congestion = 1 if messages else 0
         self.ledger.charge(
             label=label,
-            nominal_rounds=nominal_rounds if nominal_rounds is not None else round_index,
-            simulated_rounds=round_index,
-            messages=messages_delivered,
-            words=words_delivered,
+            nominal_rounds=nominal_rounds if nominal_rounds is not None else rounds,
+            simulated_rounds=rounds,
+            messages=messages,
+            words=words,
             max_edge_congestion=max_congestion,
         )
         return ProtocolRun(
-            rounds_executed=round_index,
-            messages_delivered=messages_delivered,
-            words_delivered=words_delivered,
+            rounds_executed=rounds,
+            messages_delivered=messages,
+            words_delivered=words,
             max_edge_congestion=max_congestion,
             results=[],
         )

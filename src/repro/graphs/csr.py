@@ -26,6 +26,7 @@ keep showing the old topology.
 from __future__ import annotations
 
 from array import array
+from itertools import islice
 from typing import TYPE_CHECKING, Iterator, List, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
@@ -106,13 +107,18 @@ class CSRGraph:
         tuples is measurably faster in CPython than slicing the flat array on
         every visit, while the flat ``indptr``/``adj`` pair remains the
         canonical storage.
+
+        The rows share one ``int`` object per vertex id: every neighbour
+        entry is looked up in a single ``range(n)`` list and the rows are
+        slices of that interned flat tuple.  Reading a row back from the
+        ``array('q')`` buffer would allocate a fresh object per entry for
+        every id above CPython's small-int cache, which on sparse graphs
+        outweighs the tuples themselves.
         """
         if not self._rows and self._n:
-            indptr, adj = self.indptr, self.adj
-            tup = tuple
-            self._rows = [
-                tup(adj[indptr[v] : indptr[v + 1]]) for v in range(self._n)
-            ]
+            indptr = self.indptr
+            flat = tuple(map(list(range(self._n)).__getitem__, self.adj))
+            self._rows = [flat[a:b] for a, b in zip(indptr, islice(indptr, 1, None))]
         return self._rows
 
     # ------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Kernel backend selection: pure-Python loops vs NumPy/SciPy vectorized sweeps.
 
 The hot kernels of the reproduction -- BFS frontiers, cluster-table bulk
-queries, the stretch evaluator -- exist in two implementations:
+queries, the stretch evaluator, the exploration phases' message plane --
+exist in two implementations:
 
 * the historical **pure-Python** loops over flat ``array('q')`` buffers (the
   only implementation until PR 7, and still the only one when NumPy is not
@@ -18,18 +19,23 @@ This module is the single switch deciding which one runs.  Selection rules:
 * ``auto`` selects the vectorized tier for graphs with at least
   :data:`AUTO_MIN_VERTICES` vertices and the pure-Python tier below -- small
   graphs (every golden workload, every tier-1 test default) therefore run the
-  historical loops bit-for-bit;
+  historical loops bit-for-bit.  The fault-free exploration phases cross over
+  much earlier and have their own threshold,
+  :data:`AUTO_MIN_SCHEDULE_VERTICES`, passed to :func:`use_numpy`;
 * when NumPy/SciPy are missing (they are an *optional* extra:
   ``pip install .[fast]``), every mode silently resolves to ``python``.
 
 Both backends produce **identical values** -- identical BFS distances,
-partitions, stretch reports and spanners (the equivalence property tests in
-``tests/graphs/test_kernel_backends.py`` pin this on random workloads) -- so
+partitions, stretch reports, exploration knowledge, ledger charges, tracer
+events and spanners (the equivalence property tests in
+``tests/graphs/test_kernel_backends.py`` and
+``tests/primitives/test_exploration.py`` pin this on random workloads) -- so
 golden protocol counters never depend on the backend.  The switch only moves
 wall-clock.
 
 NumPy and SciPy are imported lazily on first use, never at import time, so
-the pure-Python tier works on a bare interpreter.
+the pure-Python tier works on a bare interpreter; :func:`require_numpy`
+imports NumPy alone, and SciPy waits for the first scipy CSR handle.
 """
 
 from __future__ import annotations
@@ -55,8 +61,22 @@ KERNEL_ENV_VAR = "REPRO_KERNEL"
 #: the tight CPython loops (0.4-0.7x under n=16k).
 AUTO_MIN_VERTICES = 32768
 
+#: ``auto`` threshold of the array message plane: fault-free exploration
+#: phases (Algorithm 1) run as blocked NumPy first-arrival reductions from
+#: this many vertices up.  Measured on sparse_gnp degree-16 distributed
+#: builds (median of 9 builds per size, 2-vCPU VM), the array tier
+#: takes 0.91x of the per-broadcast form's build time at n=512, 0.76x at
+#: 1024 and 2048 and 0.59x at 4096.  At 2048 the ~45 ms it saves per build
+#: repays the one-off ~65 ms NumPy import from the second build on; below
+#: it, a small build would pay the import for a few milliseconds.  It is
+#: separate from :data:`AUTO_MIN_VERTICES` because the BFS-style sweeps
+#: still lose below ~16k vertices.
+AUTO_MIN_SCHEDULE_VERTICES = 2048
+
 _requested: Optional[str] = None
 _numpy_modules: Optional[tuple] = None
+_numpy_module = None
+# Set when numpy or scipy failed to import: the vectorized tier is then off.
 _numpy_failed = False
 _numpy_installed: Optional[bool] = None
 
@@ -98,25 +118,44 @@ def _modules() -> Optional[tuple]:
     """Lazily import (numpy, scipy.sparse); ``None`` when either is missing."""
     global _numpy_modules, _numpy_failed
     if _numpy_modules is None and not _numpy_failed:
-        try:
-            import numpy
-            import scipy.sparse
-        except ImportError:
-            _numpy_failed = True
-        else:
-            _numpy_modules = (numpy, scipy.sparse)
+        numpy = _numpy()
+        if numpy is not None:
+            try:
+                import scipy.sparse
+            except ImportError:
+                _numpy_failed = True
+            else:
+                _numpy_modules = (numpy, scipy.sparse)
     return _numpy_modules
 
 
+def _numpy():
+    """Lazily import numpy alone; ``None`` when it is missing."""
+    global _numpy_module, _numpy_failed
+    if _numpy_module is None and not _numpy_failed:
+        try:
+            import numpy
+        except ImportError:
+            _numpy_failed = True
+        else:
+            _numpy_module = numpy
+    return _numpy_module
+
+
 def require_numpy():
-    """The ``numpy`` module (the vectorized kernels' single import point)."""
-    modules = _modules()
-    if modules is None:
+    """The ``numpy`` module (the vectorized kernels' single import point).
+
+    Only NumPy is imported: kernels that work on the zero-copy CSR views
+    never pay the SciPy import, which :func:`require_scipy_sparse` defers to
+    the first ``CSRGraph.scipy_csr()`` call.
+    """
+    numpy = _numpy()
+    if numpy is None:
         raise RuntimeError(
             "the vectorized kernel tier needs numpy+scipy "
             "(pip install 'repro-near-additive-spanners[fast]')"
         )
-    return modules[0]
+    return numpy
 
 
 def require_scipy_sparse():
@@ -153,12 +192,14 @@ def kernel_mode() -> str:
     return env if env in KERNEL_MODES else KERNEL_AUTO
 
 
-def active_backend(num_vertices: Optional[int] = None) -> str:
+def active_backend(
+    num_vertices: Optional[int] = None, min_vertices: int = AUTO_MIN_VERTICES
+) -> str:
     """Resolve the backend (``python`` or ``numpy``) for a workload size.
 
     ``num_vertices=None`` asks for the large-``n`` resolution (what ``auto``
     picks once past the threshold) -- the value capacity ladders and bench
-    snapshots stamp.
+    snapshots stamp.  ``min_vertices`` is the kernel's ``auto`` threshold.
     """
     mode = kernel_mode()
     if mode == KERNEL_PYTHON:
@@ -166,13 +207,18 @@ def active_backend(num_vertices: Optional[int] = None) -> str:
     if (
         mode == KERNEL_AUTO
         and num_vertices is not None
-        and num_vertices < AUTO_MIN_VERTICES
+        and num_vertices < min_vertices
     ):
         # Decided by size alone -- must not touch the import machinery.
         return KERNEL_PYTHON
     return KERNEL_NUMPY if _installed() else KERNEL_PYTHON
 
 
-def use_numpy(num_vertices: int) -> bool:
-    """Whether the vectorized tier handles a graph of ``num_vertices``."""
-    return active_backend(num_vertices) == KERNEL_NUMPY
+def use_numpy(num_vertices: int, min_vertices: int = AUTO_MIN_VERTICES) -> bool:
+    """Whether the vectorized tier handles a graph of ``num_vertices``.
+
+    ``min_vertices`` is the kernel's ``auto`` threshold:
+    :data:`AUTO_MIN_VERTICES` for the BFS-style sweeps,
+    :data:`AUTO_MIN_SCHEDULE_VERTICES` for the exploration phases.
+    """
+    return active_backend(num_vertices, min_vertices) == KERNEL_NUMPY

@@ -14,15 +14,24 @@ round, so the CONGEST bandwidth is respected.
 
 Our implementation runs each phase as a sub-protocol on the simulator (the
 per-round pacing inside a phase is faithfully one message per edge per round).
-Fault-free, a phase is a fixed broadcast schedule
-(:meth:`~repro.congest.simulator.Simulator.run_broadcast_schedule`): its
-senders and their buffers are known when it starts, and receivers only record
-first arrivals.  Under a :class:`~repro.congest.faults.FaultPlan` the phases
-run as per-node programs on the simulator's round loop, whose delivery applies
-the plan.  Rounds in which the network is already quiet are skipped by the
-simulator as a wall-clock optimization, but the *nominal* cost charged to the
-ledger is the full ``1 + deg_i * delta_i`` rounds exactly as the paper counts
-it.
+Fault-free, a phase is a fixed broadcast schedule: its senders and their
+buffers are known when it starts, and receivers only record first arrivals.
+It runs in one of two forms, chosen by :mod:`repro.kernels`:
+
+* per broadcast (:meth:`~repro.congest.simulator.Simulator.run_broadcast_schedule`),
+  one Python callback walking the sender's CSR row -- the pure-Python tier,
+  and the form below :data:`~repro.kernels.AUTO_MIN_SCHEDULE_VERTICES`;
+* as arrays (:meth:`~repro.congest.simulator.Simulator.run_broadcast_arrays`),
+  where each block of deliveries is reduced to its first arrivals per
+  ``(receiver, center)`` with one sort, and only the learns are written back.
+
+Both give identical knowledge, dict insertion order included, and identical
+ledger charges and tracer events.  Under a
+:class:`~repro.congest.faults.FaultPlan` the phases run as per-node programs
+on the simulator's round loop, whose delivery applies the plan.  Rounds in
+which the network is already quiet are skipped by the simulator as a
+wall-clock optimization, but the *nominal* cost charged to the ledger is the
+full ``1 + deg_i * delta_i`` rounds exactly as the paper counts it.
 
 Guarantees verified by the test-suite (Theorem 2.1 / Lemma A.1):
 
@@ -43,9 +52,16 @@ from ..congest.faults import FaultPlan, fault_round_limit, fresh_fault_counters
 from ..congest.message import Message
 from ..congest.node import NodeContext, NodeProgram
 from ..congest.simulator import ProtocolRun, Simulator
-from ..kernels import require_numpy, use_numpy
+from ..kernels import AUTO_MIN_SCHEDULE_VERTICES, require_numpy, use_numpy
 
 EXPLORE_TAG = "explore"
+
+# Learns written into the knowledge dicts per slice of the array tier.
+_WRITE_SLICE = 2048
+
+# The array tier packs ``key * block + position`` into one int64 sort key
+# below this bound and falls back to a stable argsort above it.
+_PACKED_KEY_LIMIT = 1 << 63
 
 # Shared empty phase buffer for vertices with nothing to forward.
 _NO_BUFFER: List[Tuple[str, int, int]] = []
@@ -333,66 +349,37 @@ def _run_exploration_once(
 ) -> ExplorationResult:
     """One execution of Algorithm 1 from fresh state.
 
-    With no ``plan`` every phase is a broadcast schedule on the simulator.
-    With one, the phases run as :class:`_ExplorationPhaseProgram` instances
+    With no ``plan`` every phase is a broadcast schedule on the simulator:
+    the array form (:func:`_explore_arrays`) when the vectorized tier handles
+    the graph, else the per-broadcast form (:func:`_phase_deliverer`).  With
+    a plan, the phases run as :class:`_ExplorationPhaseProgram` instances
     under phase-derived plans; an inactive plan runs those programs on the
-    simulator's ordinary scheduler, the reference the schedule is tested
+    simulator's ordinary scheduler, the reference the schedules are tested
     against.
     """
     n = simulator.graph.num_vertices
     known_dist: List[Dict[int, int]] = [dict() for _ in range(n)]
     known_via: List[Dict[int, Optional[int]]] = [dict() for _ in range(n)]
-    newly: List[List[int]] = [[] for _ in range(n)]
-    learners: List[int] = []
-    # A phase's ``(sender, payloads)`` pairs in ascending sender order; the
-    # centers open phase 1 by announcing themselves.
-    queues: List[Tuple[int, List[Tuple[str, int, int]]]] = []
     for center in center_list:
         known_dist[center][center] = 0
         known_via[center][center] = None
-        queues.append((center, [(EXPLORE_TAG, center, 0)]))
 
     fault_totals: Optional[Dict[str, int]] = None
-    if plan is None:
-        deliver = _phase_deliverer(known_dist, known_via, newly, learners)
+    if plan is None and use_numpy(n, AUTO_MIN_SCHEDULE_VERTICES):
+        runs = _explore_arrays(simulator, center_list, depth, cap, label, known_dist, known_via)
     else:
-        fault_totals = fresh_fault_counters()
-        run_program_phase = _program_phase_runner(
-            simulator, plan, known_dist, known_via, newly, learners, fault_totals
+        if plan is not None:
+            fault_totals = fresh_fault_counters()
+        runs = _explore_queues(
+            simulator, center_list, depth, cap, label, known_dist, known_via, plan, fault_totals
         )
-
     charged_rounds = 0
     simulated_rounds = 0
     messages = 0
-    for phase in range(1, depth + 1):
-        if not queues:
-            break
-        phase_label = f"{label}:phase{phase}"
-        phase_nominal = cap if phase > 1 else cap + 1
-        if plan is None:
-            run = simulator.run_broadcast_schedule(
-                queues, deliver, label=phase_label, nominal_rounds=phase_nominal
-            )
-        else:
-            run = run_program_phase(queues, phase, phase_label, phase_nominal, charged_rounds)
+    for phase_nominal, run in runs:
         charged_rounds += phase_nominal
         simulated_rounds += run.rounds_executed
         messages += run.messages_delivered
-        # The next phase's buffers: every learner forwards up to ``cap`` of
-        # the centers it learned (deterministically the smallest IDs; the
-        # paper allows an arbitrary choice).  A center enters ``newly`` at
-        # most once per phase (it is known from then on), so the lists are
-        # duplicate-free.
-        queues = []
-        for v in sorted(learners):
-            fresh_centers = newly[v]
-            fresh_centers.sort()
-            known_v = known_dist[v]
-            queues.append(
-                (v, [(EXPLORE_TAG, center, known_v[center]) for center in fresh_centers[:cap]])
-            )
-            fresh_centers.clear()
-        learners.clear()
 
     # The paper's schedule always occupies 1 + cap * depth rounds even when
     # the network goes quiet early; charge the idle remainder so the ledger
@@ -420,6 +407,212 @@ def _run_exploration_once(
         fault_counters=fault_totals,
         attempts=attempt_number,
     )
+
+
+def _phase_nominal(phase: int, cap: int) -> int:
+    """Scheduled rounds of ``phase``: phase 1 also owns the initial round 0."""
+    return cap if phase > 1 else cap + 1
+
+
+def _explore_queues(
+    simulator: Simulator,
+    center_list: List[int],
+    depth: int,
+    cap: int,
+    label: str,
+    known_dist: List[Dict[int, int]],
+    known_via: List[Dict[int, Optional[int]]],
+    plan: Optional[FaultPlan],
+    fault_totals: Optional[Dict[str, int]],
+) -> List[Tuple[int, ProtocolRun]]:
+    """Run the phases from per-sender payload queues; ``(nominal, run)`` per phase.
+
+    Without ``plan`` a phase is :meth:`Simulator.run_broadcast_schedule` with
+    one :func:`_phase_deliverer` callback per broadcast, with one it runs
+    through :func:`_program_phase_runner`.
+    """
+    n = len(known_dist)
+    newly: List[List[int]] = [[] for _ in range(n)]
+    learners: List[int] = []
+    # A phase's ``(sender, payloads)`` pairs in ascending sender order; the
+    # centers open phase 1 by announcing themselves.
+    queues: List[Tuple[int, List[Tuple[str, int, int]]]] = [
+        (center, [(EXPLORE_TAG, center, 0)]) for center in center_list
+    ]
+    if plan is None:
+        deliver = _phase_deliverer(known_dist, known_via, newly, learners)
+    else:
+        run_program_phase = _program_phase_runner(
+            simulator, plan, known_dist, known_via, newly, learners, fault_totals
+        )
+
+    runs: List[Tuple[int, ProtocolRun]] = []
+    charged_rounds = 0
+    for phase in range(1, depth + 1):
+        if not queues:
+            break
+        phase_label = f"{label}:phase{phase}"
+        phase_nominal = _phase_nominal(phase, cap)
+        if plan is None:
+            run = simulator.run_broadcast_schedule(
+                queues, deliver, label=phase_label, nominal_rounds=phase_nominal
+            )
+        else:
+            run = run_program_phase(queues, phase, phase_label, phase_nominal, charged_rounds)
+        charged_rounds += phase_nominal
+        runs.append((phase_nominal, run))
+        # The next phase's buffers: every learner forwards up to ``cap`` of
+        # the centers it learned (deterministically the smallest IDs; the
+        # paper allows an arbitrary choice).  A center enters ``newly`` at
+        # most once per phase (it is known from then on), so the lists are
+        # duplicate-free.
+        queues = []
+        for v in sorted(learners):
+            fresh_centers = newly[v]
+            fresh_centers.sort()
+            known_v = known_dist[v]
+            queues.append(
+                (v, [(EXPLORE_TAG, center, known_v[center]) for center in fresh_centers[:cap]])
+            )
+            fresh_centers.clear()
+        learners.clear()
+    return runs
+
+
+def _explore_arrays(
+    simulator: Simulator,
+    center_list: List[int],
+    depth: int,
+    cap: int,
+    label: str,
+    known_dist: List[Dict[int, int]],
+    known_via: List[Dict[int, Optional[int]]],
+) -> List[Tuple[int, ProtocolRun]]:
+    """Run the fault-free phases as blocked array reductions; ``(nominal, run)`` per phase.
+
+    A phase is :meth:`Simulator.run_broadcast_arrays` over the payload
+    arrays ``(sender, center, round)`` in (round, ascending sender) order.
+    Each delivery block is reduced to its first arrival per ``(receiver,
+    center)`` key (:func:`_first_arrivals`, delivery order breaking ties as
+    the per-broadcast form does); the keys already known are dropped against
+    two sorted key arrays, the entries known before the phase and those
+    learned in it, and only the learns are written into the dicts, in
+    delivery order, so each dict's insertion order matches the per-broadcast
+    form too.  Fault-free, every payload of phase ``j``
+    carries distance ``j - 1``, so every learn of phase ``j`` is at distance
+    ``j``.
+    """
+    np = require_numpy()
+    n = len(known_dist)
+    # Object-array gathers hand the write-back loop the dicts and one shared
+    # int object per vertex id, so a learn allocates nothing but its entries.
+    dist_dicts = np.empty(n, dtype=object)
+    dist_dicts[:] = known_dist
+    via_dicts = np.empty(n, dtype=object)
+    via_dicts[:] = known_via
+    ids = np.array(range(n), dtype=object)
+
+    centers = np.asarray(center_list, dtype=np.int64)
+    # Sorted keys ``receiver * n + center`` of the entries known before the
+    # current phase, and of those learned in it so far (merged at its end).
+    known = centers * (n + 1)
+    senders, sent_centers, rounds = centers, centers, np.zeros(len(centers), dtype=np.int64)
+    runs: List[Tuple[int, ProtocolRun]] = []
+    for phase in range(1, depth + 1):
+        if not len(senders):
+            break
+        learned = centers[:0]
+
+        def deliver(payloads, receivers) -> None:
+            nonlocal learned
+            keys = receivers * n + sent_centers[payloads]
+            first = _first_arrivals(np, keys, n * n)
+            fresh = keys[first]
+            slots = np.searchsorted(learned, fresh)
+            new = ~(_contains(np, known, fresh) | _contains(np, learned, fresh, slots))
+            if not new.any():
+                return
+            learned = np.insert(learned, slots[new], fresh[new])
+            first = np.sort(first[new])
+            learners = receivers[first]
+            sources = payloads[first]
+            _write_learns(
+                dist_dicts, via_dicts, ids, phase,
+                learners, sent_centers[sources], senders[sources],
+            )
+
+        phase_nominal = _phase_nominal(phase, cap)
+        run = simulator.run_broadcast_arrays(
+            senders, rounds, 3, deliver,
+            label=f"{label}:phase{phase}", nominal_rounds=phase_nominal,
+        )
+        runs.append((phase_nominal, run))
+        known = np.insert(known, np.searchsorted(known, learned), learned)
+        # The next phase's payloads, as in the per-broadcast form: every
+        # learner forwards its ``cap`` smallest new centers, in ascending
+        # center order from round 0, and the payloads go out in (round,
+        # ascending sender) order.
+        learners = learned // n
+        rank = np.arange(len(learned)) - np.searchsorted(learners, learners)
+        kept = rank < cap
+        order = np.argsort(rank[kept], kind="stable")
+        forwarded = learned[kept][order]
+        senders, sent_centers, rounds = forwarded // n, forwarded % n, rank[kept][order]
+    return runs
+
+
+def _contains(np, sorted_keys, keys, slots=None):
+    """Which ``keys`` occur in the sorted array ``sorted_keys``.
+
+    ``slots`` may pass ``np.searchsorted(sorted_keys, keys)`` when the caller
+    already has it.
+    """
+    if not len(sorted_keys):
+        return np.zeros(len(keys), dtype=bool)
+    if slots is None:
+        slots = np.searchsorted(sorted_keys, keys)
+    return sorted_keys[np.minimum(slots, len(sorted_keys) - 1)] == keys
+
+
+def _first_arrivals(np, keys, key_bound: int):
+    """Positions of the first occurrence of every distinct key, in key order.
+
+    One unstable sort of ``key * len(keys) + position`` puts each key's
+    earliest position first in its group.  When that packed key could
+    overflow int64 (``key_bound * len(keys) >= 2**63``) a stable argsort of
+    the keys gives the same order.
+    """
+    count = len(keys)
+    if key_bound * count < _PACKED_KEY_LIMIT:
+        packed = np.sort(keys * count + np.arange(count))
+        grouped = packed // count
+        positions = packed - grouped * count
+    else:
+        positions = np.argsort(keys, kind="stable")
+        grouped = keys[positions]
+    heads = np.empty(count, dtype=bool)
+    heads[:1] = True
+    np.not_equal(grouped[1:], grouped[:-1], out=heads[1:])
+    return positions[heads]
+
+
+def _write_learns(dist_dicts, via_dicts, ids, distance, learners, centers, vias) -> None:
+    """Record ``known_dist[u][c] = distance`` and ``known_via[u][c] = via`` per learn.
+
+    Learns are written in slices of :data:`_WRITE_SLICE`, so the Python
+    lists feeding the loop stay small however large the block.
+    """
+    for lo in range(0, len(learners), _WRITE_SLICE):
+        hi = lo + _WRITE_SLICE
+        rows = learners[lo:hi]
+        for dist_u, via_u, center, via in zip(
+            dist_dicts[rows].tolist(),
+            via_dicts[rows].tolist(),
+            ids[centers[lo:hi]].tolist(),
+            ids[vias[lo:hi]].tolist(),
+        ):
+            dist_u[center] = distance
+            via_u[center] = via
 
 
 def _phase_crashes(

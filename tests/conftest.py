@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+import repro.kernels as kernels
 from repro.core.parameters import SpannerParameters
 from repro.graphs import (
     Graph,
@@ -100,3 +101,24 @@ GRAPH_FAMILY_FIXTURES = [
 def any_graph(request):
     """Parametrized fixture cycling over the main graph families."""
     return request.getfixturevalue(request.param)
+
+
+@pytest.fixture()
+def kernel(monkeypatch):
+    """Switch kernel modes for one test; globals restored afterwards."""
+    monkeypatch.setattr(kernels, "_requested", None)
+    monkeypatch.delenv(kernels.KERNEL_ENV_VAR, raising=False)
+
+    def switch(mode):
+        monkeypatch.setattr(kernels, "_requested", mode)
+
+    return switch
+
+
+@pytest.fixture(params=[kernels.KERNEL_PYTHON, kernels.KERNEL_NUMPY])
+def backend(request, kernel):
+    """Run a test once per kernel backend, pinned; numpy skips when missing."""
+    if request.param == kernels.KERNEL_NUMPY and not kernels.numpy_available():
+        pytest.skip("numpy/scipy not installed")
+    kernel(request.param)
+    return request.param

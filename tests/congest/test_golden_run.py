@@ -65,7 +65,9 @@ class TestForestGoldenRun:
 class TestDistributedBuildGoldenRun:
     """The full distributed spanner build pins ledger totals and the spanner."""
 
-    def test_build_matches_seed_engine(self):
+    def test_build_matches_seed_engine(self, backend):
+        # The exploration phases run per broadcast on the python kernel and
+        # as array reductions on the numpy one; the ledger must not tell.
         graph = gnp_random_graph(120, 0.05, seed=21)
         result = build_spanner(
             graph, parameters=default_parameters(), engine="distributed"

@@ -6,6 +6,8 @@ from typing import List
 
 import pytest
 
+import repro.congest.simulator as simulator_module
+import repro.kernels as kernels
 from repro.congest import (
     CongestionViolation,
     Message,
@@ -397,3 +399,106 @@ class TestBroadcastSchedule:
         assert calls == [1]
         assert (run.rounds_executed, run.messages_delivered, run.words_delivered) == (1, 1, 1)
         assert tracer.events == [(1, 1)]
+
+
+@pytest.mark.skipif(not kernels.numpy_available(), reason="numpy/scipy not installed")
+class TestBroadcastArrays:
+    """``run_broadcast_arrays`` accounts exactly like ``run_broadcast_schedule``."""
+
+    @staticmethod
+    def run_both(graph, queues):
+        """Run fixed-width ``queues`` through both entry points; return both outcomes."""
+        np = kernels.require_numpy()
+        payloads = sorted(
+            (r, sender, payload)
+            for sender, queue in queues
+            for r, payload in enumerate(queue)
+        )
+        width = len(payloads[0][2]) if payloads else 1
+        outcomes = []
+        for arrays in (False, True):
+            tracer = RecordingTracer()
+            sim = Simulator(graph, tracer=tracer)
+            log = []
+            if arrays:
+                def deliver(indices, receivers):
+                    for index, receiver in zip(indices.tolist(), receivers.tolist()):
+                        _, sender, payload = payloads[index]
+                        log.append((receiver, sender, payload))
+
+                run = sim.run_broadcast_arrays(
+                    np.array([sender for _, sender, _ in payloads], dtype=np.int64),
+                    np.array([r for r, _, _ in payloads], dtype=np.int64),
+                    width,
+                    deliver,
+                    label="sched",
+                    nominal_rounds=7,
+                )
+            else:
+                def deliver(sender, payload, row):
+                    log.extend((receiver, sender, payload) for receiver in row)
+
+                run = sim.run_broadcast_schedule(queues, deliver, label="sched", nominal_rounds=7)
+            outcomes.append((
+                run.rounds_executed,
+                run.messages_delivered,
+                run.words_delivered,
+                run.max_edge_congestion,
+                sim.ledger.charges,
+                tracer.events,
+                log,
+            ))
+        assert outcomes[0] == outcomes[1]
+        return outcomes[1]
+
+    CASES = [
+        (star_graph(5), [(0, [("a", 1), ("b", 2)]), (3, [("c", 3)])]),
+        (grid_graph(3, 4), [(1, [("x",)] * 3), (5, [("y",)]), (11, [("z",)] * 2)]),
+        (cycle_graph(6), [(v, [("r", v)] * (v % 3)) for v in range(6)]),
+        (path_graph(4), []),
+        (Graph(4, [(0, 1), (1, 2)]), [(0, [("m",)]), (3, [("i",)] * 4)]),
+        (Graph(4, [(0, 1), (1, 2)]), [(0, [("m",)] * 2), (3, [("i",)])]),
+    ]
+
+    @pytest.mark.parametrize("graph, queues", CASES)
+    def test_matches_per_broadcast_form(self, graph, queues):
+        self.run_both(graph, queues)
+
+    @pytest.mark.parametrize("graph, queues", CASES)
+    def test_blocks_cover_deliveries_in_order(self, graph, queues, monkeypatch):
+        monkeypatch.setattr(simulator_module, "BROADCAST_BLOCK", 1)
+        self.run_both(graph, queues)
+
+    def test_isolated_sole_sender_executes_no_round(self):
+        rounds, messages, _, congestion, charges, events, _ = self.run_both(
+            Graph(3, [(0, 1)]), [(2, [("i",)])]
+        )
+        assert (rounds, messages, congestion, events) == (0, 0, 0, [])
+        assert charges[0].nominal_rounds == 7
+
+    def test_word_size_is_checked_before_any_delivery_or_charge(self):
+        np = kernels.require_numpy()
+        sim = Simulator(path_graph(3), max_words_per_message=2)
+        delivered = []
+        with pytest.raises(MessageTooLarge):
+            sim.run_broadcast_arrays(
+                np.array([0]), np.array([0]), 3, lambda *args: delivered.append(args), label="s"
+            )
+        assert delivered == [] and sim.ledger.charges == []
+
+    @pytest.mark.parametrize(
+        "senders, rounds",
+        [([1, 1], [0, 0]), ([2, 0], [0, 0]), ([3], [0]), ([0, 1], [1, 0]), ([0], [-1]), ([0], [])],
+    )
+    def test_payloads_must_be_ascending_round_sender_vertex_ids(self, senders, rounds):
+        np = kernels.require_numpy()
+        sim = Simulator(path_graph(3))
+        with pytest.raises(ProtocolError):
+            sim.run_broadcast_arrays(
+                np.array(senders, dtype=np.int64),
+                np.array(rounds, dtype=np.int64),
+                1,
+                lambda *_: None,
+                label="s",
+            )
+        assert sim.ledger.charges == []

@@ -31,17 +31,6 @@ KERNEL_MODES = [
 ALGORITHMS = ("new-centralized", "elkin-peleg-2001", "baswana-sen", "greedy")
 
 
-@pytest.fixture()
-def kernel(monkeypatch):
-    """Pin the kernel backend for one test; globals restored afterwards."""
-    monkeypatch.delenv(kernels.KERNEL_ENV_VAR, raising=False)
-
-    def switch(mode):
-        monkeypatch.setattr(kernels, "_requested", mode)
-
-    return switch
-
-
 def small_trace(kind, seed=11):
     return ChurnTrace(
         kind=kind, family="sparse_gnp", size=48, steps=4, batch_size=3, seed=seed

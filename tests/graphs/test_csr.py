@@ -60,6 +60,15 @@ class TestRoundTrip:
                 if u != v:
                     assert csr.has_edge(u, v) == graph.has_edge(u, v)
 
+    def test_rows_share_one_object_per_vertex_id(self):
+        # Ids above CPython's small-int cache are where interning matters.
+        graph = Graph(1000, [(500, 600), (500, 700), (600, 700), (700, 999)])
+        rows = graph.csr().rows()
+        assert rows[600] == (500, 700) and rows[999] == (700,)
+        assert rows[600][0] is rows[700][0]  # vertex 500
+        assert rows[500][1] is rows[600][1] is rows[999][0]  # vertex 700
+        assert rows[0] == ()
+
 
 class TestSnapshotContract:
     def test_snapshot_is_cached_until_mutation(self):

@@ -15,10 +15,15 @@ contract, and the :class:`DistanceCache` backend-switch behaviour.
 
 from __future__ import annotations
 
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 import repro.kernels as kernels
 from repro.analysis.stretch import empirical_additive_term, evaluate_stretch
+from repro.congest import RecordingTracer, Simulator
 from repro.core import build_spanner
 from repro.experiments import default_parameters
 from repro.core.cluster_table import (
@@ -39,16 +44,15 @@ pytestmark = pytest.mark.skipif(
 INF = float("inf")
 
 
-@pytest.fixture()
-def kernel(monkeypatch):
-    """Switch kernel modes for one test; globals restored afterwards."""
-    monkeypatch.setattr(kernels, "_requested", None)
-    monkeypatch.delenv(kernels.KERNEL_ENV_VAR, raising=False)
-
-    def switch(mode):
-        monkeypatch.setattr(kernels, "_requested", mode)
-
-    return switch
+def _run_isolated(code):
+    """Run ``code`` in a fresh interpreter on this checkout's ``src``."""
+    src = Path(__file__).resolve().parents[2] / "src"
+    return subprocess.run(
+        [sys.executable, "-c", code],
+        env={"PYTHONPATH": str(src), "PATH": "/usr/bin:/bin"},
+        capture_output=True,
+        text=True,
+    )
 
 
 def both_backends(kernel, fn):
@@ -225,6 +229,22 @@ class TestEngineEquivalence:
         py, np_ = both_backends(kernel, run)
         assert py == np_
 
+    def test_distributed_build_is_backend_independent(self, kernel):
+        graph = workload(300, 0.03, seed=5)
+
+        def run():
+            tracer = RecordingTracer()
+            result = build_spanner(
+                graph,
+                parameters=default_parameters(),
+                engine="distributed",
+                simulator=Simulator(graph, tracer=tracer),
+            )
+            return sorted(result.spanner.edge_set()), result.ledger.charges, tracer.events
+
+        py, np_ = both_backends(kernel, run)
+        assert py == np_
+
 
 # ----------------------------------------------------------------------
 # CSR views and the Graph.version invalidation contract
@@ -299,6 +319,14 @@ class TestKernelSelector:
         # The stamping resolution (num_vertices=None) is the large-n answer.
         assert kernels.active_backend() == "numpy"
 
+    def test_auto_schedule_threshold(self, kernel):
+        kernel(kernels.KERNEL_AUTO)
+        threshold = kernels.AUTO_MIN_SCHEDULE_VERTICES
+        assert threshold < kernels.AUTO_MIN_VERTICES
+        assert not kernels.use_numpy(threshold - 1, threshold)
+        assert kernels.use_numpy(threshold, threshold)
+        assert not kernels.use_numpy(threshold)
+
     def test_env_var_resolution(self, kernel, monkeypatch):
         monkeypatch.setattr(kernels, "_requested", None)
         monkeypatch.setenv(kernels.KERNEL_ENV_VAR, "python")
@@ -310,10 +338,6 @@ class TestKernelSelector:
         # Backend selection (and a whole small-graph build, registry hints
         # included) must not pay the numpy+scipy import: selection uses a
         # find_spec probe, the real import happens at first vectorized use.
-        import subprocess
-        import sys
-        from pathlib import Path
-
         code = (
             "import sys\n"
             "from repro.kernels import active_backend\n"
@@ -322,15 +346,31 @@ class TestKernelSelector:
             "from repro.graphs import gnp_random_graph\n"
             "result = repro.build('new-centralized', gnp_random_graph(40, 0.15, seed=1))\n"
             "assert result.spanner.num_edges > 0\n"
+            # The exploration phases' array tier has its own, lower threshold.
+            "from repro.graphs import sparse_gnp_random_graph\n"
+            "from repro.kernels import AUTO_MIN_SCHEDULE_VERTICES\n"
+            "n = AUTO_MIN_SCHEDULE_VERTICES - 1\n"
+            "graph = sparse_gnp_random_graph(n, 8 / n, seed=1)\n"
+            "result = repro.build('new-distributed', graph, seed=1)\n"
+            "assert result.spanner.num_edges > 0\n"
             "assert 'numpy' not in sys.modules, 'numpy imported on a small pure-Python workload'\n"
         )
-        src = Path(__file__).resolve().parents[2] / "src"
-        proc = subprocess.run(
-            [sys.executable, "-c", code],
-            env={"PYTHONPATH": str(src), "PATH": "/usr/bin:/bin"},
-            capture_output=True,
-            text=True,
+        proc = _run_isolated(code)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_require_numpy_does_not_import_scipy(self):
+        # Kernels over the zero-copy CSR views need NumPy only; SciPy is
+        # imported by the first scipy_csr() call.
+        code = (
+            "import sys\n"
+            "from repro.kernels import require_numpy, require_scipy_sparse\n"
+            "require_numpy()\n"
+            "assert 'numpy' in sys.modules\n"
+            "assert 'scipy' not in sys.modules, 'require_numpy imported scipy'\n"
+            "require_scipy_sparse()\n"
+            "assert 'scipy.sparse' in sys.modules\n"
         )
+        proc = _run_isolated(code)
         assert proc.returncode == 0, proc.stderr
 
     def test_set_kernel_mirrors_into_the_environment(self, kernel, monkeypatch):

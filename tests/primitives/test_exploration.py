@@ -6,6 +6,9 @@ from typing import List
 
 import pytest
 
+import repro.congest.simulator as simulator_module
+import repro.kernels as kernels
+import repro.primitives.exploration as exploration_module
 from repro.congest import (
     CongestionViolation,
     FaultPlan,
@@ -218,17 +221,32 @@ EQUIVALENCE_CASES = {
 }
 
 
+def _insertion_orders(outcome):
+    """Each knowledge dict's items in insertion order (what iteration sees)."""
+    return [
+        [list(known.items()) for known in outcome[field]]
+        for field in ("known_dist", "known_via")
+    ]
+
+
+needs_numpy = pytest.mark.skipif(
+    not kernels.numpy_available(), reason="numpy/scipy not installed"
+)
+
+
 class TestBroadcastScheduleEquivalence:
     """The fault-free broadcast schedule reproduces the per-node programs exactly."""
 
     @pytest.mark.parametrize("case", sorted(EQUIVALENCE_CASES))
-    def test_schedule_matches_reference_programs(self, case):
+    def test_schedule_matches_reference_programs(self, backend, case):
+        # The python kernel runs the per-broadcast form, numpy the array tier.
         graph, centers, depth, cap = EQUIVALENCE_CASES[case]
         schedule, schedule_result = explore_traced(graph, centers, depth, cap)
         reference, reference_result = explore_traced(
             graph, centers, depth, cap, plan=FaultPlan(seed=0)
         )
         assert schedule == reference
+        assert _insertion_orders(schedule) == _insertion_orders(reference)
         # The two paths really differ: only the program path keeps fault counters.
         assert schedule_result.fault_counters is None
         assert reference_result.fault_counters is not None
@@ -257,24 +275,60 @@ class TestBroadcastScheduleEquivalence:
         assert outcome["events"] == []
 
 
+@needs_numpy
+class TestArrayTierEquivalence:
+    """The array tier matches the per-broadcast form however it is blocked."""
+
+    @pytest.mark.parametrize("case", sorted(EQUIVALENCE_CASES))
+    def test_phases_spanning_many_blocks(self, kernel, monkeypatch, case):
+        graph, centers, depth, cap = EQUIVALENCE_CASES[case]
+        kernel(kernels.KERNEL_PYTHON)
+        expected, _ = explore_traced(graph, centers, depth, cap)
+        kernel(kernels.KERNEL_NUMPY)
+        monkeypatch.setattr(simulator_module, "BROADCAST_BLOCK", 5)
+        blocked, _ = explore_traced(graph, centers, depth, cap)
+        assert blocked == expected
+        assert _insertion_orders(blocked) == _insertion_orders(expected)
+
+    @pytest.mark.parametrize("case", ["sparse-gnp-c", "cap-truncation", "grid"])
+    def test_overflow_fallback_matches_packed_sort(self, kernel, monkeypatch, case):
+        graph, centers, depth, cap = EQUIVALENCE_CASES[case]
+        kernel(kernels.KERNEL_NUMPY)
+        packed, _ = explore_traced(graph, centers, depth, cap)
+        # A zero bound sends every block down the stable-argsort fallback.
+        monkeypatch.setattr(exploration_module, "_PACKED_KEY_LIMIT", 0)
+        fallback, _ = explore_traced(graph, centers, depth, cap)
+        assert fallback == packed
+        assert _insertion_orders(fallback) == _insertion_orders(packed)
+
+    def test_first_arrivals_are_first_occurrences_on_both_sort_paths(self):
+        np = kernels.require_numpy()
+        keys = np.array([7, 3, 7, 3, 9, 0, 9, 7, 0], dtype=np.int64)
+        expected = [5, 1, 0, 4]  # first positions of keys 0, 3, 7, 9
+        packed = exploration_module._first_arrivals(np, keys, 10)
+        fallback = exploration_module._first_arrivals(np, keys, 1 << 62)
+        assert packed.tolist() == fallback.tolist() == expected
+
+
 class TestBroadcastScheduleErrorPaths:
-    def test_oversized_messages_still_raise(self):
+    def test_oversized_messages_still_raise(self, backend):
         sim = Simulator(cycle_graph(6), max_words_per_message=2)
         with pytest.raises(MessageTooLarge):
             run_bounded_exploration(sim, [0, 3], depth=2, cap=2)
         assert sim.ledger.charges == []
 
-    def test_lenient_congestion_records_no_violations(self):
+    def test_lenient_congestion_records_no_violations(self, backend):
         graph = sparse_gnp_random_graph(100, 0.06, seed=3)
         sim = Simulator(graph, strict_congestion=False)
         runs = []
-        schedule = sim.run_broadcast_schedule
+        entry = "run_broadcast_schedule" if backend == "python" else "run_broadcast_arrays"
+        schedule = getattr(sim, entry)
 
         def spy(*args, **kwargs):
             runs.append(schedule(*args, **kwargs))
             return runs[-1]
 
-        sim.run_broadcast_schedule = spy
+        setattr(sim, entry, spy)
         lenient = run_bounded_exploration(sim, range(100), depth=3, cap=4)
         strict = run_bounded_exploration(Simulator(graph), range(100), depth=3, cap=4)
         assert runs and all(run.congestion_violations == [] for run in runs)

@@ -23,6 +23,7 @@ EXPECTED_STAGE_ORDER = [
     "tier-1 tests",
     "tier-1 tests (pure-python kernel)",
     "golden counters",
+    "array message plane (numpy kernel)",
     "phase micro-benchmarks (quick mode)",
     "benchmark self-tests",
     "capacity ladder (quick mode)",
@@ -138,6 +139,13 @@ class TestStagePlan:
         pure = plan["tier-1 tests (pure-python kernel)"]
         assert pure[0] == "REPRO_KERNEL=python"
         assert "pytest" in pure
+
+    def test_array_plane_stage_pins_the_numpy_kernel(self, ci_check):
+        plan = dict(ci_check.stage_plan(_args(fast=True), "snap.json"))
+        stage = plan["array message plane (numpy kernel)"]
+        assert stage[0] == "REPRO_KERNEL=numpy"
+        assert any(part.endswith("test_exploration.py") for part in stage)
+        assert any(part.endswith("test_golden_run.py") for part in stage)
 
     def test_numpy_capacity_stage_forces_the_kernel_flag(self, ci_check):
         plan = dict(ci_check.stage_plan(_args(), "snap.json"))
