@@ -16,40 +16,45 @@ Runs, in order (see :func:`stage_plan`):
    against the committed ``BENCH_seed.json``: the fixed distributed build and
    BFS-forest protocol must stay bit-identical.  ``--snapshot PATH`` keeps
    the produced snapshot (CI uploads it as an artifact).
-5. ``phase micro-benchmarks (quick mode)`` -- the superclustering /
+5. ``array message plane (numpy kernel)`` -- the exploration, golden-run
+   and engine cross-validation tests under ``REPRO_KERNEL=numpy``.  It needs
+   the ``fast`` extra (NumPy/SciPy): without it the stage fails under GitHub
+   Actions, unless ``--without-fast`` declares a leg that covers the
+   pure-Python fallback on purpose, and is skipped with a notice locally.
+6. ``phase micro-benchmarks (quick mode)`` -- the superclustering /
    interconnection phase drivers run once, assertions only, plus the
    fault-injection guard that no plan (or an inactive one) reproduces the
    ``BENCH_seed.json`` forest goldens.
-6. ``benchmark self-tests`` -- ``python -m pytest perfbench -q``: the
+7. ``benchmark self-tests`` -- ``python -m pytest perfbench -q``: the
    benchmark's own tests at tiny sizes (every workload end to end, the
    certificate, host-speed rescaling, layer tracing and its restoration, and
    the metric list against BENCHMARK.json).
-7. ``capacity ladder (quick mode)`` -- ``repro capacity`` on a tiny budget
+8. ``capacity ladder (quick mode)`` -- ``repro capacity`` on a tiny budget
    and window: exercises the measured-capacity search and its CLI end to end
    on every push without paying real measurement time.
-8. ``capacity ladder (quick mode, numpy kernel)`` -- the same quick ladder
+9. ``capacity ladder (quick mode, numpy kernel)`` -- the same quick ladder
    under ``repro --kernel numpy``: drives the vectorized kernels through the
    whole capacity CLI.
-9. ``fault injection (quick mode)`` -- ``repro chaos`` over the
-   chaos-primitives matrix with a wall-clock task timeout: every injected
-   fault schedule must terminate in a typed outcome (the scenario checks
-   enforce it) and the failure manifest must validate against its schema.
-10. ``dynamic churn (quick mode)`` -- ``repro dynamic`` over the
+10. ``fault injection (quick mode)`` -- ``repro chaos`` over the
+    chaos-primitives matrix with a wall-clock task timeout: every injected
+    fault schedule must terminate in a typed outcome (the scenario checks
+    enforce it) and the failure manifest must validate against its schema.
+11. ``dynamic churn (quick mode)`` -- ``repro dynamic`` over the
     dynamic-churn matrix: every incremental-capable algorithm maintains its
     spanner through seeded churn traces and the scenario checks re-verify the
     declared guarantee after every single step.
-11. ``store-corruption smoke`` -- ``repro chaos --store-smoke``: corrupt one
+12. ``store-corruption smoke`` -- ``repro chaos --store-smoke``: corrupt one
     cached task entry, then prove the store invalidates it, recomputes exactly
     that task on resume, and reproduces a byte-identical record.
-12. ``serve smoke (quick mode)`` -- ``repro serve --check`` on a small seeded
+13. ``serve smoke (quick mode)`` -- ``repro serve --check`` on a small seeded
     mixed load: the request broker must show cache hits and coalesced
     single-flight builds and lose no request (zero dropped / failed /
     rejected responses).
-13. ``registry completeness`` -- ``scripts/registry_check.py``: every
+14. ``registry completeness`` -- ``scripts/registry_check.py``: every
     registered algorithm must have a measured CAPACITY.json entry, a row in
     EXPERIMENTS.md's Algorithm registry table, and membership in at least
     one scenario matrix.  Registration drift fails the build.
-14. ``experiments-md drift`` -- the committed EXPERIMENTS.md must match the
+15. ``experiments-md drift`` -- the committed EXPERIMENTS.md must match the
     current algorithm/scenario registries.
 
 Stages run sequentially and the first failure stops the run (later stages
@@ -108,6 +113,16 @@ ARRAY_PLANE_TESTS = (
     "core/test_engine_cross_validation.py",
 )
 
+#: Name of the stage that needs the ``fast`` extra (NumPy/SciPy).
+ARRAY_PLANE_STAGE = "array message plane (numpy kernel)"
+
+#: Why a stage without a command was skipped, printed with the skip.  Stages
+#: not listed here are only ever skipped by ``--fast``.
+SKIP_REASONS = {
+    "lint (ruff)": "ruff is not installed",
+    ARRAY_PLANE_STAGE: "numpy/scipy are not installed; pip install '.[fast]' to run it",
+}
+
 
 @dataclass
 class StageResult:
@@ -135,12 +150,24 @@ def in_github_actions() -> bool:
     return os.environ.get("GITHUB_ACTIONS") == "true"
 
 
-def stage_plan(args: argparse.Namespace, snapshot_path: str) -> List[Tuple[str, Optional[List[str]]]]:
+def vectorized_tier_available() -> bool:
+    """``repro.kernels.numpy_available()`` on the interpreter the stages use."""
+    if str(SRC) not in sys.path:
+        sys.path.insert(0, str(SRC))
+    from repro import kernels
+
+    return kernels.numpy_available()
+
+
+def stage_plan(
+    args: argparse.Namespace, snapshot_path: str, vectorized: bool = True
+) -> List[Tuple[str, Optional[List[str]]]]:
     """The ordered stage list as ``(name, command-or-None)`` pairs.
 
     ``None`` commands are reported as skipped (e.g. the pytest stage under
-    ``--fast``).  Kept as one pure function of the arguments so the stage
-    ordering and flag handling are unit-testable without running anything.
+    ``--fast``).  ``vectorized`` says whether the NumPy/SciPy tier can run.
+    Kept as one pure function of its inputs so the stage ordering and flag
+    handling are unit-testable without running anything.
     """
     pytest_cmd: Optional[List[str]] = None
     pure_pytest_cmd: Optional[List[str]] = None
@@ -167,6 +194,23 @@ def stage_plan(args: argparse.Namespace, snapshot_path: str) -> List[Tuple[str, 
     lint_cmd: Optional[List[str]] = None
     if shutil.which("ruff"):
         lint_cmd = ["ruff", "check", str(REPO_ROOT)]
+    # The array-plane stage pins REPRO_KERNEL=numpy, which silently resolves
+    # to the pure-Python tier when numpy/scipy are missing.  A CI leg without
+    # them must say so (--without-fast); any other CI leg fails here instead
+    # of passing on the wrong kernel.
+    array_plane_cmd: Optional[List[str]] = [
+        "REPRO_KERNEL=numpy",
+        sys.executable,
+        "-m",
+        "pytest",
+        "-q",
+        *(str(REPO_ROOT / "tests" / path) for path in ARRAY_PLANE_TESTS),
+    ]
+    if not vectorized:
+        array_plane_cmd = None
+        if in_github_actions() and not args.without_fast:
+            message = f"{SKIP_REASONS[ARRAY_PLANE_STAGE]} (or pass --without-fast)"
+            array_plane_cmd = [sys.executable, "-c", f"raise SystemExit({message!r})"]
     return [
         ("lint (ruff)", lint_cmd),
         ("tier-1 tests", pytest_cmd),
@@ -183,21 +227,11 @@ def stage_plan(args: argparse.Namespace, snapshot_path: str) -> List[Tuple[str, 
                 str(REPO_ROOT / "BENCH_seed.json"),
             ],
         ),
-        (
-            # The tests that pin the exploration phases, the golden build and
-            # the engine cross-validation, forced onto the array message
-            # plane: tier-1 graphs sit below its auto threshold, so the
-            # default stage only covers the per-broadcast form.
-            "array message plane (numpy kernel)",
-            [
-                "REPRO_KERNEL=numpy",
-                sys.executable,
-                "-m",
-                "pytest",
-                "-q",
-                *(str(REPO_ROOT / "tests" / path) for path in ARRAY_PLANE_TESTS),
-            ],
-        ),
+        # The tests that pin the exploration phases, the golden build and the
+        # engine cross-validation, forced onto the array message plane:
+        # tier-1 graphs sit below its auto threshold, so the default stage
+        # only covers the per-broadcast form.
+        (ARRAY_PLANE_STAGE, array_plane_cmd),
         (
             "phase micro-benchmarks (quick mode)",
             [
@@ -405,6 +439,12 @@ def main(argv=None) -> int:
         default=None,
         help="keep the golden-counter snapshot at this path (for CI artifacts)",
     )
+    parser.add_argument(
+        "--without-fast",
+        action="store_true",
+        help="this run covers the pure-Python fallback on purpose: skip the "
+        "numpy-pinned stage instead of failing when numpy/scipy are missing",
+    )
     args = parser.parse_args(argv)
 
     if args.snapshot:
@@ -418,10 +458,11 @@ def main(argv=None) -> int:
     results: List[StageResult] = []
     failed = False
     try:
-        for name, cmd in stage_plan(args, snapshot):
+        for name, cmd in stage_plan(args, snapshot, vectorized_tier_available()):
             if cmd is None:
                 results.append(StageResult(name=name, status="skipped"))
-                print(f"==> {name}: skipped", flush=True)
+                reason = f" ({SKIP_REASONS[name]})" if name in SKIP_REASONS else ""
+                print(f"==> {name}: skipped{reason}", flush=True)
                 continue
             if failed:
                 results.append(StageResult(name=name, status="skipped"))

@@ -1,0 +1,72 @@
+#!/usr/bin/env python
+"""Kernel parity gate: ``new-centralized`` spanners match under both kernels.
+
+Builds ``new-centralized`` on one seeded ``sparse_gnp`` graph twice, under
+``--kernel python`` (the CPython loops) and ``--kernel auto`` (which past the
+``auto`` thresholds of :mod:`repro.kernels` runs the vectorized tier, and
+the compiled per-center traversal in particular), and fails unless both
+spanners have exactly the same edge set.  The defaults are the ``central-20k``
+benchmark's first graph: n=20000, expected degree 16, seed 3.  Run::
+
+    python scripts/kernel_parity.py [--size N] [--degree D] [--seed S]
+
+Exits 1 on a mismatch, and also when the vectorized tier cannot run here
+(NumPy/SciPy missing) or the build merged no cluster, because then the check
+would compare the pure-Python path with itself.
+"""
+
+from __future__ import annotations
+
+import argparse
+import sys
+from pathlib import Path
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(REPO_ROOT / "src"))
+
+import repro  # noqa: E402
+from repro import kernels  # noqa: E402
+from repro.graphs.generators import make_workload  # noqa: E402
+
+
+def spanner_edges(graph, seed: int, mode: str):
+    """The sorted ``new-centralized`` spanner edges and merges under ``mode``."""
+    kernels.set_kernel(mode)
+    run = repro.build("new-centralized", graph, seed=seed)
+    merges = sum(int(phase["cluster_merges"]) for phase in run.phases)
+    return sorted(run.spanner.edge_set()), merges
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--size", type=int, default=20000)
+    parser.add_argument("--degree", type=float, default=16.0)
+    parser.add_argument("--seed", type=int, default=3)
+    args = parser.parse_args(argv)
+
+    if not kernels.numpy_available():
+        print("kernel parity: numpy/scipy are not installed; nothing to compare")
+        return 1
+    graph = make_workload(
+        "sparse_gnp", args.size, seed=args.seed, p=args.degree / (args.size - 1)
+    )
+    python_edges, merges = spanner_edges(graph, args.seed, kernels.KERNEL_PYTHON)
+    auto_edges, _ = spanner_edges(graph, args.seed, kernels.KERNEL_AUTO)
+    label = f"n={args.size} degree={args.degree:g} seed={args.seed}"
+    if merges == 0:
+        print(f"kernel parity: {label}: no cluster merges, so no deep exploration ran")
+        return 1
+    if python_edges != auto_edges:
+        only_python = len(set(python_edges) - set(auto_edges))
+        only_auto = len(set(auto_edges) - set(python_edges))
+        print(
+            f"kernel parity: {label}: spanners differ "
+            f"({only_python} edges only under python, {only_auto} only under auto)"
+        )
+        return 1
+    print(f"kernel parity: {label}: {len(auto_edges)} identical spanner edges")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -8,6 +8,9 @@ reproduction -- BFS sweeps, the CONGEST simulator's per-node neighbour
 tables, distance caches -- iterates this snapshot instead of the mutable
 per-vertex ``set`` adjacency.
 
+Row entries are interned: :meth:`CSRGraph.rows` and ``Graph`` adjacency sets
+hold the one ``int`` object per vertex id from :func:`vertex_ids`.
+
 Snapshot contract: a ``CSRGraph`` never changes.  ``Graph.csr()`` returns a
 cached snapshot and invalidates it on any mutation (``add_edge`` /
 ``remove_edge``), so holding on to a snapshot across mutations yields the
@@ -16,21 +19,45 @@ cached snapshot and invalidates it on any mutation (``add_edge`` /
 Vectorized kernel tier (PR 7): :attr:`CSRGraph.indptr_np` / :attr:`CSRGraph.adj_np`
 expose the same two buffers as **zero-copy, read-only** NumPy views, and
 :meth:`CSRGraph.scipy_csr` wraps them in a cached ``scipy.sparse.csr_matrix``
-handle sharing the index storage.  Because the views live on the snapshot,
-the existing ``Graph.version`` contract is exactly their invalidation rule:
-a mutation drops the cached snapshot, and the next ``Graph.csr()`` call
-yields a fresh one with fresh views, while views held from the old snapshot
-keep showing the old topology.
+handle sharing the index storage, with broadcast ``float64`` unit data that
+``scipy.sparse.csgraph`` traversals (the centralized engine's per-center
+exploration) read without a per-call conversion.  Because the views live on
+the snapshot, the existing ``Graph.version`` contract is exactly their
+invalidation rule: a mutation drops the cached snapshot, and the next
+``Graph.csr()`` call yields a fresh one with fresh views, while views held
+from the old snapshot keep showing the old topology.
 """
 
 from __future__ import annotations
 
+import threading
 from array import array
 from itertools import islice
 from typing import TYPE_CHECKING, Iterator, List, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from .graph import Edge, Graph
+
+_vertex_ids: List[int] = []
+_vertex_ids_lock = threading.Lock()
+
+
+def vertex_ids(n: int) -> List[int]:
+    """The process-wide id list: ``vertex_ids(n)[v]`` is *the* ``int`` for ``v``.
+
+    Every id above CPython's small-int cache is otherwise a fresh object per
+    occurrence: each adjacency entry a generator inserts, each row entry read
+    back from an ``array('q')``.  ``Graph`` adjacency sets and
+    :meth:`CSRGraph.rows` store ids from this one list instead, so a vertex
+    is one object however many graphs and snapshots mention it.  The list
+    only grows (to the largest ``n`` asked for) and is at least ``n`` long.
+    """
+    ids = _vertex_ids
+    if len(ids) < n:
+        with _vertex_ids_lock:
+            # Appending under the lock keeps ids[v] == v for racing callers.
+            ids.extend(range(len(ids), n))
+    return ids
 
 
 class CSRGraph:
@@ -108,16 +135,17 @@ class CSRGraph:
         every visit, while the flat ``indptr``/``adj`` pair remains the
         canonical storage.
 
-        The rows share one ``int`` object per vertex id: every neighbour
-        entry is looked up in a single ``range(n)`` list and the rows are
-        slices of that interned flat tuple.  Reading a row back from the
-        ``array('q')`` buffer would allocate a fresh object per entry for
-        every id above CPython's small-int cache, which on sparse graphs
-        outweighs the tuples themselves.
+        The rows share one ``int`` object per vertex id, the same one the
+        graph's adjacency sets hold: every neighbour entry is looked up in
+        :func:`vertex_ids` and the rows are slices of that interned flat
+        tuple.  Reading a row back from the ``array('q')`` buffer would
+        allocate a fresh object per entry for every id above CPython's
+        small-int cache, which on sparse graphs outweighs the tuples
+        themselves.
         """
         if not self._rows and self._n:
             indptr = self.indptr
-            flat = tuple(map(list(range(self._n)).__getitem__, self.adj))
+            flat = tuple(map(vertex_ids(self._n).__getitem__, self.adj))
             self._rows = [flat[a:b] for a, b in zip(indptr, islice(indptr, 1, None))]
         return self._rows
 
@@ -156,8 +184,11 @@ class CSRGraph:
         """The snapshot as a cached ``scipy.sparse.csr_matrix`` (n x n, 0/1).
 
         The matrix's ``indptr``/``indices`` share this snapshot's buffers
-        (zero-copy; only the unit ``data`` vector is allocated), so building
-        it costs O(m) once and nothing afterwards.  Like every derived view
+        (zero-copy), and its unit ``data`` is one read-only ``float64`` 1.0
+        broadcast over all ``2m`` entries, so the handle pins no O(m) array of
+        its own.  ``float64`` is the dtype ``scipy.sparse.csgraph`` works in:
+        its traversals read this matrix as is instead of converting the data
+        on every call.  Like every derived view
         it is invalidated through the ``Graph.version`` contract: mutations
         drop the graph's cached snapshot, and the next ``Graph.csr()`` hands
         out a fresh snapshot with a fresh matrix, while a held handle keeps
@@ -174,8 +205,8 @@ class CSRGraph:
             # index arrays; assembling the matrix attribute-wise keeps the
             # zero-copy contract.  Rows are sorted and duplicate-free by
             # CSRGraph construction, so the canonical-format flags hold.
-            matrix = sparse.csr_matrix((self._n, self._n), dtype=np.int64)
-            matrix.data = np.ones(len(self.adj), dtype=np.int64)
+            matrix = sparse.csr_matrix((self._n, self._n), dtype=np.float64)
+            matrix.data = np.broadcast_to(np.float64(1.0), (len(self.adj),))
             matrix.indices = adj_np
             matrix.indptr = indptr_np
             matrix.has_sorted_indices = True

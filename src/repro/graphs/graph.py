@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
-from .csr import CSRGraph
+from .csr import CSRGraph, vertex_ids
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .distances import DistanceCache
@@ -164,8 +164,9 @@ class Graph:
             raise ValueError(f"self-loops are not allowed (vertex {u})")
         if v in self._adj[u]:
             return False
-        self._adj[u].add(v)
-        self._adj[v].add(u)
+        ids = vertex_ids(self._n)
+        self._adj[u].add(ids[v])
+        self._adj[v].add(ids[u])
         self._num_edges += 1
         self._invalidate()
         return True
@@ -174,11 +175,15 @@ class Graph:
         """Add many edges; return the number of edges actually inserted.
 
         Batch path: validates and inserts inline and invalidates the derived
-        snapshots once at the end instead of per edge.
+        snapshots once at the end instead of per edge.  Like :meth:`add_edge`
+        it stores the shared :func:`~repro.graphs.csr.vertex_ids` objects,
+        not the caller's: a sparse graph's adjacency would otherwise hold one
+        ``int`` per edge endpoint.
         """
         added = 0
         adj = self._adj
         n = self._n
+        ids = vertex_ids(n)
         try:
             for u, v in edges:
                 if not (0 <= u < n and 0 <= v < n):
@@ -189,8 +194,8 @@ class Graph:
                 adj_u = adj[u]
                 if v in adj_u:
                     continue
-                adj_u.add(v)
-                adj[v].add(u)
+                adj_u.add(ids[v])
+                adj[v].add(ids[u])
                 added += 1
         finally:
             # An invalid edge mid-batch must not desynchronize the edge count

@@ -1,15 +1,17 @@
 """Kernel backend selection: pure-Python loops vs NumPy/SciPy vectorized sweeps.
 
 The hot kernels of the reproduction -- BFS frontiers, cluster-table bulk
-queries, the stretch evaluator, the exploration phases' message plane --
-exist in two implementations:
+queries, the stretch evaluator, the exploration phases' message plane, the
+centralized engine's per-center exploration -- exist in two implementations:
 
 * the historical **pure-Python** loops over flat ``array('q')`` buffers (the
   only implementation until PR 7, and still the only one when NumPy is not
   installed); and
 * a **vectorized** tier over zero-copy NumPy views of the same CSR buffers
-  (``CSRGraph.indptr_np`` / ``adj_np``), which wins past a few tens of
-  thousands of vertices and is what pushes the capacity ladder to n >= 100k.
+  (``CSRGraph.indptr_np`` / ``adj_np``) and SciPy's compiled graph
+  traversals over the ``CSRGraph.scipy_csr()`` handle, which wins past a few
+  tens of thousands of vertices and is what pushes the capacity ladder to
+  n >= 100k.
 
 This module is the single switch deciding which one runs.  Selection rules:
 
@@ -19,9 +21,10 @@ This module is the single switch deciding which one runs.  Selection rules:
 * ``auto`` selects the vectorized tier for graphs with at least
   :data:`AUTO_MIN_VERTICES` vertices and the pure-Python tier below -- small
   graphs (every golden workload, every tier-1 test default) therefore run the
-  historical loops bit-for-bit.  The fault-free exploration phases cross over
-  much earlier and have their own threshold,
-  :data:`AUTO_MIN_SCHEDULE_VERTICES`, passed to :func:`use_numpy`;
+  historical loops bit-for-bit.  Kernels that cross over earlier pass their
+  own threshold to :func:`use_numpy`: the fault-free exploration phases
+  :data:`AUTO_MIN_SCHEDULE_VERTICES`, the centralized engine's per-center
+  traversal :data:`AUTO_MIN_TRAVERSAL_VERTICES`;
 * when NumPy/SciPy are missing (they are an *optional* extra:
   ``pip install .[fast]``), every mode silently resolves to ``python``.
 
@@ -35,7 +38,8 @@ wall-clock.
 
 NumPy and SciPy are imported lazily on first use, never at import time, so
 the pure-Python tier works on a bare interpreter; :func:`require_numpy`
-imports NumPy alone, and SciPy waits for the first scipy CSR handle.
+imports NumPy alone, SciPy waits for the first scipy CSR handle, and
+:func:`require_csgraph` imports the compiled traversals.
 """
 
 from __future__ import annotations
@@ -72,6 +76,19 @@ AUTO_MIN_VERTICES = 32768
 #: separate from :data:`AUTO_MIN_VERTICES` because the BFS-style sweeps
 #: still lose below ~16k vertices.
 AUTO_MIN_SCHEDULE_VERTICES = 2048
+
+#: ``auto`` threshold of the centralized engine's exploration (Algorithm 1):
+#: its per-center sweeps run as SciPy's compiled breadth-first traversal from
+#: this many vertices up.  Measured on sparse_gnp degree-16 new-centralized
+#: builds (median of 10 per size, in process, 2-vCPU VM), the traversal takes
+#: 0.63x of the CPython loop's build time at n=1024, 0.41x at 2048, 0.40x at
+#: 4096, 0.28x at 8192, 0.23x at 12000 and 16384 and 0.25x at 20000.  The
+#: one-off import of NumPy, scipy.sparse and scipy.sparse.csgraph costs
+#: 0.25-0.43 s and 45 MB of resident memory.  At 8192 a build saves ~190 ms,
+#: so the import is repaid from the second build on; at 4096 (~47 ms saved)
+#: it would take six to nine builds.  The central-20k benchmark (n=20000)
+#: takes the traversal; the 512-vertex serve catalogue stays far below.
+AUTO_MIN_TRAVERSAL_VERTICES = 8192
 
 _requested: Optional[str] = None
 _numpy_modules: Optional[tuple] = None
@@ -169,6 +186,14 @@ def require_scipy_sparse():
     return modules[1]
 
 
+def require_csgraph():
+    """The ``scipy.sparse.csgraph`` module (the compiled graph traversals)."""
+    require_scipy_sparse()
+    import scipy.sparse.csgraph
+
+    return scipy.sparse.csgraph
+
+
 def set_kernel(mode: str) -> None:
     """Select the kernel mode for this process and its worker children.
 
@@ -219,6 +244,8 @@ def use_numpy(num_vertices: int, min_vertices: int = AUTO_MIN_VERTICES) -> bool:
 
     ``min_vertices`` is the kernel's ``auto`` threshold:
     :data:`AUTO_MIN_VERTICES` for the BFS-style sweeps,
-    :data:`AUTO_MIN_SCHEDULE_VERTICES` for the exploration phases.
+    :data:`AUTO_MIN_SCHEDULE_VERTICES` for the exploration phases,
+    :data:`AUTO_MIN_TRAVERSAL_VERTICES` for the centralized engine's
+    per-center traversal.
     """
     return active_backend(num_vertices, min_vertices) == KERNEL_NUMPY

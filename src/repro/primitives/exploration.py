@@ -52,7 +52,13 @@ from ..congest.faults import FaultPlan, fault_round_limit, fresh_fault_counters
 from ..congest.message import Message
 from ..congest.node import NodeContext, NodeProgram
 from ..congest.simulator import ProtocolRun, Simulator
-from ..kernels import AUTO_MIN_SCHEDULE_VERTICES, require_numpy, use_numpy
+from ..kernels import (
+    AUTO_MIN_SCHEDULE_VERTICES,
+    AUTO_MIN_TRAVERSAL_VERTICES,
+    require_csgraph,
+    require_numpy,
+    use_numpy,
+)
 
 EXPLORE_TAG = "explore"
 
@@ -721,13 +727,37 @@ class CenterExploration:
 
     near_centers: Dict[int, Sequence[int]]
     # Dense per-center parent arrays: Python lists on the pure backend,
-    # ``numpy.int64`` arrays on the vectorized one (element-identical).
+    # ``numpy.int32`` arrays from the compiled traversal (element-identical).
     parents: Dict[int, Sequence[int]]
     popular: Set[int]
     centers: List[int]
     depth: int
     cap: int
     nominal_rounds: int
+
+
+def _depth_cut(order, parent, center: int, depth: int) -> int:
+    """Length of the prefix of a breadth-first ``order`` within ``depth`` hops.
+
+    ``order`` lists the levels back to back, so the prefix is all of it
+    unless its last vertex lies more than ``depth`` hops out.  Otherwise the
+    level boundaries follow from parent positions, which never decrease
+    along a FIFO order: level ``d + 1`` starts at the first vertex whose
+    parent lies at or past the start of level ``d``.
+    """
+    v, hops = int(order[-1]), 0
+    while v != center and hops <= depth:
+        v, hops = int(parent[v]), hops + 1
+    if hops <= depth:
+        return len(order)
+    np = require_numpy()
+    position = np.empty(len(parent), dtype=np.int64)
+    position[order] = np.arange(len(order))
+    parent_position = position[parent[order[1:]]]
+    start = 1  # level 1 starts right after the root
+    for _ in range(depth):
+        start = 1 + int(np.searchsorted(parent_position, start))
+    return start
 
 
 def centralized_engine_exploration(
@@ -738,10 +768,20 @@ def centralized_engine_exploration(
 ) -> CenterExploration:
     """Exact per-center exploration in flat arrays (centralized engine hot path).
 
-    Runs one depth-bounded frontier sweep per center over the CSR snapshot,
-    recording only parent pointers (a dense list per center) and the centers
-    encountered.  Visit order matches :func:`centralized_bounded_exploration`
-    exactly, so the parent chains equal its via chains.
+    Runs one depth-bounded breadth-first sweep per center over the CSR
+    snapshot, recording only parent pointers (a dense array per center) and
+    the centers encountered.  Visit order matches
+    :func:`centralized_bounded_exploration` exactly, so the parent chains
+    equal its via chains.
+
+    The sweep has two backends, chosen by :mod:`repro.kernels` with the
+    :data:`~repro.kernels.AUTO_MIN_TRAVERSAL_VERTICES` threshold: a CPython
+    frontier loop over ``CSRGraph.rows()``, and SciPy's compiled
+    ``breadth_first_order`` over ``CSRGraph.scipy_csr()``, cut back to
+    ``depth`` afterwards.  Both give the same parents: the traversal is a
+    FIFO queue scanning each sorted row in order, so every vertex's
+    predecessor is the loop's first toucher.  Depth 1 takes neither (see
+    :class:`CenterExploration`).
     """
     n = graph.num_vertices
     center_list = sorted(set(centers))
@@ -774,44 +814,22 @@ def centralized_engine_exploration(
                 is_center[center] = 1
             for center in center_list:
                 near_centers[center] = [v for v in rows[center] if is_center[v]]
-    elif use_numpy(n):
-        # Vectorized per-center sweep.  The scalar loop's first-toucher-wins
-        # parent rule is replicated exactly: the level expansion gathers the
-        # frontier rows in frontier order (and each CSR row is sorted), so
-        # the first occurrence of a fresh vertex in the gathered array is the
-        # scalar winner -- ``np.unique(..., return_index=True)`` recovers it,
-        # and re-sorting the unique vertices by first occurrence restores the
-        # discovery-order frontier the next level's gather depends on.
+    elif use_numpy(n, AUTO_MIN_TRAVERSAL_VERTICES):
+        # The compiled traversal does not stop at ``depth``; the cut does.
         np = require_numpy()
-        csr = graph.csr()
-        indptr = csr.indptr_np
-        adj = csr.adj_np
+        breadth_first_order = require_csgraph().breadth_first_order
+        matrix = graph.csr().scipy_csr()
         centers_np = np.asarray(center_list, dtype=np.int64)
         for center in center_list:
-            parent = np.full(n, -1, dtype=np.int64)
+            order, parent = breadth_first_order(
+                matrix, center, directed=True, return_predecessors=True
+            )
+            # SciPy marks unreached vertices (and the root) with -9999.
+            np.maximum(parent, -1, out=parent)
             parent[center] = center
-            frontier = np.asarray([center], dtype=np.int64)
-            d = 0
-            while frontier.size and d < depth:
-                d += 1
-                starts = indptr[frontier]
-                counts = indptr[frontier + 1] - starts
-                total = int(counts.sum())
-                if total == 0:
-                    break
-                flat = (
-                    np.repeat(starts - (np.cumsum(counts) - counts), counts)
-                    + np.arange(total)
-                )
-                neighbors = adj[flat]
-                fresh_mask = parent[neighbors] < 0
-                fresh = neighbors[fresh_mask]
-                if fresh.size == 0:
-                    break
-                src = np.repeat(frontier, counts)[fresh_mask]
-                uniq, first = np.unique(fresh, return_index=True)
-                parent[uniq] = src[first]
-                frontier = uniq[np.argsort(first, kind="stable")]
+            cut = _depth_cut(order, parent, center, depth)
+            if cut < len(order):
+                parent[order[cut:]] = -1
             reached = centers_np[parent[centers_np] >= 0]
             near_centers[center] = reached[reached != center].tolist()
             parents[center] = parent

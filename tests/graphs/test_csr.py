@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import pytest
 
+import repro.graphs.csr as csr_module
+from repro.graphs.csr import vertex_ids
 from repro.graphs import (
     CSRGraph,
     Graph,
@@ -68,6 +73,27 @@ class TestRoundTrip:
         assert rows[600][0] is rows[700][0]  # vertex 500
         assert rows[500][1] is rows[600][1] is rows[999][0]  # vertex 700
         assert rows[0] == ()
+
+
+    def test_vertex_ids_grow_consistently_under_racing_threads(self, monkeypatch):
+        monkeypatch.setattr(csr_module, "_vertex_ids", [])
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            sizes = [37 * k for k in range(1, 200)]
+            threads = [
+                threading.Thread(target=lambda s=sizes[i::12]: [vertex_ids(n) for n in s])
+                for i in range(12)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(switch)
+        ids = vertex_ids(0)
+        assert ids == list(range(max(sizes)))
 
 
 class TestSnapshotContract:

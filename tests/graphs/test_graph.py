@@ -70,6 +70,23 @@ class TestMutation:
         assert g.num_edges == 1
         assert not g.has_edge(0, 1)
 
+    def test_adjacency_and_rows_share_one_object_per_vertex_id(self):
+        # int("...") yields fresh objects above the small-int cache; both
+        # insertion paths must store the shared id instead.
+        a = Graph(5000)
+        a.add_edge(int("1000"), int("4321"))
+        b = Graph(4500)
+        b.add_edges([(int("4321"), int("2000"))])
+        (in_a,) = a.neighbors(1000)
+        (in_b,) = b.neighbors(2000)
+        assert in_a == 4321 and in_a is in_b
+        assert a.csr().rows()[1000][0] is in_a
+        assert b.csr().rows()[2000][0] is in_a
+        (back_a,) = a.neighbors(4321)
+        (back_b,) = b.neighbors(4321)
+        assert back_a == 1000 and back_a is a.csr().rows()[4321][0]
+        assert back_b == 2000 and back_b is b.csr().rows()[4321][0]
+
     def test_degree_updates(self):
         g = Graph(4)
         g.add_edge(0, 1)

@@ -15,6 +15,7 @@ contract, and the :class:`DistanceCache` backend-switch behaviour.
 
 from __future__ import annotations
 
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -31,7 +32,7 @@ from repro.core.cluster_table import (
     flat_collections_partition_vertices,
 )
 from repro.core.parameters import StretchGuarantee
-from repro.graphs import gnp_random_graph
+from repro.graphs import Graph, disjoint_union, gnp_random_graph, sparse_gnp_random_graph
 from repro.graphs.bfs import bfs_distances
 from repro.graphs.distances import distance_histogram, single_source_distances
 from repro.primitives.exploration import centralized_engine_exploration
@@ -189,6 +190,15 @@ class TestStretchEquivalence:
 # ----------------------------------------------------------------------
 # Centralized exploration + trace-back
 # ----------------------------------------------------------------------
+def exploration_outcome(graph, centers, depth, cap):
+    """Near centers, parents (int lists), popular set and trace-back edges."""
+    exploration = centralized_engine_exploration(graph, centers, depth=depth, cap=cap)
+    near = {c: list(v) for c, v in exploration.near_centers.items()}
+    parents = {c: [int(p) for p in v] for c, v in exploration.parents.items()}
+    edges = centralized_traceback_flat(exploration, near)
+    return near, parents, exploration.popular, sorted(edges)
+
+
 class TestExplorationEquivalence:
     @pytest.mark.parametrize("depth", [2, 4])
     def test_exploration_and_traceback_match(self, kernel, depth):
@@ -214,6 +224,27 @@ class TestExplorationEquivalence:
         # The trace-back edges feed JSON digests: no numpy scalars may leak.
         for edge in np_[2]:
             assert all(type(endpoint) is int for endpoint in edge)
+
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_workloads_match(self, kernel, seed):
+        # Several components plus isolated vertices, random centers in all of
+        # them, and depths from 0 up past the components' diameters.
+        rng = random.Random(seed)
+        parts = [
+            sparse_gnp_random_graph(rng.randint(20, 90), rng.uniform(0.02, 0.12), seed=seed + k)
+            for k in range(rng.randint(1, 3))
+        ]
+        graph = disjoint_union(parts + [Graph(rng.randint(0, 4))])
+        centers = rng.sample(range(graph.num_vertices), rng.randint(1, graph.num_vertices // 3))
+        for depth in (0, 1, 2, rng.randint(3, 12)):
+            py, np_ = both_backends(
+                kernel, lambda d=depth: exploration_outcome(graph, centers, d, cap=3)
+            )
+            assert py == np_
+            _near, parents, _popular, edges = np_
+            assert all(min(parent) >= -1 for parent in parents.values())
+            assert all(type(endpoint) is int for edge in edges for endpoint in edge)
 
 
 class TestEngineEquivalence:
@@ -261,6 +292,19 @@ class TestCSRViews:
     def test_scipy_handle_is_cached_per_snapshot(self):
         csr = workload(30, 0.2, seed=0).csr()
         assert csr.scipy_csr() is csr.scipy_csr()
+
+    def test_scipy_handle_is_read_by_csgraph_without_conversion(self):
+        np = kernels.require_numpy()
+        csr = workload(30, 0.2, seed=0).csr()
+        matrix = csr.scipy_csr()
+        # float64 is csgraph's working dtype, so its validation keeps the
+        # matrix as is; the unit data is one broadcast value, not an array.
+        assert matrix.dtype == np.float64
+        assert matrix.astype(np.float64, copy=False) is matrix
+        assert matrix.data.shape == (len(csr.adj),)
+        assert matrix.data.strides == (0,) and not matrix.data.flags.writeable
+        assert matrix.data[0] == 1.0
+        assert np.shares_memory(matrix.indices, csr.adj_np)
 
     def test_graph_version_invalidates_the_scipy_view(self, kernel):
         kernel(kernels.KERNEL_NUMPY)
@@ -327,6 +371,16 @@ class TestKernelSelector:
         assert kernels.use_numpy(threshold, threshold)
         assert not kernels.use_numpy(threshold)
 
+    def test_auto_traversal_threshold(self, kernel):
+        kernel(kernels.KERNEL_AUTO)
+        threshold = kernels.AUTO_MIN_TRAVERSAL_VERTICES
+        # central-20k (n=20000) engages it, the 512-vertex serve catalogue
+        # stays far below it.
+        assert 4 * 512 <= threshold <= 20000
+        assert not kernels.use_numpy(threshold - 1, threshold)
+        assert kernels.use_numpy(threshold, threshold)
+        assert not kernels.use_numpy(threshold)
+
     def test_env_var_resolution(self, kernel, monkeypatch):
         monkeypatch.setattr(kernels, "_requested", None)
         monkeypatch.setenv(kernels.KERNEL_ENV_VAR, "python")
@@ -353,7 +407,14 @@ class TestKernelSelector:
             "graph = sparse_gnp_random_graph(n, 8 / n, seed=1)\n"
             "result = repro.build('new-distributed', graph, seed=1)\n"
             "assert result.spanner.num_edges > 0\n"
+            # So has the centralized engine's compiled traversal.
+            "from repro.kernels import AUTO_MIN_TRAVERSAL_VERTICES\n"
+            "n = AUTO_MIN_TRAVERSAL_VERTICES - 1\n"
+            "graph = sparse_gnp_random_graph(n, 16 / n, seed=3)\n"
+            "result = repro.build('new-centralized', graph, seed=3)\n"
+            "assert result.spanner.num_edges < graph.num_edges\n"
             "assert 'numpy' not in sys.modules, 'numpy imported on a small pure-Python workload'\n"
+            "assert 'scipy' not in sys.modules, 'scipy imported on a small pure-Python workload'\n"
         )
         proc = _run_isolated(code)
         assert proc.returncode == 0, proc.stderr

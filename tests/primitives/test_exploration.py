@@ -24,6 +24,7 @@ from repro.graphs import (
     bfs_distances,
     complete_graph,
     cycle_graph,
+    disjoint_union,
     gnp_random_graph,
     grid_graph,
     path_graph,
@@ -31,7 +32,8 @@ from repro.graphs import (
     star_graph,
 )
 from repro.primitives import centralized_bounded_exploration, run_bounded_exploration
-from repro.primitives.exploration import _run_exploration_once
+from repro.primitives.exploration import _run_exploration_once, centralized_engine_exploration
+from repro.primitives.traceback import centralized_traceback_flat
 
 
 def run_both(graph, centers, depth, cap):
@@ -308,6 +310,56 @@ class TestArrayTierEquivalence:
         packed = exploration_module._first_arrivals(np, keys, 10)
         fallback = exploration_module._first_arrivals(np, keys, 1 << 62)
         assert packed.tolist() == fallback.tolist() == expected
+
+
+def engine_outcome(graph, centers, depth, cap):
+    """Near centers, parents (int lists), popular set and trace-back edges."""
+    exploration = centralized_engine_exploration(graph, centers, depth, cap)
+    near = {c: list(v) for c, v in exploration.near_centers.items()}
+    parents = {c: [int(p) for p in v] for c, v in exploration.parents.items()}
+    edges = centralized_traceback_flat(exploration, near)
+    return near, parents, exploration.popular, sorted(edges)
+
+
+ENGINE_CASES = {
+    "components": (
+        disjoint_union([sparse_gnp_random_graph(40, 0.1, seed=3), grid_graph(4, 5), path_graph(7)]),
+        [0, 11, 39, 40, 52, 59, 60, 66],
+    ),
+    "isolated-centers": (Graph(9, [(0, 1), (1, 2), (2, 3), (5, 6)]), [0, 3, 4, 6, 8]),
+    "sparse-gnp": (sparse_gnp_random_graph(150, 0.03, seed=21), range(0, 150, 4)),
+    # Eccentricity 18 from the corners: every depth below it truncates.
+    "grid": (grid_graph(10, 10), [0, 9, 45, 90, 99]),
+}
+
+
+@needs_numpy
+class TestCompiledTraversalEquivalence:
+    """The centralized engine's compiled traversal matches the CPython loop."""
+
+    @pytest.mark.parametrize("case", sorted(ENGINE_CASES))
+    @pytest.mark.parametrize("depth", [0, 1, 2, 5])
+    def test_backends_agree(self, kernel, case, depth):
+        graph, centers = ENGINE_CASES[case]
+        kernel(kernels.KERNEL_PYTHON)
+        expected = engine_outcome(graph, centers, depth, cap=2)
+        kernel(kernels.KERNEL_NUMPY)
+        outcome = engine_outcome(graph, centers, depth, cap=2)
+        assert outcome == expected
+        _near, parents, _popular, edges = outcome
+        # SciPy's -9999 "unreached" sentinel never reaches the output.
+        assert all(min(parent) >= -1 for parent in parents.values())
+        assert all(type(endpoint) is int for edge in edges for endpoint in edge)
+
+    @pytest.mark.parametrize("depth", [0, 2, 7, 17, 18])
+    def test_parents_stop_at_depth(self, kernel, depth):
+        graph, centers = ENGINE_CASES["grid"]
+        kernel(kernels.KERNEL_NUMPY)
+        exploration = centralized_engine_exploration(graph, centers, depth, cap=2)
+        for center in centers:
+            dist = bfs_distances(graph, center)
+            reached = {v for v, p in enumerate(exploration.parents[center]) if p >= 0}
+            assert reached == {v for v, d in dist.items() if d <= depth}
 
 
 class TestBroadcastScheduleErrorPaths:

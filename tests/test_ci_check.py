@@ -9,6 +9,7 @@ propagation, GitHub Actions annotations and the step-summary table.
 from __future__ import annotations
 
 import importlib.util
+import subprocess
 import sys
 from pathlib import Path
 from types import SimpleNamespace
@@ -52,6 +53,12 @@ def ci_check():
         sys.modules.pop(spec.name, None)
 
 
+@pytest.fixture(autouse=True)
+def vectorized(ci_check, monkeypatch):
+    """Pretend numpy/scipy are installed, so the plan is environment-independent."""
+    monkeypatch.setattr(ci_check, "vectorized_tier_available", lambda: True)
+
+
 @pytest.fixture()
 def no_github(monkeypatch):
     monkeypatch.delenv("GITHUB_ACTIONS", raising=False)
@@ -70,7 +77,7 @@ def without_ruff(ci_check, monkeypatch):
 
 
 def _args(**overrides):
-    base = {"fast": False, "junitxml": None, "snapshot": None}
+    base = {"fast": False, "junitxml": None, "snapshot": None, "without_fast": False}
     base.update(overrides)
     return SimpleNamespace(**base)
 
@@ -146,6 +153,30 @@ class TestStagePlan:
         assert stage[0] == "REPRO_KERNEL=numpy"
         assert any(part.endswith("test_exploration.py") for part in stage)
         assert any(part.endswith("test_golden_run.py") for part in stage)
+
+    def test_array_plane_stage_skips_locally_without_numpy(self, ci_check, no_github):
+        plan = ci_check.stage_plan(_args(), "snap.json", vectorized=False)
+        assert [name for name, _ in plan] == EXPECTED_STAGE_ORDER
+        assert dict(plan)["array message plane (numpy kernel)"] is None
+
+    def test_array_plane_stage_fails_in_github_actions_without_numpy(self, ci_check, monkeypatch):
+        monkeypatch.setenv("GITHUB_ACTIONS", "true")
+        plan = dict(ci_check.stage_plan(_args(), "snap.json", vectorized=False))
+        stage = plan["array message plane (numpy kernel)"]
+        assert "REPRO_KERNEL=numpy" not in stage
+        proc = subprocess.run(stage, capture_output=True, text=True)
+        assert proc.returncode != 0
+        assert "numpy/scipy are not installed" in proc.stderr
+
+    def test_without_fast_declares_the_fallback_leg(self, ci_check, monkeypatch):
+        monkeypatch.setenv("GITHUB_ACTIONS", "true")
+        plan = dict(
+            ci_check.stage_plan(_args(without_fast=True), "snap.json", vectorized=False)
+        )
+        assert plan["array message plane (numpy kernel)"] is None
+        # With numpy installed the flag changes nothing.
+        plan = dict(ci_check.stage_plan(_args(without_fast=True), "snap.json"))
+        assert plan["array message plane (numpy kernel)"][0] == "REPRO_KERNEL=numpy"
 
     def test_numpy_capacity_stage_forces_the_kernel_flag(self, ci_check):
         plan = dict(ci_check.stage_plan(_args(), "snap.json"))
@@ -234,6 +265,17 @@ class TestMainOrchestration:
         assert len(fake.calls) == len(EXPECTED_STAGE_ORDER) - 2
         out = capsys.readouterr().out
         assert "tier-1 tests: skipped" in out
+
+    def test_missing_numpy_skips_the_array_plane_with_a_notice(
+        self, ci_check, monkeypatch, capsys, no_github, with_ruff
+    ):
+        monkeypatch.setattr(ci_check, "vectorized_tier_available", lambda: False)
+        fake = FakeRun()
+        monkeypatch.setattr(ci_check.subprocess, "run", fake)
+        assert ci_check.main([]) == 0
+        assert len(fake.calls) == len(EXPECTED_STAGE_ORDER) - 1
+        out = capsys.readouterr().out
+        assert "array message plane (numpy kernel): skipped (numpy/scipy are not installed" in out
 
     def test_nonzero_stage_fails_run_and_skips_the_rest(self, ci_check, monkeypatch, capsys, no_github, with_ruff):
         fake = FakeRun(returncodes={"bench_compare.py": 3})
