@@ -12,11 +12,12 @@ performance:
 
 Typical usage::
 
-    # record the current tree as the baseline
-    python scripts/bench_compare.py --output BENCH_seed.json
+    # after a change: record the snapshot (to the untracked
+    # bench-snapshot.json by default) and compare it with the baseline
+    python scripts/bench_compare.py --baseline BENCH_seed.json
 
-    # after a change: record and compare
-    python scripts/bench_compare.py --output BENCH_pr1.json --baseline BENCH_seed.json
+    # re-record the committed golden-counter baseline on purpose
+    python scripts/bench_compare.py --output BENCH_seed.json
 
 The comparison prints a per-benchmark speedup table and re-checks that the
 golden counters are unchanged; a golden mismatch exits non-zero because it
@@ -187,7 +188,11 @@ def compare(current: Dict[str, object], baseline: Dict[str, object]) -> int:
 
 def main(argv: List[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--output", default="BENCH_pr1.json", help="where to write the snapshot")
+    parser.add_argument(
+        "--output",
+        default="bench-snapshot.json",
+        help="where to write the snapshot (default: bench-snapshot.json, not tracked)",
+    )
     parser.add_argument("--baseline", default=None, help="baseline snapshot to diff against")
     parser.add_argument("-k", "--keyword", default="", help="pytest -k filter for the benchmarks")
     parser.add_argument(

@@ -16,8 +16,9 @@ Runs, in order (see :func:`stage_plan`):
    against the committed ``BENCH_seed.json``: the fixed distributed build and
    BFS-forest protocol must stay bit-identical.  ``--snapshot PATH`` keeps
    the produced snapshot (CI uploads it as an artifact).
-5. ``array message plane (numpy kernel)`` -- the exploration, golden-run
-   and engine cross-validation tests under ``REPRO_KERNEL=numpy``.  It needs
+5. ``array message plane (numpy kernel)`` -- the exploration, trace-back,
+   degradation-verifier, golden-run and engine cross-validation tests under
+   ``REPRO_KERNEL=numpy``.  It needs
    the ``fast`` extra (NumPy/SciPy): without it the stage fails under GitHub
    Actions, unless ``--without-fast`` declares a leg that covers the
    pure-Python fallback on purpose, and is skipped with a notice locally.
@@ -109,6 +110,8 @@ QUICK_SERVE_REQUESTS = "200"
 #: Test files the array-message-plane stage runs under ``REPRO_KERNEL=numpy``.
 ARRAY_PLANE_TESTS = (
     "primitives/test_exploration.py",
+    "primitives/test_traceback.py",
+    "analysis/test_degradation.py",
     "congest/test_golden_run.py",
     "core/test_engine_cross_validation.py",
 )
@@ -227,8 +230,9 @@ def stage_plan(
                 str(REPO_ROOT / "BENCH_seed.json"),
             ],
         ),
-        # The tests that pin the exploration phases, the golden build and the
-        # engine cross-validation, forced onto the array message plane:
+        # The tests that pin the exploration phases and the readers of its
+        # knowledge, the golden build and the engine cross-validation, forced
+        # onto the array message plane:
         # tier-1 graphs sit below its auto threshold, so the default stage
         # only covers the per-broadcast form.
         (ARRAY_PLANE_STAGE, array_plane_cmd),

@@ -50,11 +50,13 @@ class NodeContext:
         self.round_index = 0
         self._outbox: List[Tuple[int, Message]] = []
         self._max_words = max_words_per_message
-        # ``(neighbor, inbox)`` pairs resolved by the simulator at
-        # context-build time (ascending neighbour order); broadcast delivery
-        # iterates this one prebuilt tuple instead of re-zipping the
-        # neighbour list against the global inbox table per broadcast.
-        self._neighbor_pairs: Tuple[Tuple[int, List[Message]], ...] = ()
+        # ``(neighbor, inbox)`` pairs in ascending neighbour order, resolved
+        # by the simulator on this node's first broadcast (``None`` until
+        # then; an isolated node gets the empty tuple).  Later broadcasts
+        # iterate this one tuple instead of re-zipping the neighbour list
+        # against the global inbox table, and nodes that never broadcast
+        # (every node program of a fault-free build) never build it.
+        self._neighbor_pairs: Optional[Tuple[Tuple[int, List[Message]], ...]] = None
         # Shared per-round sender registry (installed by the simulator): a
         # context appends itself on the round's first queueing, so delivery
         # drains exactly the nodes that sent instead of scanning all that ran.

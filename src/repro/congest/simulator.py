@@ -73,6 +73,15 @@ DEFAULT_BANDWIDTH_MESSAGES = 1
 BROADCAST_BLOCK = 1 << 16
 
 
+def _resolve_pairs(
+    ctx: NodeContext, inboxes: List[List[Message]]
+) -> Tuple[Tuple[int, List[Message]], ...]:
+    """Build and cache ``ctx``'s ``(neighbor, inbox)`` pairs on its first broadcast."""
+    pairs = tuple((nb, inboxes[nb]) for nb in ctx.neighbors)
+    ctx._neighbor_pairs = pairs
+    return pairs
+
+
 @dataclass
 class ProtocolRun:
     """Outcome of executing one protocol to quiescence."""
@@ -153,13 +162,10 @@ class Simulator:
                 NodeContext(v, rows[v], max_words) for v in range(self.graph.num_vertices)
             ]
             inboxes = [[] for _ in range(self.graph.num_vertices)]
-            # Pre-resolve each node's (neighbour, inbox) pairs so broadcast
-            # delivery iterates one prebuilt tuple instead of zipping the
-            # neighbour list against the global inbox table per broadcast,
-            # and install the shared sender registry.
+            # Install the shared sender registry.  Each context's (neighbour,
+            # inbox) pairs are resolved by _deliver on its first broadcast.
             pending: List[NodeContext] = []
             for ctx in contexts:
-                ctx._neighbor_pairs = tuple((nb, inboxes[nb]) for nb in ctx.neighbors)
                 ctx._pending = pending
             self._contexts = contexts
             self._inboxes = inboxes
@@ -697,6 +703,8 @@ class Simulator:
                 neighbor, message = outbox[0]
                 if neighbor == BROADCAST_DEST:
                     pairs = ctx._neighbor_pairs
+                    if pairs is None:
+                        pairs = _resolve_pairs(ctx, inboxes)
                     if pairs:
                         messages += len(pairs)
                         words += message.words * len(pairs)
@@ -720,7 +728,10 @@ class Simulator:
                 for neighbor, message in outbox:
                     if neighbor == BROADCAST_DEST:
                         message_words = message.words
-                        for nb, inbox in ctx._neighbor_pairs:
+                        pairs = ctx._neighbor_pairs
+                        if pairs is None:
+                            pairs = _resolve_pairs(ctx, inboxes)
+                        for nb, inbox in pairs:
                             messages += 1
                             words += message_words
                             if not inbox:

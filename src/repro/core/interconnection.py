@@ -26,11 +26,8 @@ def interconnection_requests(
     this is exactly the set of centers within ``delta_i``.
     """
     requests: Dict[int, List[int]] = {}
-    known_dist = exploration.known_dist
     for center in unclustered_centers:
-        targets = [c for c in known_dist[center] if c != center]
-        targets.sort()
-        requests[center] = targets
+        requests[center] = [c for c in exploration.known_centers(center) if c != center]
     return requests
 
 

@@ -23,9 +23,20 @@ It runs in one of two forms, chosen by :mod:`repro.kernels`:
   and the form below :data:`~repro.kernels.AUTO_MIN_SCHEDULE_VERTICES`;
 * as arrays (:meth:`~repro.congest.simulator.Simulator.run_broadcast_arrays`),
   where each block of deliveries is reduced to its first arrivals per
-  ``(receiver, center)`` with one sort, and only the learns are written back.
+  ``(receiver, center)`` with one sort, and the learns stay in arrays: a
+  sorted key array with parallel via and distance arrays, plus each phase's
+  learn log in delivery order.
 
-Both give identical knowledge, dict insertion order included, and identical
+The per-broadcast form writes the knowledge into per-vertex dicts.
+:class:`ExplorationResult` answers the same accessors over either backing
+(``popular``, :meth:`~ExplorationResult.known_centers`,
+:meth:`~ExplorationResult.distance_to`, :meth:`~ExplorationResult.via`,
+:meth:`~ExplorationResult.trace_path`), which is all the engine reads: the
+interconnection requests and the trace-back programs.  The dict views
+``known_dist``/``known_via``/``known`` are built from the array logs only
+when something asks for them (tests, the degradation verifiers, notebooks),
+so a fault-free array-tier build never creates a knowledge dict.  Both forms
+give identical knowledge, dict insertion order included, and identical
 ledger charges and tracer events.  Under a
 :class:`~repro.congest.faults.FaultPlan` the phases run as per-node programs
 on the simulator's round loop, whose delivery applies the plan.  Rounds in
@@ -62,9 +73,6 @@ from ..kernels import (
 
 EXPLORE_TAG = "explore"
 
-# Learns written into the knowledge dicts per slice of the array tier.
-_WRITE_SLICE = 2048
-
 # The array tier packs ``key * block + position`` into one int64 sort key
 # below this bound and falls back to a stable argsort above it.
 _PACKED_KEY_LIMIT = 1 << 63
@@ -88,22 +96,33 @@ class KnownCenter(NamedTuple):
 class ExplorationResult:
     """Outcome of Algorithm 1.
 
-    The knowledge is carried in two flat per-vertex int dictionaries --
-    ``known_dist[v]`` maps center -> recorded distance and ``known_via[v]``
-    maps center -> the neighbour that delivered the information (``None`` for
-    the center itself).  Storing plain ints keeps the learn event of the
-    exploration protocol allocation-free, which dominates the whole build's
-    message volume.
+    What every vertex knows -- for each center it learned, the recorded
+    distance and the neighbour that delivered it (``None`` for the center
+    itself) -- has one of two backings:
 
-    ``known`` materializes the legacy ``center ->``
-    :class:`KnownCenter` maps lazily for callers that want the combined
-    records (tests, notebooks); the hot paths read the int dicts directly.
+    * **dicts**: ``known_dist[v]`` maps center -> distance and
+      ``known_via[v]`` maps center -> via-neighbour.  The per-broadcast
+      Python tier, the fault-plan program path and
+      :func:`centralized_bounded_exploration` write these directly.
+    * **arrays** (:class:`_KnowledgeArrays`): the array tier keeps the
+      sorted ``receiver * n + center`` keys with parallel via and distance
+      arrays, plus each phase's learn log in delivery order, and writes no
+      per-vertex dict.
+
+    The accessors :meth:`known_centers`, :meth:`distance_to`, :meth:`via`
+    and :meth:`trace_path` and the ``popular`` set answer the same over
+    either backing; the engine's readers (the interconnection requests and
+    the trace-back programs) use only those.  ``known_dist``, ``known_via``
+    and the combined :class:`KnownCenter` view ``known`` are lazy on the
+    array backing: the first read replays the learn logs into dicts whose
+    contents and insertion order are exactly what the Python tier writes,
+    and the result switches to the dict backing from then on, so the
+    accessors see any later change to the dicts on both backings.  Tests,
+    :mod:`repro.analysis.degradation` and notebooks read the dicts; a
+    fault-free build never does.
 
     Attributes
     ----------
-    known_dist / known_via:
-        Flat per-vertex knowledge (vertices that are centers know themselves
-        at distance 0 with via ``None``).
     popular:
         The set ``W_i`` of popular centers.
     centers:
@@ -115,8 +134,6 @@ class ExplorationResult:
     """
 
     __slots__ = (
-        "known_dist",
-        "known_via",
         "popular",
         "centers",
         "depth",
@@ -126,13 +143,16 @@ class ExplorationResult:
         "messages",
         "fault_counters",
         "attempts",
+        "_known_dist",
+        "_known_via",
+        "_arrays",
         "_known",
     )
 
     def __init__(
         self,
-        known_dist: List[Dict[int, int]],
-        known_via: List[Dict[int, Optional[int]]],
+        known_dist: Optional[List[Dict[int, int]]],
+        known_via: Optional[List[Dict[int, Optional[int]]]],
         popular: Set[int],
         centers: List[int],
         depth: int,
@@ -142,9 +162,11 @@ class ExplorationResult:
         messages: int = 0,
         fault_counters: Optional[Dict[str, int]] = None,
         attempts: int = 1,
+        arrays: Optional[_KnowledgeArrays] = None,
     ) -> None:
-        self.known_dist = known_dist
-        self.known_via = known_via
+        self._known_dist = known_dist
+        self._known_via = known_via
+        self._arrays = arrays
         self.popular = popular
         self.centers = centers
         self.depth = depth
@@ -155,6 +177,25 @@ class ExplorationResult:
         self.fault_counters = fault_counters
         self.attempts = attempts
         self._known: Optional[List[Dict[int, KnownCenter]]] = None
+
+    def _materialize(self) -> None:
+        """Replace the array backing by the dicts its learn logs replay to."""
+        self._known_dist, self._known_via = self._arrays.dicts(self.centers)
+        self._arrays = None
+
+    @property
+    def known_dist(self) -> List[Dict[int, int]]:
+        """``known_dist[v]``: center -> recorded distance (lazy on the array backing)."""
+        if self._arrays is not None:
+            self._materialize()
+        return self._known_dist
+
+    @property
+    def known_via(self) -> List[Dict[int, Optional[int]]]:
+        """``known_via[v]``: center -> via-neighbour (lazy on the array backing)."""
+        if self._arrays is not None:
+            self._materialize()
+        return self._known_via
 
     @property
     def known(self) -> List[Dict[int, KnownCenter]]:
@@ -172,28 +213,125 @@ class ExplorationResult:
 
     def known_centers(self, v: int) -> List[int]:
         """Centers known to ``v``, sorted."""
-        return sorted(self.known_dist[v].keys())
+        if self._arrays is not None:
+            return self._arrays.centers_of(v)
+        return sorted(self._known_dist[v])
 
     def distance_to(self, v: int, center: int) -> Optional[int]:
         """Recorded distance from ``v`` to ``center`` (``None`` if unknown)."""
-        return self.known_dist[v].get(center)
+        if self._arrays is not None:
+            return self._arrays.distance(v, center)
+        return self._known_dist[v].get(center)
+
+    def via(self, v: int, center: int) -> Optional[int]:
+        """The neighbour that told ``v`` about ``center``.
+
+        ``None`` when ``v`` does not know ``center`` or is ``center``.
+        """
+        if self._arrays is not None:
+            return self._arrays.via(v, center)
+        return self._known_via[v].get(center)
 
     def trace_path(self, v: int, center: int) -> List[int]:
-        """Follow via-pointers from ``v`` to ``center``; returns the vertex path."""
-        if center not in self.known_dist[v]:
+        """Follow via-pointers from ``v`` to ``center``; returns the vertex path.
+
+        The chain of a sound result is exactly as long as the recorded
+        distance, so a longer (or cyclic) one raises instead of looping.
+        """
+        distance = self.distance_to(v, center)
+        if distance is None:
             raise ValueError(f"vertex {v} does not know center {center}")
         path = [v]
         current = v
-        known_via = self.known_via
         while current != center:
-            via = known_via[current].get(center)
-            if via is None:
+            via = self.via(current, center)
+            if via is None or len(path) > distance:
                 raise ValueError(
                     f"broken via chain while tracing from {v} to {center} at {current}"
                 )
             current = via
             path.append(current)
         return path
+
+
+class _KnowledgeArrays:
+    """Algorithm 1's knowledge as the array tier leaves it.
+
+    ``keys`` holds every known ``receiver * n + center`` in ascending order
+    (so each receiver's centers form one sorted row, delimited by
+    ``row_starts``), with the parallel ``vias`` (``-1`` for a center knowing
+    itself) and ``dists``.  ``logs`` holds one ``(keys, vias)`` pair of
+    arrays per phase, the learns of phase ``j`` (all at distance ``j``) in
+    delivery order: replaying them reproduces the Python tier's dicts,
+    insertion order included.
+    """
+
+    __slots__ = ("n", "keys", "vias", "dists", "row_starts", "logs")
+
+    def __init__(self, n: int, keys, vias, dists, logs) -> None:
+        np = require_numpy()
+        self.n = n
+        self.keys = keys
+        self.vias = vias
+        self.dists = dists
+        self.logs = logs
+        self.row_starts = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(keys // n, minlength=n), out=self.row_starts[1:])
+
+    def popular(self, centers: List[int], cap: int) -> Set[int]:
+        """The ``centers`` that know at least ``cap`` other centers."""
+        np = require_numpy()
+        ids = np.asarray(centers, dtype=np.int64)
+        sizes = self.row_starts[ids + 1] - self.row_starts[ids]
+        return set(ids[sizes - 1 >= cap].tolist())
+
+    def centers_of(self, v: int) -> List[int]:
+        base = v * self.n
+        return (self.keys[self.row_starts[v]:self.row_starts[v + 1]] - base).tolist()
+
+    def _find(self, v: int, center: int) -> int:
+        """Index of ``(v, center)`` in ``keys``, or -1 when ``v`` does not know it."""
+        key = v * self.n + center
+        keys = self.keys
+        i = int(keys.searchsorted(key))
+        return i if i < len(keys) and keys[i] == key else -1
+
+    def distance(self, v: int, center: int) -> Optional[int]:
+        i = self._find(v, center)
+        return int(self.dists[i]) if i >= 0 else None
+
+    def via(self, v: int, center: int) -> Optional[int]:
+        i = self._find(v, center)
+        if i < 0:
+            return None
+        via = int(self.vias[i])
+        return via if via >= 0 else None
+
+    def dicts(
+        self, centers: List[int]
+    ) -> Tuple[List[Dict[int, int]], List[Dict[int, Optional[int]]]]:
+        """The ``known_dist``/``known_via`` dicts, written in learn order."""
+        n = self.n
+        known_dist, known_via = _self_knowledge(n, centers)
+        for distance, (keys, vias) in enumerate(self.logs, 1):
+            for learner, center, via in zip(
+                (keys // n).tolist(), (keys % n).tolist(), vias.tolist()
+            ):
+                known_dist[learner][center] = distance
+                known_via[learner][center] = via
+        return known_dist, known_via
+
+
+def _self_knowledge(
+    n: int, centers: List[int]
+) -> Tuple[List[Dict[int, int]], List[Dict[int, Optional[int]]]]:
+    """Fresh ``known_dist``/``known_via`` dicts in which each center knows itself."""
+    known_dist: List[Dict[int, int]] = [dict() for _ in range(n)]
+    known_via: List[Dict[int, Optional[int]]] = [dict() for _ in range(n)]
+    for center in centers:
+        known_dist[center][center] = 0
+        known_via[center][center] = None
+    return known_dist, known_via
 
 
 class _ExplorationPhaseProgram(NodeProgram):
@@ -305,8 +443,8 @@ def run_bounded_exploration(
     """Run Algorithm 1 with center set ``centers``, depth ``delta`` and cap ``deg``.
 
     Returns an :class:`ExplorationResult` whose ``popular`` set is the paper's
-    ``W_i`` and whose ``known`` maps drive both the interconnection step and
-    its path trace-back.
+    ``W_i`` and whose knowledge accessors drive both the interconnection step
+    and its path trace-back.
 
     ``fault_plan`` runs the phases under an injected fault schedule (see
     :mod:`repro.congest.faults`): each phase gets a bounded round budget
@@ -364,21 +502,21 @@ def _run_exploration_once(
     against.
     """
     n = simulator.graph.num_vertices
-    known_dist: List[Dict[int, int]] = [dict() for _ in range(n)]
-    known_via: List[Dict[int, Optional[int]]] = [dict() for _ in range(n)]
-    for center in center_list:
-        known_dist[center][center] = 0
-        known_via[center][center] = None
-
+    known_dist: Optional[List[Dict[int, int]]] = None
+    known_via: Optional[List[Dict[int, Optional[int]]]] = None
+    arrays: Optional[_KnowledgeArrays] = None
     fault_totals: Optional[Dict[str, int]] = None
     if plan is None and use_numpy(n, AUTO_MIN_SCHEDULE_VERTICES):
-        runs = _explore_arrays(simulator, center_list, depth, cap, label, known_dist, known_via)
+        runs, arrays = _explore_arrays(simulator, center_list, depth, cap, label)
+        popular = arrays.popular(center_list, cap)
     else:
+        known_dist, known_via = _self_knowledge(n, center_list)
         if plan is not None:
             fault_totals = fresh_fault_counters()
         runs = _explore_queues(
             simulator, center_list, depth, cap, label, known_dist, known_via, plan, fault_totals
         )
+        popular = {center for center in center_list if len(known_dist[center]) - 1 >= cap}
     charged_rounds = 0
     simulated_rounds = 0
     messages = 0
@@ -395,14 +533,10 @@ def _run_exploration_once(
     if idle_rounds:
         simulator.ledger.charge(label=f"{label}:idle-schedule", nominal_rounds=idle_rounds)
 
-    popular = {
-        center
-        for center in center_list
-        if len(known_dist[center]) - 1 >= cap
-    }
     return ExplorationResult(
         known_dist=known_dist,
         known_via=known_via,
+        arrays=arrays,
         popular=popular,
         centers=center_list,
         depth=depth,
@@ -491,43 +625,39 @@ def _explore_arrays(
     depth: int,
     cap: int,
     label: str,
-    known_dist: List[Dict[int, int]],
-    known_via: List[Dict[int, Optional[int]]],
-) -> List[Tuple[int, ProtocolRun]]:
-    """Run the fault-free phases as blocked array reductions; ``(nominal, run)`` per phase.
+) -> Tuple[List[Tuple[int, ProtocolRun]], _KnowledgeArrays]:
+    """Run the fault-free phases as blocked array reductions.
 
-    A phase is :meth:`Simulator.run_broadcast_arrays` over the payload
-    arrays ``(sender, center, round)`` in (round, ascending sender) order.
-    Each delivery block is reduced to its first arrival per ``(receiver,
+    Returns ``(nominal, run)`` per phase and the knowledge as
+    :class:`_KnowledgeArrays`.  A phase is
+    :meth:`Simulator.run_broadcast_arrays` over the payload arrays
+    ``(sender, center, round)`` in (round, ascending sender) order.  Each
+    delivery block is reduced to its first arrival per ``(receiver,
     center)`` key (:func:`_first_arrivals`, delivery order breaking ties as
     the per-broadcast form does); the keys already known are dropped against
     two sorted key arrays, the entries known before the phase and those
-    learned in it, and only the learns are written into the dicts, in
-    delivery order, so each dict's insertion order matches the per-broadcast
-    form too.  Fault-free, every payload of phase ``j``
-    carries distance ``j - 1``, so every learn of phase ``j`` is at distance
-    ``j``.
+    learned in it, and the learns are appended to the phase's log in
+    delivery order.  Fault-free, every payload of phase ``j`` carries
+    distance ``j - 1``, so every learn of phase ``j`` is at distance ``j``.
     """
     np = require_numpy()
-    n = len(known_dist)
-    # Object-array gathers hand the write-back loop the dicts and one shared
-    # int object per vertex id, so a learn allocates nothing but its entries.
-    dist_dicts = np.empty(n, dtype=object)
-    dist_dicts[:] = known_dist
-    via_dicts = np.empty(n, dtype=object)
-    via_dicts[:] = known_via
-    ids = np.array(range(n), dtype=object)
-
+    n = simulator.graph.num_vertices
     centers = np.asarray(center_list, dtype=np.int64)
     # Sorted keys ``receiver * n + center`` of the entries known before the
-    # current phase, and of those learned in it so far (merged at its end).
+    # current phase, with their vias and distances, and the keys learned in
+    # the phase so far (merged at its end).
     known = centers * (n + 1)
+    vias = np.full(len(centers), -1, dtype=np.int64)
+    dists = np.zeros(len(centers), dtype=np.int64)
+    logs = []
     senders, sent_centers, rounds = centers, centers, np.zeros(len(centers), dtype=np.int64)
     runs: List[Tuple[int, ProtocolRun]] = []
     for phase in range(1, depth + 1):
         if not len(senders):
             break
         learned = centers[:0]
+        log_keys = [learned]
+        log_vias = [learned]
 
         def deliver(payloads, receivers) -> None:
             nonlocal learned
@@ -540,12 +670,8 @@ def _explore_arrays(
                 return
             learned = np.insert(learned, slots[new], fresh[new])
             first = np.sort(first[new])
-            learners = receivers[first]
-            sources = payloads[first]
-            _write_learns(
-                dist_dicts, via_dicts, ids, phase,
-                learners, sent_centers[sources], senders[sources],
-            )
+            log_keys.append(keys[first])
+            log_vias.append(senders[payloads[first]])
 
         phase_nominal = _phase_nominal(phase, cap)
         run = simulator.run_broadcast_arrays(
@@ -553,7 +679,14 @@ def _explore_arrays(
             label=f"{label}:phase{phase}", nominal_rounds=phase_nominal,
         )
         runs.append((phase_nominal, run))
-        known = np.insert(known, np.searchsorted(known, learned), learned)
+        phase_keys = np.concatenate(log_keys)
+        phase_vias = np.concatenate(log_vias)
+        logs.append((phase_keys, phase_vias))
+        # ``learned`` is the phase's log sorted by key.
+        slots = np.searchsorted(known, learned)
+        known = np.insert(known, slots, learned)
+        vias = np.insert(vias, slots, phase_vias[np.argsort(phase_keys)])
+        dists = np.insert(dists, slots, phase)
         # The next phase's payloads, as in the per-broadcast form: every
         # learner forwards its ``cap`` smallest new centers, in ascending
         # center order from round 0, and the payloads go out in (round,
@@ -564,7 +697,7 @@ def _explore_arrays(
         order = np.argsort(rank[kept], kind="stable")
         forwarded = learned[kept][order]
         senders, sent_centers, rounds = forwarded // n, forwarded % n, rank[kept][order]
-    return runs
+    return runs, _KnowledgeArrays(n, known, vias, dists, logs)
 
 
 def _contains(np, sorted_keys, keys, slots=None):
@@ -600,25 +733,6 @@ def _first_arrivals(np, keys, key_bound: int):
     heads[:1] = True
     np.not_equal(grouped[1:], grouped[:-1], out=heads[1:])
     return positions[heads]
-
-
-def _write_learns(dist_dicts, via_dicts, ids, distance, learners, centers, vias) -> None:
-    """Record ``known_dist[u][c] = distance`` and ``known_via[u][c] = via`` per learn.
-
-    Learns are written in slices of :data:`_WRITE_SLICE`, so the Python
-    lists feeding the loop stay small however large the block.
-    """
-    for lo in range(0, len(learners), _WRITE_SLICE):
-        hi = lo + _WRITE_SLICE
-        rows = learners[lo:hi]
-        for dist_u, via_u, center, via in zip(
-            dist_dicts[rows].tolist(),
-            via_dicts[rows].tolist(),
-            ids[centers[lo:hi]].tolist(),
-            ids[vias[lo:hi]].tolist(),
-        ):
-            dist_u[center] = distance
-            via_u[center] = via
 
 
 def _phase_crashes(

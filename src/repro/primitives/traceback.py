@@ -46,24 +46,26 @@ class TracebackResult:
 class _TracebackProgram(NodeProgram):
     """Forwards trace-back requests along via-pointers, marking traversed edges.
 
-    Most vertices never participate in a given trace-back, so the per-node
-    containers (marked edges, forwarded-target set, per-neighbour queues) are
-    allocated lazily on first use instead of eagerly for all ``n`` programs.
+    Each program holds the shared :class:`ExplorationResult` and its own node
+    id and asks :meth:`ExplorationResult.via` for the next hop, so the
+    exploration's knowledge is read in place over either backing (the array
+    tier's knowledge is never turned into dicts).  Most vertices never
+    participate in a given trace-back, so the per-node containers (marked
+    edges, forwarded-target set, per-neighbour queues) are allocated lazily
+    on first use instead of eagerly for all ``n`` programs.
     """
 
-    __slots__ = ("node_id", "known_via", "marked", "forwarded", "queues")
+    __slots__ = ("node_id", "exploration", "marked", "forwarded", "queues")
 
     def __init__(
         self,
         node_id: int,
-        known_via: Dict[int, Optional[int]],
+        exploration: ExplorationResult,
         initial_targets: Sequence[int],
         marked: Set[Tuple[int, int]],
     ) -> None:
         self.node_id = node_id
-        # The exploration's flat via map is read in place; its pointers are
-        # the trace-back directions.
-        self.known_via = known_via
+        self.exploration = exploration
         # Shared edge set owned by the driver: programs mark traversed edges
         # directly into it, so no per-node result sweep is needed.
         self.marked = marked
@@ -80,9 +82,9 @@ class _TracebackProgram(NodeProgram):
             forwarded = self.forwarded = set()
         elif target in forwarded:
             return
-        via = self.known_via.get(target)
+        via = self.exploration.via(self.node_id, target)
         if via is None:
-            # Either we do not know the target or we are the target itself.
+            # We do not know the target.
             return
         forwarded.add(target)
         if self.queues is None:
@@ -144,7 +146,6 @@ def run_traceback(
     """
     graph = simulator.graph
     n = graph.num_vertices
-    known_via = exploration.known_via
     no_requests: Tuple[int, ...] = ()
     edges: Set[Tuple[int, int]] = set()
     programs = []
@@ -152,10 +153,10 @@ def run_traceback(
     for v in range(n):
         targets = requests.get(v)
         if targets is None:
-            programs.append(_TracebackProgram(v, known_via[v], no_requests, edges))
+            programs.append(_TracebackProgram(v, exploration, no_requests, edges))
         else:
             programs.append(
-                _TracebackProgram(v, known_via[v], sorted(set(targets)), edges)
+                _TracebackProgram(v, exploration, sorted(set(targets)), edges)
             )
             initiators.append(v)
     if nominal_rounds is None:
@@ -270,10 +271,9 @@ def centralized_traceback(
 ) -> Set[Tuple[int, int]]:
     """Centralized equivalent of :func:`run_traceback` (used by the reference engine)."""
     edges: Set[Tuple[int, int]] = set()
-    known_dist = exploration.known_dist
     for initiator, targets in requests.items():
         for target in targets:
-            if target == initiator or target not in known_dist[initiator]:
+            if target == initiator or exploration.distance_to(initiator, target) is None:
                 continue
             path = exploration.trace_path(initiator, target)
             for a, b in zip(path, path[1:]):

@@ -17,6 +17,11 @@ from repro.primitives.exploration import run_bounded_exploration
 from repro.primitives.ruling_set import run_ruling_set
 
 
+# Every test runs once per kernel backend: a fault-free exploration under
+# the numpy kernel is array-backed until the verifiers read its dicts.
+pytestmark = pytest.mark.usefixtures("backend")
+
+
 def _gnp(n=40, p=0.12, seed=7):
     return gnp_random_graph(n, p, seed=seed)
 

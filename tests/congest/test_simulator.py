@@ -502,3 +502,124 @@ class TestBroadcastArrays:
                 label="s",
             )
         assert sim.ledger.charges == []
+
+
+class PingLowest(NodeProgram):
+    """Every node sends one point-to-point message to its smallest neighbour."""
+
+    def __init__(self, node_id: int, log) -> None:
+        self.node_id = node_id
+        self.log = log
+
+    def on_start(self, ctx: NodeContext) -> None:
+        if ctx.neighbors:
+            ctx.send_flat(ctx.neighbors[0], "ping", self.node_id)
+
+    def on_round(self, ctx: NodeContext, inbox: List[Message]) -> None:
+        for message in inbox:
+            self.log.append((self.node_id, message.sender, message.content))
+
+
+class DoubleBroadcaster(NodeProgram):
+    """Node 0 broadcasts twice in round 0: two messages on each of its edges."""
+
+    def __init__(self, node_id: int) -> None:
+        self.node_id = node_id
+
+    def on_start(self, ctx: NodeContext) -> None:
+        if self.node_id == 0:
+            ctx.broadcast_flat("a")
+            ctx.broadcast_flat("b")
+
+    def on_round(self, ctx: NodeContext, inbox: List[Message]) -> None:
+        return None
+
+
+class TestLazyBroadcastTables:
+    """A context's ``(neighbor, inbox)`` pairs are built on its first broadcast."""
+
+    QUEUES = [(0, [("a", 1), ("b", 2)]), (5, [("c", 3)]), (7, [("d", 4)] * 2)]
+
+    @classmethod
+    def broadcast_outcome(cls, sim, queues=None, copies=1):
+        """Run :class:`QueueBroadcaster` and record what it shows."""
+        queues = cls.QUEUES if queues is None else queues
+        tracer = sim.tracer = RecordingTracer()
+        log = []
+        by_sender = dict(queues)
+        programs = [
+            QueueBroadcaster(v, by_sender.get(v, ()), log, copies)
+            for v in range(sim.graph.num_vertices)
+        ]
+        before = len(sim.ledger.charges)
+        run = sim.run_protocol(programs, label="lazy", nominal_rounds=9)
+        return run, log, sim.ledger.charges[before:], tracer.events
+
+    @staticmethod
+    def assert_pairs_resolved(sim):
+        """Every built table is what the eager build made: shared inbox lists."""
+        for ctx in sim._contexts:
+            if ctx._neighbor_pairs is not None:
+                assert [nb for nb, _ in ctx._neighbor_pairs] == list(ctx.neighbors)
+                assert all(inbox is sim._inboxes[nb] for nb, inbox in ctx._neighbor_pairs)
+
+    def test_send_only_protocol_builds_no_pair_tuple(self):
+        graph = grid_graph(3, 4)
+        sim = Simulator(graph)
+        log = []
+        run = sim.run_protocol([PingLowest(v, log) for v in range(12)])
+        assert run.messages_delivered == 12 and len(log) == 12
+        assert all(ctx._neighbor_pairs is None for ctx in sim._contexts)
+
+    def test_first_broadcast_after_send_only_protocol_delivers_as_fresh(self):
+        graph = grid_graph(3, 4)
+        sim = Simulator(graph)
+        sim.run_protocol([PingLowest(v, []) for v in range(12)])
+        for copies in (0, 1):
+            outcome = self.broadcast_outcome(sim, copies=copies)
+            assert outcome == self.broadcast_outcome(Simulator(graph), copies=copies)
+            self.assert_pairs_resolved(sim)
+            if not copies:
+                # Only the three queued senders have broadcast so far.
+                built = [ctx.node_id for ctx in sim._contexts if ctx._neighbor_pairs is not None]
+                assert built == [0, 5, 7]
+
+    def test_pairs_rebuilt_after_graph_mutation(self):
+        graph = grid_graph(3, 4)
+        sim = Simulator(graph)
+        self.broadcast_outcome(sim)
+        stale = sim._contexts[0]._neighbor_pairs
+        assert stale is not None
+        graph.add_edge(0, 11)
+        outcome = self.broadcast_outcome(sim)
+        assert outcome == self.broadcast_outcome(Simulator(graph))
+        assert sim._contexts[0]._neighbor_pairs is not stale
+        assert [nb for nb, _ in sim._contexts[0]._neighbor_pairs] == [1, 4, 11]
+        self.assert_pairs_resolved(sim)
+
+    def test_pairs_stay_correct_after_aborted_run_scrub(self):
+        graph = grid_graph(3, 4)
+        sim = Simulator(graph)
+        self.broadcast_outcome(sim)
+        # The double broadcast fills node 0's neighbours' inboxes through
+        # the same pairs before the audit raises; the next run scrubs them.
+        with pytest.raises(CongestionViolation):
+            sim.run_protocol([DoubleBroadcaster(v) for v in range(12)])
+        assert sim._dirty
+        assert self.broadcast_outcome(sim) == self.broadcast_outcome(Simulator(graph))
+        self.assert_pairs_resolved(sim)
+
+    def test_repeated_broadcasts_in_one_round_resolve_pairs(self):
+        sim = Simulator(star_graph(3), strict_congestion=False)
+        run = sim.run_protocol([DoubleBroadcaster(v) for v in range(4)])
+        assert run.messages_delivered == 6
+        assert run.congestion_violations == [(0, 0, nb, 2) for nb in (1, 2, 3)]
+        self.assert_pairs_resolved(sim)
+        assert sim._contexts[0]._neighbor_pairs is not None
+
+    def test_isolated_broadcaster_delivers_nothing(self):
+        sim = Simulator(Graph(3, [(0, 1)]))
+        run, log, charges, events = self.broadcast_outcome(sim, [(2, [("i",)])])
+        assert (run.rounds_executed, run.messages_delivered, log, events) == (0, 0, [], [])
+        assert sim._contexts[2]._neighbor_pairs == ()
+        assert charges[0].messages == 0

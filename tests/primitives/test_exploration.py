@@ -411,3 +411,93 @@ class TestBroadcastScheduleErrorPaths:
         )
         assert reference["known_dist"] == fresh["known_dist"]
         assert reference["known_via"] == fresh["known_via"]
+
+
+def _accessor_outcome(result, n):
+    """Everything the accessors answer, read before any knowledge dict exists."""
+    probes = sorted(set(result.centers) | {0, n - 1})
+    paths = {}
+    for v in range(n):
+        for center in probes:
+            try:
+                paths[v, center] = result.trace_path(v, center)
+            except ValueError as error:
+                paths[v, center] = str(error)
+    return {
+        "known_centers": [result.known_centers(v) for v in range(n)],
+        "distance_to": {(v, c): result.distance_to(v, c) for v in range(n) for c in probes},
+        "via": {(v, c): result.via(v, c) for v in range(n) for c in probes},
+        "self": [(result.distance_to(v, v), result.via(v, v)) for v in range(n)],
+        "trace_path": paths,
+        "popular": result.popular,
+    }
+
+
+class TestKnowledgeAccessors:
+    """Both knowledge backings answer every accessor and dict view alike."""
+
+    @pytest.mark.parametrize("case", sorted(EQUIVALENCE_CASES))
+    def test_accessors_match_reference_programs(self, backend, case):
+        # The python kernel keeps dicts; numpy keeps arrays until a dict is read.
+        graph, centers, depth, cap = EQUIVALENCE_CASES[case]
+        n = graph.num_vertices
+        result = _run_exploration_once(
+            Simulator(graph), sorted(set(centers)), depth, cap, "exploration", None, 1
+        )
+        reference = _run_exploration_once(
+            Simulator(graph), sorted(set(centers)), depth, cap, "exploration", FaultPlan(seed=0), 1
+        )
+        assert (result._arrays is not None) == (backend == kernels.KERNEL_NUMPY)
+        outcome = _accessor_outcome(result, n)
+        assert outcome == _accessor_outcome(reference, n)
+        assert all(type(c) is int for known in outcome["known_centers"] for c in known)
+        assert all(type(d) in (int, type(None)) for d in outcome["distance_to"].values())
+        assert all(type(u) in (int, type(None)) for u in outcome["via"].values())
+        # The lazy views replay the learns in the Python tier's order.
+        assert _insertion_orders(
+            {"known_dist": result.known_dist, "known_via": result.known_via}
+        ) == _insertion_orders(
+            {"known_dist": reference.known_dist, "known_via": reference.known_via}
+        )
+        assert result.known == reference.known
+        # Once materialized, the dicts answer the accessors.
+        assert result._arrays is None
+        assert _accessor_outcome(result, n) == outcome
+
+    def test_trace_path_rejects_a_cyclic_via_chain(self, backend, path_6):
+        result = run_bounded_exploration(Simulator(path_6), [0], depth=3, cap=2)
+        assert result.trace_path(3, 0) == [3, 2, 1, 0]
+        result.known_via[2][0] = 3  # 3 -> 2 -> 3 -> ...
+        with pytest.raises(ValueError, match="broken via chain"):
+            result.trace_path(3, 0)
+
+    @needs_numpy
+    def test_engine_readers_leave_the_array_backing_unmaterialized(self, kernel):
+        from repro.core.interconnection import interconnection_requests
+        from repro.primitives.traceback import run_traceback
+
+        kernel(kernels.KERNEL_NUMPY)
+        graph, centers, depth, cap = EQUIVALENCE_CASES["sparse-gnp-b"]
+        sim = Simulator(graph)
+        result = run_bounded_exploration(sim, centers, depth, cap)
+        requests = interconnection_requests(result.centers, result)
+        traced = run_traceback(sim, result, requests)
+        assert traced.edges
+        assert result._arrays is not None and result._known_dist is None
+        assert result._known_via is None and result._known is None
+
+    @needs_numpy
+    def test_fault_free_array_build_materializes_no_dict(self, kernel, monkeypatch):
+        import repro
+
+        def refuse(*_):
+            raise AssertionError("knowledge dicts materialized")
+
+        kernel(kernels.KERNEL_NUMPY)
+        graph = sparse_gnp_random_graph(300, 0.03, seed=5)
+        expected = sorted(repro.build("new-distributed", graph).spanner.edges())
+        monkeypatch.setattr(exploration_module._KnowledgeArrays, "dicts", refuse)
+        run = repro.build("new-distributed", graph)
+        assert sorted(run.spanner.edges()) == expected
+        # The interconnection step really traced paths over the arrays.
+        assert sum(phase["interconnection_paths"] for phase in run.phases) > 0

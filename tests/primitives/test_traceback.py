@@ -16,6 +16,11 @@ from repro.primitives import (
 )
 
 
+# Every test runs once per kernel backend: the numpy kernel keeps the
+# exploration knowledge as arrays, which the trace-back reads in place.
+pytestmark = pytest.mark.usefixtures("backend")
+
+
 def spanner_from_edges(graph, edges):
     return graph.subgraph_from_edges(edges)
 
