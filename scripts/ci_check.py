@@ -17,8 +17,8 @@ Runs, in order (see :func:`stage_plan`):
    BFS-forest protocol must stay bit-identical.  ``--snapshot PATH`` keeps
    the produced snapshot (CI uploads it as an artifact).
 5. ``array message plane (numpy kernel)`` -- the exploration, trace-back,
-   degradation-verifier, golden-run and engine cross-validation tests under
-   ``REPRO_KERNEL=numpy``.  It needs
+   degradation-verifier, golden-run, engine cross-validation, fault-injection
+   and chaos tests under ``REPRO_KERNEL=numpy``.  It needs
    the ``fast`` extra (NumPy/SciPy): without it the stage fails under GitHub
    Actions, unless ``--without-fast`` declares a leg that covers the
    pure-Python fallback on purpose, and is skipped with a notice locally.
@@ -114,6 +114,10 @@ ARRAY_PLANE_TESTS = (
     "analysis/test_degradation.py",
     "congest/test_golden_run.py",
     "core/test_engine_cross_validation.py",
+    # A fault plan never takes the array tier: the faulted paths run the
+    # same under the pinned numpy kernel.
+    "congest/test_faults.py",
+    "experiments/test_chaos.py",
 )
 
 #: Name of the stage that needs the ``fast`` extra (NumPy/SciPy).

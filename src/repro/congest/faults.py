@@ -20,15 +20,15 @@ Fault classes
   executes again; messages that would be processed at or after the crash
   round are lost.
 
-The plan is applied by the simulator at delivery time (see
-``Simulator.run_protocol``'s ``fault_plan`` argument); protocols cannot
-observe the plan other than through the faults themselves.
+The plan is applied by the simulator at delivery time (see the ``fault_plan``
+argument of ``Simulator.run_protocol`` and ``Simulator.run_broadcast_schedule``);
+protocols cannot observe the plan other than through the faults themselves.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Dict, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass, replace
+from typing import Dict, Mapping, NamedTuple, Optional, Tuple
 
 _MASK64 = (1 << 64) - 1
 
@@ -111,7 +111,12 @@ class FaultPlan:
         for those nodes.  A node crashing at round ``t`` executes rounds
         ``0..t-1`` and never again.
     link_outages:
-        Explicit :class:`LinkOutage` intervals.
+        Explicit :class:`LinkOutage` intervals, in the round numbering of
+        each protocol run.  A primitive made of several sub-protocols
+        (exploration phases, ruling-set knock-outs) starts that numbering
+        at 0 in every sub-protocol, so an outage recurs in each of them;
+        crashes, by contrast, follow the primitive's global schedule (see
+        :func:`window_plan`).
     """
 
     seed: int
@@ -275,6 +280,47 @@ class FaultPlan:
                 LinkOutage(*entry) for entry in data.get("link_outages", ())
             ),
         )
+
+
+def window_plan(
+    plan: FaultPlan, salt: int, crash_at: Mapping[int, int], start: int, length: int
+) -> FaultPlan:
+    """The plan for one window ``[start, start + length)`` of a global schedule.
+
+    Primitives that run as a sequence of sub-protocols (exploration phases,
+    ruling-set knock-outs) give each one ``plan.derive(salt)`` and see the
+    plan's global crash schedule ``crash_at`` (computed once, against the
+    nominal global round numbering) from inside the window: a node crashing
+    at global round ``r`` is dead from local round 0 if ``r <= start``, from
+    local round ``r - start`` if the crash falls inside the window, and
+    alive otherwise.  A crash-stopped node therefore stays dead for the rest
+    of the primitive.  :class:`LinkOutage` windows are *not* projected: each
+    sub-protocol numbers its rounds from 0, so an outage applies again at
+    the start of every window.
+    """
+    local = {}
+    for v, r in crash_at.items():
+        if r <= start:
+            local[v] = 0
+        elif r < start + length:
+            local[v] = r - start
+    return replace(plan.derive(salt), crash_fraction=0.0, crashes=tuple(sorted(local.items())))
+
+
+def add_fault_counters(
+    totals: Optional[Dict[str, int]], counters: Optional[Dict[str, int]]
+) -> None:
+    """Add a sub-protocol's ``counters`` into a primitive's ``totals``.
+
+    ``crashed_nodes`` is skipped: the primitive counts its crash schedule
+    once.  Either side may be ``None`` (no plan, or a window whose plan is
+    inactive), and then nothing is added.
+    """
+    if totals is None or counters is None:
+        return
+    for key, value in counters.items():
+        if key != "crashed_nodes":
+            totals[key] += value
 
 
 def fault_round_limit(nominal_rounds: int, plan: Optional[FaultPlan]) -> int:

@@ -29,10 +29,13 @@ count, the tracer events and the ledger charge exactly as the program form
 would produce them.  The schedule is exact for receivers whose record depends
 only on the order in which they receive: callbacks run in (round, ascending
 sender) order, which is the order in which the program form's receivers
-would read their inboxes.  Two protocols run this way when fault-free:
-Algorithm 1's exploration phases, whose senders are fixed when a phase starts
+would read their inboxes.  Two protocols run this way: Algorithm 1's
+exploration phases, whose senders are fixed when a phase starts
 (:mod:`repro.primitives.exploration`), and depth-bounded BFS forests, whose
-frontier joins round by round (:mod:`repro.primitives.bfs_forest`).
+frontier joins round by round (:mod:`repro.primitives.bfs_forest`).  Under a
+fault plan the same schedule runs on the node-program round loop, one
+private program per vertex handing its inbox to ``deliver``, so every fault
+rule lives in that one loop.
 
 A fixed schedule (no ``step``) with one payload width also has an array form
 on the vectorized kernel tier, :meth:`Simulator.run_broadcast_arrays`: the
@@ -46,7 +49,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..graphs.graph import Graph
@@ -57,7 +60,7 @@ from .errors import (
     ProtocolError,
     RoundLimitExceeded,
 )
-from .faults import NEVER, FaultPlan, fresh_fault_counters
+from .faults import NEVER, FaultPlan, fault_round_limit, fresh_fault_counters
 from .ledger import RoundLedger
 from .message import Message
 from .node import BROADCAST_DEST, NodeContext, NodeProgram
@@ -80,6 +83,47 @@ def _resolve_pairs(
     pairs = tuple((nb, inboxes[nb]) for nb in ctx.neighbors)
     ctx._neighbor_pairs = pairs
     return pairs
+
+
+_node_id = attrgetter("node_id")
+
+
+class _ScheduleProgram(NodeProgram):
+    """One vertex of a broadcast schedule on the node-program loop.
+
+    It broadcasts one queued payload per round and hands every inbox
+    message to the schedule's ``deliver``, with the vertex itself as the
+    receiving row; it is idle once its queue is empty.
+    """
+
+    __slots__ = ("deliver", "row", "payloads", "sent")
+
+    def __init__(
+        self, node_id: int, deliver: Callable[[int, Tuple[Any, ...], Tuple[int, ...]], None]
+    ) -> None:
+        self.deliver = deliver
+        self.row = (node_id,)
+        self.payloads: Sequence[Tuple[Any, ...]] = ()
+        self.sent = 0
+
+    def on_start(self, ctx: NodeContext) -> None:
+        self.send_next(ctx)
+
+    def on_round(self, ctx: NodeContext, inbox: List[Message]) -> None:
+        deliver = self.deliver
+        row = self.row
+        for sender, payload, _ in inbox:
+            deliver(sender, payload, row)
+        self.send_next(ctx)
+
+    def send_next(self, ctx: NodeContext) -> None:
+        sent = self.sent
+        if sent < len(self.payloads):
+            self.sent = sent + 1
+            ctx.broadcast_flat(*self.payloads[sent])
+
+    def is_idle(self) -> bool:
+        return self.sent >= len(self.payloads)
 
 
 @dataclass
@@ -227,39 +271,10 @@ class Simulator:
         n = self.graph.num_vertices
         if len(programs) != n:
             raise ProtocolError(f"expected {n} programs, got {len(programs)}")
-
-        contexts = self._node_contexts()
-        inboxes = self._inboxes
-        if self._dirty:
-            # A previous run aborted mid-round (congestion violation, round
-            # limit, program error); scrub its leftovers before starting.
-            for v in range(n):
-                ctx = contexts[v]
-                ctx._outbox.clear()
-                ctx._dup_possible = False
-                inboxes[v].clear()
-            self._pending.clear()
-            self._dirty = False
-
-        if fault_plan is not None and not fault_plan.active:
-            fault_plan = None
-        try:
-            return self._run_protocol(
-                programs,
-                contexts,
-                inboxes,
-                max_rounds,
-                label,
-                nominal_rounds,
-                initially_awake,
-                collect_results,
-                message_driven,
-                starters,
-                fault_plan,
-            )
-        except BaseException:
-            self._dirty = True
-            raise
+        return self._run_protocol(
+            programs, max_rounds, label, nominal_rounds, initially_awake,
+            collect_results, message_driven, starters, fault_plan,
+        )
 
     def run_broadcast_schedule(
         self,
@@ -269,6 +284,7 @@ class Simulator:
         label: str,
         nominal_rounds: Optional[int] = None,
         step: Optional[Callable[[int], Sequence[Tuple[int, Sequence[Tuple[Any, ...]]]]]] = None,
+        fault_plan: Optional[FaultPlan] = None,
     ) -> ProtocolRun:
         """Run a protocol with a broadcast schedule, without node programs.
 
@@ -297,9 +313,18 @@ class Simulator:
         round ``r`` executes while a broadcast is in flight or a sender still
         holds payloads, the tracer sees one event per executed round, and the
         ledger is charged under ``label``.
+
+        An active ``fault_plan`` runs the same ``queues``, ``deliver`` and
+        ``step`` on :meth:`run_protocol`'s round loop instead, whose delivery
+        applies the plan (see :meth:`_run_schedule_faulted`), within
+        ``fault_round_limit(nominal_rounds, fault_plan)`` rounds.
         """
         rows = self.graph.csr().rows()
         active, words_delivered = self._schedule_entries(queues, rows, 0)
+        if fault_plan is not None and fault_plan.active:
+            return self._run_schedule_faulted(
+                active, deliver, rows, label, nominal_rounds, step, fault_plan
+            )
         tracer = self.tracer
         trace_round = None if type(tracer) is NullTracer else tracer.on_round
         round_index = 0
@@ -459,6 +484,62 @@ class Simulator:
             results=[],
         )
 
+    def _run_schedule_faulted(
+        self,
+        entries: List[Tuple[int, Sequence[Tuple[Any, ...]], Tuple[int, ...], int]],
+        deliver: Callable[[int, Tuple[Any, ...], Tuple[int, ...]], None],
+        rows: Sequence[Tuple[int, ...]],
+        label: str,
+        nominal_rounds: Optional[int],
+        step: Optional[Callable[[int], Sequence[Tuple[int, Sequence[Tuple[Any, ...]]]]]],
+        plan: FaultPlan,
+    ) -> ProtocolRun:
+        """Run checked schedule ``entries`` as node programs under an active ``plan``.
+
+        Every vertex runs a :class:`_ScheduleProgram`, so each fault rule of
+        :meth:`_run_protocol` applies unchanged.  Receivers see their inbox
+        in inbox order, which under delays and duplicates is no longer
+        (round, ascending sender) order, so ``deliver`` must rank what it
+        receives itself.  ``step`` runs at the end of every executed round:
+        its senders broadcast their first payload in that same round, after
+        the round's programs, and the sender registry is put back in
+        ascending order before delivery.
+        """
+        if nominal_rounds is None:
+            raise ValueError("a faulted broadcast schedule needs nominal_rounds")
+        programs = [_ScheduleProgram(v, deliver) for v in range(len(rows))]
+        senders = [entry[0] for entry in entries]
+        for sender, payloads, _, _ in entries:
+            programs[sender].payloads = payloads
+
+        end_of_round = None
+        if step is not None:
+
+            def end_of_round(round_index: int) -> List[int]:
+                joined, _ = self._schedule_entries(step(round_index), rows, round_index)
+                contexts = self._contexts
+                woken = []
+                for sender, payloads, _, _ in joined:
+                    program = programs[sender]
+                    ctx = contexts[sender]
+                    if ctx._outbox or not program.is_idle():
+                        raise ProtocolError(
+                            f"forwarded sender {sender} still holds queued payloads"
+                        )
+                    program.payloads = payloads
+                    program.sent = 0
+                    program.send_next(ctx)
+                    if not program.is_idle():
+                        woken.append(sender)
+                if joined:
+                    self._pending.sort(key=_node_id)
+                return woken
+
+        return self._run_protocol(
+            programs, fault_round_limit(nominal_rounds, plan), label, nominal_rounds,
+            senders, False, False, senders, plan, end_of_round,
+        )
+
     def _schedule_entries(
         self,
         queues: Sequence[Tuple[int, Sequence[Tuple[Any, ...]]]],
@@ -487,19 +568,22 @@ class Simulator:
             previous = sender
             if not payloads:
                 continue
-            widest = max(map(len, payloads))
+            if len(payloads) == 1:
+                # Every forwarded forest sender: skip the two scans.
+                widest = total = len(payloads[0])
+            else:
+                widest = max(map(len, payloads))
+                total = sum(map(len, payloads))
             if widest > max_words:
                 raise MessageTooLarge(widest, max_words)
             row = rows[sender]
-            words += len(row) * sum(map(len, payloads))
+            words += len(row) * total
             entries.append((sender, payloads, row, start))
         return entries, words
 
     def _run_protocol(
         self,
         programs: Sequence[NodeProgram],
-        contexts: List[NodeContext],
-        inboxes: List[List[Message]],
         max_rounds: int,
         label: str,
         nominal_rounds: Optional[int],
@@ -508,8 +592,14 @@ class Simulator:
         message_driven: bool,
         starters: Optional[Sequence[int]],
         plan: Optional[FaultPlan],
+        end_of_round: Optional[Callable[[int], Iterable[int]]] = None,
     ) -> ProtocolRun:
         """Execute the scheduler loop (buffers are clean on entry and exit).
+
+        ``end_of_round(round_index)``, when given, runs at the end of every
+        executed round, after the round's programs and before delivery; it
+        may queue messages through the contexts and returns the nodes that
+        are no longer idle.
 
         With an active ``plan``, :meth:`_deliver_faulted` filters every
         delivery event through the plan; delayed messages join the inboxes of
@@ -528,7 +618,22 @@ class Simulator:
           that would be processed at round >= ``t`` are lost
           (``lost_to_crash``).
         """
+        contexts = self._node_contexts()
+        inboxes = self._inboxes
         n = len(contexts)
+        if self._dirty:
+            # A previous run aborted mid-round (congestion violation, round
+            # limit, program error); scrub its leftovers before starting.
+            for v in range(n):
+                ctx = contexts[v]
+                ctx._outbox.clear()
+                ctx._dup_possible = False
+                inboxes[v].clear()
+            self._pending.clear()
+        # Cleared again only when this run completes.
+        self._dirty = True
+        if plan is not None and not plan.active:
+            plan = None
         # Messages a plan delays, keyed by the round they are due in.
         delayed: Dict[int, List[Tuple[int, Message]]] = {}
         if plan is None:
@@ -631,6 +736,8 @@ class Simulator:
                         awake.discard(v)
                     else:
                         awake.add(v)
+            if end_of_round is not None:
+                awake.update(end_of_round(round_index))
 
             # Only nodes that queued this round are in the sender registry.
             receivers, in_flight, in_flight_words, round_congestion, round_violations = (
@@ -658,6 +765,7 @@ class Simulator:
             words=words_delivered,
             max_edge_congestion=max_congestion,
         )
+        self._dirty = False
         return run
 
     # ------------------------------------------------------------------

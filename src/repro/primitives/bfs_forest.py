@@ -6,18 +6,18 @@ at the set ``RS_i`` is executed to depth ``(2/rho) * delta_i``, producing a
 forest ``F_i`` rooted at the vertices of ``RS_i``.  The ruling set's
 knock-outs are the same protocol with depth ``q``.
 
-Each vertex adopts the first root it hears about (ties broken by root ID, then
-by parent ID, which keeps the construction deterministic) and forwards the
-announcement once, so at most one message crosses any edge in any round --
-well within the CONGEST bandwidth.
+Each vertex adopts the best announcement of the first round in which it hears
+any (the fewest hops, ties broken by root ID, then by parent ID, which keeps
+the construction deterministic) and forwards it once, so at most one message
+crosses any edge in any round -- well within the CONGEST bandwidth.
 
-Fault-free, the forest is level-synchronous: in round ``r`` exactly the
-vertices at distance ``r - 1`` broadcast.  It therefore runs as a broadcast
-schedule (:meth:`~repro.congest.simulator.Simulator.run_broadcast_schedule`)
-whose end-of-round step hands the round's adopters back as the next
-frontier, with no per-vertex programs.  Under a
-:class:`~repro.congest.faults.FaultPlan` it runs as :class:`_ForestProgram`
-instances on the simulator's round loop, whose delivery applies the plan.
+The forest runs as a broadcast schedule
+(:meth:`~repro.congest.simulator.Simulator.run_broadcast_schedule`) whose
+end-of-round step hands the round's adopters back as the next frontier.
+Fault-free it is level-synchronous (in round ``r`` exactly the vertices at
+distance ``r - 1`` broadcast) and runs without per-vertex programs; under a
+:class:`~repro.congest.faults.FaultPlan` the simulator runs the same
+schedule on its round loop, whose delivery applies the plan.
 """
 
 from __future__ import annotations
@@ -26,9 +26,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..congest.errors import ProtocolFault, RoundLimitExceeded
-from ..congest.faults import FaultPlan, fault_round_limit
-from ..congest.message import Message
-from ..congest.node import NodeContext, NodeProgram
+from ..congest.faults import FaultPlan
 from ..congest.simulator import ProtocolRun, Simulator
 
 FOREST_TAG = "forest"
@@ -83,71 +81,6 @@ class ForestResult:
         return path
 
 
-class _ForestProgram(NodeProgram):
-    """Per-vertex program implementing the depth-bounded BFS forest.
-
-    Runs the forest under a :class:`~repro.congest.faults.FaultPlan`, and is
-    the reference the fault-free broadcast schedule is tested against.
-    Adopted labels are written through to the driver's shared ``root`` /
-    ``dist`` / ``parent`` lists as they happen, so callers that do not need
-    the per-node result sweep can skip collection entirely.
-    """
-
-    __slots__ = ("node_id", "is_source", "depth", "root", "dist", "parent", "_shared")
-
-    def __init__(
-        self,
-        node_id: int,
-        is_source: bool,
-        depth: int,
-        shared: Tuple[List[Optional[int]], List[Optional[int]], List[Optional[int]]],
-    ) -> None:
-        self.node_id = node_id
-        self.is_source = is_source
-        self.depth = depth
-        self.root: Optional[int] = node_id if is_source else None
-        self.dist: Optional[int] = 0 if is_source else None
-        self.parent: Optional[int] = None
-        self._shared = shared
-        if is_source:
-            shared[0][node_id] = node_id
-            shared[1][node_id] = 0
-
-    def on_start(self, ctx: NodeContext) -> None:
-        if self.is_source and self.depth > 0:
-            ctx.broadcast_flat(FOREST_TAG, self.node_id, 0)
-
-    def on_round(self, ctx: NodeContext, inbox: List[Message]) -> None:
-        if self.root is not None:
-            return
-        # Adopt the best announcement: smallest distance, then smallest root,
-        # then smallest parent -- deterministic tie breaking.  (Messages are
-        # NamedTuples; unpacking skips the per-message attribute reads.)
-        best: Optional[Tuple[int, int, int]] = None
-        for sender, content, _ in inbox:
-            if content[0] != FOREST_TAG:
-                continue
-            candidate = (content[2] + 1, content[1], sender)
-            if best is None or candidate < best:
-                best = candidate
-        if best is None:
-            return
-        self.dist, self.root, self.parent = best
-        node_id = self.node_id
-        shared = self._shared
-        shared[0][node_id] = self.root
-        shared[1][node_id] = self.dist
-        shared[2][node_id] = self.parent
-        if self.dist < self.depth:
-            ctx.broadcast_flat(FOREST_TAG, self.root, self.dist)
-
-    def is_idle(self) -> bool:
-        return True
-
-    def result(self):
-        return (self.root, self.dist, self.parent)
-
-
 def run_bfs_forest(
     simulator: Simulator,
     sources: Iterable[int],
@@ -163,19 +96,19 @@ def run_bfs_forest(
     (the scheduled exploration depth), matching how the paper accounts for
     this step.
 
-    The forest labels are written through to shared arrays as vertices adopt
-    roots; ``collect_node_results=False`` additionally skips the per-node
-    ``result()`` sweep (``ForestResult.run.results`` is then empty), which
-    callers that only consume ``root``/``dist``/``parent`` use.
+    ``collect_node_results=True`` also fills ``ForestResult.run.results``
+    with each vertex's ``(root, dist, parent)``; callers that only consume
+    the ``root``/``dist``/``parent`` lists pass ``False`` (the results are
+    then empty).
 
     ``fault_plan`` runs the protocol under an injected fault schedule with a
-    bounded round budget (:func:`fault_round_limit`); the construction is
-    retried up to ``max_attempts`` times under derived plans, and a typed
-    :class:`~repro.congest.errors.ProtocolFault` is raised when every attempt
-    exceeds its budget.  Under faults every recorded parent is still a real
-    edge and ``dist`` the real hop count of a real path (safety), but a
-    vertex's tree path may be longer than its true distance and coverage may
-    be incomplete.
+    bounded round budget (:func:`~repro.congest.faults.fault_round_limit`);
+    the construction is retried up to ``max_attempts`` times under derived
+    plans, and a typed :class:`~repro.congest.errors.ProtocolFault` is
+    raised when every attempt exceeds its budget.  Under faults every
+    recorded parent is still a real edge and ``dist`` the real hop count of
+    a real path (safety), but a vertex's tree path may be longer than its
+    true distance and coverage may be incomplete.
     """
     graph = simulator.graph
     n = graph.num_vertices
@@ -187,33 +120,18 @@ def run_bfs_forest(
         raise ValueError("depth must be non-negative")
 
     starters = sorted(source_set)
-    if fault_plan is None or not fault_plan.active:
-        root, dist, parent = _fresh_labels(n, starters)
-        run = _run_forest_schedule(simulator, starters, depth, label, root, dist, parent)
-        if collect_node_results:
-            run.results = list(zip(root, dist, parent))
-        return ForestResult(
-            root=root, dist=dist, parent=parent, depth=depth, nominal_rounds=depth, run=run
-        )
-
-    plans = [fault_plan.retry(k) for k in range(max(1, max_attempts))]
+    active = fault_plan is not None and fault_plan.active
+    plans = [fault_plan.retry(k) for k in range(max(1, max_attempts))] if active else [None]
     for attempt, plan in enumerate(plans):
         root, dist, parent = _fresh_labels(n, starters)
-        shared = (root, dist, parent)
-        programs = [_ForestProgram(v, v in source_set, depth, shared) for v in range(n)]
         try:
-            run = simulator.run_protocol(
-                programs,
-                label=label,
-                nominal_rounds=depth,
-                collect_results=collect_node_results,
-                fault_plan=plan,
-                max_rounds=fault_round_limit(depth, plan),
-            )
+            run = _run_forest_schedule(simulator, starters, depth, label, root, dist, parent, plan)
         except RoundLimitExceeded:
             if attempt == len(plans) - 1:
                 raise ProtocolFault(label, "round-timeout", attempts=len(plans))
             continue
+        if collect_node_results:
+            run.results = list(zip(root, dist, parent))
         return ForestResult(
             root=root,
             dist=dist,
@@ -246,46 +164,55 @@ def _run_forest_schedule(
     root: List[Optional[int]],
     dist: List[Optional[int]],
     parent: List[Optional[int]],
+    plan: Optional[FaultPlan],
 ) -> ProtocolRun:
-    """Grow the fault-free forest as a broadcast schedule, labelling in place.
+    """Grow the forest as a broadcast schedule under ``plan``, labelling in place.
 
-    Round ``r``'s broadcasts all carry distance ``r``, so a receiver's
-    :class:`_ForestProgram` choice -- the smallest ``(dist + 1, root,
-    sender)`` -- is the smallest ``(root, sender)`` among that round's
-    announcements.  Broadcasts arrive in ascending sender order, so a
-    receiver keeps the first sender of the smallest root it sees.  A vertex
-    whose ``dist`` is still ``None`` is undecided: ``root``/``parent`` hold
-    its best offer so far, and the end-of-round step fixes ``dist`` for the
-    round's adopters and returns those below ``depth`` as the next frontier.
+    A vertex whose ``dist`` is still ``None`` is undecided: ``root`` /
+    ``parent`` hold its best offer of the round so far.  Offers rank by
+    ``(hops, root, sender)``; every sender announces its own recorded
+    ``dist``, so an offer's hop count is its sender's ``dist`` plus one.
+    The end-of-round step fixes ``dist`` for the round's adopters and
+    returns those below ``depth`` as the next frontier.  Fault-free, every
+    offer of a round carries the same hop count and arrives in ascending
+    sender order, so a receiver keeps the first sender of the smallest root
+    it sees; under a plan a late offer can carry fewer hops than an on-time
+    one, and inboxes are not in sender order, so the full ranking decides.
     """
     adopters: List[int] = []
 
     def deliver(sender: int, payload: Tuple[str, int, int], row: Tuple[int, ...]) -> None:
-        announced = payload[1]
+        _, announced, sent = payload
         for u in row:
             if dist[u] is None:
                 offered = root[u]
                 if offered is None:
-                    root[u] = announced
-                    parent[u] = sender
                     adopters.append(u)
-                elif announced < offered:
-                    root[u] = announced
-                    parent[u] = sender
+                else:
+                    # Keep the held offer unless ``(sent, announced, sender)``
+                    # ranks below it (spelled out: this is the hot path).
+                    held = dist[parent[u]]
+                    if sent == held:
+                        if announced > offered or (announced == offered and sender > parent[u]):
+                            continue
+                    elif sent > held:
+                        continue
+                root[u] = announced
+                parent[u] = sender
 
     def step(round_index: int) -> List[Tuple[int, Tuple[Tuple[str, int, int]]]]:
         adopters.sort()
-        for u in adopters:
-            dist[u] = round_index
         frontier = []
-        if round_index < depth:
-            frontier = [(u, ((FOREST_TAG, root[u], round_index),)) for u in adopters]
+        for u in adopters:
+            dist[u] = reached = dist[parent[u]] + 1
+            if reached < depth:
+                frontier.append((u, ((FOREST_TAG, root[u], reached),)))
         adopters.clear()
         return frontier
 
     queues = [(s, ((FOREST_TAG, s, 0),)) for s in sources] if depth > 0 else []
     return simulator.run_broadcast_schedule(
-        queues, deliver, label=label, nominal_rounds=depth, step=step
+        queues, deliver, label=label, nominal_rounds=depth, step=step, fault_plan=plan
     )
 
 

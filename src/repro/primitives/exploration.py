@@ -38,11 +38,12 @@ when something asks for them (tests, the degradation verifiers, notebooks),
 so a fault-free array-tier build never creates a knowledge dict.  Both forms
 give identical knowledge, dict insertion order included, and identical
 ledger charges and tracer events.  Under a
-:class:`~repro.congest.faults.FaultPlan` the phases run as per-node programs
-on the simulator's round loop, whose delivery applies the plan.  Rounds in
-which the network is already quiet are skipped by the simulator as a
-wall-clock optimization, but the *nominal* cost charged to the ledger is the
-full ``1 + deg_i * delta_i`` rounds exactly as the paper counts it.
+:class:`~repro.congest.faults.FaultPlan` the per-broadcast form passes each
+phase a phase-derived plan, and the simulator runs that phase on its
+node-program round loop, whose delivery applies the plan.  Rounds in which
+the network is already quiet are skipped by the simulator as a wall-clock
+optimization, but the *nominal* cost charged to the ledger is the full
+``1 + deg_i * delta_i`` rounds exactly as the paper counts it.
 
 Guarantees verified by the test-suite (Theorem 2.1 / Lemma A.1):
 
@@ -55,13 +56,11 @@ Guarantees verified by the test-suite (Theorem 2.1 / Lemma A.1):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from ..congest.errors import ProtocolFault, RoundLimitExceeded
-from ..congest.faults import FaultPlan, fault_round_limit, fresh_fault_counters
-from ..congest.message import Message
-from ..congest.node import NodeContext, NodeProgram
+from ..congest.faults import FaultPlan, add_fault_counters, fresh_fault_counters, window_plan
 from ..congest.simulator import ProtocolRun, Simulator
 from ..kernels import (
     AUTO_MIN_SCHEDULE_VERTICES,
@@ -76,9 +75,6 @@ EXPLORE_TAG = "explore"
 # The array tier packs ``key * block + position`` into one int64 sort key
 # below this bound and falls back to a stable argsort above it.
 _PACKED_KEY_LIMIT = 1 << 63
-
-# Shared empty phase buffer for vertices with nothing to forward.
-_NO_BUFFER: List[Tuple[str, int, int]] = []
 
 # KnownCenter is a NamedTuple with no constructor logic, so the hot loops
 # build entries through tuple.__new__ directly -- ~2x faster than going
@@ -102,7 +98,7 @@ class ExplorationResult:
 
     * **dicts**: ``known_dist[v]`` maps center -> distance and
       ``known_via[v]`` maps center -> via-neighbour.  The per-broadcast
-      Python tier, the fault-plan program path and
+      Python tier (with or without a fault plan) and
       :func:`centralized_bounded_exploration` write these directly.
     * **arrays** (:class:`_KnowledgeArrays`): the array tier keeps the
       sorted ``receiver * n + center`` keys with parallel via and distance
@@ -334,70 +330,6 @@ def _self_knowledge(
     return known_dist, known_via
 
 
-class _ExplorationPhaseProgram(NodeProgram):
-    """One phase of Algorithm 1 as a node program.
-
-    The program flushes its phase buffer at one broadcast per round and
-    records the first arrival of every center.  The fault-free path runs the
-    same phase as a broadcast schedule (:func:`_phase_deliverer`); this
-    per-node form is the one a fault plan injects faults into, and the
-    reference the schedule is tested against.
-    """
-
-    __slots__ = ("node_id", "outbuf", "_next_send", "known_dist", "known_via", "newly_learned", "learners")
-
-    def __init__(
-        self,
-        node_id: int,
-        known_dist: Dict[int, int],
-        known_via: Dict[int, Optional[int]],
-        newly_learned: List[int],
-        learners: List[int],
-    ) -> None:
-        self.node_id = node_id
-        # Payloads to broadcast this phase, installed by the phase runner
-        # (the program never mutates it, so no defensive copy).
-        self.outbuf: Sequence[Tuple[str, int, int]] = _NO_BUFFER
-        self._next_send = 0
-        self.known_dist = known_dist
-        self.known_via = known_via
-        self.newly_learned = newly_learned
-        # Shared registry: a program appends its id on the phase's first
-        # learning event, so the driver visits only the touched vertices.
-        self.learners = learners
-
-    def on_start(self, ctx: NodeContext) -> None:
-        self._send_next(ctx)
-
-    def on_round(self, ctx: NodeContext, inbox: List[Message]) -> None:
-        # Inboxes arrive in ascending sender order (the scheduler drains
-        # outboxes sender-by-sender) with at most one message per sender per
-        # round, so for every center the first arrival is the smallest
-        # announcing sender.
-        known_dist = self.known_dist
-        for sender, content, _ in inbox:
-            _, center, distance = content
-            if center not in known_dist:
-                known_dist[center] = distance + 1
-                self.known_via[center] = sender
-                if not self.newly_learned:
-                    self.learners.append(self.node_id)
-                self.newly_learned.append(center)
-        self._send_next(ctx)
-
-    def _send_next(self, ctx: NodeContext) -> None:
-        i = self._next_send
-        if i < len(self.outbuf):
-            self._next_send = i + 1
-            ctx.broadcast_flat(*self.outbuf[i])
-
-    def is_idle(self) -> bool:
-        return self._next_send >= len(self.outbuf)
-
-    def result(self):
-        return None
-
-
 def _phase_deliverer(
     known_dist: List[Dict[int, int]],
     known_via: List[Dict[int, Optional[int]]],
@@ -407,12 +339,14 @@ def _phase_deliverer(
     """The receivers' side of a phase, for :meth:`Simulator.run_broadcast_schedule`.
 
     A receiver adopts ``(distance + 1, sender)`` for every center it does not
-    know yet.  Within a phase receivers never forward (the phase buffers are
-    fixed when it starts), so taking the broadcasts in (round, ascending
-    sender) order reproduces :class:`_ExplorationPhaseProgram`'s
-    first-arrival-wins knowledge exactly.  This carries most of the build's
-    message volume, so a learn event is two int dict inserts and nothing else
-    is allocated.
+    know yet: the first arrival wins.  Within a phase receivers never
+    forward (the phase buffers are fixed when it starts), so taking the
+    broadcasts in (round, ascending sender) order gives every receiver the
+    knowledge a node program reading its inboxes would record; under a fault
+    plan the simulator makes exactly those reads, one call per received
+    message in inbox order.  This carries most of the build's message
+    volume, so a learn event is two int dict inserts and nothing else is
+    allocated.
     """
 
     def deliver(sender: int, payload: Tuple[str, int, int], row: Tuple[int, ...]) -> None:
@@ -448,8 +382,9 @@ def run_bounded_exploration(
 
     ``fault_plan`` runs the phases under an injected fault schedule (see
     :mod:`repro.congest.faults`): each phase gets a bounded round budget
-    (:func:`fault_round_limit`) so a wedged phase terminates, and the whole
-    primitive is retried up to ``max_attempts`` times under derived plans.
+    (:func:`~repro.congest.faults.fault_round_limit`) so a wedged phase
+    terminates, and the whole primitive is retried up to ``max_attempts``
+    times under derived plans.
     When every attempt times out a typed
     :class:`~repro.congest.errors.ProtocolFault` is raised.  Under faults the
     recorded (distance, via) entries still describe *real* walks in the graph
@@ -493,13 +428,10 @@ def _run_exploration_once(
 ) -> ExplorationResult:
     """One execution of Algorithm 1 from fresh state.
 
-    With no ``plan`` every phase is a broadcast schedule on the simulator:
-    the array form (:func:`_explore_arrays`) when the vectorized tier handles
-    the graph, else the per-broadcast form (:func:`_phase_deliverer`).  With
-    a plan, the phases run as :class:`_ExplorationPhaseProgram` instances
-    under phase-derived plans; an inactive plan runs those programs on the
-    simulator's ordinary scheduler, the reference the schedules are tested
-    against.
+    Every phase is a broadcast schedule on the simulator: the array form
+    (:func:`_explore_arrays`) when there is no ``plan`` and the vectorized
+    tier handles the graph, else the per-broadcast form
+    (:func:`_explore_queues`), which also runs the phases under ``plan``.
     """
     n = simulator.graph.num_vertices
     known_dist: Optional[List[Dict[int, int]]] = None
@@ -567,9 +499,11 @@ def _explore_queues(
 ) -> List[Tuple[int, ProtocolRun]]:
     """Run the phases from per-sender payload queues; ``(nominal, run)`` per phase.
 
-    Without ``plan`` a phase is :meth:`Simulator.run_broadcast_schedule` with
-    one :func:`_phase_deliverer` callback per broadcast, with one it runs
-    through :func:`_program_phase_runner`.
+    Each phase is one :meth:`Simulator.run_broadcast_schedule` with
+    :func:`_phase_deliverer` as its ``deliver``.  Under ``plan`` phase
+    ``j`` runs under :func:`~repro.congest.faults.window_plan` of the
+    plan's crash schedule and the phase's window of the nominal schedule,
+    and its counters are added into ``fault_totals``.
     """
     n = len(known_dist)
     newly: List[List[int]] = [[] for _ in range(n)]
@@ -579,26 +513,28 @@ def _explore_queues(
     queues: List[Tuple[int, List[Tuple[str, int, int]]]] = [
         (center, [(EXPLORE_TAG, center, 0)]) for center in center_list
     ]
-    if plan is None:
-        deliver = _phase_deliverer(known_dist, known_via, newly, learners)
-    else:
-        run_program_phase = _program_phase_runner(
-            simulator, plan, known_dist, known_via, newly, learners, fault_totals
-        )
+    deliver = _phase_deliverer(known_dist, known_via, newly, learners)
+    if plan is not None:
+        crash_at = plan.crash_schedule(n)
+        fault_totals["crashed_nodes"] = len(crash_at)
 
     runs: List[Tuple[int, ProtocolRun]] = []
     charged_rounds = 0
     for phase in range(1, depth + 1):
         if not queues:
             break
-        phase_label = f"{label}:phase{phase}"
         phase_nominal = _phase_nominal(phase, cap)
-        if plan is None:
-            run = simulator.run_broadcast_schedule(
-                queues, deliver, label=phase_label, nominal_rounds=phase_nominal
-            )
-        else:
-            run = run_program_phase(queues, phase, phase_label, phase_nominal, charged_rounds)
+        phase_plan = None
+        if plan is not None:
+            phase_plan = window_plan(plan, phase, crash_at, charged_rounds, phase_nominal)
+        run = simulator.run_broadcast_schedule(
+            queues,
+            deliver,
+            label=f"{label}:phase{phase}",
+            nominal_rounds=phase_nominal,
+            fault_plan=phase_plan,
+        )
+        add_fault_counters(fault_totals, run.fault_counters)
         charged_rounds += phase_nominal
         runs.append((phase_nominal, run))
         # The next phase's buffers: every learner forwards up to ``cap`` of
@@ -733,84 +669,6 @@ def _first_arrivals(np, keys, key_bound: int):
     heads[:1] = True
     np.not_equal(grouped[1:], grouped[:-1], out=heads[1:])
     return positions[heads]
-
-
-def _phase_crashes(
-    crash_at: Dict[int, int], phase_start: int, phase_len: int
-) -> Dict[int, int]:
-    """Project a global crash schedule onto one phase's local round numbering.
-
-    A node crashing at global round ``r`` is dead from local round 0 if the
-    crash predates the phase, from local round ``r - phase_start`` if it
-    falls inside the phase, and alive (omitted) otherwise.
-    """
-    local: Dict[int, int] = {}
-    for v, r in crash_at.items():
-        if r <= phase_start:
-            local[v] = 0
-        elif r < phase_start + phase_len:
-            local[v] = r - phase_start
-    return local
-
-
-def _program_phase_runner(
-    simulator: Simulator,
-    plan: FaultPlan,
-    known_dist: List[Dict[int, int]],
-    known_via: List[Dict[int, Optional[int]]],
-    newly: List[List[int]],
-    learners: List[int],
-    fault_totals: Dict[str, int],
-) -> Callable[..., ProtocolRun]:
-    """Run phases as :class:`_ExplorationPhaseProgram` instances under ``plan``.
-
-    Each phase runs as its own faulted sub-protocol under a phase-derived
-    plan; the plan's crash schedule is computed once against the *nominal*
-    global round numbering and projected onto each phase, so a crash-stopped
-    node stays dead for the rest of the exploration.  Fault counters are
-    summed into ``fault_totals``.
-    """
-    n = len(known_dist)
-    programs = [
-        _ExplorationPhaseProgram(v, known_dist[v], known_via[v], newly[v], learners)
-        for v in range(n)
-    ]
-    crash_at = plan.crash_schedule(n)
-    fault_totals["crashed_nodes"] = len(crash_at)
-
-    def run_phase(
-        queues: List[Tuple[int, List[Tuple[str, int, int]]]],
-        phase: int,
-        phase_label: str,
-        phase_nominal: int,
-        phase_start: int,
-    ) -> ProtocolRun:
-        for sender, payloads in queues:
-            program = programs[sender]
-            program.outbuf = payloads
-            program._next_send = 0
-        phase_plan = replace(
-            plan.derive(phase),
-            crash_fraction=0.0,
-            crashes=tuple(sorted(_phase_crashes(crash_at, phase_start, phase_nominal).items())),
-        )
-        run = simulator.run_protocol(
-            programs,
-            label=phase_label,
-            nominal_rounds=phase_nominal,
-            collect_results=False,
-            fault_plan=phase_plan,
-            max_rounds=fault_round_limit(phase_nominal, phase_plan),
-        )
-        for sender, _ in queues:
-            programs[sender].outbuf = _NO_BUFFER
-        if run.fault_counters is not None:
-            for key, value in run.fault_counters.items():
-                if key != "crashed_nodes":
-                    fault_totals[key] += value
-        return run
-
-    return run_phase
 
 
 @dataclass

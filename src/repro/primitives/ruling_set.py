@@ -37,11 +37,11 @@ is the full schedule.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from ..congest.errors import ProtocolFault
-from ..congest.faults import FaultPlan, fresh_fault_counters
+from ..congest.faults import FaultPlan, add_fault_counters, fresh_fault_counters, window_plan
 from ..congest.simulator import Simulator
 from .bfs_forest import run_bfs_forest
 
@@ -168,8 +168,9 @@ def run_ruling_set(
 
     ``fault_plan`` runs every knock-out BFS under an injected fault schedule;
     the plan's crash schedule is computed once against the nominal global
-    round numbering and projected onto each knock-out, so a crash-stopped
-    node stays dead for the rest of the construction.  The whole construction
+    round numbering and projected onto each knock-out
+    (:func:`~repro.congest.faults.window_plan`), so a crash-stopped node
+    stays dead for the rest of the construction.  The whole construction
     is retried up to ``max_attempts`` times under derived plans; when every
     attempt fails a typed :class:`~repro.congest.errors.ProtocolFault` is
     raised.  Under faults a knock-out still only ever reaches vertices via
@@ -229,18 +230,8 @@ def _run_ruling_set_once(
     def knock_out(position: int, value: int, group: List[int]):
         ko_plan = None
         if plan is not None:
-            start = rounds["charged"]
-            local = {}
-            for v, r in crash_at.items():
-                if r <= start:
-                    local[v] = 0
-                elif r < start + q:
-                    local[v] = r - start
-            ko_plan = replace(
-                plan.derive(1_000_003 * (position + 1) + value),
-                crash_fraction=0.0,
-                crashes=tuple(sorted(local.items())),
-            )
+            salt = 1_000_003 * (position + 1) + value
+            ko_plan = window_plan(plan, salt, crash_at, rounds["charged"], q)
         forest = run_bfs_forest(
             simulator,
             sources=group,
@@ -251,10 +242,7 @@ def _run_ruling_set_once(
         )
         rounds["simulated"] += forest.run.rounds_executed
         rounds["charged"] += forest.nominal_rounds
-        if fault_totals is not None and forest.run.fault_counters is not None:
-            for key, count in forest.run.fault_counters.items():
-                if key != "crashed_nodes":
-                    fault_totals[key] += count
+        add_fault_counters(fault_totals, forest.run.fault_counters)
         root = forest.root
         return lambda v: root[v] is not None
 

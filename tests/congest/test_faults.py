@@ -23,14 +23,16 @@ from repro.congest import (
     fault_round_limit,
 )
 from repro.congest.faults import fresh_fault_counters
-from repro.experiments.chaos import FAULT_PROFILES
-from repro.graphs import Graph, cycle_graph, grid_graph, make_workload, path_graph
+from repro.graphs import cycle_graph, make_workload, path_graph
 from repro.primitives.aggregation import run_broadcast, run_convergecast
 from repro.primitives.bfs_forest import run_bfs_forest
 from repro.primitives.exploration import run_bounded_exploration
 from repro.primitives.fragments import run_boruvka_msf
 from repro.primitives.ruling_set import run_ruling_set
 from repro.primitives.traceback import run_forest_path_markup, run_traceback
+
+from reference_programs import ForestProgram
+from reference_programs import faulted_cases as _faulted_cases
 
 
 # ----------------------------------------------------------------------
@@ -150,9 +152,7 @@ def _forest(graph, sources, depth, plan=None):
     root: List = [None] * n
     dist: List = [None] * n
     parent: List = [None] * n
-    from repro.primitives.bfs_forest import _ForestProgram
-
-    programs = [_ForestProgram(v, v in set(sources), depth, (root, dist, parent)) for v in range(n)]
+    programs = [ForestProgram(v, v in set(sources), depth, (root, dist, parent)) for v in range(n)]
     run = simulator.run_protocol(programs, label="forest", nominal_rounds=depth, fault_plan=plan)
     return run, root, dist, parent
 
@@ -321,11 +321,9 @@ def test_tracer_sees_fault_mode_rounds():
     graph = path_graph(5)
     tracer = RecordingTracer()
     simulator = Simulator(graph, tracer=tracer)
-    from repro.primitives.bfs_forest import _ForestProgram
-
     n = 5
     shared = ([None] * n, [None] * n, [None] * n)
-    programs = [_ForestProgram(v, v == 0, 4, shared) for v in range(n)]
+    programs = [ForestProgram(v, v == 0, 4, shared) for v in range(n)]
     simulator.run_protocol(programs, fault_plan=FaultPlan(seed=3, duplicate_rate=0.5))
     assert tracer.events  # faulted runs report per-round deliveries
 
@@ -357,29 +355,6 @@ def test_run_bfs_forest_accepts_plan_and_counts():
 # ----------------------------------------------------------------------
 # Pinned faulted outcomes
 # ----------------------------------------------------------------------
-def _faulted_cases():
-    """``(graph, plan_name, plan)`` triples covering every fault class.
-
-    The chaos palette, a link-outage plan on the first source's edges, an
-    explicit crash killing a starter at round 0, and a delay plan long
-    enough to leave rounds in which only delayed messages are in flight.
-    """
-    graphs = [make_workload("sparse_gnp", 36, seed=7), grid_graph(5, 6)]
-    for graph in graphs:
-        row = sorted(graph.neighbors(0))
-        plans = [
-            (name, FaultPlan(seed=31, **overrides))
-            for name, overrides in FAULT_PROFILES.items()
-            if name != "none"
-        ]
-        outages = [LinkOutage(0, nb, 0, 3) for nb in row]
-        plans.append(("link-outages", FaultPlan(seed=31, link_outages=outages)))
-        plans.append(("starter-crash", FaultPlan(seed=31, crashes={0: 0, row[0]: 2})))
-        plans.append(("long-delays", FaultPlan(seed=31, delay_rate=0.5, max_delay=5)))
-        for name, plan in plans:
-            yield graph, name, plan
-
-
 def _run_faulted_primitive(primitive, graph, plan):
     """Run one hardened primitive under ``plan`` and return its outcome."""
     n = graph.num_vertices

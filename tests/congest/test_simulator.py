@@ -10,6 +10,8 @@ import repro.congest.simulator as simulator_module
 import repro.kernels as kernels
 from repro.congest import (
     CongestionViolation,
+    FaultPlan,
+    LinkOutage,
     Message,
     MessageTooLarge,
     NodeContext,
@@ -18,6 +20,7 @@ from repro.congest import (
     RecordingTracer,
     RoundLimitExceeded,
     Simulator,
+    fault_round_limit,
 )
 from repro.graphs import Graph, cycle_graph, grid_graph, path_graph, star_graph
 
@@ -210,14 +213,38 @@ class TestTerminationAndLedger:
         assert tracer.busiest_round()[1] >= 1
 
 
+#: Forwarding schedules ``(graph, queues, copies)``; the later senders join
+#: while earlier ones still hold payloads, and vertices below them join.
+SCHEDULE_CASES = [
+    (star_graph(5), [(0, [("a", 1)])], 2),
+    (grid_graph(3, 4), [(5, [("x",)] * 3)], 1),
+    (grid_graph(3, 4), [(0, [("x",)]), (7, [("y",)] * 4), (11, [])], 2),
+    (path_graph(6), [(0, [("s",)])], 3),
+    (cycle_graph(7), [(2, [("c", 2)]), (4, [("c", 4)] * 2)], 1),
+]
+
+FAULT_PLANS = {
+    FaultPlan(seed=5, drop_rate=0.3): "drops",
+    FaultPlan(seed=5, duplicate_rate=0.4): "duplicates",
+    FaultPlan(seed=5, delay_rate=0.5, max_delay=3): "delays",
+    FaultPlan(seed=5, crash_fraction=0.3, crash_round=3): "crashes",
+    FaultPlan(seed=5, link_outages=[LinkOutage(0, 1, 0, 2), LinkOutage(4, 5, 1, 4)]): "outages",
+    FaultPlan(
+        seed=6, drop_rate=0.1, duplicate_rate=0.2, delay_rate=0.3, max_delay=2,
+        crash_fraction=0.1, crash_round=4,
+    ): "mixed",
+}
+
+
 class TestBroadcastSchedule:
     """``run_broadcast_schedule`` accounts exactly like the same schedule as programs."""
 
     @staticmethod
-    def run_both(graph, queues, copies=0):
+    def run_both(graph, queues, copies=0, plan=None):
         """Run :class:`QueueBroadcaster` as programs and as a schedule.
 
         With ``copies`` the schedule forwards through an end-of-round step.
+        Both run under ``plan``.
         """
         outcomes = []
         for schedule in (False, True):
@@ -247,6 +274,7 @@ class TestBroadcastSchedule:
                     label="sched",
                     nominal_rounds=7,
                     step=step if copies else None,
+                    fault_plan=plan,
                 )
             else:
                 by_sender = dict(queues)
@@ -254,7 +282,13 @@ class TestBroadcastSchedule:
                     QueueBroadcaster(v, by_sender.get(v, ()), log, copies)
                     for v in range(graph.num_vertices)
                 ]
-                run = sim.run_protocol(programs, label="sched", nominal_rounds=7)
+                run = sim.run_protocol(
+                    programs,
+                    label="sched",
+                    nominal_rounds=7,
+                    fault_plan=plan,
+                    max_rounds=fault_round_limit(7, plan),
+                )
             # Per-receiver reception order is what a receiver can observe.
             per_receiver = sorted(log, key=lambda event: event[0])
             outcomes.append((
@@ -266,6 +300,7 @@ class TestBroadcastSchedule:
                 sim.ledger.charges,
                 tracer.events,
                 per_receiver,
+                run.fault_counters,
             ))
         assert outcomes[0] == outcomes[1]
         return outcomes[1]
@@ -289,7 +324,7 @@ class TestBroadcastSchedule:
 
     def test_isolated_sole_sender_executes_no_round(self):
         graph = Graph(3, [(0, 1)])
-        rounds, messages, _, congestion, _, charges, events, _ = self.run_both(
+        rounds, messages, _, congestion, _, charges, events, *_ = self.run_both(
             graph, [(2, [("i",)])]
         )
         assert (rounds, messages, congestion, events) == (0, 0, 0, [])
@@ -320,19 +355,35 @@ class TestBroadcastSchedule:
         with pytest.raises(ProtocolError):
             sim.run_broadcast_schedule(queues, lambda *_: None, label="s")
 
-    @pytest.mark.parametrize(
-        "graph, queues, copies",
-        [
-            (star_graph(5), [(0, [("a", 1)])], 2),
-            (grid_graph(3, 4), [(5, [("x",)] * 3)], 1),
-            (grid_graph(3, 4), [(0, [("x",)]), (7, [("y",)] * 4), (11, [])], 2),
-            (path_graph(6), [(0, [("s",)])], 3),
-            (cycle_graph(7), [(2, [("c", 2)]), (4, [("c", 4)] * 2)], 1),
-        ],
-    )
+    @pytest.mark.parametrize("graph, queues, copies", SCHEDULE_CASES)
     def test_forwarding_matches_program_form(self, graph, queues, copies):
         _, _, _, congestion, *_ = self.run_both(graph, queues, copies)
         assert congestion == 1
+
+    @pytest.mark.parametrize("plan", list(FAULT_PLANS), ids=list(FAULT_PLANS.values()))
+    @pytest.mark.parametrize("graph, queues, copies", SCHEDULE_CASES)
+    def test_faulted_schedule_matches_program_form(self, graph, queues, copies, plan):
+        outcome = self.run_both(graph, queues, copies, plan)
+        assert outcome[-1] is not None  # the plan was applied
+
+    @pytest.mark.parametrize("graph, queues, copies", SCHEDULE_CASES)
+    def test_plan_that_never_fires_matches_the_fault_free_schedule(self, graph, queues, copies):
+        # Active (so the schedule runs on the round loop) but never in effect.
+        idle_plan = FaultPlan(seed=0, link_outages=[LinkOutage(0, 1, 10**6, 10**6)])
+        faulted = self.run_both(graph, queues, copies, idle_plan)
+        fault_free = self.run_both(graph, queues, copies)
+        assert faulted[:-1] == fault_free[:-1]
+        assert not any(faulted[-1].values())
+
+    def test_faulted_schedule_needs_nominal_rounds(self):
+        sim = Simulator(path_graph(3))
+        with pytest.raises(ValueError):
+            sim.run_broadcast_schedule(
+                [(0, [("a",)])],
+                lambda *_: None,
+                label="s",
+                fault_plan=FaultPlan(seed=0, drop_rate=0.5),
+            )
 
     def test_step_runs_once_per_executed_round(self):
         calls = []
@@ -372,6 +423,22 @@ class TestBroadcastSchedule:
                 lambda *_: None,
                 label="s",
                 step=lambda r: [(0, [("b",)])] if r == 1 else [],
+            )
+        assert sim.ledger.charges == []
+
+    @pytest.mark.parametrize("held", [2, 3])
+    def test_faulted_forwarded_sender_still_holding_payloads_is_rejected(self, held):
+        # Sender 0 still broadcasts in round 1 (and, with three payloads, in
+        # round 2), so it cannot join the schedule at the end of round 1.
+        sim = Simulator(path_graph(3))
+        with pytest.raises(ProtocolError):
+            sim.run_broadcast_schedule(
+                [(0, [("a",)] * held)],
+                lambda *_: None,
+                label="s",
+                nominal_rounds=3,
+                step=lambda r: [(0, [("b",)])] if r == 1 else [],
+                fault_plan=FaultPlan(seed=0, duplicate_rate=0.5),
             )
         assert sim.ledger.charges == []
 

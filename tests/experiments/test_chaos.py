@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -159,7 +160,7 @@ class TestProtocolFaultRows:
         # Starve the faulted BFS forest of rounds so every bounded retry
         # times out and the task must fall back to the typed outcome.
         monkeypatch.setattr(
-            "repro.primitives.bfs_forest.fault_round_limit", lambda nominal, plan: 1
+            "repro.congest.simulator.fault_round_limit", lambda nominal, plan: 1
         )
         params = {
             "size": 48, "workload_seed": 29, "fault_seed": 187,
@@ -203,6 +204,23 @@ class TestChaosCli:
         assert manifest["schema"] == "repro-failure-manifest/v1"
         assert manifest["count"] == 0
         assert manifest["failures"] == []
+
+    def test_chaos_records_are_pinned(self, tmp_path, capsys):
+        # The records exactly as ``repro chaos --records`` writes them: any
+        # drift means a faulted primitive delivered or counted differently.
+        assert main(["chaos", "--records", str(tmp_path)]) == 0
+        digests = {
+            path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in tmp_path.iterdir()
+        }
+        assert digests == {
+            "chaos-primitives.json": (
+                "6eb1d16da959fb7965f15de3e6404ec870291c465454446ca2c60a4ba8f738d2"
+            ),
+            "chaos-sweep.json": (
+                "50c9cac93b6797b0a109cef544c0338cf71ff7541efc5e8e44897f7c9f39f298"
+            ),
+        }
 
     def test_chaos_command_rejects_unknown_scenario(self, capsys):
         assert main(["chaos", "--scenario", "no-such-chaos"]) == 2

@@ -12,6 +12,7 @@ from repro.congest import (
     MessageTooLarge,
     NodeContext,
     NodeProgram,
+    ProtocolFault,
     RecordingTracer,
     Simulator,
 )
@@ -27,7 +28,8 @@ from repro.graphs import (
     star_graph,
 )
 from repro.primitives import forest_membership, run_bfs_forest
-from repro.primitives.bfs_forest import _ForestProgram
+
+from reference_programs import faulted_cases, forest_with_programs
 
 
 def simulator_for(graph):
@@ -125,41 +127,38 @@ class TestMultiSource:
             run_bfs_forest(sim, [0], depth=-1)
 
 
-def forest_traced(graph, sources, depth, *, programs=False, collect=True, simulator=None):
+def forest_traced(
+    graph, sources, depth, *, programs=False, collect=True, simulator=None, plan=None
+):
     """One forest with everything observable recorded.
 
-    ``programs=False`` runs :func:`run_bfs_forest` (the fault-free broadcast
-    schedule); ``programs=True`` runs :class:`_ForestProgram` instances on
-    :meth:`Simulator.run_protocol` with the hints the program form always
-    used, the reference the schedule must reproduce.
+    ``programs=False`` runs :func:`run_bfs_forest` (the broadcast schedule);
+    ``programs=True`` runs the per-node reference programs, which the
+    schedule must reproduce.  Either runs under ``plan`` with two attempts;
+    a :class:`ProtocolFault` is recorded as the outcome.
     """
     tracer = RecordingTracer()
     sim = simulator if simulator is not None else Simulator(graph)
     sim.tracer = tracer
-    if programs:
-        n = graph.num_vertices
-        source_set = set(sources)
-        root, dist, parent = [None] * n, [None] * n, [None] * n
-        shared = (root, dist, parent)
-        run = sim.run_protocol(
-            [_ForestProgram(v, v in source_set, depth, shared) for v in range(n)],
-            label="forest",
-            nominal_rounds=depth,
-            message_driven=True,
-            starters=sorted(source_set),
-            collect_results=collect,
+    grow = forest_with_programs if programs else run_bfs_forest
+    try:
+        forest = grow(
+            sim, sources, depth, label="forest", collect_node_results=collect,
+            fault_plan=plan, max_attempts=2,
         )
+    except ProtocolFault as fault:
+        outcome = {"fault": (fault.label, fault.reason, fault.attempts)}
     else:
-        forest = run_bfs_forest(sim, sources, depth, label="forest", collect_node_results=collect)
-        root, dist, parent, run = forest.root, forest.dist, forest.parent, forest.run
-    return {
-        "root": root,
-        "dist": dist,
-        "parent": parent,
-        "run": run,
-        "charges": sim.ledger.charges,
-        "events": tracer.events,
-    }
+        outcome = {
+            "root": forest.root,
+            "dist": forest.dist,
+            "parent": forest.parent,
+            "run": forest.run,
+            "attempts": forest.attempts,
+        }
+    outcome["charges"] = sim.ledger.charges
+    outcome["events"] = tracer.events
+    return outcome
 
 
 def _isolated_source_graph():
@@ -184,8 +183,17 @@ EQUIVALENCE_CASES = {
 }
 
 
+FAULTED_CASES = list(faulted_cases())
+FAULTED_IDS = [f"{graph.num_vertices}-{name}" for graph, name, _ in FAULTED_CASES]
+FAULTED_CONFIGS = {
+    "three-sources": lambda n: ([0, n // 3, (2 * n) // 3], 4),
+    "all-sources": lambda n: (range(n), 2),
+    "single-deep": lambda n: ([n - 1], n),
+}
+
+
 class TestBroadcastScheduleEquivalence:
-    """The fault-free schedule reproduces the per-node programs exactly."""
+    """The schedule reproduces the per-node programs exactly, with or without faults."""
 
     @pytest.mark.parametrize("collect", [True, False])
     @pytest.mark.parametrize("case", sorted(EQUIVALENCE_CASES))
@@ -196,6 +204,23 @@ class TestBroadcastScheduleEquivalence:
         assert schedule == reference
         if collect:
             assert len(schedule["run"].results) == graph.num_vertices
+
+    @pytest.mark.parametrize("collect", [True, False])
+    @pytest.mark.parametrize("config", sorted(FAULTED_CONFIGS))
+    @pytest.mark.parametrize(
+        "graph, plan", [case[::2] for case in FAULTED_CASES], ids=FAULTED_IDS
+    )
+    def test_schedule_matches_reference_programs_under_faults(
+        self, graph, plan, config, collect
+    ):
+        sources, depth = FAULTED_CONFIGS[config](graph.num_vertices)
+        schedule = forest_traced(graph, sources, depth, collect=collect, plan=plan)
+        reference = forest_traced(
+            graph, sources, depth, programs=True, collect=collect, plan=plan
+        )
+        assert schedule == reference
+        if "fault" not in schedule:
+            assert schedule["run"].fault_counters is not None
 
     def test_path_tie_goes_to_smaller_root(self):
         outcome = forest_traced(*EQUIVALENCE_CASES["path-tie"])

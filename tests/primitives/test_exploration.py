@@ -11,12 +11,12 @@ import repro.kernels as kernels
 import repro.primitives.exploration as exploration_module
 from repro.congest import (
     CongestionViolation,
-    FaultPlan,
     Message,
     MessageTooLarge,
     NodeContext,
     NodeProgram,
     RecordingTracer,
+    RoundLimitExceeded,
     Simulator,
 )
 from repro.graphs import (
@@ -34,6 +34,8 @@ from repro.graphs import (
 from repro.primitives import centralized_bounded_exploration, run_bounded_exploration
 from repro.primitives.exploration import _run_exploration_once, centralized_engine_exploration
 from repro.primitives.traceback import centralized_traceback_flat
+
+from reference_programs import explore_with_programs, faulted_cases
 
 
 def run_both(graph, centers, depth, cap):
@@ -179,29 +181,36 @@ class TestSchedulingAndAccounting:
         assert centralized.distance_to(0, 99) is None
 
 
-def explore_traced(graph, centers, depth, cap, plan=None, simulator=None):
+def explore_traced(graph, centers, depth, cap, plan=None, simulator=None, reference=False):
     """One exploration from fresh state with everything observable recorded.
 
-    ``plan=None`` runs the phases as broadcast schedules; an inactive
-    :class:`FaultPlan` runs the per-node reference programs on the
-    simulator's ordinary scheduler.
+    ``reference=False`` runs :func:`_run_exploration_once` (the broadcast
+    schedules); ``reference=True`` runs the per-node reference programs.
+    Either runs under ``plan``; a round timeout is recorded as the outcome.
     """
     tracer = RecordingTracer()
     sim = simulator if simulator is not None else Simulator(graph, tracer=tracer)
     if simulator is not None:
         sim.tracer = tracer
-    result = _run_exploration_once(
-        sim, sorted(set(centers)), depth, cap, "exploration", plan, 1
-    )
-    return {
-        "known_dist": result.known_dist,
-        "known_via": result.known_via,
-        "popular": result.popular,
-        "simulated_rounds": result.simulated_rounds,
-        "messages": result.messages,
-        "charges": sim.ledger.charges,
-        "events": tracer.events,
-    }, result
+    explore = explore_with_programs if reference else _run_exploration_once
+    try:
+        result = explore(sim, sorted(set(centers)), depth, cap, "exploration", plan, 1)
+    except RoundLimitExceeded as error:
+        result = None
+        outcome = {"timeout": error.max_rounds}
+    else:
+        outcome = {
+            "known_dist": result.known_dist,
+            "known_via": result.known_via,
+            "popular": result.popular,
+            "simulated_rounds": result.simulated_rounds,
+            "messages": result.messages,
+            "fault_counters": result.fault_counters,
+            "attempts": result.attempts,
+        }
+    outcome["charges"] = sim.ledger.charges
+    outcome["events"] = tracer.events
+    return outcome, result
 
 
 def _isolated_center_graph():
@@ -231,27 +240,45 @@ def _insertion_orders(outcome):
     ]
 
 
+FAULTED_CASES = list(faulted_cases())
+FAULTED_IDS = [f"{graph.num_vertices}-{name}" for graph, name, _ in FAULTED_CASES]
+FAULTED_CONFIGS = {
+    "every-fourth": lambda n: (range(0, n, 4), 3, 3),
+    "all-centers": lambda n: (range(n), 2, 4),
+    "deep-sparse": lambda n: (range(0, n, 7), 5, 2),
+}
+
+
 needs_numpy = pytest.mark.skipif(
     not kernels.numpy_available(), reason="numpy/scipy not installed"
 )
 
 
 class TestBroadcastScheduleEquivalence:
-    """The fault-free broadcast schedule reproduces the per-node programs exactly."""
+    """The broadcast schedule reproduces the per-node programs exactly, with or without faults."""
 
     @pytest.mark.parametrize("case", sorted(EQUIVALENCE_CASES))
     def test_schedule_matches_reference_programs(self, backend, case):
         # The python kernel runs the per-broadcast form, numpy the array tier.
         graph, centers, depth, cap = EQUIVALENCE_CASES[case]
-        schedule, schedule_result = explore_traced(graph, centers, depth, cap)
-        reference, reference_result = explore_traced(
-            graph, centers, depth, cap, plan=FaultPlan(seed=0)
-        )
+        schedule, _ = explore_traced(graph, centers, depth, cap)
+        reference, _ = explore_traced(graph, centers, depth, cap, reference=True)
         assert schedule == reference
         assert _insertion_orders(schedule) == _insertion_orders(reference)
-        # The two paths really differ: only the program path keeps fault counters.
-        assert schedule_result.fault_counters is None
-        assert reference_result.fault_counters is not None
+        assert schedule["fault_counters"] is None
+
+    @pytest.mark.parametrize("config", sorted(FAULTED_CONFIGS))
+    @pytest.mark.parametrize(
+        "graph, plan", [case[::2] for case in FAULTED_CASES], ids=FAULTED_IDS
+    )
+    def test_schedule_matches_reference_programs_under_faults(self, graph, plan, config):
+        centers, depth, cap = FAULTED_CONFIGS[config](graph.num_vertices)
+        schedule, _ = explore_traced(graph, centers, depth, cap, plan=plan)
+        reference, _ = explore_traced(graph, centers, depth, cap, plan=plan, reference=True)
+        assert schedule == reference
+        if "timeout" not in schedule:
+            assert _insertion_orders(schedule) == _insertion_orders(reference)
+            assert schedule["fault_counters"] is not None
 
     def test_cap_truncation_case_truncates(self):
         graph, centers, depth, cap = EQUIVALENCE_CASES["cap-truncation"]
@@ -407,7 +434,7 @@ class TestBroadcastScheduleErrorPaths:
         assert after_abort == fresh
         # The reference programs, which do use the scheduler's buffers, agree too.
         reference, _ = explore_traced(
-            graph, range(0, 25, 2), 3, 3, plan=FaultPlan(seed=0), simulator=aborted
+            graph, range(0, 25, 2), 3, 3, simulator=aborted, reference=True
         )
         assert reference["known_dist"] == fresh["known_dist"]
         assert reference["known_via"] == fresh["known_via"]
@@ -444,9 +471,7 @@ class TestKnowledgeAccessors:
         result = _run_exploration_once(
             Simulator(graph), sorted(set(centers)), depth, cap, "exploration", None, 1
         )
-        reference = _run_exploration_once(
-            Simulator(graph), sorted(set(centers)), depth, cap, "exploration", FaultPlan(seed=0), 1
-        )
+        reference = explore_with_programs(Simulator(graph), centers, depth, cap)
         assert (result._arrays is not None) == (backend == kernels.KERNEL_NUMPY)
         outcome = _accessor_outcome(result, n)
         assert outcome == _accessor_outcome(reference, n)
