@@ -36,27 +36,29 @@ Runs, in order (see :func:`stage_plan`):
 9. ``capacity ladder (quick mode, numpy kernel)`` -- the same quick ladder
    under ``repro --kernel numpy``: drives the vectorized kernels through the
    whole capacity CLI.
-10. ``fault injection (quick mode)`` -- ``repro chaos`` over the
-    chaos-primitives matrix with a wall-clock task timeout: every injected
-    fault schedule must terminate in a typed outcome (the scenario checks
-    enforce it) and the failure manifest must validate against its schema.
-11. ``dynamic churn (quick mode)`` -- ``repro dynamic`` over the
-    dynamic-churn matrix: every incremental-capable algorithm maintains its
-    spanner through seeded churn traces and the scenario checks re-verify the
-    declared guarantee after every single step.
-12. ``store-corruption smoke`` -- ``repro chaos --store-smoke``: corrupt one
-    cached task entry, then prove the store invalidates it, recomputes exactly
-    that task on resume, and reproduces a byte-identical record.
-13. ``serve smoke (quick mode)`` -- ``repro serve --check`` on a small seeded
+10. ``fault injection (quick mode)`` -- ``repro suite run --filter
+    chaos-primitives`` with a wall-clock task timeout: every injected fault
+    schedule must terminate in a typed outcome (the scenario checks enforce
+    it) and the failure manifest must validate against its schema.
+11. ``dynamic churn (quick mode)`` -- ``repro suite run --filter
+    dynamic-churn`` with the same kind of timeout: every incremental-capable
+    algorithm maintains its spanner through seeded churn traces and the
+    scenario checks re-verify the declared guarantee after every single step.
+12. ``serve smoke (quick mode)`` -- ``repro serve --check`` on a small seeded
     mixed load: the request broker must show cache hits and coalesced
     single-flight builds and lose no request (zero dropped / failed /
     rejected responses).
-14. ``registry completeness`` -- ``scripts/registry_check.py``: every
+13. ``registry completeness`` -- ``scripts/registry_check.py``: every
     registered algorithm must have a measured CAPACITY.json entry, a row in
     EXPERIMENTS.md's Algorithm registry table, and membership in at least
     one scenario matrix.  Registration drift fails the build.
-15. ``experiments-md drift`` -- the committed EXPERIMENTS.md must match the
+14. ``experiments-md drift`` -- the committed EXPERIMENTS.md must match the
     current algorithm/scenario registries.
+
+The store-corruption check (corrupt one cached chaos-sweep entry, resume,
+recompute exactly that task, reproduce a byte-identical record) is the
+``test_corrupted_entry_recomputed_on_resume[chaos-sweep]`` test, run by both
+tier-1 stages.
 
 Stages run sequentially and the first failure stops the run (later stages
 are reported as skipped).  Exit status is non-zero if any stage fails.
@@ -297,8 +299,9 @@ def stage_plan(
                 sys.executable,
                 "-m",
                 "repro",
-                "chaos",
-                "--scenario",
+                "suite",
+                "run",
+                "--filter",
                 "chaos-primitives",
                 "--task-timeout",
                 QUICK_CHAOS_TASK_TIMEOUT,
@@ -310,21 +313,12 @@ def stage_plan(
                 sys.executable,
                 "-m",
                 "repro",
-                "dynamic",
-                "--scenario",
+                "suite",
+                "run",
+                "--filter",
                 "dynamic-churn",
                 "--task-timeout",
                 QUICK_DYNAMIC_TASK_TIMEOUT,
-            ],
-        ),
-        (
-            "store-corruption smoke",
-            [
-                sys.executable,
-                "-m",
-                "repro",
-                "chaos",
-                "--store-smoke",
             ],
         ),
         (

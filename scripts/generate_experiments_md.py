@@ -90,20 +90,28 @@ stretch, sublinear round scaling) reproduce the paper's qualitative claims.
 
 ## Running scenarios
 
-Every scenario is runnable by name, individually or as a suite:
+One command runs every scenario, by name, by tag or all together:
 
 ```
-PYTHONPATH=src python -m repro experiment <name> [--json out.json]
-PYTHONPATH=src python -m repro suite list [--filter TAG]
-PYTHONPATH=src python -m repro suite run [--filter TAG] [--jobs N] \\
-    [--store DIR] [--resume] [--records DIR] [--manifest out.json]
+PYTHONPATH=src python -m repro suite list [--filter NAME|TAG]
+PYTHONPATH=src python -m repro suite run [--filter NAME|TAG] [--jobs N] \\
+    [--store DIR] [--resume] [--records DIR] [--manifest out.json] \\
+    [--task-timeout SECONDS] [--task-retries K] [--failures out.json]
 ```
 
 (after `pip install -e .`, `repro ...` works without the `PYTHONPATH=src` /
 `python -m` prefix.)
 
-* `--filter TAG` keeps scenarios whose name or tag matches (tags are listed
-  in the registry table below; e.g. `paper`, `figure`, `ablation`, `family`).
+* `--filter NAME|TAG` selects the scenario of that exact name if there is
+  one, and otherwise every scenario carrying that tag (tags are listed in
+  the registry table below; e.g. `paper`, `figure`, `ablation`, `family`).
+  `--filter scaling` is the `scaling` scenario, not the three
+  `scaling`-tagged ones.
+* Every record is printed (a fault summary for `chaos` scenarios, a
+  maintenance summary for `dynamic` ones), then the suite manifest;
+  `--records DIR` saves each record as `DIR/<scenario name>.json`.  The exit
+  status is 1 if any scenario errors or fails a check, and 2 on a usage
+  error (an unknown filter, `--resume` without `--store`).
 * `--jobs N` executes the expanded tasks in `N` worker processes.  Results
   are **byte-identical** to a serial run: tasks are pure functions of their
   parameters and per-task seeds, payloads are canonicalized through a JSON
@@ -121,9 +129,8 @@ functions of a `fault_seed` parameter) against the CONGEST primitives and
 verify, per task, which guarantee survived:
 
 ```
-PYTHONPATH=src python -m repro chaos [--scenario NAME] [--jobs N] \\
+PYTHONPATH=src python -m repro suite run --filter chaos [--jobs N] \\
     [--task-timeout SECONDS] [--task-retries K] [--failures out.json]
-PYTHONPATH=src python -m repro chaos --store-smoke
 ```
 
 Every task terminates in a typed outcome (`exact`, `verified-degraded`, or
@@ -134,9 +141,10 @@ is hardened for such hostile tasks: `--task-timeout` quarantines a wedged
 task (recorded in a schema-validated failure manifest) without sinking the
 suite, and `--task-retries` re-runs failures with the *same* params and seed
 (tasks are pure, so retries only recover transient environmental failures).
-`--store-smoke` is the store-corruption self-test: it corrupts one cached
-entry and proves the store invalidates it, recomputes exactly that task and
-reproduces a byte-identical record.
+The store-corruption self-test is
+`tests/experiments/test_store.py::test_corrupted_entry_recomputed_on_resume`:
+it corrupts one cached chaos-sweep entry and proves the store invalidates
+it, recomputes exactly that task and reproduces a byte-identical record.
 
 ## Result-store layout
 

@@ -23,12 +23,11 @@ benchmark experiments.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from ..core.result import SpannerResult
 from ..graphs.bfs import bfs_distances
 from ..graphs.components import same_component_structure
-from ..graphs.graph import Graph
 
 
 @dataclass

@@ -8,7 +8,7 @@ rows/series the paper reports.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 
 def percentile(values: Sequence[float], q: float) -> float:

@@ -9,7 +9,7 @@ Table 1 / Table 2 comparisons.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from ..core.parameters import StretchGuarantee
 from ..graphs.graph import Graph

@@ -23,9 +23,9 @@ Expected size is ``O(kappa * n^{1 + 1/kappa})`` and the stretch is exactly
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional
 
-from ..graphs.graph import Graph, normalize_edge
+from ..graphs.graph import Graph
 from .base import BaselineResult
 
 

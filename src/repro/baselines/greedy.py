@@ -15,7 +15,7 @@ compared in Table 2's measured columns.
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, List, Optional
+from typing import Optional
 
 from ..graphs.graph import Graph
 from .base import BaselineResult

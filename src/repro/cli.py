@@ -7,15 +7,13 @@ Usage (``python -m repro`` or, after ``pip install -e .``, just ``repro``)::
     repro build --algorithm baswana-sen --family gnp --size 200 --verify
     repro build --algorithm greedy --param stretch=5 --family grid --size 100
     repro algorithms list [--tag near-additive] [--json]
-    repro experiment table1
-    repro experiment figure3 --json out.json
     repro suite list --filter figure
+    repro suite run --filter table1
+    repro suite run --filter figure3 --records out/
     repro suite run --filter paper --jobs 4 --store .repro-store --resume
-    repro chaos --jobs 4 --task-timeout 120 --task-retries 1
-    repro chaos --scenario chaos-sweep --failures failures.json
-    repro chaos --store-smoke
-    repro dynamic
-    repro dynamic --scenario dynamic-churn --jobs 4 --store .repro-store --resume
+    repro suite run --filter chaos --jobs 4 --task-timeout 120 --task-retries 1
+    repro suite run --filter chaos-sweep --failures failures.json
+    repro suite run --filter dynamic --jobs 4 --store .repro-store --resume
     repro serve --requests 400 --concurrency 8 --workers 2
     repro serve --requests 1000 --store .repro-store --json load.json --check
     repro store audit --store .repro-store
@@ -44,33 +42,20 @@ Sub-commands:
     Inspect the algorithm registry: ``algorithms list`` shows every
     registered algorithm (name, tags, parameter schema, capability hints);
     ``--tag`` filters, ``--json`` emits the machine-readable descriptions.
-``experiment``
-    Run one registered scenario by name (every scenario in the registry --
-    tables, figures, scaling, ablations, workload families) and print its
-    rendered record; ``--json`` saves it.
 ``suite``
-    Operate on the whole scenario registry: ``suite list`` shows every
-    registered scenario (``--filter TAG`` narrows by tag or name);
-    ``suite run`` executes the selected scenarios through the experiment
-    pipeline (``--jobs N`` process-parallel, ``--store DIR`` caches task
-    results, ``--resume`` reuses them) and prints the suite manifest.
-``chaos``
-    Run the deterministic fault-injection tier: every ``chaos``-tagged
-    scenario sweeps fault profiles / drop rates / crash fractions against the
-    CONGEST primitives and verifies each run terminates with an exact result,
-    a *verified* degraded guarantee, or a typed protocol fault.  Prints a
-    per-task fault summary plus the suite manifest; ``--task-timeout`` /
-    ``--task-retries`` exercise the hardened pipeline, ``--failures`` saves
-    the quarantined-task manifest, and ``--store-smoke`` runs a
-    store-corruption self-test (corrupt one cached entry, prove it is
-    invalidated and recomputed without changing the record).
-``dynamic``
-    Run the dynamic tier: every ``dynamic``-tagged scenario replays seeded
-    edge-churn traces (growth, uniform, sliding-window, hotspot) through
-    incremental spanner maintenance and re-verifies the declared stretch
-    guarantee after every step; prints the per-task dynamic summary
-    (absorb/repair/rebuild decisions, incremental-vs-rebuild work) plus the
-    suite manifest.
+    Operate on the scenario registry -- the paper's tables and figures, the
+    scaling and ablation sweeps, the workload families, the fault tier
+    (``chaos``) and the dynamic tier (``dynamic``).  ``suite list`` shows the
+    registered scenarios; ``suite run`` is the one command that runs them.
+    ``--filter`` selects the scenario of that exact name, else every
+    scenario carrying that tag (no filter: all of them).  The selection goes
+    through the experiment pipeline (``--jobs N`` process-parallel,
+    ``--store DIR`` caches task results, ``--resume`` reuses them,
+    ``--task-timeout`` / ``--task-retries`` quarantine hung or failing
+    tasks).  Every record is printed -- a fault summary for ``chaos``
+    scenarios, a maintenance summary for ``dynamic`` ones -- followed by the
+    suite manifest and, if any task was quarantined, the failure manifest.
+    ``--records``, ``--manifest`` and ``--failures`` save them as JSON.
 ``serve``
     Drive the serving tier's request broker with a seeded, Zipf-skewed mixed
     load of build / stretch-query / distance-query requests.  Cache hits are
@@ -123,9 +108,8 @@ from .analysis.capacity import (
 )
 from .core import SpannerResult, make_parameters
 from .experiments import (
+    ExperimentRecord,
     all_specs,
-    get_spec,
-    run_scenario,
     run_suite,
     save_records,
     validate_failure_manifest,
@@ -273,35 +257,6 @@ def _capacity_source(name: str) -> str:
     return str(capacity_provenance(name)["capacity_source"])
 
 
-def _check_resume(args: argparse.Namespace) -> Optional[str]:
-    if args.resume and not args.store:
-        return "--resume requires --store DIR (there is nothing to resume from)"
-    if args.jobs < 1:
-        return "--jobs must be >= 1"
-    return None
-
-
-def _cmd_experiment(args: argparse.Namespace) -> int:
-    error = _check_resume(args)
-    if error:
-        print(error, file=sys.stderr)
-        return 2
-    try:
-        spec = get_spec(args.name)
-    except KeyError:
-        names = ", ".join(spec.name for spec in all_specs())
-        print(f"unknown experiment {args.name!r}; choose from: {names}", file=sys.stderr)
-        return 2
-    record = run_scenario(
-        spec, jobs=args.jobs, store=args.store, resume=args.resume
-    )
-    print(record.render())
-    if args.json:
-        record.save(args.json)
-        print(f"record saved to {args.json}")
-    return 0 if record.all_checks_passed else 1
-
-
 def _cmd_suite_list(args: argparse.Namespace) -> int:
     specs = all_specs(args.filter)
     if not specs:
@@ -320,157 +275,64 @@ def _cmd_suite_list(args: argparse.Namespace) -> int:
     return 0
 
 
+#: How ``suite run`` prints a record: the renderer of the first tag here that
+#: its scenario carries, else :meth:`ExperimentRecord.render`.
+RECORD_RENDERERS = {
+    "chaos": render_fault_summary,
+    "dynamic": render_dynamic_summary,
+}
+
+
+def _render_record(tags: Sequence[str], record: ExperimentRecord) -> str:
+    for tag, renderer in RECORD_RENDERERS.items():
+        if tag in tags:
+            return renderer(record)
+    return record.render()
+
+
+def _write_json(path: str, data: object) -> None:
+    Path(path).write_text(json.dumps(data, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+
+
 def _cmd_suite_run(args: argparse.Namespace) -> int:
-    error = _check_resume(args)
-    if error:
-        print(error, file=sys.stderr)
+    if args.resume and not args.store:
+        print("--resume requires --store DIR (there is nothing to resume from)", file=sys.stderr)
         return 2
     specs = all_specs(args.filter)
     if not specs:
         print(f"no scenarios match filter {args.filter!r}", file=sys.stderr)
         return 2
-    result = run_suite(specs, jobs=args.jobs, store=args.store, resume=args.resume)
-    if args.records:
-        records = list(result.records.values())
-        paths = save_records(records, args.records)
-        print(f"saved {len(paths)} records to {args.records}")
-    if args.render:
-        for outcome in result.outcomes:
-            if outcome.record is not None:
-                print(outcome.record.render())
-                print()
-    manifest = result.manifest()
-    if args.manifest:
-        Path(args.manifest).write_text(
-            json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+    try:
+        result = run_suite(
+            specs,
+            jobs=args.jobs,
+            store=args.store,
+            resume=args.resume,
+            task_timeout=args.task_timeout,
+            task_retries=args.task_retries,
         )
-        print(f"manifest saved to {args.manifest}")
-    print(render_suite_manifest(manifest))
-    return 0 if result.ok else 1
-
-
-def _chaos_store_smoke() -> int:
-    """Store-corruption smoke test: corrupt a cached chaos entry, prove recovery.
-
-    Runs the chaos sweep into a throwaway store, flips bytes in one cached
-    entry, resumes, and checks that exactly that task recomputed and the
-    merged record stayed byte-identical.
-    """
-    import tempfile
-
-    from .experiments import ResultStore
-    from .experiments.chaos import chaos_sweep_spec
-
-    with tempfile.TemporaryDirectory(prefix="repro-chaos-smoke-") as root:
-        spec = chaos_sweep_spec()
-        first = run_suite([spec], store=root, resume=True)
-        if not first.ok:
-            print("store smoke: baseline chaos sweep failed", file=sys.stderr)
-            return 1
-        store = ResultStore(root)
-        scenario, key = next(iter(store.entries()))
-        path = store._path(scenario, key)
-        path.write_text(path.read_text(encoding="utf-8")[:-40], encoding="utf-8")
-        second = run_suite([spec], store=root, resume=True)
-        entry = second.manifest()["scenarios"][0]
-        identical = (
-            first.records[spec.name].to_canonical_json()
-            == second.records[spec.name].to_canonical_json()
-        )
-        ok = second.ok and entry["computed"] == 1 and identical
-        if ok:
-            print(
-                "store smoke: OK (1 corrupt entry invalidated, recomputed, "
-                "record byte-identical)"
-            )
-            return 0
-        print(
-            f"store smoke: FAILED (ok={second.ok}, recomputed={entry['computed']}, "
-            f"identical={identical})",
-            file=sys.stderr,
-        )
-        return 1
-
-
-def _cmd_chaos(args: argparse.Namespace) -> int:
-    if args.store_smoke:
-        return _chaos_store_smoke()
-    error = _check_resume(args)
-    if error:
-        print(error, file=sys.stderr)
+    except ValueError as exc:  # --jobs / --task-timeout / --task-retries out of range
+        print(f"error: {exc}", file=sys.stderr)
         return 2
-    specs = all_specs("chaos")
-    if args.scenario:
-        specs = [spec for spec in specs if spec.name == args.scenario]
-        if not specs:
-            names = ", ".join(spec.name for spec in all_specs("chaos"))
-            print(
-                f"unknown chaos scenario {args.scenario!r}; choose from: {names}",
-                file=sys.stderr,
-            )
-            return 2
-    result = run_suite(
-        specs,
-        jobs=args.jobs,
-        store=args.store,
-        resume=args.resume,
-        task_timeout=args.task_timeout,
-        task_retries=args.task_retries,
-    )
-    for outcome in result.outcomes:
+    for spec, outcome in zip(specs, result.outcomes):  # outcomes follow spec order
         if outcome.record is not None:
-            print(render_fault_summary(outcome.record))
+            print(_render_record(spec.tags, outcome.record))
             print()
     manifest = result.manifest()
     print(render_suite_manifest(manifest))
+    if args.manifest:
+        _write_json(args.manifest, manifest)
+        print(f"manifest saved to {args.manifest}")
     failures = result.failure_manifest()
     validate_failure_manifest(failures)
     if failures["count"]:
         print(f"\nquarantined tasks ({failures['count']}):")
         print(json.dumps(failures, indent=2, sort_keys=True))
     if args.failures:
-        Path(args.failures).write_text(
-            json.dumps(failures, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
+        _write_json(args.failures, failures)
         print(f"failure manifest saved to {args.failures}")
     if args.records:
-        records = list(result.records.values())
-        paths = save_records(records, args.records)
-        print(f"saved {len(paths)} records to {args.records}")
-    return 0 if result.ok else 1
-
-
-def _cmd_dynamic(args: argparse.Namespace) -> int:
-    error = _check_resume(args)
-    if error:
-        print(error, file=sys.stderr)
-        return 2
-    specs = all_specs("dynamic")
-    if args.scenario:
-        specs = [spec for spec in specs if spec.name == args.scenario]
-        if not specs:
-            names = ", ".join(spec.name for spec in all_specs("dynamic"))
-            print(
-                f"unknown dynamic scenario {args.scenario!r}; choose from: {names}",
-                file=sys.stderr,
-            )
-            return 2
-    result = run_suite(
-        specs,
-        jobs=args.jobs,
-        store=args.store,
-        resume=args.resume,
-        task_timeout=args.task_timeout,
-    )
-    for outcome in result.outcomes:
-        if outcome.record is not None:
-            print(render_dynamic_summary(outcome.record))
-            print()
-    manifest = result.manifest()
-    print(render_suite_manifest(manifest))
-    if args.records:
-        records = list(result.records.values())
-        paths = save_records(records, args.records)
+        paths = save_records(result.records, args.records)
         print(f"saved {len(paths)} records to {args.records}")
     return 0 if result.ok else 1
 
@@ -585,14 +447,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     failures = report.failures
     validate_failure_manifest(failures)
     if args.json:
-        Path(args.json).write_text(
-            json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
+        _write_json(args.json, summary)
         print(f"load report saved to {args.json}")
     if args.failures:
-        Path(args.failures).write_text(
-            json.dumps(failures, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
+        _write_json(args.failures, failures)
         print(f"failure manifest saved to {args.failures}")
     if args.check:
         # The smoke contract: the stream must exercise the cache (hits), the
@@ -695,86 +553,33 @@ def build_argument_parser() -> argparse.ArgumentParser:
     )
     algorithms_list_parser.set_defaults(handler=_cmd_algorithms_list)
 
-    experiment_parser = subparsers.add_parser(
-        "experiment", help="run one registered experiment scenario by name"
-    )
-    experiment_parser.add_argument(
-        "name", help="a registered scenario (see `repro suite list`)"
-    )
-    experiment_parser.add_argument("--json", type=str, default=None, help="save the record as JSON")
-    experiment_parser.add_argument("--jobs", type=int, default=1, help="worker processes for the scenario's tasks")
-    experiment_parser.add_argument("--store", type=str, default=None, help="result-store directory for task caching")
-    experiment_parser.add_argument("--resume", action="store_true", help="reuse stored task results")
-    experiment_parser.set_defaults(handler=_cmd_experiment)
-
     suite_parser = subparsers.add_parser("suite", help="list or run the registered scenario suite")
     suite_subparsers = suite_parser.add_subparsers(dest="suite_command", required=True)
 
     suite_list_parser = suite_subparsers.add_parser("list", help="list registered scenarios")
-    suite_list_parser.add_argument("--filter", type=str, default=None, help="keep scenarios matching this tag or name")
+    suite_list_parser.add_argument("--filter", type=str, default=None, help="keep the scenario of this name, else the scenarios with this tag")
     suite_list_parser.set_defaults(handler=_cmd_suite_list)
 
     suite_run_parser = suite_subparsers.add_parser("run", help="run scenarios through the pipeline")
-    suite_run_parser.add_argument("--filter", type=str, default=None, help="keep scenarios matching this tag or name")
+    suite_run_parser.add_argument("--filter", type=str, default=None, help="run the scenario of this name, else the scenarios with this tag")
     suite_run_parser.add_argument("--jobs", type=int, default=1, help="worker processes (1 = serial; results are identical)")
     suite_run_parser.add_argument("--store", type=str, default=None, help="result-store directory for task caching")
     suite_run_parser.add_argument("--resume", action="store_true", help="reuse stored task results; only invalidated tasks recompute")
     suite_run_parser.add_argument("--records", type=str, default=None, help="directory to save every record as JSON")
     suite_run_parser.add_argument("--manifest", type=str, default=None, help="file to save the suite manifest as JSON")
-    suite_run_parser.add_argument("--render", action="store_true", help="print every record, not just the manifest")
-    suite_run_parser.set_defaults(handler=_cmd_suite_run)
-
-    chaos_parser = subparsers.add_parser(
-        "chaos",
-        help="run the fault-injection scenarios through the hardened pipeline",
-    )
-    chaos_parser.add_argument(
-        "--scenario", type=str, default=None,
-        help="run only this chaos scenario (default: every chaos-tagged one)",
-    )
-    chaos_parser.add_argument("--jobs", type=int, default=1, help="worker processes (1 = serial; results are identical)")
-    chaos_parser.add_argument("--store", type=str, default=None, help="result-store directory for task caching")
-    chaos_parser.add_argument("--resume", action="store_true", help="reuse stored task results; only invalidated tasks recompute")
-    chaos_parser.add_argument(
+    suite_run_parser.add_argument(
         "--task-timeout", type=float, default=None,
         help="quarantine any task that exceeds this many wall-clock seconds",
     )
-    chaos_parser.add_argument(
+    suite_run_parser.add_argument(
         "--task-retries", type=int, default=0,
         help="re-run a failed task this many times (same params and seed) before quarantining it",
     )
-    chaos_parser.add_argument(
+    suite_run_parser.add_argument(
         "--failures", type=str, default=None,
         help="file to save the failure manifest of quarantined tasks as JSON",
     )
-    chaos_parser.add_argument(
-        "--records", type=str, default=None, help="directory to save every record as JSON"
-    )
-    chaos_parser.add_argument(
-        "--store-smoke", action="store_true",
-        help="run the store-corruption smoke test instead of the scenarios",
-    )
-    chaos_parser.set_defaults(handler=_cmd_chaos)
-
-    dynamic_parser = subparsers.add_parser(
-        "dynamic",
-        help="run the edge-churn scenarios: incremental maintenance, verified every step",
-    )
-    dynamic_parser.add_argument(
-        "--scenario", type=str, default=None,
-        help="run only this dynamic scenario (default: every dynamic-tagged one)",
-    )
-    dynamic_parser.add_argument("--jobs", type=int, default=1, help="worker processes (1 = serial; results are identical)")
-    dynamic_parser.add_argument("--store", type=str, default=None, help="result-store directory for task caching")
-    dynamic_parser.add_argument("--resume", action="store_true", help="reuse stored task results; only invalidated tasks recompute")
-    dynamic_parser.add_argument(
-        "--task-timeout", type=float, default=None,
-        help="quarantine any task that exceeds this many wall-clock seconds",
-    )
-    dynamic_parser.add_argument(
-        "--records", type=str, default=None, help="directory to save every record as JSON"
-    )
-    dynamic_parser.set_defaults(handler=_cmd_dynamic)
+    suite_run_parser.set_defaults(handler=_cmd_suite_run)
 
     capacity_parser = subparsers.add_parser(
         "capacity",

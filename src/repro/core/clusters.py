@@ -20,8 +20,8 @@ superclustering step of phase ``i`` produces ``P_{i+1}``.  The clusters of
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, FrozenSet, Iterable, List, Sequence, Set
 
 from ..graphs.bfs import bfs_distances
 from ..graphs.graph import Graph

@@ -10,8 +10,8 @@ Three layers (PR 8):
   ``supports_incremental`` capability hint, reporting every step as a
   wall-clock-free :class:`MaintenanceRecord`;
 * :mod:`repro.dynamic.scenarios` -- the registered ``dynamic-churn`` /
-  ``dynamic-growth`` pipeline scenarios (and the ``repro dynamic`` CLI on
-  top of them), asserting guarantee preservation after every step.
+  ``dynamic-growth`` pipeline scenarios (run by ``repro suite run --filter
+  dynamic``), asserting guarantee preservation after every step.
 """
 
 from .deltas import GraphDelta, apply_delta, delta_summary, replay_deltas

@@ -12,7 +12,7 @@ determinism contract).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, Tuple
 
 from ..graphs.graph import Edge, Graph, normalize_edge
 

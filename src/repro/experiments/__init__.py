@@ -52,8 +52,6 @@ from .runner import (
     Measurement,
     fit_power_law,
     measure_algorithm,
-    measure_baseline,
-    measure_deterministic,
     measurement_row,
 )
 from .scaling import run_scaling, scaling_spec
@@ -92,8 +90,6 @@ __all__ = [
     "get_spec",
     "kappa_ablation_spec",
     "measure_algorithm",
-    "measure_baseline",
-    "measure_deterministic",
     "measurement_row",
     "register",
     "rho_ablation_spec",

@@ -724,9 +724,9 @@ def run_scenario(
 ) -> ExperimentRecord:
     """Run a single scenario through the pipeline and return its record.
 
-    This is the one code path behind ``repro experiment``, the per-module
-    ``run_*`` wrappers and the suite runner; errors raise instead of being
-    swallowed into the manifest.
+    The library form of ``repro suite run --filter NAME``, behind the
+    per-module ``run_*`` wrappers: one :func:`run_suite` call whose errors
+    raise instead of being reported in the manifest.
     """
     spec = get_spec(spec_or_name) if isinstance(spec_or_name, str) else spec_or_name
     result = run_suite(

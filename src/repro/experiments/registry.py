@@ -210,18 +210,17 @@ def get_spec(name: str) -> ScenarioSpec:
 def all_specs(filter_tag: Optional[str] = None) -> List[ScenarioSpec]:
     """Every registered scenario, sorted by name.
 
-    ``filter_tag`` keeps only scenarios whose name or tag set matches it
-    (exact name match, or exact tag match).
+    ``filter_tag`` selects the one scenario of that exact name if there is
+    one, and otherwise every scenario carrying it as a tag: ``"scaling"`` is
+    the ``scaling`` scenario, not the three ``scaling``-tagged ones.
     """
     ensure_builtin_specs()
     specs = sorted(_REGISTRY.values(), key=lambda spec: spec.name)
     if filter_tag is None:
         return specs
-    return [
-        spec
-        for spec in specs
-        if filter_tag == spec.name or filter_tag in spec.tags
-    ]
+    if filter_tag in _REGISTRY:
+        return [_REGISTRY[filter_tag]]
+    return [spec for spec in specs if filter_tag in spec.tags]
 
 
 def scenario_names() -> List[str]:

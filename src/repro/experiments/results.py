@@ -17,7 +17,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Mapping, Optional, Union
 
 from ..analysis.reporting import render_series, render_table
 
@@ -134,13 +134,19 @@ class ExperimentRecord:
         return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
 
 
-def save_records(records: Sequence[ExperimentRecord], directory: PathLike) -> List[Path]:
-    """Save several records into a directory; returns the written paths."""
+def save_records(records: Mapping[str, ExperimentRecord], directory: PathLike) -> List[Path]:
+    """Save ``{scenario name: record}`` as ``directory/<scenario name>.json``.
+
+    Files are named after the scenario, not :attr:`ExperimentRecord.name`:
+    two scenarios may merge into records of the same name (``scaling`` and
+    ``scaling-large`` both build ``scaling-rounds-and-size``).  Returns the
+    written paths.
+    """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     paths = []
-    for record in records:
-        path = directory / f"{record.name}.json"
+    for name, record in records.items():
+        path = directory / f"{name}.json"
         record.save(path)
         paths.append(path)
     return paths

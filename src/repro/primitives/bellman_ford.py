@@ -15,7 +15,7 @@ independent cross-check of :mod:`repro.primitives.bfs_forest` in tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Iterable, List, Optional
 
 from ..congest.message import Message
 from ..congest.node import NodeContext, NodeProgram

@@ -12,7 +12,7 @@ from repro.analysis import (
     evaluate_stretch_sampled,
 )
 from repro.core import StretchGuarantee
-from repro.graphs import Graph, bfs_tree_edges, cycle_graph, gnp_random_graph, grid_graph, path_graph
+from repro.graphs import Graph, bfs_tree_edges, cycle_graph, path_graph
 
 
 def spanning_tree_of(graph):

@@ -10,7 +10,6 @@ from repro.graphs import (
     Graph,
     complete_graph,
     gnp_random_graph,
-    grid_graph,
     planted_partition_graph,
     same_component_structure,
 )

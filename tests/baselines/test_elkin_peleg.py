@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro.analysis import evaluate_stretch
 from repro.baselines import build_elkin_peleg_spanner
 from repro.graphs import complete_graph, gnp_random_graph, same_component_structure

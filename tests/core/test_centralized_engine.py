@@ -14,10 +14,7 @@ from repro.core import SpannerParameters, build_spanner
 from repro.graphs import (
     Graph,
     complete_graph,
-    cycle_graph,
     empty_graph,
-    gnp_random_graph,
-    hypercube_graph,
     path_graph,
     star_graph,
 )

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro.congest import Simulator
 from repro.core import (
     Cluster,
@@ -15,7 +13,7 @@ from repro.core import (
     spanned_center_roots,
 )
 from repro.core.interconnection import count_interconnection_paths
-from repro.graphs import grid_graph, path_graph
+from repro.graphs import path_graph
 from repro.primitives import centralized_bounded_exploration, run_bfs_forest
 
 

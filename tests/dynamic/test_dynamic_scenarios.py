@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from repro.analysis import render_dynamic_summary
@@ -134,11 +136,12 @@ class TestDeterminism:
 
 class TestCli:
     def test_repro_dynamic_runs_the_tier(self, tmp_path, capsys):
-        records = tmp_path / "dynamic.json"
+        records = tmp_path / "records"
         code = main(
             [
-                "dynamic",
-                "--scenario",
+                "suite",
+                "run",
+                "--filter",
                 "dynamic-churn",
                 "--records",
                 str(records),
@@ -147,7 +150,12 @@ class TestCli:
         out = capsys.readouterr().out
         assert code == 0
         assert "dynamic summary: dynamic-churn" in out
-        assert records.exists()
+        # The record is pinned: any drift means a maintenance decision, a
+        # work count or a verification result changed.
+        digest = hashlib.sha256((records / "dynamic-churn.json").read_bytes())
+        assert digest.hexdigest() == (
+            "0331c54134c1a5ee421de41c12736561a417eca86b52b74025a356a186c214bf"
+        )
 
     def test_unknown_scenario_filter_fails_cleanly(self, capsys):
-        assert main(["dynamic", "--scenario", "dynamic-nonsense"]) == 2
+        assert main(["suite", "run", "--filter", "dynamic-nonsense"]) == 2

@@ -185,7 +185,7 @@ class TestProtocolFaultRows:
 
 class TestChaosCli:
     def test_chaos_command_prints_fault_summaries_and_manifest(self, capsys):
-        exit_code = main(["chaos", "--scenario", "chaos-primitives", "--jobs", "2"])
+        exit_code = main(["suite", "run", "--filter", "chaos-primitives", "--jobs", "2"])
         assert exit_code == 0
         output = capsys.readouterr().out
         assert "fault summary: chaos-primitives" in output
@@ -195,7 +195,7 @@ class TestChaosCli:
     def test_chaos_command_saves_an_empty_failure_manifest(self, tmp_path, capsys):
         failures_path = tmp_path / "failures.json"
         exit_code = main([
-            "chaos", "--scenario", "chaos-sweep",
+            "suite", "run", "--filter", "chaos-sweep",
             "--task-timeout", "120", "--task-retries", "1",
             "--failures", str(failures_path),
         ])
@@ -206,9 +206,10 @@ class TestChaosCli:
         assert manifest["failures"] == []
 
     def test_chaos_records_are_pinned(self, tmp_path, capsys):
-        # The records exactly as ``repro chaos --records`` writes them: any
-        # drift means a faulted primitive delivered or counted differently.
-        assert main(["chaos", "--records", str(tmp_path)]) == 0
+        # The records exactly as ``repro suite run --filter chaos --records``
+        # writes them: any drift means a faulted primitive delivered or
+        # counted differently.
+        assert main(["suite", "run", "--filter", "chaos", "--records", str(tmp_path)]) == 0
         digests = {
             path.name: hashlib.sha256(path.read_bytes()).hexdigest()
             for path in tmp_path.iterdir()
@@ -223,14 +224,9 @@ class TestChaosCli:
         }
 
     def test_chaos_command_rejects_unknown_scenario(self, capsys):
-        assert main(["chaos", "--scenario", "no-such-chaos"]) == 2
-        assert "unknown chaos scenario" in capsys.readouterr().err
+        assert main(["suite", "run", "--filter", "no-such-chaos"]) == 2
+        assert "no scenarios match" in capsys.readouterr().err
 
     def test_chaos_command_rejects_resume_without_store(self, capsys):
-        assert main(["chaos", "--resume"]) == 2
+        assert main(["suite", "run", "--filter", "chaos", "--resume"]) == 2
         assert "--store" in capsys.readouterr().err
-
-    def test_store_smoke_invalidates_and_recomputes(self, capsys):
-        exit_code = main(["chaos", "--store-smoke"])
-        assert exit_code == 0
-        assert "store smoke: OK" in capsys.readouterr().out

@@ -86,6 +86,14 @@ class TestBuiltinRegistry:
         by_name = [spec.name for spec in all_specs("table1")]
         assert by_name == ["table1"]
 
+    def test_an_exact_name_beats_a_tag(self):
+        # "scaling" is a scenario and the tag of three; the name wins.
+        assert [spec.name for spec in all_specs("scaling")] == ["scaling"]
+        assert {spec.name for spec in all_specs("growth")} == {
+            "dynamic-growth",
+            "scaling-growth",
+        }
+
     def test_every_spec_has_description_and_version(self):
         for spec in all_specs():
             assert spec.description, spec.name

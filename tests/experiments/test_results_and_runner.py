@@ -9,14 +9,12 @@ from repro.experiments import (
     default_parameters,
     experiment_workloads,
     fit_power_law,
-    measure_baseline,
-    measure_deterministic,
+    measure_algorithm,
     measurement_row,
     save_records,
     scaling_graphs,
     scaling_sizes,
 )
-from repro.baselines import build_greedy_spanner
 from repro.graphs import gnp_random_graph
 
 
@@ -63,9 +61,11 @@ class TestExperimentRecord:
         assert loaded.checks == {"ok": True}
 
     def test_save_records_directory(self, tmp_path):
-        records = [ExperimentRecord(name=f"r{i}", description="") for i in range(3)]
+        # Files are named after the scenario: two records of the same name
+        # (scaling and scaling-large) must not overwrite each other.
+        records = {f"s{i}": ExperimentRecord(name="same", description="") for i in range(3)}
         paths = save_records(records, tmp_path / "out")
-        assert len(paths) == 3
+        assert [path.name for path in paths] == ["s0.json", "s1.json", "s2.json"]
         assert all(path.exists() for path in paths)
 
     def test_canonical_json_is_stable_and_sorted(self):
@@ -108,21 +108,26 @@ class TestWorkloads:
 
 
 class TestRunner:
-    def test_measure_deterministic(self):
+    def test_measure_algorithm_new_centralized(self):
         graph = gnp_random_graph(40, 0.1, seed=1)
-        measurement, result = measure_deterministic(graph, default_parameters(), graph_name="g")
+        measurement, run = measure_algorithm(graph, "new-centralized", graph_name="g")
+        assert measurement.algorithm == "new-centralized"
         assert measurement.guarantee_satisfied
-        assert measurement.num_spanner_edges == result.num_edges
+        assert measurement.num_spanner_edges == run.num_edges
+        assert measurement.nominal_rounds == run.nominal_rounds
         row = measurement.to_row()
         assert row["graph"] == "g"
         assert row["n"] == 40
+        assert row["superclustering_edges"] + row["interconnection_edges"] <= run.num_edges
 
-    def test_measure_baseline(self):
+    def test_measure_algorithm_greedy(self):
         graph = gnp_random_graph(40, 0.1, seed=2)
-        measurement, baseline = measure_baseline(graph, lambda: build_greedy_spanner(graph, 5))
+        measurement, run = measure_algorithm(graph, "greedy", {"stretch": 5})
         assert measurement.algorithm == "greedy"
+        assert measurement.multiplicative_bound == 5
         assert measurement.guarantee_satisfied
-        assert measurement.num_spanner_edges == baseline.num_edges
+        assert measurement.num_spanner_edges == run.num_edges
+        assert "superclustering_edges" not in measurement.to_row()
 
     def test_fit_power_law_exact(self):
         sizes = [10, 100, 1000]
@@ -135,7 +140,7 @@ class TestRunner:
 
     def test_measurement_row_strips_timing(self):
         graph = gnp_random_graph(30, 0.15, seed=3)
-        measurement, _ = measure_deterministic(graph, default_parameters(), graph_name="g")
+        measurement, _ = measure_algorithm(graph, "new-centralized", graph_name="g")
         row = measurement_row(measurement)
         assert "seconds" not in row
         assert "wall_seconds" not in row

@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from repro.experiments import run_suite
 from repro.experiments.ablation import epsilon_ablation_spec
+from repro.experiments.chaos import chaos_sweep_spec
 from repro.experiments.store import STORE_SCHEMA, ResultStore, payload_checksum
 from repro.experiments.table1 import table1_spec
 
@@ -224,16 +227,26 @@ class TestSuiteResume:
         result = run_suite([bumped], store=tmp_path, resume=True)
         assert result.manifest()["scenarios"][0]["cache_hits"] == 0
 
-    def test_corrupted_entry_recomputed_on_resume(self, tmp_path):
-        spec = epsilon_ablation_spec(epsilons=(0.1, 0.3), sample_pairs=40)
+    @pytest.mark.parametrize(
+        "make_spec",
+        [
+            lambda: epsilon_ablation_spec(epsilons=(0.1, 0.3), sample_pairs=40),
+            chaos_sweep_spec,
+        ],
+        ids=["ablation", "chaos-sweep"],
+    )
+    def test_corrupted_entry_recomputed_on_resume(self, tmp_path, make_spec):
+        spec = make_spec()
         first = run_suite([spec], store=tmp_path, resume=True)
+        assert first.ok
         store = ResultStore(tmp_path)
         scenario, key = next(iter(store.entries()))
         path = store._path(scenario, key)
         path.write_text(path.read_text(encoding="utf-8")[:-40], encoding="utf-8")
         second = run_suite([spec], store=tmp_path, resume=True)
+        assert second.ok
         manifest = second.manifest()["scenarios"][0]
-        assert manifest["cache_hits"] == 1
+        assert manifest["cache_hits"] == manifest["tasks"] - 1
         assert manifest["computed"] == 1
         # The recomputed payload is stored again, and records stay identical.
         assert store.get(scenario, key) is not None

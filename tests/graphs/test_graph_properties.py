@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.graphs import (
-    Graph,
     all_pairs_distances,
     bfs,
     bfs_distances,

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from repro.congest import Simulator
-from repro.graphs import Graph, cycle_graph, grid_graph, path_graph, star_graph
+from repro.graphs import Graph, path_graph, star_graph
 from repro.primitives import count_vertices, run_broadcast, run_convergecast
 
 

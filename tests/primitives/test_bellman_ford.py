@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.congest import Simulator
-from repro.graphs import bfs_distances, cycle_graph, gnp_random_graph, grid_graph, path_graph
+from repro.graphs import bfs_distances, path_graph
 from repro.primitives import run_bellman_ford, run_bfs_forest
 
 

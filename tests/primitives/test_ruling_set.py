@@ -10,11 +10,8 @@ from hypothesis import strategies as st
 
 from repro.congest import Simulator
 from repro.graphs import (
-    bfs_distances,
     complete_graph,
-    cycle_graph,
     gnp_random_graph,
-    grid_graph,
     path_graph,
 )
 from repro.primitives import (

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.congest import Simulator
-from repro.graphs import Graph, bfs_distances, grid_graph, path_graph
+from repro.graphs import bfs_distances
 from repro.primitives import (
     centralized_forest_markup,
     centralized_traceback,

@@ -128,25 +128,55 @@ def test_params_command_outputs_json(capsys):
     assert "round_bound" in data
 
 
-def test_experiment_unknown_name(capsys):
-    assert main(["experiment", "no-such-experiment"]) == 2
+def test_suite_run_unknown_filter(capsys):
+    assert main(["suite", "run", "--filter", "no-such-experiment"]) == 2
+    assert "no scenarios match" in capsys.readouterr().err
 
 
-def test_experiment_figure_runs_and_saves_json(tmp_path, capsys):
-    out = tmp_path / "fig1.json"
-    exit_code = main(["experiment", "figure1", "--json", str(out)])
+def test_suite_run_figure_saves_its_record(tmp_path, capsys):
+    exit_code = main(["suite", "run", "--filter", "figure1", "--records", str(tmp_path)])
     assert exit_code == 0
-    data = json.loads(out.read_text())
+    assert "== figure1-superclustering ==" in capsys.readouterr().out
+    data = json.loads((tmp_path / "figure1.json").read_text())
     assert data["name"] == "figure1-superclustering"
     assert all(data["checks"].values())
 
 
-def test_experiment_scaling_and_ablation_runnable_by_name(capsys):
-    # These were missing from the old hardwired CLI registry.
-    exit_code = main(["experiment", "ablation-kappa"])
+def test_suite_run_scenario_name_beats_its_tag(tmp_path, capsys):
+    # "scaling" names one scenario and tags three; the name wins.
+    manifest_path = tmp_path / "manifest.json"
+    assert main(["suite", "run", "--filter", "scaling", "--manifest", str(manifest_path)]) == 0
+    manifest = json.loads(manifest_path.read_text())
+    assert [entry["name"] for entry in manifest["scenarios"]] == ["scaling"]
+
+
+def test_suite_run_renders_every_record(capsys):
+    exit_code = main(["suite", "run", "--filter", "ablation-kappa"])
     assert exit_code == 0
     output = capsys.readouterr().out
     assert "== ablation-kappa ==" in output
+    assert "all ok" in output
+
+
+def test_suite_run_reports_a_failing_scenario_in_the_manifest(monkeypatch, capsys):
+    from repro.experiments import ExperimentRecord, ScenarioSpec
+
+    def exploding_task(params, seed):
+        raise RuntimeError("boom")
+
+    spec = ScenarioSpec(
+        name="exploding",
+        description="",
+        task=exploding_task,
+        merge=lambda defaults, payloads: ExperimentRecord(name="x", description=""),
+    )
+    monkeypatch.setattr("repro.cli.all_specs", lambda name: [spec])
+    # No traceback: the error is reported in the manifest and the exit is 1.
+    assert main(["suite", "run", "--filter", "exploding"]) == 1
+    output = capsys.readouterr().out
+    assert "exploding | error" in output
+    assert "quarantined tasks (1)" in output
+    assert "boom" in output
 
 
 def test_suite_list_shows_all_scenarios(capsys):
@@ -171,7 +201,21 @@ def test_suite_list_unknown_filter(capsys):
 def test_resume_without_store_is_an_error(capsys):
     assert main(["suite", "run", "--resume"]) == 2
     assert "--store" in capsys.readouterr().err
-    assert main(["experiment", "figure1", "--resume"]) == 2
+    assert main(["suite", "run", "--filter", "figure1", "--resume"]) == 2
+
+
+def test_suite_run_rejects_bad_pipeline_arguments(capsys):
+    assert main(["suite", "run", "--filter", "figure1", "--jobs", "0"]) == 2
+    assert "jobs" in capsys.readouterr().err
+    assert main(["suite", "run", "--filter", "figure1", "--task-timeout", "0"]) == 2
+    assert main(["suite", "run", "--filter", "figure1", "--task-retries", "-1"]) == 2
+
+
+def test_scenario_commands_are_gone(capsys):
+    for command in ("experiment", "chaos", "dynamic"):
+        with pytest.raises(SystemExit) as excinfo:
+            main([command])
+        assert excinfo.value.code == 2
 
 
 def test_suite_run_with_store_and_resume(tmp_path, capsys):
