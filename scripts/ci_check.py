@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""One-command repository health check: tests + goldens + benchmarks + docs.
+"""One-command repository health check: tests + benchmark self-tests + docs.
 
 Runs, in order (see :func:`stage_plan`):
 
@@ -12,48 +12,44 @@ Runs, in order (see :func:`stage_plan`):
 3. ``tier-1 tests (pure-python kernel)`` -- the same suite pinned to
    ``REPRO_KERNEL=python``: the tree must work without the vectorized
    NumPy/SciPy tier (an optional extra).  Also skipped under ``--fast``.
-4. ``golden counters`` -- ``scripts/bench_compare.py --skip-benchmarks``
-   against the committed ``BENCH_seed.json``: the fixed distributed build and
-   BFS-forest protocol must stay bit-identical.  ``--snapshot PATH`` keeps
-   the produced snapshot (CI uploads it as an artifact).
-5. ``array message plane (numpy kernel)`` -- the exploration, trace-back,
+4. ``array message plane (numpy kernel)`` -- the exploration, trace-back,
    degradation-verifier, golden-run, engine cross-validation, fault-injection
    and chaos tests under ``REPRO_KERNEL=numpy``.  It needs
    the ``fast`` extra (NumPy/SciPy): without it the stage fails under GitHub
    Actions, unless ``--without-fast`` declares a leg that covers the
    pure-Python fallback on purpose, and is skipped with a notice locally.
-6. ``phase micro-benchmarks (quick mode)`` -- the superclustering /
-   interconnection phase drivers run once, assertions only, plus the
-   fault-injection guard that no plan (or an inactive one) reproduces the
-   ``BENCH_seed.json`` forest goldens.
-7. ``benchmark self-tests`` -- ``python -m pytest perfbench -q``: the
+5. ``benchmark self-tests`` -- ``python -m pytest perfbench -q``: the
    benchmark's own tests at tiny sizes (every workload end to end, the
    certificate, host-speed rescaling, layer tracing and its restoration, and
    the metric list against BENCHMARK.json).
-8. ``capacity ladder (quick mode)`` -- ``repro capacity`` on a tiny budget
+6. ``capacity ladder (quick mode)`` -- ``repro capacity`` on a tiny budget
    and window: exercises the measured-capacity search and its CLI end to end
    on every push without paying real measurement time.
-9. ``capacity ladder (quick mode, numpy kernel)`` -- the same quick ladder
+7. ``capacity ladder (quick mode, numpy kernel)`` -- the same quick ladder
    under ``repro --kernel numpy``: drives the vectorized kernels through the
    whole capacity CLI.
-10. ``fault injection (quick mode)`` -- ``repro suite run --filter
-    chaos-primitives`` with a wall-clock task timeout: every injected fault
-    schedule must terminate in a typed outcome (the scenario checks enforce
-    it) and the failure manifest must validate against its schema.
-11. ``dynamic churn (quick mode)`` -- ``repro suite run --filter
-    dynamic-churn`` with the same kind of timeout: every incremental-capable
-    algorithm maintains its spanner through seeded churn traces and the
-    scenario checks re-verify the declared guarantee after every single step.
-12. ``serve smoke (quick mode)`` -- ``repro serve --check`` on a small seeded
+8. ``fault injection (quick mode)`` -- ``repro suite run --filter
+   chaos-primitives`` with a wall-clock task timeout: every injected fault
+   schedule must terminate in a typed outcome (the scenario checks enforce
+   it) and the failure manifest must validate against its schema.
+9. ``dynamic churn (quick mode)`` -- ``repro suite run --filter
+   dynamic-churn`` with the same kind of timeout: every incremental-capable
+   algorithm maintains its spanner through seeded churn traces and the
+   scenario checks re-verify the declared guarantee after every single step.
+10. ``serve smoke (quick mode)`` -- ``repro serve --check`` on a small seeded
     mixed load: the request broker must show cache hits and coalesced
     single-flight builds and lose no request (zero dropped / failed /
     rejected responses).
-13. ``registry completeness`` -- ``scripts/registry_check.py``: every
+11. ``registry completeness`` -- ``scripts/registry_check.py``: every
     registered algorithm must have a measured CAPACITY.json entry, a row in
     EXPERIMENTS.md's Algorithm registry table, and membership in at least
     one scenario matrix.  Registration drift fails the build.
-14. ``experiments-md drift`` -- the committed EXPERIMENTS.md must match the
+12. ``experiments-md drift`` -- the committed EXPERIMENTS.md must match the
     current algorithm/scenario registries.
+
+The golden protocol counters (a fixed distributed build and a fixed
+BFS-forest run, bit-identical) are ``tests/congest/test_golden_run.py``, run
+by both tier-1 stages and the array-plane stage.
 
 The store-corruption check (corrupt one cached chaos-sweep entry, resume,
 recompute exactly that task, reproduce a byte-identical record) is the
@@ -79,7 +75,6 @@ import re
 import shutil
 import subprocess
 import sys
-import tempfile
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -169,7 +164,7 @@ def vectorized_tier_available() -> bool:
 
 
 def stage_plan(
-    args: argparse.Namespace, snapshot_path: str, vectorized: bool = True
+    args: argparse.Namespace, vectorized: bool = True
 ) -> List[Tuple[str, Optional[List[str]]]]:
     """The ordered stage list as ``(name, command-or-None)`` pairs.
 
@@ -224,36 +219,12 @@ def stage_plan(
         ("lint (ruff)", lint_cmd),
         ("tier-1 tests", pytest_cmd),
         ("tier-1 tests (pure-python kernel)", pure_pytest_cmd),
-        (
-            "golden counters",
-            [
-                sys.executable,
-                str(REPO_ROOT / "scripts" / "bench_compare.py"),
-                "--skip-benchmarks",
-                "--output",
-                snapshot_path,
-                "--baseline",
-                str(REPO_ROOT / "BENCH_seed.json"),
-            ],
-        ),
         # The tests that pin the exploration phases and the readers of its
         # knowledge, the golden build and the engine cross-validation, forced
         # onto the array message plane:
         # tier-1 graphs sit below its auto threshold, so the default stage
         # only covers the per-broadcast form.
         (ARRAY_PLANE_STAGE, array_plane_cmd),
-        (
-            "phase micro-benchmarks (quick mode)",
-            [
-                sys.executable,
-                "-m",
-                "pytest",
-                "-q",
-                str(REPO_ROOT / "benchmarks" / "bench_phases.py"),
-                str(REPO_ROOT / "benchmarks" / "bench_faults.py"),
-                "--benchmark-disable",
-            ],
-        ),
         (
             "benchmark self-tests",
             [sys.executable, "-m", "pytest", "perfbench", "-q"],
@@ -436,12 +407,6 @@ def main(argv=None) -> int:
         help="JUnit XML report path passed through to the pytest stage",
     )
     parser.add_argument(
-        "--snapshot",
-        type=str,
-        default=None,
-        help="keep the golden-counter snapshot at this path (for CI artifacts)",
-    )
-    parser.add_argument(
         "--without-fast",
         action="store_true",
         help="this run covers the pure-Python fallback on purpose: skip the "
@@ -449,18 +414,10 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
 
-    if args.snapshot:
-        snapshot = args.snapshot
-        cleanup_snapshot = False
-    else:
-        with tempfile.NamedTemporaryFile(suffix=".json", delete=False) as handle:
-            snapshot = handle.name
-        cleanup_snapshot = True
-
     results: List[StageResult] = []
     failed = False
     try:
-        for name, cmd in stage_plan(args, snapshot, vectorized_tier_available()):
+        for name, cmd in stage_plan(args, vectorized_tier_available()):
             if cmd is None:
                 results.append(StageResult(name=name, status="skipped"))
                 reason = f" ({SKIP_REASONS[name]})" if name in SKIP_REASONS else ""
@@ -474,11 +431,6 @@ def main(argv=None) -> int:
             results.append(result)
             failed = failed or not result.ok
     finally:
-        if cleanup_snapshot:
-            try:
-                os.unlink(snapshot)
-            except OSError:
-                pass
         write_step_summary(results)
 
     print("==> all checks passed" if not failed else "==> CHECKS FAILED", flush=True)

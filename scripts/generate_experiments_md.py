@@ -197,9 +197,10 @@ queue/compute split) *next to* the payload, never inside it: served payloads
 are byte-identical to direct `repro.build` / stretch evaluation regardless of
 concurrency, coalescing or cache state.  `--check` turns a run into the CI
 smoke gate (cache hits > 0, coalescing > 0, zero dropped/failed/rejected),
-and `benchmarks/bench_serve.py` asserts the cache-behavior facts (no drops,
-a hit-rate floor, coalescing, one pool submission per distinct build) and
-reports throughput and p50/p99 latency as measured context.
+and a tier-1 test drives a 1500-request mixed load through the process pool
+and asserts the cache-behavior facts (no drops, a hit rate above 0.5,
+coalescing, at most one pool submission per distinct build) within a 30 s
+budget.  The `serve-zipf` workload of `perfbench/` times the serving path.
 """
 
 

@@ -1,7 +1,7 @@
 """Plain-text / markdown rendering of experiment tables.
 
-The benchmark harness prints the regenerated paper tables through these
-helpers so a run of ``pytest benchmarks/ --benchmark-only`` shows the same
+Experiment records, the CLI and the capacity report print the regenerated
+paper tables through these helpers, so every surface shows the same
 rows/series the paper reports.
 """
 

@@ -112,11 +112,11 @@ class FaultPlan:
         ``0..t-1`` and never again.
     link_outages:
         Explicit :class:`LinkOutage` intervals, in the round numbering of
-        each protocol run.  A primitive made of several sub-protocols
-        (exploration phases, ruling-set knock-outs) starts that numbering
-        at 0 in every sub-protocol, so an outage recurs in each of them;
-        crashes, by contrast, follow the primitive's global schedule (see
-        :func:`window_plan`).
+        the primitive's global schedule.  A primitive made of several
+        sub-protocols (exploration phases, ruling-set knock-outs) projects
+        them, like crashes, onto each sub-protocol's window (see
+        :func:`window_plan`), so an outage fires once, in the global rounds
+        it names.
     """
 
     seed: int
@@ -294,9 +294,10 @@ def window_plan(
     at global round ``r`` is dead from local round 0 if ``r <= start``, from
     local round ``r - start`` if the crash falls inside the window, and
     alive otherwise.  A crash-stopped node therefore stays dead for the rest
-    of the primitive.  :class:`LinkOutage` windows are *not* projected: each
-    sub-protocol numbers its rounds from 0, so an outage applies again at
-    the start of every window.
+    of the primitive.  :class:`LinkOutage` intervals are shifted the same
+    way: a message sent in local round ``t`` is blocked exactly when its
+    global send round ``start + t`` lies in the outage's interval, and
+    outages that end before the window are dropped.
     """
     local = {}
     for v, r in crash_at.items():
@@ -304,7 +305,17 @@ def window_plan(
             local[v] = 0
         elif r < start + length:
             local[v] = r - start
-    return replace(plan.derive(salt), crash_fraction=0.0, crashes=tuple(sorted(local.items())))
+    outages = tuple(
+        LinkOutage(o.u, o.v, max(0, o.start - start), o.end - start)
+        for o in plan.link_outages
+        if o.end >= start
+    )
+    return replace(
+        plan.derive(salt),
+        crash_fraction=0.0,
+        crashes=tuple(sorted(local.items())),
+        link_outages=outages,
+    )
 
 
 def add_fault_counters(

@@ -58,7 +58,7 @@ from .scaling import run_scaling, scaling_spec
 from .store import ResultStore
 from .table1 import run_table1, table1_spec
 from .table2 import run_table2, table2_spec
-from .workloads import default_parameters, experiment_workloads, scaling_graphs, scaling_sizes
+from .workloads import default_parameters, scaling_graphs, scaling_sizes
 
 __all__ = [
     "ALL_FIGURES",
@@ -76,7 +76,6 @@ __all__ = [
     "default_parameters",
     "ensure_builtin_specs",
     "epsilon_ablation_spec",
-    "experiment_workloads",
     "figure1_superclustering",
     "figure2_bfs_trees",
     "figure3_ruling_set",

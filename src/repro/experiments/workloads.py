@@ -1,30 +1,12 @@
-"""Workload suite for the table/figure experiments.
+"""Workload helpers for the table/figure experiments.
 
-The paper has no experimental section, so the workloads are chosen to exercise
-the regimes its analysis distinguishes:
-
-* ``gnp-sparse`` / ``gnm-dense`` -- unstructured random graphs (the generic
-  case for the cluster-count lemmas);
-* ``grid`` / ``torus`` / ``clustered-path`` -- large-diameter graphs, where
-  near-additive spanners preserve long distances much better than
-  multiplicative ones (the paper's motivation);
-* ``planted`` -- community graphs with many popular centers, stressing the
-  superclustering machinery (Figures 1-4);
-* ``caterpillar`` / ``tree`` -- already-sparse graphs (sanity: the spanner
-  should keep almost everything);
-* ``hypercube`` / ``regular`` -- low-diameter expander-like graphs (stressing
-  the interconnection step);
-* ``small-world`` -- ring lattices with rewired shortcuts (locally dense,
-  globally short after a few chords);
-* ``geometric`` -- random geometric graphs (spatial clustering, non-uniform
-  degrees);
-* ``multi-component`` -- disconnected unions of structurally distinct pieces
-  (component structure must be preserved exactly).
+The default parameter setting every experiment uses unless overridden, and
+the geometric size sweeps of the scaling experiments.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Tuple
+from typing import Iterable, List, Tuple
 
 from ..core.parameters import SpannerParameters
 from ..graphs.graph import Graph
@@ -39,34 +21,6 @@ def default_parameters(epsilon: float = 0.25, kappa: int = 3, rho: float = 1.0 /
     alongside every measurement.
     """
     return SpannerParameters.from_internal_epsilon(epsilon, kappa, rho)
-
-
-def experiment_workloads(scale: int = 200, seed: int = 7) -> Dict[str, Graph]:
-    """The named workload graphs, all of roughly ``scale`` vertices."""
-    side = max(4, int(round(scale ** 0.5)))
-    clusters = max(2, scale // 16)
-    cluster_size = max(3, scale // clusters)
-    return {
-        "gnp-sparse": generators.gnp_random_graph(scale, 4.0 / max(scale - 1, 1), seed=seed),
-        "gnm-dense": generators.gnm_random_graph(
-            scale, min(6 * scale, scale * (scale - 1) // 2), seed=seed + 1
-        ),
-        "grid": generators.grid_graph(side, side),
-        "torus": generators.torus_graph(side, side),
-        "clustered-path": generators.clustered_path_graph(max(2, scale // 10), 10),
-        "planted": generators.planted_partition_graph(
-            clusters, cluster_size, p_intra=0.5, p_inter=0.02, seed=seed + 2
-        ),
-        "caterpillar": generators.caterpillar_graph(max(2, scale // 3), 2),
-        "tree": generators.random_tree(scale, seed=seed + 3),
-        "hypercube": generators.hypercube_graph(max(3, scale.bit_length() - 1)),
-        "regular": generators.random_regular_like_graph(scale, 4, seed=seed + 4),
-        "small-world": generators.watts_strogatz_graph(
-            scale, nearest_neighbors=4, rewire_probability=0.1, seed=seed + 5
-        ),
-        "geometric": generators.make_workload("geometric", scale, seed=seed + 6),
-        "multi-component": generators.make_workload("multi_component", scale, seed=seed + 7),
-    }
 
 
 def scaling_sizes(base: int = 100, steps: int = 4, factor: float = 2.0) -> List[int]:

@@ -223,8 +223,8 @@ def active_backend(
     """Resolve the backend (``python`` or ``numpy``) for a workload size.
 
     ``num_vertices=None`` asks for the large-``n`` resolution (what ``auto``
-    picks once past the threshold) -- the value capacity ladders and bench
-    snapshots stamp.  ``min_vertices`` is the kernel's ``auto`` threshold.
+    picks once past the threshold) -- the value capacity ladders stamp.
+    ``min_vertices`` is the kernel's ``auto`` threshold.
     """
     mode = kernel_mode()
     if mode == KERNEL_PYTHON:

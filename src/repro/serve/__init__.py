@@ -6,7 +6,7 @@ build / stretch-query / distance-query requests off warm snapshots, coalesces
 identical in-flight builds, batches compatible queries per snapshot and
 dispatches misses through the hardened process-pool pipeline.
 :mod:`~repro.serve.loadgen` provides the seeded closed-loop load generator
-behind ``benchmarks/bench_serve.py`` and the CI serve smoke.
+behind the mixed-load test, ``repro serve`` and the CI serve smoke.
 """
 
 from .loadgen import (

@@ -23,7 +23,7 @@ from repro.congest import (
     fault_round_limit,
 )
 from repro.congest.faults import fresh_fault_counters
-from repro.graphs import cycle_graph, make_workload, path_graph
+from repro.graphs import cycle_graph, make_workload, path_graph, planted_partition_graph
 from repro.primitives.aggregation import run_broadcast, run_convergecast
 from repro.primitives.bfs_forest import run_bfs_forest
 from repro.primitives.exploration import run_bounded_exploration
@@ -265,6 +265,48 @@ def test_link_outage_blocks_edge_both_ways():
     assert run.fault_counters["link_down"] > 0
 
 
+class _WindowRecorder(Simulator):
+    """Records the ``(nominal_rounds, fault_plan, run)`` of every schedule window."""
+
+    def __init__(self, graph):
+        super().__init__(graph)
+        self.windows = []
+
+    def run_broadcast_schedule(self, queues, deliver, **kwargs):
+        run = super().run_broadcast_schedule(queues, deliver, **kwargs)
+        self.windows.append((kwargs["nominal_rounds"], kwargs["fault_plan"], run))
+        return run
+
+
+def test_link_outages_follow_the_global_round_clock():
+    # Outages on vertex 0's edges for global rounds 0..3: all of phase 1
+    # (cap + 1 = 4 rounds).  Phases 2 and 3 open at global rounds 4 and 7,
+    # so a message sent in local round r of a window starting at s is
+    # blocked exactly when s + r lies in an outage's inclusive interval.
+    graph = make_workload("sparse_gnp", 36, seed=7)
+    outages = [LinkOutage(0, nb, 0, 3) for nb in sorted(graph.neighbors(0))]
+    simulator = _WindowRecorder(graph)
+    result = run_bounded_exploration(
+        simulator, range(0, 36, 4), depth=3, cap=3,
+        fault_plan=FaultPlan(seed=31, link_outages=outages),
+    )
+    start = 0
+    per_phase = []
+    for nominal, phase_plan, run in simulator.windows:
+        for local in range(run.rounds_executed + 1):
+            for u, v in graph.edges():
+                blocked = any(
+                    {u, v} == {o.u, o.v} and o.start <= start + local <= o.end
+                    for o in outages
+                )
+                assert phase_plan.link_down(local, u, v) == blocked, (start, local, u, v)
+        # A window whose projected plan is inactive runs fault-free.
+        per_phase.append((run.fault_counters or fresh_fault_counters())["link_down"])
+        start += nominal
+    assert per_phase == [7, 0, 0]
+    assert result.fault_counters["link_down"] == 7
+
+
 def test_congestion_audit_is_pre_fault():
     class DoubleSend(NodeProgram):
         def __init__(self, node_id: int) -> None:
@@ -352,6 +394,21 @@ def test_run_bfs_forest_accepts_plan_and_counts():
     assert forest.run.fault_counters["dropped"] > 0
 
 
+def test_storm_plan_injects_faults_into_the_golden_forest():
+    # The golden BFS forest (test_golden_run.py) under every fault class.
+    graph = planted_partition_graph(8, 12, p_intra=0.5, p_inter=0.03, seed=5)
+    storm = FaultPlan(
+        seed=41, drop_rate=0.15, duplicate_rate=0.1, delay_rate=0.15, max_delay=2,
+        crash_fraction=0.05, crash_round=4,
+    )
+    forest = run_bfs_forest(
+        Simulator(graph), sources=[0, 17, 55, 80], depth=6, fault_plan=storm, max_attempts=3
+    )
+    counters = forest.run.fault_counters
+    assert counters is not None
+    assert sum(v for k, v in counters.items() if k != "delay_rounds") > 0
+
+
 # ----------------------------------------------------------------------
 # Pinned faulted outcomes
 # ----------------------------------------------------------------------
@@ -410,8 +467,9 @@ def _run_faulted_primitive(primitive, graph, plan):
 
 
 def test_faulted_outcomes_are_pinned():
-    # Recorded while faulted runs still had a scheduler loop of their own;
-    # any drift means the fault filter changed what a faulted run delivers.
+    # Recorded once link outages were projected onto the global round clock
+    # (test_link_outages_follow_the_global_round_clock); any drift means the
+    # fault filter changed what a faulted run delivers.
     outcomes = []
     gap_seen = False
     for graph, name, plan in _faulted_cases():
@@ -424,7 +482,7 @@ def test_faulted_outcomes_are_pinned():
     assert gap_seen  # some round index was fast-forwarded over
     payload = json.dumps(outcomes, sort_keys=True, separators=(",", ":"))
     digest = hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
-    assert digest == "790440ff812bfc01"
+    assert digest == "684b0b4af5166613"
 
 
 # ----------------------------------------------------------------------

@@ -7,9 +7,6 @@ idle tracking, sender-batched congestion audit, broadcast sentinels) must
 reproduce them bit-for-bit -- any drift in ``rounds_executed``,
 ``messages_delivered``, ``words_delivered``, ``max_edge_congestion`` or the
 per-node results means the "optimization" changed protocol behaviour.
-
-``scripts/bench_compare.py`` checks the same invariants against the committed
-``BENCH_seed.json``; this test pins them into the tier-1 suite.
 """
 
 from __future__ import annotations
@@ -17,7 +14,10 @@ from __future__ import annotations
 import hashlib
 import json
 
+import pytest
+
 from repro import build_spanner
+from repro.congest import FaultPlan
 from repro.congest.simulator import Simulator
 from repro.experiments import default_parameters
 from repro.graphs import gnp_random_graph, planted_partition_graph
@@ -25,29 +25,35 @@ from repro.primitives.bfs_forest import run_bfs_forest
 
 
 def _digest(obj) -> str:
-    """Same stable content digest as scripts/bench_compare.py."""
+    """Stable content digest: sha256 of the canonical JSON, 16 hex digits."""
     payload = json.dumps(obj, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 
 
 class TestForestGoldenRun:
-    """A bare BFS-forest protocol pins the scheduler's accounting."""
+    """A bare BFS-forest protocol pins the scheduler's accounting.
 
-    def _run(self):
+    An inactive fault plan must take the fault-free path: same counters, and
+    no fault bookkeeping attached to the run.
+    """
+
+    @pytest.fixture(params=[None, FaultPlan(seed=41)], ids=["no-plan", "inactive-plan"])
+    def forest(self, request):
         graph = planted_partition_graph(8, 12, p_intra=0.5, p_inter=0.03, seed=5)
         simulator = Simulator(graph)
-        return run_bfs_forest(simulator, sources=[0, 17, 55, 80], depth=6)
+        return run_bfs_forest(
+            simulator, sources=[0, 17, 55, 80], depth=6, fault_plan=request.param
+        )
 
-    def test_counters_match_seed_simulator(self):
-        forest = self._run()
+    def test_counters_match_seed_simulator(self, forest):
         assert forest.run.rounds_executed == 4
         assert forest.run.messages_delivered == 702
         assert forest.run.words_delivered == 2106
         assert forest.run.max_edge_congestion == 1
         assert not forest.run.congestion_violations
+        assert forest.run.fault_counters is None
 
-    def test_results_match_seed_simulator(self):
-        forest = self._run()
+    def test_results_match_seed_simulator(self, forest):
         assert _digest(forest.run.results) == "ef9cf9921c445846"
 
     def test_rerun_on_same_simulator_is_identical(self):

@@ -91,6 +91,23 @@ class TestClusterTableBasics:
         for v in range(3):
             assert table.center_of(v) == -1
 
+    def test_phase_operation_mix(self):
+        # The operation mix of one engine phase: merge every run of 8
+        # consecutive singletons under its first vertex (roots always span
+        # themselves), retiring every 5th non-root cluster.
+        n = 400
+        table = ClusterTable.singletons(n)
+        p0 = table.snapshot()
+        center_root = {
+            v: (v // 8) * 8 for v in range(n) if v % 5 != 4 or v == (v // 8) * 8
+        }
+        unclustered = table.supercluster(center_root)
+        p1 = table.snapshot()
+        final = table.retire_all()
+        assert len(p0) == n
+        assert p1.total_vertices() + unclustered.total_vertices() == n
+        assert len(final) == len(p1)
+
     def test_version_bumps_on_mutation(self):
         table = ClusterTable.singletons(4)
         v0 = table.version

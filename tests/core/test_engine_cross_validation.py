@@ -25,6 +25,8 @@ GRAPHS = {
     "grid": grid_graph(6, 6),
     "cycle": cycle_graph(15),
     "planted": planted_partition_graph(4, 8, 0.6, 0.04, seed=4),
+    # The graph of the golden distributed build (test_golden_run.py).
+    "gnp120": gnp_random_graph(120, 0.05, seed=21),
 }
 
 
@@ -64,6 +66,9 @@ def test_unclustered_collections_match(both_results):
     centralized, distributed = both_results
     for uc, ud in zip(centralized.unclustered_history, distributed.unclustered_history):
         assert uc.centers() == ud.centers()
+    for result in both_results:
+        assert result.unclustered_partitions_vertices()
+        assert result.num_edges > 0
 
 
 def test_interconnection_pairs_match(both_results):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pytest
+
 from repro.congest import Simulator
 from repro.core import (
     Cluster,
@@ -12,9 +14,16 @@ from repro.core import (
     interconnection_requests,
     spanned_center_roots,
 )
-from repro.core.interconnection import count_interconnection_paths
-from repro.graphs import path_graph
+from repro.core.cluster_table import ClusterTable
+from repro.core.interconnection import (
+    count_interconnection_paths,
+    interconnection_requests_from_near,
+)
+from repro.graphs import gnp_random_graph, path_graph
 from repro.primitives import centralized_bounded_exploration, run_bfs_forest
+from repro.primitives.exploration import centralized_engine_exploration
+from repro.primitives.ruling_set import centralized_ruling_set
+from repro.primitives.traceback import centralized_traceback_flat
 
 
 class TestDeterministicForest:
@@ -83,3 +92,38 @@ class TestInterconnectionRequests:
 
     def test_path_count(self):
         assert count_interconnection_paths({0: [1, 2], 5: [6]}) == 3
+
+
+class TestPhaseZeroDrivers:
+    """Superclustering and interconnection driven directly, in the phase-0
+    shape: every vertex a singleton center, depth 1, cap 5."""
+
+    N = 400
+    DEPTH = 1
+
+    @pytest.fixture(scope="class")
+    def phase(self):
+        graph = gnp_random_graph(self.N, 0.02, seed=11)
+        exploration = centralized_engine_exploration(graph, range(self.N), depth=self.DEPTH, cap=5)
+        return graph, exploration
+
+    def test_superclustering_accounts_for_every_center(self, phase):
+        graph, exploration = phase
+        table = ClusterTable.singletons(self.N)
+        centers = table.centers()
+        rs = centralized_ruling_set(graph, exploration.popular, q=2 * self.DEPTH + 1, c=2)
+        root, _dist, parent = deterministic_forest(graph, rs.ruling_set, depth=4 * self.DEPTH)
+        center_root = spanned_center_roots(centers, root)
+        edges = forest_path_edges(parent, sorted(center_root))
+        unclustered = table.supercluster(center_root)
+        assert table.num_active + len(unclustered) <= self.N
+        assert len(center_root) + len(unclustered) == self.N
+        assert all(graph.has_edge(u, v) for u, v in edges)
+
+    def test_interconnection_traces_paths(self, phase):
+        _graph, exploration = phase
+        unclustered_centers = sorted(set(range(self.N)) - exploration.popular)
+        requests = interconnection_requests_from_near(
+            unclustered_centers, exploration.near_centers
+        )
+        assert centralized_traceback_flat(exploration, requests)

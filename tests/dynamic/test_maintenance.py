@@ -8,6 +8,7 @@ the final graph -- under both the pure-Python and the NumPy kernel pins.
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 
@@ -155,3 +156,52 @@ class TestFullTraceProperty:
         assert decisions == [
             (r.decision, r.edges_inserted, r.repair_edges) for r in reference.records
         ]
+
+
+class TestGrowthCrossover:
+    """Incremental maintenance against rebuild-every-step on growth churn.
+
+    The same insert-only trace is replayed through a ``DynamicSpanner`` with
+    its default (``touched``) certificate and with ``rebuild_budget=0``,
+    which re-clusters after every step.  The trace is large enough that a
+    per-step rebuild visibly loses.
+    """
+
+    TRACE = dict(kind="growth", family="sparse_gnp", size=256, steps=10, batch_size=8, seed=17)
+
+    #: Pinned wall-clock budget of the incremental replay (well under 0.1 s
+    #: on a laptop; the budget only catches an accidental quadratic path).
+    INCREMENTAL_BUDGET_S = 5.0
+
+    @pytest.fixture(scope="class")
+    def replays(self):
+        def replay(rebuild_budget):
+            start = time.perf_counter()
+            dynamic = run_trace(
+                "baswana-sen", ChurnTrace(**self.TRACE), seed=7, rebuild_budget=rebuild_budget
+            )
+            return dynamic, time.perf_counter() - start
+
+        return replay(None), replay(0)
+
+    def test_incremental_replay_never_rebuilds_within_budget(self, replays):
+        (incremental, seconds), _ = replays
+        assert incremental.rebuild_count == 0
+        assert seconds <= self.INCREMENTAL_BUDGET_S, (
+            f"incremental growth replay took {seconds:.2f}s "
+            f"(budget {self.INCREMENTAL_BUDGET_S}s)"
+        )
+
+    def test_strawman_rebuilds_every_step(self, replays):
+        _, (strawman, _seconds) = replays
+        assert strawman.rebuild_count == len(strawman.records)
+
+    def test_incremental_beats_the_strawman(self, replays):
+        (incremental, inc_seconds), (strawman, straw_seconds) = replays
+        inc_work = incremental.total_work_units()
+        straw_work = strawman.total_work_units()
+        assert inc_work < 0.5 * straw_work, (inc_work, straw_work)
+        assert inc_seconds < straw_seconds, (
+            f"incremental replay ({inc_seconds:.3f}s) slower than "
+            f"rebuild-every-step ({straw_seconds:.3f}s)"
+        )

@@ -7,7 +7,6 @@ import pytest
 from repro.experiments import (
     ExperimentRecord,
     default_parameters,
-    experiment_workloads,
     fit_power_law,
     measure_algorithm,
     measurement_row,
@@ -91,12 +90,6 @@ class TestWorkloads:
         params = default_parameters()
         assert params.kappa == 3
         assert params.num_phases >= 2
-
-    def test_experiment_workloads_cover_families(self):
-        workloads = experiment_workloads(scale=64)
-        assert len(workloads) >= 8
-        for name, graph in workloads.items():
-            assert graph.num_vertices > 0, name
 
     def test_scaling_sizes_geometric(self):
         assert scaling_sizes(base=50, steps=3, factor=2) == [50, 100, 200]

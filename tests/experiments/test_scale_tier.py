@@ -1,11 +1,15 @@
-"""Tests for the scale-tier scenarios (PR 5): large-n families and growth checks."""
+"""Tests for the scale tier: large-n families, growth checks and pinned budgets."""
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
-from repro.experiments import get_spec, run_scenario
+from repro import build_spanner, kernels
+from repro.experiments import default_parameters, get_spec, run_scenario
 from repro.experiments.scaling import growth_merge
+from repro.graphs import make_workload
 
 
 class TestScalingGrowthScenario:
@@ -126,3 +130,48 @@ class TestScaleTierFamilyScenarios:
         )
         record = run_scenario(spec)
         assert record.all_checks_passed, record.checks
+
+
+class TestScaleTierBudgets:
+    """Large-n builds under pinned wall-clock budgets.
+
+    The budgets are generous multiples of a laptop's times (so CI hardware
+    jitter does not trip them) but tight enough that an accidental O(n^2)
+    regression on the large-n path fails outright.
+    """
+
+    BUDGET_S = 5.0
+
+    @pytest.fixture(scope="class")
+    def graphs_10k(self):
+        return {
+            family: make_workload(family, 10000, seed=3)
+            for family in ("sparse_gnp", "powerlaw", "hyperbolic")
+        }
+
+    def _timed_build(self, graph, engine):
+        start = time.perf_counter()
+        build_spanner(graph, parameters=default_parameters(), engine=engine)
+        seconds = time.perf_counter() - start
+        assert seconds <= self.BUDGET_S, (
+            f"{engine} n={graph.num_vertices} build took {seconds:.2f}s "
+            f"(budget {self.BUDGET_S}s)"
+        )
+
+    def test_generators_produce_10k_vertex_graphs(self, graphs_10k):
+        for family, graph in graphs_10k.items():
+            assert graph.num_vertices == 10000, family
+            assert graph.num_edges >= 10000, family
+
+    def test_distributed_build_n2000(self):
+        self._timed_build(make_workload("sparse_gnp", 2000, seed=3), "distributed")
+
+    def test_centralized_build_n10000(self, graphs_10k):
+        self._timed_build(graphs_10k["sparse_gnp"], "centralized")
+
+    def test_centralized_build_n100000(self):
+        """The vectorized tier end to end: BFS sweeps, cluster tables and
+        exploration on the NumPy/SciPy kernels through a real build."""
+        if kernels.active_backend(100_000) != kernels.KERNEL_NUMPY:
+            pytest.skip("n=100000 budget is for the vectorized (numpy) tier")
+        self._timed_build(make_workload("sparse_gnp", 100000, seed=3), "centralized")

@@ -108,15 +108,28 @@ class ExplorationPhaseProgram(NodeProgram):
         return None
 
 
-def _window_crashes(crash_at: Dict[int, int], start: int, length: int) -> Dict[int, int]:
-    """A global crash schedule seen from the window ``[start, start + length)``."""
+def _window_plan(
+    plan: FaultPlan, phase: int, crash_at: Dict[int, int], start: int, length: int
+) -> FaultPlan:
+    """``plan.derive(phase)`` with the global crash schedule and link outages
+    seen from the window ``[start, start + length)``."""
     local: Dict[int, int] = {}
     for v, r in crash_at.items():
         if r <= start:
             local[v] = 0
         elif r < start + length:
             local[v] = r - start
-    return local
+    outages = [
+        LinkOutage(o.u, o.v, max(0, o.start - start), o.end - start)
+        for o in plan.link_outages
+        if o.end >= start
+    ]
+    return replace(
+        plan.derive(phase),
+        crash_fraction=0.0,
+        crashes=tuple(sorted(local.items())),
+        link_outages=tuple(outages),
+    )
 
 
 def explore_with_programs(
@@ -132,8 +145,8 @@ def explore_with_programs(
 
     Each phase is one ``run_protocol`` call.  Under an active ``plan`` phase
     ``j`` runs under ``plan.derive(j)`` with the plan's global crash schedule
-    projected onto the phase's window of the nominal schedule, within
-    ``fault_round_limit`` rounds; the counters are summed over the phases,
+    and link outages projected onto the phase's window of the nominal
+    schedule, within ``fault_round_limit`` rounds; the counters are summed over the phases,
     ``crashed_nodes`` counted once.
     """
     n = simulator.graph.num_vertices
@@ -168,10 +181,7 @@ def explore_with_programs(
             programs[sender]._next_send = 0
         phase_plan = None
         if plan is not None:
-            local = _window_crashes(crash_at, charged_rounds, phase_nominal)
-            phase_plan = replace(
-                plan.derive(phase), crash_fraction=0.0, crashes=tuple(sorted(local.items()))
-            )
+            phase_plan = _window_plan(plan, phase, crash_at, charged_rounds, phase_nominal)
         run = simulator.run_protocol(
             programs,
             label=f"{label}:phase{phase}",

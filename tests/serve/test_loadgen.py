@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -86,6 +87,26 @@ class TestRunLoad:
         assert report.responses == 60
         assert sum(report.status_counts.values()) == 60
         assert report.failures["count"] == 0
+
+    def test_mixed_zipf_load_hits_and_coalesces_on_the_process_pool(self):
+        # 1500 Zipf-skewed requests repeat the 12-key catalogue's head many
+        # times over; the 30 s budget (well under a second on a laptop) only
+        # catches an accidental serial-recompute path.
+        requests = generate_requests(1500, seed=0)
+        start = time.perf_counter()
+        with SpannerService(workers=2) as service:
+            report = run_load(service, requests, concurrency=8)
+        seconds = time.perf_counter() - start
+        summary = report.to_dict()
+        assert seconds <= 30.0, f"mixed load took {seconds:.2f}s (budget 30.0s)"
+        assert summary["dropped"] == 0
+        assert summary["failure_count"] == 0
+        assert not summary["status_counts"].get("failed")
+        assert not summary["status_counts"].get("rejected")
+        assert summary["hit_rate"] > 0.5
+        assert summary["status_counts"].get("coalesced", 0) > 0
+        # Single flight + memoization: every distinct build computes at most once.
+        assert summary["stats"]["pool_submissions"] <= len(default_catalogue(0))
 
     def test_report_dict_separates_timing_from_counters(self):
         requests = generate_requests(30, seed=1)

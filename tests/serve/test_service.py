@@ -3,7 +3,7 @@
 Pool-backed paths run on an injected ``ThreadPoolExecutor`` so the tests stay
 fast (no process spawn); the task functions are pure, so the payloads are
 identical either way.  The real ``ProcessPoolExecutor`` path is covered by the
-``repro serve`` CLI test and the committed load benchmark.
+``repro serve`` CLI test and the mixed-load test in ``test_loadgen.py``.
 """
 
 from __future__ import annotations
@@ -66,13 +66,16 @@ class TestBuildPath:
         run = algorithms.build(BUILD.algorithm, graph, seed=BUILD.seed)
         assert response.payload == canonicalize_payload(run.to_dict())
 
-    def test_identical_inflight_builds_coalesce_to_one_computation(self):
+    @pytest.mark.parametrize(
+        "build, fan", [(BUILD, 4), (default_catalogue(0)[0], 6)], ids=["gnp48", "catalogue-head"]
+    )
+    def test_identical_inflight_builds_coalesce_to_one_computation(self, build, fan):
         service = _service()
-        tickets = [service.submit(BUILD) for _ in range(4)]
+        tickets = [service.submit(build) for _ in range(fan)]
         responses = [service.resolve(ticket) for ticket in tickets]
         statuses = [response.status for response in responses]
         assert statuses.count("computed") == 1
-        assert statuses.count("coalesced") == 3
+        assert statuses.count("coalesced") == fan - 1
         assert service.stats["pool_submissions"] == 1
         payloads = {canonical_json(response.payload) for response in responses}
         assert len(payloads) == 1

@@ -23,9 +23,7 @@ EXPECTED_STAGE_ORDER = [
     "lint (ruff)",
     "tier-1 tests",
     "tier-1 tests (pure-python kernel)",
-    "golden counters",
     "array message plane (numpy kernel)",
-    "phase micro-benchmarks (quick mode)",
     "benchmark self-tests",
     "capacity ladder (quick mode)",
     "capacity ladder (quick mode, numpy kernel)",
@@ -76,7 +74,7 @@ def without_ruff(ci_check, monkeypatch):
 
 
 def _args(**overrides):
-    base = {"fast": False, "junitxml": None, "snapshot": None, "without_fast": False}
+    base = {"fast": False, "junitxml": None, "without_fast": False}
     base.update(overrides)
     return SimpleNamespace(**base)
 
@@ -98,30 +96,30 @@ class FakeRun:
 
 class TestStagePlan:
     def test_stage_order_and_names(self, ci_check, with_ruff):
-        plan = ci_check.stage_plan(_args(), "snap.json")
+        plan = ci_check.stage_plan(_args())
         assert [name for name, _ in plan] == EXPECTED_STAGE_ORDER
         assert all(cmd is not None for _, cmd in plan)
 
     def test_lint_stage_skipped_without_ruff(self, ci_check, without_ruff):
-        plan = dict(ci_check.stage_plan(_args(), "snap.json"))
+        plan = dict(ci_check.stage_plan(_args()))
         assert plan["lint (ruff)"] is None
 
     def test_lint_stage_runs_ruff_check_when_installed(self, ci_check, with_ruff):
-        plan = dict(ci_check.stage_plan(_args(), "snap.json"))
+        plan = dict(ci_check.stage_plan(_args()))
         lint = plan["lint (ruff)"]
         assert lint[:2] == ["ruff", "check"]
 
     def test_registry_completeness_stage_invokes_the_gate_script(self, ci_check):
-        plan = dict(ci_check.stage_plan(_args(), "snap.json"))
+        plan = dict(ci_check.stage_plan(_args()))
         gate = plan["registry completeness"]
         assert any("registry_check.py" in part for part in gate)
 
     def test_benchmark_self_tests_stage_runs_the_perfbench_suite(self, ci_check):
-        plan = dict(ci_check.stage_plan(_args(), "snap.json"))
+        plan = dict(ci_check.stage_plan(_args()))
         assert plan["benchmark self-tests"][1:] == ["-m", "pytest", "perfbench", "-q"]
 
     def test_fast_skips_only_the_pytest_stages(self, ci_check, with_ruff):
-        plan = ci_check.stage_plan(_args(fast=True), "snap.json")
+        plan = ci_check.stage_plan(_args(fast=True))
         assert [name for name, _ in plan] == EXPECTED_STAGE_ORDER
         commands = dict(plan)
         assert commands["tier-1 tests"] is None
@@ -133,7 +131,7 @@ class TestStagePlan:
         )
 
     def test_junitxml_passes_through_to_default_pytest_stage_only(self, ci_check, with_ruff):
-        plan = dict(ci_check.stage_plan(_args(junitxml="report.xml"), "snap.json"))
+        plan = dict(ci_check.stage_plan(_args(junitxml="report.xml")))
         assert "--junitxml=report.xml" in plan["tier-1 tests"]
         for name in EXPECTED_STAGE_ORDER:
             if name == "tier-1 tests":
@@ -141,26 +139,26 @@ class TestStagePlan:
             assert not any("junitxml" in part for part in plan[name])
 
     def test_pure_python_stage_pins_the_kernel_env(self, ci_check):
-        plan = dict(ci_check.stage_plan(_args(), "snap.json"))
+        plan = dict(ci_check.stage_plan(_args()))
         pure = plan["tier-1 tests (pure-python kernel)"]
         assert pure[0] == "REPRO_KERNEL=python"
         assert "pytest" in pure
 
     def test_array_plane_stage_pins_the_numpy_kernel(self, ci_check):
-        plan = dict(ci_check.stage_plan(_args(fast=True), "snap.json"))
+        plan = dict(ci_check.stage_plan(_args(fast=True)))
         stage = plan["array message plane (numpy kernel)"]
         assert stage[0] == "REPRO_KERNEL=numpy"
         assert any(part.endswith("test_exploration.py") for part in stage)
         assert any(part.endswith("test_golden_run.py") for part in stage)
 
     def test_array_plane_stage_skips_locally_without_numpy(self, ci_check, no_github):
-        plan = ci_check.stage_plan(_args(), "snap.json", vectorized=False)
+        plan = ci_check.stage_plan(_args(), vectorized=False)
         assert [name for name, _ in plan] == EXPECTED_STAGE_ORDER
         assert dict(plan)["array message plane (numpy kernel)"] is None
 
     def test_array_plane_stage_fails_in_github_actions_without_numpy(self, ci_check, monkeypatch):
         monkeypatch.setenv("GITHUB_ACTIONS", "true")
-        plan = dict(ci_check.stage_plan(_args(), "snap.json", vectorized=False))
+        plan = dict(ci_check.stage_plan(_args(), vectorized=False))
         stage = plan["array message plane (numpy kernel)"]
         assert "REPRO_KERNEL=numpy" not in stage
         proc = subprocess.run(stage, capture_output=True, text=True)
@@ -170,15 +168,15 @@ class TestStagePlan:
     def test_without_fast_declares_the_fallback_leg(self, ci_check, monkeypatch):
         monkeypatch.setenv("GITHUB_ACTIONS", "true")
         plan = dict(
-            ci_check.stage_plan(_args(without_fast=True), "snap.json", vectorized=False)
+            ci_check.stage_plan(_args(without_fast=True), vectorized=False)
         )
         assert plan["array message plane (numpy kernel)"] is None
         # With numpy installed the flag changes nothing.
-        plan = dict(ci_check.stage_plan(_args(without_fast=True), "snap.json"))
+        plan = dict(ci_check.stage_plan(_args(without_fast=True)))
         assert plan["array message plane (numpy kernel)"][0] == "REPRO_KERNEL=numpy"
 
     def test_numpy_capacity_stage_forces_the_kernel_flag(self, ci_check):
-        plan = dict(ci_check.stage_plan(_args(), "snap.json"))
+        plan = dict(ci_check.stage_plan(_args()))
         capacity = plan["capacity ladder (quick mode, numpy kernel)"]
         assert "--kernel" in capacity
         assert "numpy" in capacity
@@ -200,33 +198,27 @@ class TestStagePlan:
         assert seen["cmd"] == ["true"]
         assert seen["env"]["FOO_BAR"] == "baz"
 
-    def test_snapshot_path_reaches_the_golden_stage(self, ci_check):
-        plan = dict(ci_check.stage_plan(_args(), "kept-snapshot.json"))
-        golden = plan["golden counters"]
-        assert "kept-snapshot.json" in golden
-        assert str(REPO_ROOT / "BENCH_seed.json") in golden
-
     def test_capacity_stage_is_quick_mode(self, ci_check):
-        plan = dict(ci_check.stage_plan(_args(), "snap.json"))
+        plan = dict(ci_check.stage_plan(_args()))
         capacity = plan["capacity ladder (quick mode)"]
         assert "capacity" in capacity
         assert ci_check.QUICK_CAPACITY_BUDGET in capacity
         assert ci_check.QUICK_CAPACITY_MAX_N in capacity
 
     def test_chaos_stage_is_quick_mode_with_a_task_timeout(self, ci_check):
-        plan = dict(ci_check.stage_plan(_args(), "snap.json"))
+        plan = dict(ci_check.stage_plan(_args()))
         chaos = plan["fault injection (quick mode)"]
         assert chaos[-6:-2] == ["suite", "run", "--filter", "chaos-primitives"]
         assert ci_check.QUICK_CHAOS_TASK_TIMEOUT in chaos
 
     def test_dynamic_stage_is_quick_mode_with_a_task_timeout(self, ci_check):
-        plan = dict(ci_check.stage_plan(_args(), "snap.json"))
+        plan = dict(ci_check.stage_plan(_args()))
         dynamic = plan["dynamic churn (quick mode)"]
         assert dynamic[-6:-2] == ["suite", "run", "--filter", "dynamic-churn"]
         assert ci_check.QUICK_DYNAMIC_TASK_TIMEOUT in dynamic
 
     def test_serve_smoke_stage_is_quick_mode_with_the_check_gate(self, ci_check):
-        plan = dict(ci_check.stage_plan(_args(), "snap.json"))
+        plan = dict(ci_check.stage_plan(_args()))
         serve = plan["serve smoke (quick mode)"]
         assert "serve" in serve
         assert ci_check.QUICK_SERVE_REQUESTS in serve
@@ -269,27 +261,16 @@ class TestMainOrchestration:
         assert "array message plane (numpy kernel): skipped (numpy/scipy are not installed" in out
 
     def test_nonzero_stage_fails_run_and_skips_the_rest(self, ci_check, monkeypatch, capsys, no_github, with_ruff):
-        fake = FakeRun(returncodes={"bench_compare.py": 3})
+        fake = FakeRun(returncodes={"test_exploration.py": 3})
         monkeypatch.setattr(ci_check.subprocess, "run", fake)
         assert ci_check.main([]) == 1
-        # lint + both tier-1 stages + golden ran; every later stage skipped.
+        # lint + both tier-1 stages + the array plane ran; every later stage skipped.
         assert len(fake.calls) == 4
         out = capsys.readouterr().out
         assert "FAILED (exit 3)" in out
-        assert "phase micro-benchmarks (quick mode): skipped (earlier stage failed)" in out
         assert "benchmark self-tests: skipped (earlier stage failed)" in out
         assert "registry completeness: skipped (earlier stage failed)" in out
         assert "CHECKS FAILED" in out
-
-    def test_snapshot_file_is_kept_when_requested(self, ci_check, monkeypatch, tmp_path, no_github, with_ruff):
-        fake = FakeRun()
-        monkeypatch.setattr(ci_check.subprocess, "run", fake)
-        snapshot = tmp_path / "golden.json"
-        snapshot.write_text("{}", encoding="utf-8")
-        assert ci_check.main(["--snapshot", str(snapshot)]) == 0
-        assert snapshot.exists()
-        golden_call = fake.calls[3]
-        assert str(snapshot) in golden_call
 
 
 class TestGithubIntegration:
@@ -309,7 +290,7 @@ class TestGithubIntegration:
         summary = tmp_path / "summary.md"
         monkeypatch.setenv("GITHUB_ACTIONS", "true")
         monkeypatch.setenv("GITHUB_STEP_SUMMARY", str(summary))
-        fake = FakeRun(returncodes={"bench_phases.py": 1})
+        fake = FakeRun(returncodes={"perfbench": 1})
         monkeypatch.setattr(ci_check.subprocess, "run", fake)
         assert ci_check.main(["--fast"]) == 1
         text = summary.read_text(encoding="utf-8")
