@@ -13,10 +13,10 @@ Runs, in order (see :func:`stage_plan`):
    ``REPRO_KERNEL=python``: the tree must work without the vectorized
    NumPy/SciPy tier (an optional extra).  Also skipped under ``--fast``.
 4. ``array message plane (numpy kernel)`` -- the exploration, trace-back,
-   degradation-verifier, golden-run, engine cross-validation, fault-injection
-   and chaos tests under ``REPRO_KERNEL=numpy``.  It needs
-   the ``fast`` extra (NumPy/SciPy): without it the stage fails under GitHub
-   Actions, unless ``--without-fast`` declares a leg that covers the
+   degradation-verifier, golden-run, engine cross-validation, fault-injection,
+   chaos and run-result payload-pin tests under ``REPRO_KERNEL=numpy``.  It
+   needs the ``fast`` extra (NumPy/SciPy): without it the stage fails under
+   GitHub Actions, unless ``--without-fast`` declares a leg that covers the
    pure-Python fallback on purpose, and is skipped with a notice locally.
 5. ``benchmark self-tests`` -- ``python -m pytest perfbench -q``: the
    benchmark's own tests at tiny sizes (every workload end to end, the
@@ -115,6 +115,8 @@ ARRAY_PLANE_TESTS = (
     # same under the pinned numpy kernel.
     "congest/test_faults.py",
     "experiments/test_chaos.py",
+    # Every registered algorithm's payload pin holds on the array tier too.
+    "algorithms/test_run_result_schema.py",
 )
 
 #: Name of the stage that needs the ``fast`` extra (NumPy/SciPy).

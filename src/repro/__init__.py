@@ -12,9 +12,10 @@ The package implements, from scratch:
   superclustering-and-interconnection construction of ``(1+eps, beta)``-spanners,
   available both as a faithful CONGEST simulation and as a fast centralized
   reference engine;
-* :mod:`repro.baselines` -- the algorithms the paper compares against
-  (Elkin-Neiman'17, Elkin-Peleg'01, Baswana-Sen, greedy, an Elkin'05-style
-  surrogate);
+* :mod:`repro.baselines` -- the nine algorithms the paper compares against
+  (Elkin-Neiman'17, Elkin-Peleg'01, an Elkin'05-style surrogate, Baswana-Sen,
+  greedy, Elkin's distributed MST, the sparse-schedule Elkin-Matar and
+  Elkin-Neiman spanners, and the EEST low-stretch spanning tree);
 * :mod:`repro.algorithms` -- the declarative algorithm registry: every
   construction above registered as an :class:`AlgorithmSpec` behind the one
   :func:`build` facade returning a unified :class:`RunResult`;

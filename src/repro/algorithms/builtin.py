@@ -255,9 +255,7 @@ def _elkin_neiman_guarantee(params: Params) -> StretchGuarantee:
 
 def build_elkin_neiman(graph: Graph, params: Params, *, seed: int = 0, simulator=None) -> RunResult:
     _reject_simulator("elkin-neiman-2017", simulator)
-    return RunResult.from_baseline_result(
-        build_elkin_neiman_spanner(graph, spanner_parameters(params), seed=seed)
-    )
+    return build_elkin_neiman_spanner(graph, spanner_parameters(params), seed=seed)
 
 
 ELKIN_NEIMAN = register(
@@ -283,9 +281,7 @@ def _elkin_peleg_guarantee(params: Params) -> StretchGuarantee:
 
 def build_elkin_peleg(graph: Graph, params: Params, *, seed: int = 0, simulator=None) -> RunResult:
     _reject_simulator("elkin-peleg-2001", simulator)
-    return RunResult.from_baseline_result(
-        build_elkin_peleg_spanner(graph, spanner_parameters(params))
-    )
+    return build_elkin_peleg_spanner(graph, spanner_parameters(params))
 
 
 ELKIN_PELEG = register(
@@ -311,9 +307,7 @@ def _elkin05_guarantee(params: Params) -> StretchGuarantee:
 
 def build_elkin05_surrogate(graph: Graph, params: Params, *, seed: int = 0, simulator=None) -> RunResult:
     _reject_simulator("elkin05-surrogate", simulator)
-    return RunResult.from_baseline_result(
-        build_elkin05_surrogate_spanner(graph, spanner_parameters(params))
-    )
+    return build_elkin05_surrogate_spanner(graph, spanner_parameters(params))
 
 
 ELKIN05_SURROGATE = register(
@@ -344,9 +338,7 @@ def _baswana_sen_guarantee(params: Params) -> StretchGuarantee:
 
 def build_baswana_sen(graph: Graph, params: Params, *, seed: int = 0, simulator=None) -> RunResult:
     _reject_simulator("baswana-sen", simulator)
-    return RunResult.from_baseline_result(
-        build_baswana_sen_spanner(graph, int(params["kappa"]), seed=seed)
-    )
+    return build_baswana_sen_spanner(graph, int(params["kappa"]), seed=seed)
 
 
 BASWANA_SEN = register(
@@ -379,9 +371,7 @@ def _greedy_guarantee(params: Params) -> StretchGuarantee:
 
 def build_greedy(graph: Graph, params: Params, *, seed: int = 0, simulator=None) -> RunResult:
     _reject_simulator("greedy", simulator)
-    return RunResult.from_baseline_result(
-        build_greedy_spanner(graph, _greedy_stretch(params))
-    )
+    return build_greedy_spanner(graph, _greedy_stretch(params))
 
 
 GREEDY = register(
@@ -432,9 +422,7 @@ def _elkin_matar_guarantee(params: Params) -> StretchGuarantee:
 
 def build_elkin_matar(graph: Graph, params: Params, *, seed: int = 0, simulator=None) -> RunResult:
     _reject_simulator("elkin-matar-linear", simulator)
-    return RunResult.from_baseline_result(
-        build_elkin_matar_spanner(graph, **_sparse_args(params))
-    )
+    return build_elkin_matar_spanner(graph, **_sparse_args(params))
 
 
 ELKIN_MATAR = register(
@@ -460,9 +448,7 @@ def _elkin_neiman_sparse_guarantee(params: Params) -> StretchGuarantee:
 
 def build_elkin_neiman_sparse(graph: Graph, params: Params, *, seed: int = 0, simulator=None) -> RunResult:
     _reject_simulator("elkin-neiman-sparse", simulator)
-    return RunResult.from_baseline_result(
-        build_elkin_neiman_sparse_spanner(graph, seed=seed, **_sparse_args(params))
-    )
+    return build_elkin_neiman_sparse_spanner(graph, seed=seed, **_sparse_args(params))
 
 
 ELKIN_NEIMAN_SPARSE = register(
@@ -483,9 +469,7 @@ ELKIN_NEIMAN_SPARSE = register(
 
 
 def build_elkin_mst_registered(graph: Graph, params: Params, *, seed: int = 0, simulator=None) -> RunResult:
-    return RunResult.from_baseline_result(
-        build_elkin_mst(graph, seed=seed, simulator=simulator)
-    )
+    return build_elkin_mst(graph, seed=seed, simulator=simulator)
 
 
 ELKIN_MST = register(
@@ -513,7 +497,7 @@ ELKIN_MST = register(
 
 def build_eest_tree(graph: Graph, params: Params, *, seed: int = 0, simulator=None) -> RunResult:
     _reject_simulator("eest-low-stretch-tree", simulator)
-    return RunResult.from_baseline_result(build_low_stretch_tree(graph))
+    return build_low_stretch_tree(graph)
 
 
 EEST_LOW_STRETCH_TREE = register(

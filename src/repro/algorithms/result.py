@@ -1,16 +1,15 @@
-"""The unified result protocol every registered algorithm returns.
+"""The one result type every registered algorithm returns.
 
-Historically the engine returned :class:`~repro.core.result.SpannerResult`
-and every baseline returned :class:`~repro.baselines.base.BaselineResult`,
-each with its own ``to_dict()`` schema; experiment code had to know which
-shape it was holding.  :class:`RunResult` subsumes both: one record with the
-spanner, the declared stretch guarantee, the nominal CONGEST round count
-(where the algorithm is distributed), per-phase records (where available) and
-a JSON-safe :meth:`RunResult.to_dict` with a single shared schema.
+:class:`RunResult` is one record with the spanner, the declared stretch
+guarantee, the nominal CONGEST round count (where the algorithm is
+distributed), per-phase records (where available) and a JSON-safe
+:meth:`RunResult.to_dict` with a single shared schema.  The baselines build
+it directly; the paper's engines build a :class:`~repro.core.result.SpannerResult`
+and wrap it with :meth:`RunResult.from_spanner_result`.
 
-The underlying engine/baseline result stays reachable through
+For the engines, the :class:`SpannerResult` stays reachable through
 :attr:`RunResult.source` for analyses that need the full structure (cluster
-histories, certificates, ledgers).
+histories, certificates, ledgers); every other algorithm leaves it ``None``.
 """
 
 from __future__ import annotations
@@ -24,9 +23,9 @@ from ..graphs.graph import Graph
 #: Schema identifier stamped into every serialized run result.
 RUN_RESULT_SCHEMA = "repro-run-result/v1"
 
-#: The exact keys, in order, of :meth:`RunResult.to_dict` output.  Both
-#: ``SpannerResult.to_dict`` and ``BaselineResult.to_dict`` emit this same
-#: schema (they delegate here), so downstream consumers never see two shapes.
+#: The exact keys, in order, of :meth:`RunResult.to_dict` output.
+#: ``SpannerResult.to_dict`` emits this same schema (it delegates here), so
+#: downstream consumers never see two shapes.
 RUN_RESULT_KEYS = (
     "schema",
     "algorithm",
@@ -63,8 +62,8 @@ class RunResult:
     details: Dict[str, object] = field(default_factory=dict)
     #: Round-ledger summary for CONGEST-simulated runs, else ``None``.
     ledger_summary: Optional[Dict[str, object]] = None
-    #: The underlying :class:`SpannerResult` / :class:`BaselineResult` (or
-    #: ``None`` for algorithms built natively on :class:`RunResult`).
+    #: The engine's :class:`~repro.core.result.SpannerResult` for
+    #: ``new-centralized`` / ``new-distributed``; ``None`` otherwise.
     source: object = None
 
     # ------------------------------------------------------------------
@@ -107,13 +106,13 @@ class RunResult:
         }
 
     # ------------------------------------------------------------------
-    # Adapters from the two historical result types
+    # Adapter from the engine result
     # ------------------------------------------------------------------
     @classmethod
-    def from_spanner_result(cls, result, algorithm: Optional[str] = None) -> "RunResult":
+    def from_spanner_result(cls, result) -> "RunResult":
         """Wrap a :class:`~repro.core.result.SpannerResult` (either engine)."""
         return cls(
-            algorithm=algorithm or f"new-{result.engine}",
+            algorithm=f"new-{result.engine}",
             graph=result.graph,
             spanner=result.spanner,
             guarantee=result.parameters.stretch_bound(),
@@ -124,27 +123,5 @@ class RunResult:
             ledger_summary=(
                 result.ledger.summary() if result.ledger is not None else None
             ),
-            source=result,
-        )
-
-    @classmethod
-    def from_baseline_result(cls, result, algorithm: Optional[str] = None) -> "RunResult":
-        """Wrap a :class:`~repro.baselines.base.BaselineResult`."""
-        try:
-            guarantee = result.effective_guarantee()
-        except ValueError:
-            guarantee = None
-        details = dict(result.details)
-        phases = details.pop("phases", [])
-        return cls(
-            algorithm=algorithm or result.name,
-            graph=result.graph,
-            spanner=result.spanner,
-            guarantee=guarantee,
-            nominal_rounds=result.nominal_rounds,
-            engine=None,
-            phases=[dict(phase) for phase in phases],
-            details=details,
-            ledger_summary=None,
             source=result,
         )

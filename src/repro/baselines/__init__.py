@@ -1,11 +1,17 @@
-"""Baseline constructions the paper's tables compare against.
+"""The nine baseline constructions the paper's tables compare against.
 
-Alongside the original spanner baselines, this package hosts the survey-tier
-siblings: Elkin's distributed MST, the sparse-schedule Elkin-Matar and
-Elkin-Neiman spanners, and the EEST low-stretch spanning tree.
+* near-additive spanners: Elkin-Neiman'17, Elkin-Peleg'01 and the
+  Elkin'05-style surrogate;
+* multiplicative spanners: Baswana-Sen and greedy;
+* the survey-tier siblings: Elkin's distributed MST, the sparse-schedule
+  Elkin-Matar and Elkin-Neiman spanners, and the EEST low-stretch spanning
+  tree.
+
+Every builder returns a :class:`~repro.algorithms.result.RunResult` labelled
+with its registered name, which the registry wrappers in
+:mod:`repro.algorithms.builtin` hand back unchanged.
 """
 
-from .base import BaselineResult
 from .baswana_sen import build_baswana_sen_spanner
 from .elkin05_surrogate import build_elkin05_surrogate_spanner, elkin05_surrogate_guarantee
 from .elkin_matar import build_elkin_matar_spanner, elkin_matar_guarantee
@@ -20,7 +26,6 @@ from .low_stretch_tree import build_low_stretch_tree, declared_average_stretch_b
 from .mst import build_elkin_mst
 
 __all__ = [
-    "BaselineResult",
     "build_baswana_sen_spanner",
     "build_elkin05_surrogate_spanner",
     "build_elkin_matar_spanner",

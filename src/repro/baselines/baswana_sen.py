@@ -25,15 +25,16 @@ from __future__ import annotations
 import random
 from typing import Dict, List, Optional
 
+from ..algorithms.result import RunResult
+from ..core.parameters import StretchGuarantee
 from ..graphs.graph import Graph
-from .base import BaselineResult
 
 
 def build_baswana_sen_spanner(
     graph: Graph,
     kappa: int,
     seed: int = 0,
-) -> BaselineResult:
+) -> RunResult:
     """Build a ``(2*kappa - 1)``-multiplicative spanner via Baswana-Sen clustering."""
     if kappa < 1:
         raise ValueError("kappa must be >= 1")
@@ -41,11 +42,11 @@ def build_baswana_sen_spanner(
     n = graph.num_vertices
     spanner = Graph(n)
     if n == 0:
-        return BaselineResult(
-            name="baswana-sen",
+        return RunResult(
+            algorithm="baswana-sen",
             graph=graph,
             spanner=spanner,
-            multiplicative_stretch=float(2 * kappa - 1),
+            guarantee=StretchGuarantee(multiplicative=float(2 * kappa - 1), additive=0.0),
             details={"kappa": kappa, "seed": seed},
         )
 
@@ -120,10 +121,10 @@ def build_baswana_sen_spanner(
         if spanner.degree(u) == 0 or spanner.degree(v) == 0:
             spanner.add_edge(u, v)
 
-    return BaselineResult(
-        name="baswana-sen",
+    return RunResult(
+        algorithm="baswana-sen",
         graph=graph,
         spanner=spanner,
-        multiplicative_stretch=float(2 * kappa - 1),
+        guarantee=StretchGuarantee(multiplicative=float(2 * kappa - 1), additive=0.0),
         details={"kappa": kappa, "seed": seed, "rounds": phase_stats},
     )

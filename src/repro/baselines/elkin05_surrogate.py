@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Set, Tuple
 
+from ..algorithms.result import RunResult
 from ..core.certificate import INTERCONNECTION_STEP, SUPERCLUSTERING_STEP, SpannerCertificate
 from ..core.cluster_table import ClusterTable
 from ..core.interconnection import count_interconnection_paths, interconnection_requests
@@ -39,7 +40,6 @@ from ..graphs.bfs import bfs_distances
 from ..graphs.graph import Graph
 from ..primitives.exploration import centralized_bounded_exploration
 from ..primitives.traceback import centralized_traceback
-from .base import BaselineResult
 
 
 def _sequential_ruling_set(graph: Graph, candidates: List[int], separation: int) -> Set[int]:
@@ -81,7 +81,7 @@ def elkin05_surrogate_guarantee(parameters: SpannerParameters) -> StretchGuarant
 def build_elkin05_surrogate_spanner(
     graph: Graph,
     parameters: SpannerParameters,
-) -> BaselineResult:
+) -> RunResult:
     """Run the sequential-scan surrogate of the Elkin'05 deterministic algorithm."""
     n = graph.num_vertices
     spanner = Graph(n)
@@ -139,11 +139,11 @@ def build_elkin05_surrogate_spanner(
         )
 
     guarantee = guarantee_from_schedules(radii, deltas)
-    return BaselineResult(
-        name="elkin05-surrogate",
+    return RunResult(
+        algorithm="elkin05-surrogate",
         graph=graph,
         spanner=spanner,
         guarantee=guarantee,
         nominal_rounds=nominal_rounds,
-        details={"phases": phase_stats},
+        phases=phase_stats,
     )

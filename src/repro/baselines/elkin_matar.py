@@ -30,11 +30,11 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Optional, Tuple
 
+from ..algorithms.result import RunResult
 from ..core.cluster_table import ClusterTable
 from ..core.parameters import StretchGuarantee, guarantee_from_schedules
 from ..graphs.bfs import bfs
 from ..graphs.graph import Graph, normalize_edge
-from .base import BaselineResult
 
 
 def validate_sparse_parameters(epsilon: float, levels: int) -> None:
@@ -82,7 +82,7 @@ def build_elkin_matar_spanner(
     graph: Graph,
     epsilon: float = 0.5,
     levels: int = 3,
-) -> BaselineResult:
+) -> RunResult:
     """Build a linear-size-schedule near-additive spanner deterministically."""
     n = graph.num_vertices
     spanner = Graph(n)
@@ -162,13 +162,14 @@ def build_elkin_matar_spanner(
             table.retire_all()
 
     guarantee = guarantee_from_schedules(radii, deltas)
-    return BaselineResult(
-        name="elkin-matar-linear",
+    return RunResult(
+        algorithm="elkin-matar-linear",
         graph=graph,
         spanner=spanner,
         guarantee=guarantee,
         nominal_rounds=nominal_rounds,
-        details={"phases": phase_stats, "levels": levels},
+        phases=phase_stats,
+        details={"levels": levels},
     )
 
 

@@ -34,11 +34,11 @@ import math
 import random
 from typing import Dict, List, Optional, Tuple
 
+from ..algorithms.result import RunResult
 from ..core.cluster_table import ClusterTable
 from ..core.parameters import SpannerParameters, StretchGuarantee, guarantee_from_schedules
 from ..graphs.bfs import bfs
 from ..graphs.graph import Graph, normalize_edge
-from .base import BaselineResult
 
 
 def _en_schedules(parameters: SpannerParameters) -> Tuple[List[int], List[int]]:
@@ -66,7 +66,7 @@ def build_elkin_neiman_spanner(
     graph: Graph,
     parameters: SpannerParameters,
     seed: int = 0,
-) -> BaselineResult:
+) -> RunResult:
     """Build a near-additive spanner with the randomized [EN17]-style algorithm."""
     rng = random.Random(seed)
     n = graph.num_vertices
@@ -159,13 +159,14 @@ def build_elkin_neiman_spanner(
             table.retire_all()
 
     guarantee = guarantee_from_schedules(radii, deltas)
-    return BaselineResult(
-        name="elkin-neiman-2017",
+    return RunResult(
+        algorithm="elkin-neiman-2017",
         graph=graph,
         spanner=spanner,
         guarantee=guarantee,
         nominal_rounds=nominal_rounds,
-        details={"phases": phase_stats, "seed": seed},
+        phases=phase_stats,
+        details={"seed": seed},
     )
 
 

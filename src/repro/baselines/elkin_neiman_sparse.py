@@ -22,11 +22,11 @@ from __future__ import annotations
 import random
 from typing import Dict, List, Optional
 
+from ..algorithms.result import RunResult
 from ..core.cluster_table import ClusterTable
 from ..core.parameters import StretchGuarantee, guarantee_from_schedules
 from ..graphs.bfs import bfs
 from ..graphs.graph import Graph
-from .base import BaselineResult
 from .elkin_matar import _add_path, sparse_degree_threshold, sparse_schedules
 
 
@@ -41,7 +41,7 @@ def build_elkin_neiman_sparse_spanner(
     epsilon: float = 0.5,
     levels: int = 3,
     seed: int = 0,
-) -> BaselineResult:
+) -> RunResult:
     """Build a very sparse near-additive spanner with [EN16]-style sampling."""
     rng = random.Random(seed)
     n = graph.num_vertices
@@ -127,11 +127,12 @@ def build_elkin_neiman_sparse_spanner(
             table.retire_all()
 
     guarantee = guarantee_from_schedules(radii, deltas)
-    return BaselineResult(
-        name="elkin-neiman-sparse",
+    return RunResult(
+        algorithm="elkin-neiman-sparse",
         graph=graph,
         spanner=spanner,
         guarantee=guarantee,
         nominal_rounds=nominal_rounds,
-        details={"phases": phase_stats, "levels": levels, "seed": seed},
+        phases=phase_stats,
+        details={"levels": levels, "seed": seed},
     )

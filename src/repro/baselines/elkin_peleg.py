@@ -25,11 +25,11 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Optional, Set, Tuple
 
+from ..algorithms.result import RunResult
 from ..core.cluster_table import ClusterTable
 from ..core.parameters import SpannerParameters, StretchGuarantee, guarantee_from_schedules
 from ..graphs.bfs import bfs
 from ..graphs.graph import Graph, normalize_edge
-from .base import BaselineResult
 
 
 def _ep_schedules(parameters: SpannerParameters) -> Tuple[List[int], List[int]]:
@@ -56,7 +56,7 @@ def elkin_peleg_guarantee(parameters: SpannerParameters) -> StretchGuarantee:
 def build_elkin_peleg_spanner(
     graph: Graph,
     parameters: SpannerParameters,
-) -> BaselineResult:
+) -> RunResult:
     """Build a near-additive spanner with the centralized [EP01]-style scheme."""
     n = graph.num_vertices
     spanner = Graph(n)
@@ -140,13 +140,12 @@ def build_elkin_peleg_spanner(
             table.retire_all()
 
     guarantee = guarantee_from_schedules(radii, deltas)
-    return BaselineResult(
-        name="elkin-peleg-2001",
+    return RunResult(
+        algorithm="elkin-peleg-2001",
         graph=graph,
         spanner=spanner,
         guarantee=guarantee,
-        nominal_rounds=None,
-        details={"phases": phase_stats},
+        phases=phase_stats,
     )
 
 

@@ -17,8 +17,9 @@ from __future__ import annotations
 from collections import deque
 from typing import Optional
 
+from ..algorithms.result import RunResult
+from ..core.parameters import StretchGuarantee
 from ..graphs.graph import Graph
-from .base import BaselineResult
 
 
 def _bounded_distance(graph: Graph, source: int, target: int, limit: int) -> Optional[int]:
@@ -41,7 +42,7 @@ def _bounded_distance(graph: Graph, source: int, target: int, limit: int) -> Opt
     return None
 
 
-def build_greedy_spanner(graph: Graph, stretch: int) -> BaselineResult:
+def build_greedy_spanner(graph: Graph, stretch: int) -> RunResult:
     """Build a ``stretch``-multiplicative spanner greedily.
 
     Edges are processed in sorted order (the graph is unweighted, so any fixed
@@ -57,10 +58,10 @@ def build_greedy_spanner(graph: Graph, stretch: int) -> BaselineResult:
         if current is None:
             spanner.add_edge(u, v)
             added += 1
-    return BaselineResult(
-        name="greedy",
+    return RunResult(
+        algorithm="greedy",
         graph=graph,
         spanner=spanner,
-        multiplicative_stretch=float(stretch),
+        guarantee=StretchGuarantee(multiplicative=float(stretch), additive=0.0),
         details={"stretch": stretch, "edges_added": added},
     )

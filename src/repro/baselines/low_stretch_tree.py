@@ -28,9 +28,9 @@ import math
 from collections import deque
 from typing import Dict, List, Set, Tuple
 
+from ..algorithms.result import RunResult
 from ..core.parameters import StretchGuarantee
 from ..graphs.graph import Graph
-from .base import BaselineResult
 
 #: Components at or below this size just take their BFS tree; the
 #: decomposition's asymptotics only matter once there is room to cut.
@@ -83,7 +83,7 @@ def _star_cut_radius(graph: Graph, dist: Dict[int, int], radius: int) -> int:
     return best
 
 
-def build_low_stretch_tree(graph: Graph) -> BaselineResult:
+def build_low_stretch_tree(graph: Graph) -> RunResult:
     """Build a low-average-stretch spanning forest by star decomposition."""
     n = graph.num_vertices
     tree = Graph(n)
@@ -132,15 +132,14 @@ def build_low_stretch_tree(graph: Graph) -> BaselineResult:
             portals += 1
             stack.append((component, anchor))
 
-    return BaselineResult(
-        name="eest-low-stretch-tree",
+    return RunResult(
+        algorithm="eest-low-stretch-tree",
         graph=graph,
         spanner=tree,
         # Worst-case pair stretch on a tree is trivially bounded by n - 1;
         # the real (average-stretch) bound is declared in the details and
         # checked by the registry's ``average-stretch`` guarantee kind.
         guarantee=StretchGuarantee(multiplicative=float(max(1, n - 1)), additive=0.0),
-        nominal_rounds=None,
         details={
             "average_stretch_bound": declared_average_stretch_bound(n),
             "star_cuts": cuts,

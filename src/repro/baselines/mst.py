@@ -20,12 +20,12 @@ from __future__ import annotations
 
 from typing import Optional
 
+from ..algorithms.result import RunResult
 from ..congest.simulator import Simulator
 from ..core.parameters import StretchGuarantee
 from ..graphs.graph import Graph
 from ..graphs.mst import total_weight
 from ..primitives.fragments import run_boruvka_msf
-from .base import BaselineResult
 
 
 def build_elkin_mst(
@@ -33,7 +33,7 @@ def build_elkin_mst(
     *,
     seed: int = 0,
     simulator: Optional[Simulator] = None,
-) -> BaselineResult:
+) -> RunResult:
     """Build the minimum spanning forest via the distributed Boruvka protocol.
 
     ``simulator`` may be supplied to share round/message accounting with a
@@ -50,8 +50,8 @@ def build_elkin_mst(
     for u, v in outcome.edges:
         forest.add_edge(u, v)
 
-    return BaselineResult(
-        name="elkin-mst-2017",
+    return RunResult(
+        algorithm="elkin-mst-2017",
         graph=graph,
         spanner=forest,
         # A spanning forest is trivially an (n-1)-multiplicative spanner; the
@@ -59,8 +59,8 @@ def build_elkin_mst(
         # registry's ``exact-mst`` guarantee kind.
         guarantee=StretchGuarantee(multiplicative=float(max(1, n - 1)), additive=0.0),
         nominal_rounds=outcome.nominal_rounds,
+        phases=outcome.phase_stats,
         details={
-            "phases": outcome.phase_stats,
             "msf_weight": total_weight(outcome.edges),
             "num_msf_edges": len(outcome.edges),
             "num_fragments": len(set(outcome.fragment)),

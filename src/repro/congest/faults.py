@@ -283,28 +283,22 @@ class FaultPlan:
 
 
 def window_plan(
-    plan: FaultPlan, salt: int, crash_at: Mapping[int, int], start: int, length: int
+    plan: FaultPlan, salt: int, crash_at: Mapping[int, int], start: int
 ) -> FaultPlan:
-    """The plan for one window ``[start, start + length)`` of a global schedule.
+    """The plan for one window of a global schedule, opening at round ``start``.
 
     Primitives that run as a sequence of sub-protocols (exploration phases,
     ruling-set knock-outs) give each one ``plan.derive(salt)`` and see the
     plan's global crash schedule ``crash_at`` (computed once, against the
-    nominal global round numbering) from inside the window: a node crashing
-    at global round ``r`` is dead from local round 0 if ``r <= start``, from
-    local round ``r - start`` if the crash falls inside the window, and
-    alive otherwise.  A crash-stopped node therefore stays dead for the rest
-    of the primitive.  :class:`LinkOutage` intervals are shifted the same
-    way: a message sent in local round ``t`` is blocked exactly when its
-    global send round ``start + t`` lies in the outage's interval, and
-    outages that end before the window are dropped.
+    nominal global round numbering) from inside the window: a message sent
+    in local round ``t`` goes out in global round ``start + t``.  A node
+    crashing at global round ``r`` is therefore dead from local round
+    ``max(0, r - start)``, which also covers the tail rounds a window runs
+    past its nominal length while delayed messages are in flight, and stays
+    dead for the rest of the primitive.  :class:`LinkOutage` intervals are
+    shifted the same way, and outages that end before the window are
+    dropped.
     """
-    local = {}
-    for v, r in crash_at.items():
-        if r <= start:
-            local[v] = 0
-        elif r < start + length:
-            local[v] = r - start
     outages = tuple(
         LinkOutage(o.u, o.v, max(0, o.start - start), o.end - start)
         for o in plan.link_outages
@@ -313,7 +307,7 @@ def window_plan(
     return replace(
         plan.derive(salt),
         crash_fraction=0.0,
-        crashes=tuple(sorted(local.items())),
+        crashes=tuple(sorted((v, max(0, r - start)) for v, r in crash_at.items())),
         link_outages=outages,
     )
 

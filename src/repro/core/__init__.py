@@ -38,7 +38,6 @@ from .spanner import (
     make_parameters,
 )
 from .superclustering import (
-    SuperclusteringOutcome,
     build_superclusters,
     deterministic_forest,
     forest_path_edges,
@@ -68,7 +67,6 @@ __all__ = [
     "SpannerParameters",
     "SpannerResult",
     "StretchGuarantee",
-    "SuperclusteringOutcome",
     "build_spanner",
     "build_spanner_centralized",
     "build_spanner_distributed",

@@ -16,7 +16,6 @@ from ..congest.ledger import RoundLedger
 from ..graphs.graph import Graph
 from .certificate import SpannerCertificate
 from .cluster_table import FlatClusters, flat_collections_partition_vertices
-from .clusters import collections_partition_vertices
 from .parameters import SpannerParameters
 
 
@@ -135,16 +134,12 @@ class SpannerResult:
     def unclustered_partitions_vertices(self) -> bool:
         """Check Corollary 2.5 on this run: ``U_0, ..., U_ell`` partition ``V``.
 
-        Engine runs carry flat snapshots, verified in one pass over their
-        membership arrays; legacy ``ClusterCollection`` histories fall back to
-        the frozenset-based check.
+        Both engines record flat snapshots, verified in one pass over their
+        membership arrays.
         """
-        history = self.unclustered_history
-        if all(isinstance(collection, FlatClusters) for collection in history):
-            return flat_collections_partition_vertices(
-                history, self.graph.num_vertices
-            )
-        return collections_partition_vertices(history, self.graph.num_vertices)
+        return flat_collections_partition_vertices(
+            self.unclustered_history, self.graph.num_vertices
+        )
 
     def edges_by_step(self) -> Dict[str, int]:
         """Edge counts by construction step (from the certificate)."""

@@ -23,22 +23,10 @@ that step, kept for tests and API-boundary use.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from ..graphs.graph import Graph
 from .clusters import Cluster, ClusterCollection
-
-
-@dataclass
-class SuperclusteringOutcome:
-    """What the superclustering step of one phase produced."""
-
-    next_collection: ClusterCollection
-    unclustered: ClusterCollection
-    spanned_centers: List[int]
-    forest_edges: Set[Tuple[int, int]]
-    ruling_set: Set[int]
 
 
 def deterministic_forest(

@@ -526,7 +526,7 @@ def _explore_queues(
         phase_nominal = _phase_nominal(phase, cap)
         phase_plan = None
         if plan is not None:
-            phase_plan = window_plan(plan, phase, crash_at, charged_rounds, phase_nominal)
+            phase_plan = window_plan(plan, phase, crash_at, charged_rounds)
         run = simulator.run_broadcast_schedule(
             queues,
             deliver,

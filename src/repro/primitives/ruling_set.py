@@ -231,7 +231,7 @@ def _run_ruling_set_once(
         ko_plan = None
         if plan is not None:
             salt = 1_000_003 * (position + 1) + value
-            ko_plan = window_plan(plan, salt, crash_at, rounds["charged"], q)
+            ko_plan = window_plan(plan, salt, crash_at, rounds["charged"])
         forest = run_bfs_forest(
             simulator,
             sources=group,

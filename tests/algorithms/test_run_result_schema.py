@@ -1,20 +1,21 @@
 """Regression tests pinning the unified run-result serialization schema.
 
-Before the algorithm registry, ``SpannerResult.to_dict()`` and
-``BaselineResult.to_dict()`` drifted apart (different key names for the
-guarantee and the edge counts).  Both now emit the single
-``repro-run-result/v1`` schema; these tests pin the exact key set so the
-schemas cannot drift apart again.
+Every registered algorithm returns a :class:`~repro.algorithms.RunResult`,
+and the engine's ``SpannerResult.to_dict()`` delegates to it, so one
+``repro-run-result/v1`` schema covers every serialized run.  These tests pin
+the exact key set, and the payload of every registered algorithm on one
+fixed graph, so neither can drift.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
 
-from repro import build, build_spanner, make_parameters
-from repro.algorithms import RUN_RESULT_KEYS, RUN_RESULT_SCHEMA
+from repro import RunResult, build, build_spanner, make_parameters
+from repro.algorithms import RUN_RESULT_KEYS, RUN_RESULT_SCHEMA, algorithm_names
 from repro.baselines import build_baswana_sen_spanner, build_greedy_spanner
 from repro.graphs import gnp_random_graph
 
@@ -98,11 +99,44 @@ def test_baseline_phase_stats_land_in_phases_key(graph):
     result = build_elkin_neiman_spanner(graph, parameters, seed=2)
     data = result.to_dict()
     _assert_unified(data, "elkin-neiman-2017")
-    assert data["phases"], "per-phase stats must move from details to phases"
+    assert result.phases, "per-phase stats belong in phases, not details"
+    assert data["phases"] == result.phases
     assert "phases" not in data["details"]
 
 
 def test_facade_and_legacy_serializations_agree(graph):
     run = build("baswana-sen", graph, kappa=3, seed=7)
-    legacy = build_baswana_sen_spanner(graph, 3, seed=7)
-    assert run.to_dict() == legacy.to_dict()
+    direct = build_baswana_sen_spanner(graph, 3, seed=7)
+    assert isinstance(direct, RunResult)
+    assert direct == run
+    assert direct.to_dict() == run.to_dict()
+
+
+#: ``sha256(to_dict JSON + sorted edge list JSON)[:16]`` of every registered
+#: algorithm on one fixed graph, identical under every kernel backend: any
+#: drift means a builder changed its payload or its spanner.
+PINNED_PAYLOADS = {
+    "baswana-sen": "c00f4d4964c900b3",
+    "eest-low-stretch-tree": "2909514831d236f7",
+    "elkin-matar-linear": "edb74528e4db126c",
+    "elkin-mst-2017": "db48fe7f4bb56bdf",
+    "elkin-neiman-2017": "0b99acc3025f27f9",
+    "elkin-neiman-sparse": "9c7e5adda1a07161",
+    "elkin-peleg-2001": "c37a0d7edc56e155",
+    "elkin05-surrogate": "dc6daab766c0533a",
+    "greedy": "02e556f53fe6dda5",
+    "new-centralized": "d41bfb3f0f08b163",
+    "new-distributed": "e4bb960f696e180d",
+}
+
+
+def test_every_registered_algorithm_has_a_pinned_payload():
+    assert sorted(PINNED_PAYLOADS) == algorithm_names()
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_PAYLOADS))
+def test_registered_payloads_are_pinned(name):
+    run = build(name, gnp_random_graph(40, 0.15, seed=4), seed=3)
+    payload = json.dumps(run.to_dict()) + json.dumps(sorted(run.spanner.edge_set()))
+    digest = hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
+    assert digest == PINNED_PAYLOADS[name]

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro import StretchGuarantee
 from repro.analysis import evaluate_stretch
 from repro.baselines import build_baswana_sen_spanner
 from repro.graphs import (
@@ -59,7 +60,7 @@ def test_invalid_kappa_rejected(small_random):
 
 def test_result_metadata(small_random):
     result = build_baswana_sen_spanner(small_random, 3, seed=7)
-    assert result.name == "baswana-sen"
-    assert result.multiplicative_stretch == 5.0
+    assert result.algorithm == "baswana-sen"
+    assert result.guarantee == StretchGuarantee(5.0, 0.0)
     assert result.details["kappa"] == 3
     assert result.to_dict()["guarantee"]["additive"] == 0.0

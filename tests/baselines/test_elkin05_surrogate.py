@@ -26,8 +26,8 @@ def test_round_cost_grows_with_popular_count(default_params):
     dense = gnp_random_graph(60, 0.4, seed=1)
     sparse_result = build_elkin05_surrogate_spanner(sparse, default_params)
     dense_result = build_elkin05_surrogate_spanner(dense, default_params)
-    dense_popular = dense_result.details["phases"][0]["num_popular"]
-    sparse_popular = sparse_result.details["phases"][0]["num_popular"]
+    dense_popular = dense_result.phases[0]["num_popular"]
+    sparse_popular = sparse_result.phases[0]["num_popular"]
     assert dense_popular > sparse_popular
     assert dense_result.nominal_rounds > 0
 
@@ -36,7 +36,7 @@ def test_sequential_selection_costs_more_than_ruling_set_on_dense_graphs(default
     """The qualitative Table 1 gap: sequential scans pay ~|W_0| * delta rounds."""
     graph = gnp_random_graph(80, 0.3, seed=2)
     surrogate = build_elkin05_surrogate_spanner(graph, default_params)
-    popular_phase0 = surrogate.details["phases"][0]["num_popular"]
+    popular_phase0 = surrogate.phases[0]["num_popular"]
     # Selection cost charged by the surrogate includes |W_0| * 2 * delta_0 rounds.
     assert popular_phase0 >= 0.5 * graph.num_vertices
     assert surrogate.nominal_rounds >= popular_phase0 * 2
@@ -51,6 +51,6 @@ def test_deterministic(default_params):
 
 def test_phase_stats_structure(community_graph, default_params):
     result = build_elkin05_surrogate_spanner(community_graph, default_params)
-    phases = result.details["phases"]
+    phases = result.phases
     assert len(phases) == default_params.num_phases
     assert all("ruling_set_size" in phase for phase in phases)

@@ -61,12 +61,13 @@ def test_deterministic():
     a = build_elkin_matar_spanner(graph, epsilon=0.5, levels=2)
     b = build_elkin_matar_spanner(graph, epsilon=0.5, levels=2)
     assert a.spanner == b.spanner
+    assert a.phases == b.phases
     assert a.details == b.details
 
 
 def test_phase_stats_and_rounds_reported():
     result = build_elkin_matar_spanner(grid_graph(6, 6), epsilon=0.5, levels=3)
-    phases = result.details["phases"]
+    phases = result.phases
     assert len(phases) == 4  # levels + 1
     assert result.nominal_rounds is not None and result.nominal_rounds > 0
     assert all("num_hosts" in stats for stats in phases[:-1])

@@ -38,7 +38,7 @@ def test_different_seeds_usually_differ(default_params):
     graph = planted_partition_graph(4, 8, 0.6, 0.05, seed=1)
     a = build_elkin_neiman_spanner(graph, default_params, seed=0)
     b = build_elkin_neiman_spanner(graph, default_params, seed=1)
-    assert a.spanner != b.spanner or a.details != b.details
+    assert a.spanner != b.spanner or a.phases != b.phases or a.details != b.details
 
 
 def test_round_cost_reported(default_params):
@@ -50,6 +50,6 @@ def test_round_cost_reported(default_params):
 def test_phase_stats_recorded(default_params):
     graph = gnp_random_graph(30, 0.1, seed=3)
     result = build_elkin_neiman_spanner(graph, default_params, seed=3)
-    phases = result.details["phases"]
+    phases = result.phases
     assert len(phases) == default_params.num_phases
     assert phases[0]["num_clusters"] == 30

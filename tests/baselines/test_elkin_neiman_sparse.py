@@ -38,11 +38,11 @@ def test_different_seeds_usually_differ():
     graph = planted_partition_graph(4, 8, 0.6, 0.05, seed=1)
     a = build_elkin_neiman_sparse_spanner(graph, seed=0)
     b = build_elkin_neiman_sparse_spanner(graph, seed=1)
-    assert a.spanner != b.spanner or a.details != b.details
+    assert a.spanner != b.spanner or a.phases != b.phases or a.details != b.details
 
 
 def test_seed_recorded_in_details():
     graph = gnp_random_graph(24, 0.2, seed=2)
     result = build_elkin_neiman_sparse_spanner(graph, seed=5)
     assert result.details["seed"] == 5
-    assert len(result.details["phases"]) == 4  # levels + 1
+    assert len(result.phases) == 4  # levels + 1

@@ -40,7 +40,7 @@ def test_dense_graph_sparsified(default_params):
 
 def test_scan_counts_recorded(community_graph, default_params):
     result = build_elkin_peleg_spanner(community_graph, default_params)
-    phases = result.details["phases"]
+    phases = result.phases
     assert len(phases) == default_params.num_phases
     assert all("scans" in phase for phase in phases)
     assert phases[0]["num_superclusters"] >= 1

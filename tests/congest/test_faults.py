@@ -22,7 +22,7 @@ from repro.congest import (
     Simulator,
     fault_round_limit,
 )
-from repro.congest.faults import fresh_fault_counters
+from repro.congest.faults import NEVER, fresh_fault_counters
 from repro.graphs import cycle_graph, make_workload, path_graph, planted_partition_graph
 from repro.primitives.aggregation import run_broadcast, run_convergecast
 from repro.primitives.bfs_forest import run_bfs_forest
@@ -307,6 +307,50 @@ def test_link_outages_follow_the_global_round_clock():
     assert result.fault_counters["link_down"] == 7
 
 
+@pytest.mark.parametrize("primitive", ["exploration", "ruling-set"])
+def test_crashes_follow_the_global_round_clock_into_tail_rounds(primitive, monkeypatch):
+    # Delays keep a window running past its nominal length.  A vertex whose
+    # global crash round r has passed is dead in those tail rounds too: the
+    # window's plan crashes it by local round t whenever start + t >= r, and
+    # it sends nothing there.
+    graph = make_workload("sparse_gnp", 36, seed=7)
+    outages = [LinkOutage(0, nb, 5, 5) for nb in sorted(graph.neighbors(0))]
+    plan = FaultPlan(
+        seed=31, delay_rate=0.5, max_delay=5, crashes={0: 5, 3: 2}, link_outages=outages
+    )
+    simulator = _WindowRecorder(graph)
+    sends = []
+    broadcast_flat = NodeContext.broadcast_flat
+
+    def recording_broadcast(ctx, *content):
+        sends.append((len(simulator.windows), ctx.node_id, ctx.round_index))
+        broadcast_flat(ctx, *content)
+
+    monkeypatch.setattr(NodeContext, "broadcast_flat", recording_broadcast)
+    if primitive == "exploration":
+        run_bounded_exploration(simulator, range(0, 36, 4), depth=3, cap=3, fault_plan=plan)
+    else:
+        run_ruling_set(simulator, range(36), q=2, c=2, fault_plan=plan)
+
+    crash_at = plan.crash_schedule(36)
+    starts = [0]
+    tail_rounds = 0
+    for nominal, window, run in simulator.windows:
+        start = starts[-1]
+        local = window.crash_schedule(36) if window is not None else {}
+        for v, r in crash_at.items():
+            for t in range(run.rounds_executed + 1):
+                if start + t >= r:
+                    assert local.get(v, NEVER) <= t, (start, v, t)
+        tail_rounds += max(0, run.rounds_executed - nominal)
+        starts.append(start + nominal)
+    assert tail_rounds > 0
+    late = [
+        (starts[w], v, t) for w, v, t in sends if v in crash_at and starts[w] + t >= crash_at[v]
+    ]
+    assert late == []
+
+
 def test_congestion_audit_is_pre_fault():
     class DoubleSend(NodeProgram):
         def __init__(self, node_id: int) -> None:
@@ -467,9 +511,11 @@ def _run_faulted_primitive(primitive, graph, plan):
 
 
 def test_faulted_outcomes_are_pinned():
-    # Recorded once link outages were projected onto the global round clock
-    # (test_link_outages_follow_the_global_round_clock); any drift means the
-    # fault filter changed what a faulted run delivers.
+    # Recorded once link outages and crashes were both projected onto the
+    # global round clock, tail rounds included
+    # (test_link_outages_follow_the_global_round_clock,
+    # test_crashes_follow_the_global_round_clock_into_tail_rounds); any drift
+    # means the fault filter changed what a faulted run delivers.
     outcomes = []
     gap_seen = False
     for graph, name, plan in _faulted_cases():
@@ -482,7 +528,7 @@ def test_faulted_outcomes_are_pinned():
     assert gap_seen  # some round index was fast-forwarded over
     payload = json.dumps(outcomes, sort_keys=True, separators=(",", ":"))
     digest = hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
-    assert digest == "684b0b4af5166613"
+    assert digest == "0c282d2799b08b20"
 
 
 # ----------------------------------------------------------------------

@@ -216,7 +216,7 @@ class TestChaosCli:
         }
         assert digests == {
             "chaos-primitives.json": (
-                "6eb1d16da959fb7965f15de3e6404ec870291c465454446ca2c60a4ba8f738d2"
+                "8655686a7cae7a4f309bb9389d09fc2fda4a79c965516584d7301566e13c221e"
             ),
             "chaos-sweep.json": (
                 "50c9cac93b6797b0a109cef544c0338cf71ff7541efc5e8e44897f7c9f39f298"

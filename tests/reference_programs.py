@@ -109,16 +109,10 @@ class ExplorationPhaseProgram(NodeProgram):
 
 
 def _window_plan(
-    plan: FaultPlan, phase: int, crash_at: Dict[int, int], start: int, length: int
+    plan: FaultPlan, phase: int, crash_at: Dict[int, int], start: int
 ) -> FaultPlan:
     """``plan.derive(phase)`` with the global crash schedule and link outages
-    seen from the window ``[start, start + length)``."""
-    local: Dict[int, int] = {}
-    for v, r in crash_at.items():
-        if r <= start:
-            local[v] = 0
-        elif r < start + length:
-            local[v] = r - start
+    seen from the window opening at global round ``start``."""
     outages = [
         LinkOutage(o.u, o.v, max(0, o.start - start), o.end - start)
         for o in plan.link_outages
@@ -127,7 +121,7 @@ def _window_plan(
     return replace(
         plan.derive(phase),
         crash_fraction=0.0,
-        crashes=tuple(sorted(local.items())),
+        crashes=tuple(sorted((v, max(0, r - start)) for v, r in crash_at.items())),
         link_outages=tuple(outages),
     )
 
@@ -181,7 +175,7 @@ def explore_with_programs(
             programs[sender]._next_send = 0
         phase_plan = None
         if plan is not None:
-            phase_plan = _window_plan(plan, phase, crash_at, charged_rounds, phase_nominal)
+            phase_plan = _window_plan(plan, phase, crash_at, charged_rounds)
         run = simulator.run_protocol(
             programs,
             label=f"{label}:phase{phase}",
