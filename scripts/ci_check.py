@@ -13,8 +13,10 @@ Runs, in order (see :func:`stage_plan`):
    ``REPRO_KERNEL=python``: the tree must work without the vectorized
    NumPy/SciPy tier (an optional extra).  Also skipped under ``--fast``.
 4. ``array message plane (numpy kernel)`` -- the exploration, trace-back,
-   degradation-verifier, golden-run, engine cross-validation, fault-injection,
-   chaos and run-result payload-pin tests under ``REPRO_KERNEL=numpy``.  It
+   BFS-forest, ruling-set, tracing, degradation-verifier, golden-run, engine
+   cross-validation, fault-injection, chaos and run-result payload-pin tests
+   under ``REPRO_KERNEL=numpy``, so the array forms of the exploration
+   phases and BFS forests run at every test size.  It
    needs the ``fast`` extra (NumPy/SciPy): without it the stage fails under
    GitHub Actions, unless ``--without-fast`` declares a leg that covers the
    pure-Python fallback on purpose, and is skipped with a notice locally.
@@ -108,6 +110,11 @@ QUICK_SERVE_REQUESTS = "200"
 ARRAY_PLANE_TESTS = (
     "primitives/test_exploration.py",
     "primitives/test_traceback.py",
+    # The array BFS forest: directly, as the ruling set's knock-outs, and
+    # under a recording tracer.
+    "primitives/test_bfs_forest.py",
+    "primitives/test_ruling_set.py",
+    "congest/test_tracing.py",
     "analysis/test_degradation.py",
     "congest/test_golden_run.py",
     "core/test_engine_cross_validation.py",

@@ -1,14 +1,18 @@
 #!/usr/bin/env python
-"""Kernel parity gate: ``new-centralized`` spanners match under both kernels.
+"""Kernel parity gate: an engine's spanner matches under both kernels.
 
-Builds ``new-centralized`` on one seeded ``sparse_gnp`` graph twice, under
+Builds ``--algorithm`` (``new-centralized`` by default, or
+``new-distributed``) on one seeded ``sparse_gnp`` graph twice, under
 ``--kernel python`` (the CPython loops) and ``--kernel auto`` (which past the
-``auto`` thresholds of :mod:`repro.kernels` runs the vectorized tier, and
-the compiled per-center traversal in particular), and fails unless both
-spanners have exactly the same edge set.  The defaults are the ``central-20k``
-benchmark's first graph: n=20000, expected degree 16, seed 3.  Run::
+``auto`` thresholds of :mod:`repro.kernels` runs the vectorized tier: the
+compiled per-center traversal of the centralized engine, the array message
+plane of the distributed one), and fails unless both spanners have exactly
+the same edge set.  For ``new-distributed`` the two builds must also charge
+the same ledger entries, in the same order.  The defaults are the
+``central-20k`` benchmark's first graph: n=20000, expected degree 16, seed 3.
+Run::
 
-    python scripts/kernel_parity.py [--size N] [--degree D] [--seed S]
+    python scripts/kernel_parity.py [--algorithm A] [--size N] [--degree D] [--seed S]
 
 Exits 1 on a mismatch, and also when the vectorized tier cannot run here
 (NumPy/SciPy missing) or the build merged no cluster, because then the check
@@ -18,6 +22,7 @@ would compare the pure-Python path with itself.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -26,19 +31,31 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 
 import repro  # noqa: E402
 from repro import kernels  # noqa: E402
+from repro.congest import Simulator  # noqa: E402
 from repro.graphs.generators import make_workload  # noqa: E402
 
+#: The engines the gate compares; the distributed one also has a ledger.
+ALGORITHMS = ("new-centralized", "new-distributed")
 
-def spanner_edges(graph, seed: int, mode: str):
-    """The sorted ``new-centralized`` spanner edges and merges under ``mode``."""
+
+def build_outcome(algorithm: str, graph, seed: int, mode: str):
+    """The sorted spanner edges, the ledger charges and the merges under ``mode``.
+
+    The charges are ``None`` for ``new-centralized``, which runs no simulator.
+    """
     kernels.set_kernel(mode)
-    run = repro.build("new-centralized", graph, seed=seed)
+    simulator = Simulator(graph) if algorithm == "new-distributed" else None
+    run = repro.build(algorithm, graph, seed=seed, simulator=simulator)
     merges = sum(int(phase["cluster_merges"]) for phase in run.phases)
-    return sorted(run.spanner.edge_set()), merges
+    charges = None
+    if simulator is not None:
+        charges = [dataclasses.astuple(charge) for charge in simulator.ledger.charges]
+    return sorted(run.spanner.edge_set()), charges, merges
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--algorithm", choices=ALGORITHMS, default=ALGORITHMS[0])
     parser.add_argument("--size", type=int, default=20000)
     parser.add_argument("--degree", type=float, default=16.0)
     parser.add_argument("--seed", type=int, default=3)
@@ -50,9 +67,13 @@ def main(argv=None) -> int:
     graph = make_workload(
         "sparse_gnp", args.size, seed=args.seed, p=args.degree / (args.size - 1)
     )
-    python_edges, merges = spanner_edges(graph, args.seed, kernels.KERNEL_PYTHON)
-    auto_edges, _ = spanner_edges(graph, args.seed, kernels.KERNEL_AUTO)
-    label = f"n={args.size} degree={args.degree:g} seed={args.seed}"
+    python_edges, python_charges, merges = build_outcome(
+        args.algorithm, graph, args.seed, kernels.KERNEL_PYTHON
+    )
+    auto_edges, auto_charges, _ = build_outcome(
+        args.algorithm, graph, args.seed, kernels.KERNEL_AUTO
+    )
+    label = f"{args.algorithm} n={args.size} degree={args.degree:g} seed={args.seed}"
     if merges == 0:
         print(f"kernel parity: {label}: no cluster merges, so no deep exploration ran")
         return 1
@@ -64,7 +85,11 @@ def main(argv=None) -> int:
             f"({only_python} edges only under python, {only_auto} only under auto)"
         )
         return 1
-    print(f"kernel parity: {label}: {len(auto_edges)} identical spanner edges")
+    if python_charges != auto_charges:
+        print(f"kernel parity: {label}: the ledgers differ")
+        return 1
+    ledger = "" if auto_charges is None else f" and {len(auto_charges)} identical ledger charges"
+    print(f"kernel parity: {label}: {len(auto_edges)} identical spanner edges{ledger}")
     return 0
 
 

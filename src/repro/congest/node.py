@@ -8,6 +8,7 @@ queueing messages for the next round through its :class:`NodeContext`.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from .errors import InvalidDestination, MessageTooLarge
@@ -37,7 +38,6 @@ class NodeContext:
         "round_index",
         "_outbox",
         "_max_words",
-        "_neighbor_set",
         "_neighbor_pairs",
         "_pending",
         "_dup_possible",
@@ -46,7 +46,6 @@ class NodeContext:
     def __init__(self, node_id: int, neighbors: Sequence[int], max_words_per_message: int) -> None:
         self.node_id = node_id
         self.neighbors = tuple(sorted(neighbors))
-        self._neighbor_set: Optional[frozenset] = None
         self.round_index = 0
         self._outbox: List[Tuple[int, Message]] = []
         self._max_words = max_words_per_message
@@ -69,10 +68,11 @@ class NodeContext:
 
     def send(self, neighbor: int, *content: Any) -> None:
         """Queue a message with payload ``content`` to ``neighbor`` for this round."""
-        neighbor_set = self._neighbor_set
-        if neighbor_set is None:
-            neighbor_set = self._neighbor_set = frozenset(self.neighbors)
-        if neighbor not in neighbor_set:
+        # A binary search of the sorted neighbours: most senders send once,
+        # so a per-node hash set would cost more to build than it saves.
+        neighbors = self.neighbors
+        index = bisect_left(neighbors, neighbor)
+        if index == len(neighbors) or neighbors[index] != neighbor:
             raise InvalidDestination(self.node_id, neighbor)
         words = count_words(content)
         if words > self._max_words:
@@ -127,10 +127,11 @@ class NodeContext:
 
     def send_flat(self, neighbor: int, *content: Any) -> None:
         """Send a payload of plain scalar words (hot-path variant of :meth:`send`)."""
-        neighbor_set = self._neighbor_set
-        if neighbor_set is None:
-            neighbor_set = self._neighbor_set = frozenset(self.neighbors)
-        if neighbor not in neighbor_set:
+        # A binary search of the sorted neighbours: most senders send once,
+        # so a per-node hash set would cost more to build than it saves.
+        neighbors = self.neighbors
+        index = bisect_left(neighbors, neighbor)
+        if index == len(neighbors) or neighbors[index] != neighbor:
             raise InvalidDestination(self.node_id, neighbor)
         words = len(content)
         if words > self._max_words:

@@ -41,8 +41,17 @@ A fixed schedule (no ``step``) with one payload width also has an array form
 on the vectorized kernel tier, :meth:`Simulator.run_broadcast_arrays`: the
 caller passes the payloads' senders and rounds as arrays and receives the
 deliveries as arrays, in blocks of :data:`BROADCAST_BLOCK`, with the same
-checks, round count, tracer events and ledger charge.  The exploration phases
-use it from :data:`~repro.kernels.AUTO_MIN_SCHEDULE_VERTICES` vertices up.
+checks, round count, tracer events and ledger charge.  A schedule whose
+senders each broadcast one payload and join through ``step`` has the array
+form :meth:`Simulator.run_frontier_arrays`, where each round's frontier is
+an array.  The exploration phases and the BFS forests use them from
+:data:`~repro.kernels.AUTO_MIN_SCHEDULE_VERTICES` vertices up.
+
+Protocols in which few nodes act -- the trace-back and the forest-path
+markup (:mod:`repro.primitives.traceback`) -- pass
+:meth:`Simulator.run_protocol` a factory instead of a program list: a node's
+program and context are built the first time the node starts or receives a
+message, so such a protocol costs what its messages cost, not ``O(n)``.
 """
 
 from __future__ import annotations
@@ -50,7 +59,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import partial
 from operator import attrgetter, itemgetter
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from ..graphs.graph import Graph
 from ..kernels import require_numpy
@@ -86,6 +95,48 @@ def _resolve_pairs(
 
 
 _node_id = attrgetter("node_id")
+
+
+class _BuiltOnDemand(dict):
+    """Maps a vertex ``v`` to ``make(v)``, built on the first lookup of ``v``."""
+
+    __slots__ = ("make",)
+
+    def __init__(self, make: Callable[[int], Any]) -> None:
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, v: int) -> Any:
+        value = self[v] = self.make(v)
+        return value
+
+
+def _broadcast_blocks(np, indptr, adj, senders, degrees):
+    """Yield ``(payloads, receivers)`` blocks covering every broadcast of ``senders``.
+
+    Payload ``i`` is ``senders[i]``'s broadcast to its ``degrees[i]``
+    neighbours; ``receivers[k]`` receives payload ``payloads[k]``.  The
+    blocks hold about :data:`BROADCAST_BLOCK` deliveries each, in payload
+    order with each row ascending, and no row is split across two blocks.
+    """
+    ends = np.cumsum(degrees)
+    count = len(senders)
+    start = 0
+    done = 0
+    while start < count:
+        stop = max(int(np.searchsorted(ends, done + BROADCAST_BLOCK, side="right")), start + 1)
+        total = int(ends[stop - 1]) - done
+        if total:
+            counts = degrees[start:stop]
+            # Delivery ``j`` of the block is entry ``j - (deliveries before
+            # its payload's row)`` of that row.
+            row_starts = indptr[senders[start:stop]] - (ends[start:stop] - counts - done)
+            yield (
+                np.repeat(np.arange(start, stop), counts),
+                adj[np.repeat(row_starts, counts) + np.arange(total)],
+            )
+            done += total
+        start = stop
 
 
 class _ScheduleProgram(NodeProgram):
@@ -186,8 +237,10 @@ class Simulator:
         # Per-node contexts and inbox buffers are reused across every
         # run_protocol call (the spanner build runs dozens of sub-protocols
         # over the same topology); they are rebuilt only if the graph mutates.
-        # ``_dirty`` marks buffers left non-empty by an aborted run.
-        self._contexts: Optional[List[NodeContext]] = None
+        # A context is built the first time its node runs, so a protocol in
+        # which few nodes act never builds the other ``n``.  ``_dirty`` marks
+        # buffers left non-empty by an aborted run.
+        self._contexts: Optional[Dict[int, NodeContext]] = None
         self._inboxes: List[List[Message]] = []
         # Shared per-round sender registry: every context appends itself on
         # its first queueing of a round (see NodeContext), so delivery drains
@@ -196,23 +249,26 @@ class Simulator:
         self._contexts_version = -1
         self._dirty = False
 
-    def _node_contexts(self) -> List[NodeContext]:
-        """Shared per-vertex contexts built from the graph's CSR snapshot."""
+    def _node_contexts(self) -> Dict[int, NodeContext]:
+        """Shared per-vertex contexts over the graph's CSR snapshot, built on first use."""
         if self._contexts is None or self._contexts_version != self.graph.version:
-            csr = self.graph.csr()
-            rows = csr.rows()
+            rows = self.graph.csr().rows()
             max_words = self.max_words_per_message
-            contexts = [
-                NodeContext(v, rows[v], max_words) for v in range(self.graph.num_vertices)
-            ]
-            inboxes = [[] for _ in range(self.graph.num_vertices)]
-            # Install the shared sender registry.  Each context's (neighbour,
-            # inbox) pairs are resolved by _deliver on its first broadcast.
+            # The shared sender registry goes into every context.  Each
+            # context's (neighbour, inbox) pairs are resolved by _deliver on
+            # its first broadcast.
             pending: List[NodeContext] = []
-            for ctx in contexts:
+
+            def context(v: int) -> NodeContext:
+                # A CSR row is a sorted tuple already: share it instead of
+                # the constructor's sorted copy.
+                ctx = NodeContext(v, (), max_words)
+                ctx.neighbors = rows[v]
                 ctx._pending = pending
-            self._contexts = contexts
-            self._inboxes = inboxes
+                return ctx
+
+            self._contexts = _BuiltOnDemand(context)
+            self._inboxes = [[] for _ in range(self.graph.num_vertices)]
             self._pending = pending
             self._contexts_version = self.graph.version
         return self._contexts
@@ -222,17 +278,24 @@ class Simulator:
     # ------------------------------------------------------------------
     def run_protocol(
         self,
-        programs: Sequence[NodeProgram],
+        programs: Union[Sequence[NodeProgram], Callable[[int], NodeProgram]],
         max_rounds: int = 10_000_000,
         label: str = "protocol",
         nominal_rounds: Optional[int] = None,
-        initially_awake: Optional[Iterable[int]] = None,
         collect_results: bool = True,
         message_driven: bool = False,
         starters: Optional[Sequence[int]] = None,
         fault_plan: Optional[FaultPlan] = None,
     ) -> ProtocolRun:
         """Run ``programs`` (one per vertex) to quiescence.
+
+        ``programs`` may also be a factory: ``programs(v)`` builds ``v``'s
+        program when ``v`` first starts or receives a message, so a protocol
+        in which few nodes act costs what its messages cost, not ``O(n)``.
+        A factory needs ``starters`` and ``collect_results=False``, and every
+        program it builds for a node outside ``starters`` must be idle until
+        it receives a message.  Outcomes equal those of the list of every
+        node's program.
 
         ``nominal_rounds`` is the scheduled round count the caller wants
         charged to the ledger; when omitted, the executed round count is
@@ -244,17 +307,9 @@ class Simulator:
         every other program's ``on_start`` must be a no-op, which the caller
         guarantees.  Protocol outcomes are identical either way.
 
-        ``initially_awake`` is a wall-clock hint: a superset of the nodes
-        whose ``is_idle()`` could return false right after ``on_start``.  The
-        scheduler polls only those programs instead of all ``n`` (protocols
-        with a handful of initiators pay O(#initiators), not O(n)).  Passing
-        a set that misses a non-idle node would silently starve it, so only
-        callers that know their programs' idle structure pass it.  Protocol
-        outcomes are identical either way.
-
         ``message_driven=True`` declares that every program's ``is_idle()``
         is constantly true (all progress happens in reaction to received
-        messages, as in the forest-markup protocol); the scheduler then skips
+        messages, as in a flooding protocol); the scheduler then skips
         idle tracking altogether.
 
         ``collect_results=False`` skips the per-node ``result()`` sweep
@@ -268,11 +323,21 @@ class Simulator:
         With no plan (or an inactive one) delivery checks no fault at all.
         The wall-clock hints apply either way.
         """
-        n = self.graph.num_vertices
-        if len(programs) != n:
-            raise ProtocolError(f"expected {n} programs, got {len(programs)}")
+        awake_candidates = None
+        if callable(programs):
+            if starters is None or collect_results:
+                raise ProtocolError(
+                    "a program factory needs starters and collect_results=False"
+                )
+            programs = _BuiltOnDemand(programs)
+            # Only the starters can be busy before anything is delivered.
+            awake_candidates = starters
+        elif len(programs) != self.graph.num_vertices:
+            raise ProtocolError(
+                f"expected {self.graph.num_vertices} programs, got {len(programs)}"
+            )
         return self._run_protocol(
-            programs, max_rounds, label, nominal_rounds, initially_awake,
+            programs, max_rounds, label, nominal_rounds, awake_candidates,
             collect_results, message_driven, starters, fault_plan,
         )
 
@@ -423,35 +488,76 @@ class Simulator:
                 raise MessageTooLarge(width, self.max_words_per_message)
             scheduled = int(rounds[-1]) + 1
         degrees = indptr[senders + 1] - indptr[senders]
-        ends = np.cumsum(degrees)
         in_flight = np.bincount(rounds, weights=degrees, minlength=scheduled).astype(np.int64)
         executed = scheduled if scheduled and in_flight[-1] else max(scheduled - 1, 0)
-
-        block = BROADCAST_BLOCK
-        start = 0
-        done = 0
-        while start < count:
-            stop = max(int(np.searchsorted(ends, done + block, side="right")), start + 1)
-            total = int(ends[stop - 1]) - done
-            if total:
-                counts = degrees[start:stop]
-                # Delivery ``j`` of the block is entry ``j - (deliveries
-                # before its payload's row)`` of that row.
-                row_starts = indptr[senders[start:stop]] - (ends[start:stop] - counts - done)
-                deliver(
-                    np.repeat(np.arange(start, stop), counts),
-                    adj[np.repeat(row_starts, counts) + np.arange(total)],
-                )
-                done += total
-            start = stop
+        for payloads, receivers in _broadcast_blocks(np, indptr, adj, senders, degrees):
+            deliver(payloads, receivers)
 
         tracer = self.tracer
         if type(tracer) is not NullTracer:
             for round_index, messages in enumerate(in_flight[:executed].tolist(), 1):
                 tracer.on_round(round_index, messages)
-        messages_delivered = int(ends[-1]) if count else 0
+        messages_delivered = int(degrees.sum())
         return self._charge_schedule(
             label, nominal_rounds, executed, messages_delivered, width * messages_delivered
+        )
+
+    def run_frontier_arrays(
+        self,
+        frontier: Any,
+        width: int,
+        deliver: Callable[[Any, Any], None],
+        step: Callable[[int], Any],
+        *,
+        label: str,
+        nominal_rounds: Optional[int] = None,
+    ) -> ProtocolRun:
+        """Run a broadcast schedule whose senders join round by round, as arrays.
+
+        This is the array form of :meth:`run_broadcast_schedule` with a
+        ``step`` in which every sender holds one ``width``-word payload.  The
+        vertex ids in ``frontier``, strictly ascending, broadcast in round 0.
+        Each round's broadcasts reach ``deliver(payloads, receivers)`` as in
+        :meth:`run_broadcast_arrays`, in blocks, where payload ``i`` is the
+        broadcast of the round's ``frontier[i]``.  ``step(round_index)`` then
+        returns the ascending ids that broadcast next, the new frontier.  A
+        round executes while the previous round's broadcasts reach somebody,
+        and ``step`` runs once per executed round.
+
+        The accounting is :meth:`run_broadcast_schedule`'s: the word-size
+        check runs before the first delivery, congestion is 1, the tracer
+        sees one event per executed round, and the ledger is charged once
+        under ``label``.
+        """
+        np = require_numpy()
+        csr = self.graph.csr()
+        indptr, adj = csr.indptr_np, csr.adj_np
+        trace_round = None if type(self.tracer) is NullTracer else self.tracer.on_round
+        round_index = 0
+        messages_delivered = 0
+        frontier = np.asarray(frontier, dtype=np.int64)
+        while len(frontier):
+            if (
+                frontier[0] < 0
+                or frontier[-1] >= csr.num_vertices
+                or bool((frontier[1:] <= frontier[:-1]).any())
+            ):
+                raise ProtocolError("an array frontier must hold strictly ascending vertex ids")
+            if width > self.max_words_per_message:
+                raise MessageTooLarge(width, self.max_words_per_message)
+            degrees = indptr[frontier + 1] - indptr[frontier]
+            in_flight = int(degrees.sum())
+            if not in_flight:
+                break
+            for payloads, receivers in _broadcast_blocks(np, indptr, adj, frontier, degrees):
+                deliver(payloads, receivers)
+            round_index += 1
+            messages_delivered += in_flight
+            if trace_round is not None:
+                trace_round(round_index, in_flight)
+            frontier = np.asarray(step(round_index), dtype=np.int64)
+        return self._charge_schedule(
+            label, nominal_rounds, round_index, messages_delivered, width * messages_delivered
         )
 
     def _charge_schedule(
@@ -583,7 +689,7 @@ class Simulator:
 
     def _run_protocol(
         self,
-        programs: Sequence[NodeProgram],
+        programs: Union[Sequence[NodeProgram], Dict[int, NodeProgram]],
         max_rounds: int,
         label: str,
         nominal_rounds: Optional[int],
@@ -596,6 +702,11 @@ class Simulator:
     ) -> ProtocolRun:
         """Execute the scheduler loop (buffers are clean on entry and exit).
 
+        ``programs`` is indexed by node; only the nodes that start, run or
+        are polled are looked up.  ``initially_awake``, when given, is a
+        superset of the nodes whose ``is_idle()`` could be false right after
+        ``on_start`` (a factory's starters, a faulted broadcast schedule's
+        senders); only those are polled, not all ``n``.
         ``end_of_round(round_index)``, when given, runs at the end of every
         executed round, after the round's programs and before delivery; it
         may queue messages through the contexts and returns the nodes that
@@ -620,15 +731,15 @@ class Simulator:
         """
         contexts = self._node_contexts()
         inboxes = self._inboxes
-        n = len(contexts)
+        n = len(inboxes)
         if self._dirty:
             # A previous run aborted mid-round (congestion violation, round
             # limit, program error); scrub its leftovers before starting.
-            for v in range(n):
-                ctx = contexts[v]
+            for ctx in contexts.values():
                 ctx._outbox.clear()
                 ctx._dup_possible = False
-                inboxes[v].clear()
+            for inbox in inboxes:
+                inbox.clear()
             self._pending.clear()
         # Cleared again only when this run completes.
         self._dirty = True
@@ -671,10 +782,6 @@ class Simulator:
         tracer = self.tracer
         trace_round = None if type(tracer) is NullTracer else tracer.on_round
 
-        # Pre-bound per-node callbacks: the round loop below calls these up to
-        # once per node per round, so avoid rebinding methods every time.
-        on_round_of = [p.on_round for p in programs]
-        is_idle_of = [p.is_idle for p in programs]
         track_idle = not message_driven
 
         # The scheduler keeps an explicit active set instead of scanning all n
@@ -684,7 +791,7 @@ class Simulator:
         # ``initially_awake`` narrows the start-of-protocol idle poll to the
         # caller-declared candidates; ``message_driven`` protocols skip idle
         # tracking entirely.
-        awake = {v for v in candidates if not is_idle_of[v]()} if track_idle else set()
+        awake = {v for v in candidates if not programs[v].is_idle()} if track_idle else set()
 
         # Collect round-0 sends (senders registered themselves in on_start).
         receivers, in_flight, in_flight_words, max_congestion, violations = deliver(0, inboxes)
@@ -728,11 +835,12 @@ class Simulator:
                 ctx = contexts[v]
                 ctx.round_index = round_index
                 inbox = inboxes[v]
-                on_round_of[v](ctx, inbox)
+                program = programs[v]
+                program.on_round(ctx, inbox)
                 if inbox:
                     inbox.clear()
                 if track_idle:
-                    if is_idle_of[v]():
+                    if program.is_idle():
                         awake.discard(v)
                     else:
                         awake.add(v)

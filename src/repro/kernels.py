@@ -22,9 +22,9 @@ This module is the single switch deciding which one runs.  Selection rules:
   :data:`AUTO_MIN_VERTICES` vertices and the pure-Python tier below -- small
   graphs (every golden workload, every tier-1 test default) therefore run the
   historical loops bit-for-bit.  Kernels that cross over earlier pass their
-  own threshold to :func:`use_numpy`: the fault-free exploration phases
-  :data:`AUTO_MIN_SCHEDULE_VERTICES`, the centralized engine's per-center
-  traversal :data:`AUTO_MIN_TRAVERSAL_VERTICES`;
+  own threshold to :func:`use_numpy`: the fault-free exploration phases and
+  BFS forests :data:`AUTO_MIN_SCHEDULE_VERTICES`, the centralized engine's
+  per-center traversal :data:`AUTO_MIN_TRAVERSAL_VERTICES`;
 * when NumPy/SciPy are missing (they are an *optional* extra:
   ``pip install .[fast]``), every mode silently resolves to ``python``.
 
@@ -66,15 +66,19 @@ KERNEL_ENV_VAR = "REPRO_KERNEL"
 AUTO_MIN_VERTICES = 32768
 
 #: ``auto`` threshold of the array message plane: fault-free exploration
-#: phases (Algorithm 1) run as blocked NumPy first-arrival reductions from
-#: this many vertices up.  Measured on sparse_gnp degree-16 distributed
-#: builds (median of 9 builds per size, 2-vCPU VM), the array tier
-#: takes 0.91x of the per-broadcast form's build time at n=512, 0.76x at
-#: 1024 and 2048 and 0.59x at 4096.  At 2048 the ~45 ms it saves per build
-#: repays the one-off ~65 ms NumPy import from the second build on; below
-#: it, a small build would pay the import for a few milliseconds.  It is
-#: separate from :data:`AUTO_MIN_VERTICES` because the BFS-style sweeps
-#: still lose below ~16k vertices.
+#: phases (Algorithm 1) run as blocked NumPy first-arrival reductions, and
+#: fault-free BFS forests as array frontiers, from this many vertices up.
+#: Measured on sparse_gnp degree-16 distributed builds (median of 9 builds
+#: per size, 2-vCPU VM), the array exploration takes 0.91x of the
+#: per-broadcast form's build time at n=512, 0.76x at 1024 and 2048 and
+#: 0.59x at 4096.  The array forests take 0.65-0.84x of the per-broadcast
+#: forests' time at n=1024, 0.57-0.69x at 2048 and 0.44-0.51x at 4096
+#: (median of 24 builds per size and kernel, two runs each).  At 2048 the
+#: ~45 ms the exploration saves per build repays the one-off ~65 ms NumPy
+#: import from the second build on; below it, a small build would pay the
+#: import for a few milliseconds.  It is separate from
+#: :data:`AUTO_MIN_VERTICES` because the BFS-style sweeps still lose below
+#: ~16k vertices.
 AUTO_MIN_SCHEDULE_VERTICES = 2048
 
 #: ``auto`` threshold of the centralized engine's exploration (Algorithm 1):
@@ -89,6 +93,18 @@ AUTO_MIN_SCHEDULE_VERTICES = 2048
 #: it would take six to nine builds.  The central-20k benchmark (n=20000)
 #: takes the traversal; the 512-vertex serve catalogue stays far below.
 AUTO_MIN_TRAVERSAL_VERTICES = 8192
+
+#: Largest ``n * k`` (vertices times centers) for which the array tier of
+#: Algorithm 1 keeps its knowledge as a dense boolean table over (receiver,
+#: center index): 4 MB at the cap.  Each delivery block then drops the known
+#: pairs with one gather instead of binary searches in a growing sorted key
+#: array.  Above the cap, which the phase-0 exploration (every vertex a
+#: center) passes from n = 2049 on, the sorted keys stay.  On sparse_gnp
+#: n=4096 degree-16 distributed builds (8 graphs, 16 builds per run, two
+#: runs per cap, 2-vCPU VM), raising the cap to ``1 << 24`` put phase 0 on
+#: the 16 MB table: phase 0 took 17-19 ms instead of 24-28 ms (3-4% of the
+#: build), and the process's peak RSS rose from 104.0 to 112.7 MB (+8%).
+DENSE_KNOWLEDGE_MAX_CELLS = 1 << 22
 
 _requested: Optional[str] = None
 _numpy_modules: Optional[tuple] = None
@@ -244,7 +260,8 @@ def use_numpy(num_vertices: int, min_vertices: int = AUTO_MIN_VERTICES) -> bool:
 
     ``min_vertices`` is the kernel's ``auto`` threshold:
     :data:`AUTO_MIN_VERTICES` for the BFS-style sweeps,
-    :data:`AUTO_MIN_SCHEDULE_VERTICES` for the exploration phases,
+    :data:`AUTO_MIN_SCHEDULE_VERTICES` for the exploration phases and
+    BFS forests,
     :data:`AUTO_MIN_TRAVERSAL_VERTICES` for the centralized engine's
     per-center traversal.
     """

@@ -15,9 +15,21 @@ The forest runs as a broadcast schedule
 (:meth:`~repro.congest.simulator.Simulator.run_broadcast_schedule`) whose
 end-of-round step hands the round's adopters back as the next frontier.
 Fault-free it is level-synchronous (in round ``r`` exactly the vertices at
-distance ``r - 1`` broadcast) and runs without per-vertex programs; under a
-:class:`~repro.congest.faults.FaultPlan` the simulator runs the same
-schedule on its round loop, whose delivery applies the plan.
+distance ``r - 1`` broadcast) and runs without per-vertex programs, in one
+of two forms chosen by :mod:`repro.kernels`:
+
+* per broadcast, one Python callback walking the sender's CSR row -- the
+  pure-Python tier, and the form below
+  :data:`~repro.kernels.AUTO_MIN_SCHEDULE_VERTICES`;
+* as arrays (:meth:`~repro.congest.simulator.Simulator.run_frontier_arrays`),
+  where each round's frontier is an array, each block of deliveries keeps
+  the smallest ``(root, sender)`` offer per undecided receiver, and the
+  ledger is charged once per forest.
+
+Both give the same labels (as Python ``int`` or ``None``), ledger charge and
+tracer events.  Under a :class:`~repro.congest.faults.FaultPlan` the
+simulator runs the per-broadcast schedule on its round loop, whose delivery
+applies the plan.
 """
 
 from __future__ import annotations
@@ -28,6 +40,8 @@ from typing import Dict, Iterable, List, Optional, Tuple
 from ..congest.errors import ProtocolFault, RoundLimitExceeded
 from ..congest.faults import FaultPlan
 from ..congest.simulator import ProtocolRun, Simulator
+from ..kernels import AUTO_MIN_SCHEDULE_VERTICES, require_numpy, use_numpy
+from .exploration import _first_arrivals
 
 FOREST_TAG = "forest"
 
@@ -123,9 +137,13 @@ def run_bfs_forest(
     active = fault_plan is not None and fault_plan.active
     plans = [fault_plan.retry(k) for k in range(max(1, max_attempts))] if active else [None]
     for attempt, plan in enumerate(plans):
-        root, dist, parent = _fresh_labels(n, starters)
         try:
-            run = _run_forest_schedule(simulator, starters, depth, label, root, dist, parent, plan)
+            if plan is None and use_numpy(n, AUTO_MIN_SCHEDULE_VERTICES):
+                root, dist, parent, run = _run_forest_arrays(simulator, starters, depth, label)
+            else:
+                root, dist, parent, run = _run_forest_schedule(
+                    simulator, starters, depth, label, plan
+                )
         except RoundLimitExceeded:
             if attempt == len(plans) - 1:
                 raise ProtocolFault(label, "round-timeout", attempts=len(plans))
@@ -142,6 +160,11 @@ def run_bfs_forest(
             attempts=attempt + 1,
         )
     raise AssertionError("unreachable")
+
+
+#: What growing a forest returns: the ``root``, ``dist`` and ``parent`` lists
+#: and the run.
+Labels = Tuple[List[Optional[int]], List[Optional[int]], List[Optional[int]], ProtocolRun]
 
 
 def _fresh_labels(
@@ -161,14 +184,12 @@ def _run_forest_schedule(
     sources: List[int],
     depth: int,
     label: str,
-    root: List[Optional[int]],
-    dist: List[Optional[int]],
-    parent: List[Optional[int]],
     plan: Optional[FaultPlan],
-) -> ProtocolRun:
-    """Grow the forest as a broadcast schedule under ``plan``, labelling in place.
+) -> Labels:
+    """Grow the forest as a broadcast schedule under ``plan``.
 
-    A vertex whose ``dist`` is still ``None`` is undecided: ``root`` /
+    Returns the ``root`` / ``dist`` / ``parent`` lists and the run.  A
+    vertex whose ``dist`` is still ``None`` is undecided: ``root`` /
     ``parent`` hold its best offer of the round so far.  Offers rank by
     ``(hops, root, sender)``; every sender announces its own recorded
     ``dist``, so an offer's hop count is its sender's ``dist`` plus one.
@@ -179,6 +200,7 @@ def _run_forest_schedule(
     it sees; under a plan a late offer can carry fewer hops than an on-time
     one, and inboxes are not in sender order, so the full ranking decides.
     """
+    root, dist, parent = _fresh_labels(simulator.graph.num_vertices, sources)
     adopters: List[int] = []
 
     def deliver(sender: int, payload: Tuple[str, int, int], row: Tuple[int, ...]) -> None:
@@ -211,9 +233,78 @@ def _run_forest_schedule(
         return frontier
 
     queues = [(s, ((FOREST_TAG, s, 0),)) for s in sources] if depth > 0 else []
-    return simulator.run_broadcast_schedule(
+    run = simulator.run_broadcast_schedule(
         queues, deliver, label=label, nominal_rounds=depth, step=step, fault_plan=plan
     )
+    return root, dist, parent, run
+
+
+def _run_forest_arrays(
+    simulator: Simulator, sources: List[int], depth: int, label: str
+) -> Labels:
+    """Grow the fault-free forest on the array tier.
+
+    The same protocol as :func:`_run_forest_schedule` without a plan, on
+    :meth:`~repro.congest.simulator.Simulator.run_frontier_arrays`: round
+    ``r``'s frontier is the vertices at distance ``r - 1``, so every offer of
+    a round carries the same hop count and ranks by ``(root, sender)``.
+    Each delivery block keeps, per undecided receiver, its smallest root
+    and that root's first sender, and replaces the offer the receiver holds
+    from an earlier block of the round only with a smaller root (earlier
+    blocks hold smaller senders).  The step fixes the round's adopters as
+    the next level.  The labels come back as lists of ``int`` or ``None``.
+    """
+    np = require_numpy()
+    n = simulator.graph.num_vertices
+    root = np.full(n, -1, dtype=np.int64)
+    parent = np.full(n, -1, dtype=np.int64)
+    decided = np.zeros(n, dtype=bool)
+    frontier = np.asarray(sources, dtype=np.int64)
+    root[frontier] = frontier
+    decided[frontier] = True
+    adopters = []
+    levels = []
+
+    def deliver(payloads, receivers) -> None:
+        undecided = ~decided[receivers]
+        receivers = receivers[undecided]
+        if not len(receivers):
+            return
+        senders = frontier[payloads[undecided]]
+        offered = root[senders]
+        # Sorted by (receiver, root), each pair's first sender.
+        first = _first_arrivals(np, receivers * n + offered, n * n)
+        receivers, offered, senders = receivers[first], offered[first], senders[first]
+        best = np.empty(len(receivers), dtype=bool)
+        best[:1] = True
+        np.not_equal(receivers[1:], receivers[:-1], out=best[1:])
+        receivers, offered, senders = receivers[best], offered[best], senders[best]
+        held = root[receivers]
+        better = (held < 0) | (offered < held)
+        root[receivers[better]] = offered[better]
+        parent[receivers[better]] = senders[better]
+        adopters.append(receivers[held < 0])
+
+    def step(round_index: int):
+        nonlocal frontier
+        level = np.sort(np.concatenate(adopters)) if adopters else frontier[:0]
+        adopters.clear()
+        decided[level] = True
+        levels.append(level)
+        frontier = level if round_index < depth else level[:0]
+        return frontier
+
+    run = simulator.run_frontier_arrays(
+        frontier if depth > 0 else frontier[:0], 3, deliver, step,
+        label=label, nominal_rounds=depth,
+    )
+    root_list, dist_list, parent_list = _fresh_labels(n, sources)
+    for hops, level in enumerate(levels, 1):
+        for v, r, p in zip(level.tolist(), root[level].tolist(), parent[level].tolist()):
+            root_list[v] = r
+            dist_list[v] = hops
+            parent_list[v] = p
+    return root_list, dist_list, parent_list, run
 
 
 def forest_membership(result: ForestResult) -> Dict[int, List[int]]:

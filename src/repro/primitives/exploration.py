@@ -22,17 +22,21 @@ It runs in one of two forms, chosen by :mod:`repro.kernels`:
   one Python callback walking the sender's CSR row -- the pure-Python tier,
   and the form below :data:`~repro.kernels.AUTO_MIN_SCHEDULE_VERTICES`;
 * as arrays (:meth:`~repro.congest.simulator.Simulator.run_broadcast_arrays`),
-  where each block of deliveries is reduced to its first arrivals per
-  ``(receiver, center)`` with one sort, and the learns stay in arrays: a
-  sorted key array with parallel via and distance arrays, plus each phase's
-  learn log in delivery order.
+  where each block of deliveries drops the ``(receiver, center)`` pairs
+  already known, is reduced to its first arrivals per pair with one sort,
+  and marks them known at once.  What is known is a dense boolean table over
+  (receiver, center index) while ``n * k`` fits
+  :data:`~repro.kernels.DENSE_KNOWLEDGE_MAX_CELLS`, else sorted key arrays.
+  The learns stay in arrays: each phase's learn log in delivery order, from
+  which the sorted key, via and distance arrays are built on the first
+  lookup.
 
 The per-broadcast form writes the knowledge into per-vertex dicts.
 :class:`ExplorationResult` answers the same accessors over either backing
 (``popular``, :meth:`~ExplorationResult.known_centers`,
 :meth:`~ExplorationResult.distance_to`, :meth:`~ExplorationResult.via`,
 :meth:`~ExplorationResult.trace_path`), which is all the engine reads: the
-interconnection requests and the trace-back programs.  The dict views
+interconnection requests and the trace-back.  The dict views
 ``known_dist``/``known_via``/``known`` are built from the array logs only
 when something asks for them (tests, the degradation verifiers, notebooks),
 so a fault-free array-tier build never creates a knowledge dict.  Both forms
@@ -65,6 +69,7 @@ from ..congest.simulator import ProtocolRun, Simulator
 from ..kernels import (
     AUTO_MIN_SCHEDULE_VERTICES,
     AUTO_MIN_TRAVERSAL_VERTICES,
+    DENSE_KNOWLEDGE_MAX_CELLS,
     require_csgraph,
     require_numpy,
     use_numpy,
@@ -100,15 +105,15 @@ class ExplorationResult:
       ``known_via[v]`` maps center -> via-neighbour.  The per-broadcast
       Python tier (with or without a fault plan) and
       :func:`centralized_bounded_exploration` write these directly.
-    * **arrays** (:class:`_KnowledgeArrays`): the array tier keeps the
-      sorted ``receiver * n + center`` keys with parallel via and distance
-      arrays, plus each phase's learn log in delivery order, and writes no
-      per-vertex dict.
+    * **arrays** (:class:`_KnowledgeArrays`): the array tier keeps each
+      phase's learn log in delivery order, sorts the ``receiver * n +
+      center`` keys with parallel via and distance arrays on the first
+      lookup, and writes no per-vertex dict.
 
     The accessors :meth:`known_centers`, :meth:`distance_to`, :meth:`via`
     and :meth:`trace_path` and the ``popular`` set answer the same over
     either backing; the engine's readers (the interconnection requests and
-    the trace-back programs) use only those.  ``known_dist``, ``known_via``
+    the trace-back) use only those.  ``known_dist``, ``known_via``
     and the combined :class:`KnownCenter` view ``known`` are lazy on the
     array backing: the first read replays the learn logs into dicts whose
     contents and insertion order are exactly what the Python tier writes,
@@ -253,26 +258,46 @@ class ExplorationResult:
 class _KnowledgeArrays:
     """Algorithm 1's knowledge as the array tier leaves it.
 
-    ``keys`` holds every known ``receiver * n + center`` in ascending order
-    (so each receiver's centers form one sorted row, delimited by
-    ``row_starts``), with the parallel ``vias`` (``-1`` for a center knowing
-    itself) and ``dists``.  ``logs`` holds one ``(keys, vias)`` pair of
-    arrays per phase, the learns of phase ``j`` (all at distance ``j``) in
-    delivery order: replaying them reproduces the Python tier's dicts,
-    insertion order included.
+    ``logs`` holds one ``(keys, vias)`` pair of arrays per phase: the
+    ``receiver * n + center`` keys learned in phase ``j`` (all at distance
+    ``j``) and their via-neighbours, in delivery order.  Replaying them
+    reproduces the Python tier's dicts, insertion order included.
+    ``row_starts`` delimits each receiver's entries in key order, which is
+    all ``popular`` reads.  The lookups read every key in ascending order
+    (each receiver's centers one sorted row) with the parallel vias (``-1``
+    for a center knowing itself) and distances; that table is sorted on the
+    first lookup, so an exploration nobody queries never sorts it.
     """
 
-    __slots__ = ("n", "keys", "vias", "dists", "row_starts", "logs")
+    __slots__ = ("n", "centers", "logs", "row_starts", "_table")
 
-    def __init__(self, n: int, keys, vias, dists, logs) -> None:
+    def __init__(self, n: int, centers, logs) -> None:
+        """The knowledge of ``centers`` (each knowing itself) plus the phase ``logs``."""
         np = require_numpy()
         self.n = n
-        self.keys = keys
-        self.vias = vias
-        self.dists = dists
+        self.centers = centers
         self.logs = logs
+        sizes = np.bincount(centers, minlength=n)
+        for keys, _ in logs:
+            sizes += np.bincount(keys // n, minlength=n)
         self.row_starts = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(keys // n, minlength=n), out=self.row_starts[1:])
+        np.cumsum(sizes, out=self.row_starts[1:])
+        self._table = None
+
+    def table(self):
+        """The sorted ``(keys, vias, dists)`` arrays of everything known."""
+        if self._table is None:
+            np = require_numpy()
+            n, centers, logs = self.n, self.centers, self.logs
+            keys = np.concatenate([centers * (n + 1)] + [keys for keys, _ in logs])
+            vias = np.concatenate(
+                [np.full(len(centers), -1, dtype=np.int64)] + [vias for _, vias in logs]
+            )
+            sizes = [len(centers)] + [len(keys) for keys, _ in logs]
+            order = np.argsort(keys)
+            dists = np.repeat(np.arange(len(sizes), dtype=np.int64), sizes)
+            self._table = keys[order], vias[order], dists[order]
+        return self._table
 
     def popular(self, centers: List[int], cap: int) -> Set[int]:
         """The ``centers`` that know at least ``cap`` other centers."""
@@ -282,25 +307,28 @@ class _KnowledgeArrays:
         return set(ids[sizes - 1 >= cap].tolist())
 
     def centers_of(self, v: int) -> List[int]:
-        base = v * self.n
-        return (self.keys[self.row_starts[v]:self.row_starts[v + 1]] - base).tolist()
+        keys = self.table()[0]
+        return (keys[self.row_starts[v]:self.row_starts[v + 1]] - v * self.n).tolist()
 
     def _find(self, v: int, center: int) -> int:
-        """Index of ``(v, center)`` in ``keys``, or -1 when ``v`` does not know it."""
-        key = v * self.n + center
-        keys = self.keys
+        """Index of ``(v, center)`` in the table, or -1 when ``v`` does not know it."""
+        n = self.n
+        if not (0 <= v < n and 0 <= center < n):
+            return -1
+        key = v * n + center
+        keys = self.table()[0]
         i = int(keys.searchsorted(key))
         return i if i < len(keys) and keys[i] == key else -1
 
     def distance(self, v: int, center: int) -> Optional[int]:
         i = self._find(v, center)
-        return int(self.dists[i]) if i >= 0 else None
+        return int(self.table()[2][i]) if i >= 0 else None
 
     def via(self, v: int, center: int) -> Optional[int]:
         i = self._find(v, center)
         if i < 0:
             return None
-        via = int(self.vias[i])
+        via = int(self.table()[1][i])
         return via if via >= 0 else None
 
     def dicts(
@@ -568,46 +596,38 @@ def _explore_arrays(
     :class:`_KnowledgeArrays`.  A phase is
     :meth:`Simulator.run_broadcast_arrays` over the payload arrays
     ``(sender, center, round)`` in (round, ascending sender) order.  Each
-    delivery block is reduced to its first arrival per ``(receiver,
-    center)`` key (:func:`_first_arrivals`, delivery order breaking ties as
-    the per-broadcast form does); the keys already known are dropped against
-    two sorted key arrays, the entries known before the phase and those
-    learned in it, and the learns are appended to the phase's log in
-    delivery order.  Fault-free, every payload of phase ``j`` carries
-    distance ``j - 1``, so every learn of phase ``j`` is at distance ``j``.
+    delivery block is reduced to the first arrival of every ``(receiver,
+    center)`` pair not known yet (delivery order breaking ties as the
+    per-broadcast form does), the pairs are marked known at once (a later
+    block's arrivals lose anyway), and the learns are appended to the
+    phase's log in delivery order.  What is known lives in a
+    :class:`_DenseSeen` table while ``n * k`` fits
+    :data:`~repro.kernels.DENSE_KNOWLEDGE_MAX_CELLS`, else in
+    :class:`_SortedSeen` keys.  Fault-free, every payload of phase ``j``
+    carries distance ``j - 1``, so every learn of phase ``j`` is at distance
+    ``j``.  The logs are the whole result: :class:`_KnowledgeArrays` sorts
+    them into a lookup table only when something looks a pair up.
     """
     np = require_numpy()
     n = simulator.graph.num_vertices
     centers = np.asarray(center_list, dtype=np.int64)
-    # Sorted keys ``receiver * n + center`` of the entries known before the
-    # current phase, with their vias and distances, and the keys learned in
-    # the phase so far (merged at its end).
-    known = centers * (n + 1)
-    vias = np.full(len(centers), -1, dtype=np.int64)
-    dists = np.zeros(len(centers), dtype=np.int64)
+    seen = _seen_table(np, n, centers)
     logs = []
     senders, sent_centers, rounds = centers, centers, np.zeros(len(centers), dtype=np.int64)
     runs: List[Tuple[int, ProtocolRun]] = []
     for phase in range(1, depth + 1):
         if not len(senders):
             break
-        learned = centers[:0]
-        log_keys = [learned]
-        log_vias = [learned]
+        seen.start_phase(np, sent_centers)
+        log_keys = [centers[:0]]
+        log_vias = [centers[:0]]
 
         def deliver(payloads, receivers) -> None:
-            nonlocal learned
-            keys = receivers * n + sent_centers[payloads]
-            first = _first_arrivals(np, keys, n * n)
-            fresh = keys[first]
-            slots = np.searchsorted(learned, fresh)
-            new = ~(_contains(np, known, fresh) | _contains(np, learned, fresh, slots))
-            if not new.any():
-                return
-            learned = np.insert(learned, slots[new], fresh[new])
-            first = np.sort(first[new])
-            log_keys.append(keys[first])
-            log_vias.append(senders[payloads[first]])
+            first = seen.first_unseen(np, payloads, receivers)
+            if len(first):
+                first.sort()
+                log_keys.append(receivers[first] * n + sent_centers[payloads[first]])
+                log_vias.append(senders[payloads[first]])
 
         phase_nominal = _phase_nominal(phase, cap)
         run = simulator.run_broadcast_arrays(
@@ -615,25 +635,95 @@ def _explore_arrays(
             label=f"{label}:phase{phase}", nominal_rounds=phase_nominal,
         )
         runs.append((phase_nominal, run))
-        phase_keys = np.concatenate(log_keys)
-        phase_vias = np.concatenate(log_vias)
-        logs.append((phase_keys, phase_vias))
-        # ``learned`` is the phase's log sorted by key.
-        slots = np.searchsorted(known, learned)
-        known = np.insert(known, slots, learned)
-        vias = np.insert(vias, slots, phase_vias[np.argsort(phase_keys)])
-        dists = np.insert(dists, slots, phase)
+        logs.append((np.concatenate(log_keys), np.concatenate(log_vias)))
+        learned = np.sort(logs[-1][0])
+        seen.end_phase(np, learned)
         # The next phase's payloads, as in the per-broadcast form: every
         # learner forwards its ``cap`` smallest new centers, in ascending
         # center order from round 0, and the payloads go out in (round,
         # ascending sender) order.
         learners = learned // n
-        rank = np.arange(len(learned)) - np.searchsorted(learners, learners)
+        heads = np.flatnonzero(np.diff(learners, prepend=-1))
+        rank = np.arange(len(learned)) - np.repeat(heads, np.diff(heads, append=len(learned)))
         kept = rank < cap
-        order = np.argsort(rank[kept], kind="stable")
+        rank = rank[kept]
+        # Stable on the narrowest type that holds ``cap``: NumPy radix-sorts
+        # 8- and 16-bit keys.
+        order = np.argsort(rank.astype(np.min_scalar_type(cap)), kind="stable")
         forwarded = learned[kept][order]
-        senders, sent_centers, rounds = forwarded // n, forwarded % n, rank[kept][order]
-    return runs, _KnowledgeArrays(n, known, vias, dists, logs)
+        senders, sent_centers, rounds = forwarded // n, forwarded % n, rank[order]
+    return runs, _KnowledgeArrays(n, centers, logs)
+
+
+def _seen_table(np, n: int, centers):
+    """What each receiver knows, dense while ``n * k`` fits the cap."""
+    if n * len(centers) <= DENSE_KNOWLEDGE_MAX_CELLS:
+        return _DenseSeen(np, n, centers)
+    return _SortedSeen(np, n, centers)
+
+
+class _DenseSeen:
+    """Known ``(receiver, center)`` pairs as a boolean table over center indices."""
+
+    __slots__ = ("column_of", "width", "table", "columns")
+
+    def __init__(self, np, n: int, centers) -> None:
+        k = len(centers)
+        self.column_of = np.zeros(n, dtype=np.int64)
+        self.column_of[centers] = np.arange(k)
+        self.width = k
+        self.table = np.zeros(n * k, dtype=bool)
+        self.table[centers * k + np.arange(k)] = True
+        self.columns = None
+
+    def start_phase(self, np, sent_centers) -> None:
+        self.columns = self.column_of[sent_centers]
+
+    def first_unseen(self, np, payloads, receivers):
+        """Positions of the first arrival of every unknown pair, now marked known."""
+        cells = receivers * self.width + self.columns[payloads]
+        unseen = np.flatnonzero(~self.table[cells])
+        cells = cells[unseen]
+        first = _first_arrivals(np, cells, len(self.table))
+        self.table[cells[first]] = True
+        return unseen[first]
+
+    def end_phase(self, np, learned) -> None:
+        pass
+
+
+class _SortedSeen:
+    """Known ``receiver * n + center`` keys as sorted arrays (large ``k``).
+
+    ``known`` holds the keys known before the current phase and ``learned``
+    those learned in it so far; they merge at the end of the phase.
+    """
+
+    __slots__ = ("n", "known", "learned", "sent_centers")
+
+    def __init__(self, np, n: int, centers) -> None:
+        self.n = n
+        self.known = centers * (n + 1)
+        self.learned = self.sent_centers = centers[:0]
+
+    def start_phase(self, np, sent_centers) -> None:
+        self.sent_centers = sent_centers
+        self.learned = sent_centers[:0]
+
+    def first_unseen(self, np, payloads, receivers):
+        """Positions of the first arrival of every unknown pair, now marked known."""
+        keys = receivers * self.n + self.sent_centers[payloads]
+        first = _first_arrivals(np, keys, self.n * self.n)
+        fresh = keys[first]
+        learned = self.learned
+        slots = np.searchsorted(learned, fresh)
+        new = ~(_contains(np, self.known, fresh) | _contains(np, learned, fresh, slots))
+        self.learned = np.insert(learned, slots[new], fresh[new])
+        return first[new]
+
+    def end_phase(self, np, learned) -> None:
+        known = self.known
+        self.known = np.insert(known, np.searchsorted(known, learned), learned)
 
 
 def _contains(np, sorted_keys, keys, slots=None):

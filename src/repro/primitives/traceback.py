@@ -15,6 +15,11 @@ round; when several requests queue up at a vertex for the same neighbour they
 are paced at one message per round (the paper charges ``O(deg_i * delta_i)``
 rounds for the interconnection trace-back, which our nominal accounting
 mirrors).
+
+Both run on :meth:`~repro.congest.simulator.Simulator.run_protocol` with a
+program factory: a vertex's program is built when it starts (it holds a
+request) or first receives a message, so a protocol costs what its messages
+cost rather than ``O(n)``, and a trace-back without requests builds nothing.
 """
 
 from __future__ import annotations
@@ -142,30 +147,24 @@ def run_traceback(
     to; the initiator must know each target through ``exploration`` (Theorem
     2.1 guarantees this for non-popular centers).  Unknown targets are skipped
     silently, mirroring the fact that the real protocol simply has no message
-    to trace.
+    to trace, and so are initiators outside the graph.  Programs are built
+    only for the initiators and the vertices the requests reach.
     """
-    graph = simulator.graph
-    n = graph.num_vertices
-    no_requests: Tuple[int, ...] = ()
+    n = simulator.graph.num_vertices
     edges: Set[Tuple[int, int]] = set()
-    programs = []
-    initiators: List[int] = []
-    for v in range(n):
+    initiators = sorted(v for v in requests if 0 <= v < n)
+
+    def program(v: int) -> _TracebackProgram:
         targets = requests.get(v)
-        if targets is None:
-            programs.append(_TracebackProgram(v, exploration, no_requests, edges))
-        else:
-            programs.append(
-                _TracebackProgram(v, exploration, sorted(set(targets)), edges)
-            )
-            initiators.append(v)
+        initial = sorted(set(targets)) if targets is not None else ()
+        return _TracebackProgram(v, exploration, initial, edges)
+
     if nominal_rounds is None:
         nominal_rounds = exploration.cap * exploration.depth
     run = simulator.run_protocol(
-        programs,
+        program,
         label=label,
         nominal_rounds=nominal_rounds,
-        initially_awake=initiators,
         starters=initiators,
         collect_results=False,
     )
@@ -233,7 +232,8 @@ def run_forest_path_markup(
 
     Every vertex propagates the mark-up request at most once, so at most one
     message crosses any edge during the whole protocol; the nominal round cost
-    is the forest depth.
+    is the forest depth.  Programs are built only for the targets and the
+    vertices on their paths to the roots.
     """
     n = simulator.graph.num_vertices
     target_set = set(targets)
@@ -245,13 +245,10 @@ def run_forest_path_markup(
             raise ValueError(f"target {t} is not spanned by the forest")
     parent = forest.parent
     edges: Set[Tuple[int, int]] = set()
-    programs = [
-        _ForestMarkupProgram(v, parent[v], v in target_set, edges) for v in range(n)
-    ]
     # Markup programs always propagate within the round that triggers them,
     # so no program is ever observed non-idle: pure message-driven protocol.
     run = simulator.run_protocol(
-        programs,
+        lambda v: _ForestMarkupProgram(v, parent[v], v in target_set, edges),
         label=label,
         nominal_rounds=forest.depth,
         message_driven=True,

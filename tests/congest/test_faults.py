@@ -534,7 +534,7 @@ def test_faulted_outcomes_are_pinned():
 # ----------------------------------------------------------------------
 # Wall-clock hints under faults
 # ----------------------------------------------------------------------
-_HINTS = ("starters", "initially_awake", "message_driven")
+_HINTS = ("starters", "message_driven")
 
 
 class _PlannedSimulator(Simulator):
@@ -552,6 +552,9 @@ class _PlannedSimulator(Simulator):
 
     def run_protocol(self, programs, **kwargs):
         if not self.keep_hints:
+            if callable(programs):
+                # A factory needs starters: hand over every node's program.
+                programs = [programs(v) for v in range(self.graph.num_vertices)]
             for hint in _HINTS:
                 kwargs.pop(hint, None)
         run = super().run_protocol(programs, fault_plan=self.plan, **kwargs)

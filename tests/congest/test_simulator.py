@@ -571,6 +571,164 @@ class TestBroadcastArrays:
         assert sim.ledger.charges == []
 
 
+@pytest.mark.skipif(not kernels.numpy_available(), reason="numpy/scipy not installed")
+class TestFrontierArrays:
+    """``run_frontier_arrays`` accounts exactly like a forwarding ``run_broadcast_schedule``."""
+
+    @staticmethod
+    def run_both(graph, sources, last_round):
+        """Flood from ``sources``: each first-time receiver forwards once, up to ``last_round``."""
+        np = kernels.require_numpy()
+        outcomes = []
+        for arrays in (False, True):
+            tracer = RecordingTracer()
+            sim = Simulator(graph, tracer=tracer)
+            log = []
+            heard = set(sources)
+            fresh = []
+
+            def hear(sender, receiver):
+                log.append((sender, receiver))
+                if receiver not in heard:
+                    heard.add(receiver)
+                    fresh.append(receiver)
+
+            def joining(round_index):
+                joined = sorted(fresh) if round_index < last_round else []
+                fresh.clear()
+                return joined
+
+            if arrays:
+                frontier = [np.array(sorted(sources), dtype=np.int64)]
+
+                def deliver(payloads, receivers):
+                    for index, receiver in zip(payloads.tolist(), receivers.tolist()):
+                        hear(int(frontier[0][index]), receiver)
+
+                def step(round_index):
+                    frontier[0] = np.array(joining(round_index), dtype=np.int64)
+                    return frontier[0]
+
+                run = sim.run_frontier_arrays(
+                    frontier[0], 2, deliver, step, label="f", nominal_rounds=7
+                )
+            else:
+                def deliver(sender, payload, row):
+                    for receiver in row:
+                        hear(sender, receiver)
+
+                def step(round_index):
+                    return [(v, [("f", v)]) for v in joining(round_index)]
+
+                run = sim.run_broadcast_schedule(
+                    [(s, [("f", s)]) for s in sorted(sources)],
+                    deliver, label="f", nominal_rounds=7, step=step,
+                )
+            outcomes.append((
+                run.rounds_executed,
+                run.messages_delivered,
+                run.words_delivered,
+                run.max_edge_congestion,
+                sim.ledger.charges,
+                tracer.events,
+                log,
+            ))
+        assert outcomes[0] == outcomes[1]
+        return outcomes[1]
+
+    CASES = [
+        (grid_graph(3, 4), [0], 3),
+        (path_graph(6), [0, 5], 10),
+        (star_graph(5), [], 4),
+        (Graph(4, [(0, 1)]), [2], 4),
+        (Graph(4, [(0, 1)]), [0, 3], 4),
+        (cycle_graph(7), [1, 2, 4], 1),
+    ]
+
+    @pytest.mark.parametrize("block", [1, 3, None])
+    @pytest.mark.parametrize("graph, sources, last_round", CASES)
+    def test_matches_forwarding_schedule(self, graph, sources, last_round, block, monkeypatch):
+        if block is not None:
+            monkeypatch.setattr(simulator_module, "BROADCAST_BLOCK", block)
+        self.run_both(graph, sources, last_round)
+
+    def test_isolated_sole_sender_executes_no_round(self):
+        rounds, messages, _, congestion, charges, events, _ = self.run_both(
+            Graph(3, [(0, 1)]), [2], 4
+        )
+        assert (rounds, messages, congestion, events) == (0, 0, 0, [])
+        assert charges[0].nominal_rounds == 7
+
+    def test_word_size_is_checked_before_any_delivery_or_charge(self):
+        np = kernels.require_numpy()
+        sim = Simulator(path_graph(3), max_words_per_message=2)
+        delivered = []
+        with pytest.raises(MessageTooLarge):
+            sim.run_frontier_arrays(
+                np.array([0]), 3, lambda *args: delivered.append(args), lambda r: [], label="s"
+            )
+        assert delivered == [] and sim.ledger.charges == []
+
+    @pytest.mark.parametrize("frontier, joined", [([1, 0], []), ([3], []), ([0], [2, 1])])
+    def test_frontiers_must_be_ascending_vertex_ids(self, frontier, joined):
+        sim = Simulator(path_graph(3))
+        with pytest.raises(ProtocolError):
+            sim.run_frontier_arrays(
+                frontier, 1, lambda *_: None, lambda r: joined if r == 1 else [], label="s"
+            )
+        assert sim.ledger.charges == []
+
+
+class TestProgramFactory:
+    """A program factory runs exactly like the list of every node's program."""
+
+    QUEUES = {0: [("a", 0), ("b", 0)], 5: [("c", 5)]}
+
+    @staticmethod
+    def run(graph, programs, **kwargs):
+        tracer = RecordingTracer()
+        sim = Simulator(graph, tracer=tracer)
+        run = sim.run_protocol(
+            programs, label="f", nominal_rounds=9, collect_results=False, **kwargs
+        )
+        outcome = (
+            run.rounds_executed,
+            run.messages_delivered,
+            run.words_delivered,
+            run.max_edge_congestion,
+            sim.ledger.charges,
+            tracer.events,
+        )
+        return sim, outcome
+
+    @pytest.mark.parametrize("copies", [0, 1, 3])
+    @pytest.mark.parametrize(
+        "graph", [grid_graph(3, 4), path_graph(9), Graph(6, [(0, 1), (4, 5)])]
+    )
+    def test_matches_every_program(self, graph, copies):
+        queues = self.QUEUES
+        eager_log, log = [], []
+        _, eager = self.run(graph, [
+            QueueBroadcaster(v, queues.get(v, ()), eager_log, copies)
+            for v in range(graph.num_vertices)
+        ])
+        sim, on_demand = self.run(
+            graph,
+            lambda v: QueueBroadcaster(v, queues.get(v, ()), log, copies),
+            starters=sorted(queues),
+        )
+        assert on_demand == eager and log == eager_log
+        # Contexts exist only for the nodes that started or received mail.
+        assert set(sim._contexts) == set(queues) | {receiver for receiver, _, _ in log}
+
+    @pytest.mark.parametrize("kwargs", [{}, {"starters": [0]}], ids=["no-starters", "results"])
+    def test_factory_needs_starters_and_no_result_sweep(self, kwargs):
+        sim = Simulator(path_graph(3))
+        with pytest.raises(ProtocolError):
+            sim.run_protocol(lambda v: FloodOnce(v, v == 0), **kwargs)
+        assert sim.ledger.charges == []
+
+
 class PingLowest(NodeProgram):
     """Every node sends one point-to-point message to its smallest neighbour."""
 
@@ -625,7 +783,7 @@ class TestLazyBroadcastTables:
     @staticmethod
     def assert_pairs_resolved(sim):
         """Every built table is what the eager build made: shared inbox lists."""
-        for ctx in sim._contexts:
+        for ctx in sim._contexts.values():
             if ctx._neighbor_pairs is not None:
                 assert [nb for nb, _ in ctx._neighbor_pairs] == list(ctx.neighbors)
                 assert all(inbox is sim._inboxes[nb] for nb, inbox in ctx._neighbor_pairs)
@@ -636,7 +794,7 @@ class TestLazyBroadcastTables:
         log = []
         run = sim.run_protocol([PingLowest(v, log) for v in range(12)])
         assert run.messages_delivered == 12 and len(log) == 12
-        assert all(ctx._neighbor_pairs is None for ctx in sim._contexts)
+        assert all(ctx._neighbor_pairs is None for ctx in sim._contexts.values())
 
     def test_first_broadcast_after_send_only_protocol_delivers_as_fresh(self):
         graph = grid_graph(3, 4)
@@ -648,7 +806,10 @@ class TestLazyBroadcastTables:
             self.assert_pairs_resolved(sim)
             if not copies:
                 # Only the three queued senders have broadcast so far.
-                built = [ctx.node_id for ctx in sim._contexts if ctx._neighbor_pairs is not None]
+                built = [
+                    ctx.node_id for ctx in sim._contexts.values()
+                    if ctx._neighbor_pairs is not None
+                ]
                 assert built == [0, 5, 7]
 
     def test_pairs_rebuilt_after_graph_mutation(self):

@@ -6,8 +6,11 @@ from typing import List
 
 import pytest
 
+import repro.congest.simulator as simulator_module
+import repro.kernels as kernels
 from repro.congest import (
     CongestionViolation,
+    FaultPlan,
     Message,
     MessageTooLarge,
     NodeContext,
@@ -179,6 +182,7 @@ EQUIVALENCE_CASES = {
     "depth-beyond-eccentricity": (path_graph(9), [0], 30),
     "no-sources": (cycle_graph(8), [], 3),
     "isolated-source": (*_isolated_source_graph(), 4),
+    "isolated-sole-source": (Graph(3, [(0, 1)]), [2], 3),
     "smaller-root-from-later-sender": (Graph(5, [(4, 1), (1, 3), (3, 2), (2, 0)]), [0, 4], 3),
 }
 
@@ -236,6 +240,51 @@ class TestBroadcastScheduleEquivalence:
         assert outcome["run"].rounds_executed == 0
         assert outcome["events"] == []
         assert [(c.nominal_rounds, c.messages) for c in outcome["charges"]] == [(3, 0)]
+
+
+@pytest.mark.skipif(not kernels.numpy_available(), reason="numpy/scipy not installed")
+class TestArrayTierEquivalence:
+    """The array forest matches the per-broadcast form however it is blocked."""
+
+    @pytest.mark.parametrize("collect", [True, False])
+    @pytest.mark.parametrize("case", sorted(EQUIVALENCE_CASES))
+    def test_array_form_matches_per_broadcast_form(self, kernel, monkeypatch, case, collect):
+        graph, sources, depth = EQUIVALENCE_CASES[case]
+        kernel(kernels.KERNEL_PYTHON)
+        expected = forest_traced(graph, sources, depth, collect=collect)
+        kernel(kernels.KERNEL_NUMPY)
+        monkeypatch.setattr(simulator_module, "BROADCAST_BLOCK", 5)
+        blocked = forest_traced(graph, sources, depth, collect=collect)
+        assert blocked == expected
+        labels = blocked["root"] + blocked["dist"] + blocked["parent"]
+        assert all(type(label) in (int, type(None)) for label in labels)
+
+    def test_ties_hold_across_blocks(self, kernel, monkeypatch):
+        kernel(kernels.KERNEL_NUMPY)
+        # One delivery per block: every offer of a round lands in its own block.
+        monkeypatch.setattr(simulator_module, "BROADCAST_BLOCK", 1)
+        tie = forest_traced(*EQUIVALENCE_CASES["path-tie"])
+        assert (tie["root"][4], tie["parent"][4]) == (0, 3)
+        later = forest_traced(*EQUIVALENCE_CASES["smaller-root-from-later-sender"])
+        assert (later["root"][3], later["dist"][3], later["parent"][3]) == (0, 2, 2)
+
+    def test_the_schedule_threshold_picks_the_array_form(self, kernel, monkeypatch):
+        kernel(kernels.KERNEL_AUTO)
+        calls = []
+        frontier_arrays = Simulator.run_frontier_arrays
+
+        def spy(self, *args, **kwargs):
+            calls.append(self.graph.num_vertices)
+            return frontier_arrays(self, *args, **kwargs)
+
+        monkeypatch.setattr(Simulator, "run_frontier_arrays", spy)
+        size = kernels.AUTO_MIN_SCHEDULE_VERTICES
+        for n in (size - 1, size):
+            run_bfs_forest(Simulator(cycle_graph(n)), [0], depth=2)
+        # A fault plan keeps the per-broadcast form at any size.
+        plan = FaultPlan(seed=3, drop_rate=0.2)
+        run_bfs_forest(Simulator(cycle_graph(size)), [0], depth=2, fault_plan=plan)
+        assert calls == [size]
 
 
 class TestBroadcastScheduleErrorPaths:

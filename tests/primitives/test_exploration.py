@@ -319,6 +319,50 @@ class TestArrayTierEquivalence:
         assert blocked == expected
         assert _insertion_orders(blocked) == _insertion_orders(expected)
 
+    @pytest.mark.parametrize("case", sorted(EQUIVALENCE_CASES))
+    def test_sorted_fallback_spanning_many_blocks(self, kernel, monkeypatch, case):
+        # The cases above fit the dense table; a zero cap sends every
+        # exploration to the sorted-key fallback instead.
+        graph, centers, depth, cap = EQUIVALENCE_CASES[case]
+        kernel(kernels.KERNEL_PYTHON)
+        expected, _ = explore_traced(graph, centers, depth, cap)
+        kernel(kernels.KERNEL_NUMPY)
+        monkeypatch.setattr(simulator_module, "BROADCAST_BLOCK", 5)
+        monkeypatch.setattr(exploration_module, "DENSE_KNOWLEDGE_MAX_CELLS", 0)
+        fallback, _ = explore_traced(graph, centers, depth, cap)
+        assert fallback == expected
+        assert _insertion_orders(fallback) == _insertion_orders(expected)
+
+    @pytest.mark.parametrize(
+        "cap_offset, table",
+        [(1, "_DenseSeen"), (0, "_DenseSeen"), (-1, "_SortedSeen")],
+        ids=["n-k-below-cap", "n-k-at-cap", "n-k-above-cap"],
+    )
+    def test_the_cap_picks_the_table(self, kernel, monkeypatch, cap_offset, table):
+        graph, centers, depth, cap = EQUIVALENCE_CASES["sparse-gnp-b"]
+        cells = graph.num_vertices * len(set(centers))
+        kernel(kernels.KERNEL_NUMPY)
+        monkeypatch.setattr(exploration_module, "DENSE_KNOWLEDGE_MAX_CELLS", cells + cap_offset)
+        picked = []
+        seen_table = exploration_module._seen_table
+
+        def spy(*args):
+            picked.append(type(seen_table(*args)).__name__)
+            return seen_table(*args)
+
+        monkeypatch.setattr(exploration_module, "_seen_table", spy)
+        outcome, _ = explore_traced(graph, centers, depth, cap)
+        assert picked == [table]
+        kernel(kernels.KERNEL_PYTHON)
+        expected, _ = explore_traced(graph, centers, depth, cap)
+        assert outcome == expected
+
+    def test_the_default_cap_keeps_phase_zero_off_the_dense_table(self):
+        # Every vertex a center: n * k = n^2 passes the cap past n = 2048.
+        side = kernels.AUTO_MIN_SCHEDULE_VERTICES
+        assert side * side <= kernels.DENSE_KNOWLEDGE_MAX_CELLS
+        assert (side + 1) * (side + 1) > kernels.DENSE_KNOWLEDGE_MAX_CELLS
+
     @pytest.mark.parametrize("case", ["sparse-gnp-c", "cap-truncation", "grid"])
     def test_overflow_fallback_matches_packed_sort(self, kernel, monkeypatch, case):
         graph, centers, depth, cap = EQUIVALENCE_CASES[case]
@@ -488,6 +532,27 @@ class TestKnowledgeAccessors:
         # Once materialized, the dicts answer the accessors.
         assert result._arrays is None
         assert _accessor_outcome(result, n) == outcome
+
+    def test_out_of_range_ids_are_unknown(self, backend):
+        # ``v * n + center`` must not alias a neighbouring vertex's entry.
+        graph, centers, depth, cap = EQUIVALENCE_CASES["sparse-gnp-a"]
+        n = graph.num_vertices
+        result = run_bounded_exploration(Simulator(graph), centers, depth, cap)
+        aliased = 0
+        for v in range(n):
+            for center in result.known_centers(v):
+                if v > 0:
+                    aliased += 1
+                    assert result.distance_to(v - 1, center + n) is None
+                    assert result.via(v - 1, center + n) is None
+                if v < n - 1:
+                    assert result.distance_to(v + 1, center - n) is None
+                    assert result.via(v + 1, center - n) is None
+        assert aliased
+        if backend == kernels.KERNEL_NUMPY:
+            assert result._arrays is not None
+            for v in (-1, n, n + 1):
+                assert result.distance_to(v, 0) is None and result.via(v, 0) is None
 
     def test_trace_path_rejects_a_cyclic_via_chain(self, backend, path_6):
         result = run_bounded_exploration(Simulator(path_6), [0], depth=3, cap=2)

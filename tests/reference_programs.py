@@ -1,14 +1,14 @@
 """Per-node reference programs for the broadcast-schedule primitives.
 
 Algorithm 1's exploration phases and the depth-bounded BFS forest run as
-broadcast schedules on the simulator (``Simulator.run_broadcast_schedule``),
-with or without a fault plan.  This module keeps their node-program forms --
-each vertex as a :class:`~repro.congest.node.NodeProgram` on
-``Simulator.run_protocol`` -- as oracles: the equivalence tests check that
-the schedules reproduce them exactly, fault-free and under every fault plan
-of :func:`faulted_cases`.  The drivers also restate how a faulted run derives
-its per-phase plans, so the production helpers are checked against an
-independent copy.
+broadcast schedules on the simulator (``Simulator.run_broadcast_schedule``,
+or its array forms on the vectorized tier), with or without a fault plan.
+This module keeps their node-program forms -- each vertex as a
+:class:`~repro.congest.node.NodeProgram` on ``Simulator.run_protocol`` -- as
+oracles: the equivalence tests check that the schedules reproduce them
+exactly, fault-free and under every fault plan of :func:`faulted_cases`.  The
+drivers also restate how a faulted run derives its per-phase plans, so the
+production helpers are checked against an independent copy.
 """
 
 from __future__ import annotations

@@ -150,6 +150,7 @@ class TestStagePlan:
         assert stage[0] == "REPRO_KERNEL=numpy"
         assert any(part.endswith("test_exploration.py") for part in stage)
         assert any(part.endswith("test_golden_run.py") for part in stage)
+        assert any(part.endswith("test_bfs_forest.py") for part in stage)
 
     def test_array_plane_stage_skips_locally_without_numpy(self, ci_check, no_github):
         plan = ci_check.stage_plan(_args(), vectorized=False)

@@ -28,6 +28,17 @@ def test_spanners_match_past_the_traversal_threshold():
     assert "identical spanner edges" in proc.stdout
 
 
+@pytest.mark.skipif(not kernels.numpy_available(), reason="numpy/scipy not installed")
+def test_distributed_spanners_and_ledgers_match_at_the_schedule_threshold():
+    # At the threshold ``auto`` runs the array message plane: the array
+    # exploration, forests and the program-free trace-backs.
+    size = kernels.AUTO_MIN_SCHEDULE_VERTICES
+    proc = run_gate("--algorithm", "new-distributed", "--size", str(size), "--seed", "3")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "identical spanner edges and" in proc.stdout
+    assert "identical ledger charges" in proc.stdout
+
+
 def test_a_graph_without_merges_fails_the_gate():
     # Degree 1 leaves nothing to supercluster: comparing would prove nothing.
     proc = run_gate("--size", "300", "--degree", "1")
