@@ -118,6 +118,9 @@ ARRAY_PLANE_TESTS = (
     "analysis/test_degradation.py",
     "congest/test_golden_run.py",
     "core/test_engine_cross_validation.py",
+    # The Elkin'05 surrogate explores with the centralized engine's compiled
+    # traversal.
+    "baselines/test_elkin05_surrogate.py",
     # A fault plan never takes the array tier: the faulted paths run the
     # same under the pinned numpy kernel.
     "congest/test_faults.py",

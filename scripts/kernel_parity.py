@@ -1,13 +1,14 @@
 #!/usr/bin/env python
 """Kernel parity gate: an engine's spanner matches under both kernels.
 
-Builds ``--algorithm`` (``new-centralized`` by default, or
-``new-distributed``) on one seeded ``sparse_gnp`` graph twice, under
+Builds ``--algorithm`` (``new-centralized`` by default, ``new-distributed``
+or ``elkin05-surrogate``) on one seeded ``sparse_gnp`` graph twice, under
 ``--kernel python`` (the CPython loops) and ``--kernel auto`` (which past the
 ``auto`` thresholds of :mod:`repro.kernels` runs the vectorized tier: the
-compiled per-center traversal of the centralized engine, the array message
-plane of the distributed one), and fails unless both spanners have exactly
-the same edge set.  For ``new-distributed`` the two builds must also charge
+compiled per-center traversal of the centralized engine, which the
+Elkin'05 surrogate explores with too, and the array message plane of the
+distributed one), and fails unless both spanners have exactly the same edge
+set.  For ``new-distributed`` the two builds must also charge
 the same ledger entries, in the same order.  The defaults are the
 ``central-20k`` benchmark's first graph: n=20000, expected degree 16, seed 3.
 Run::
@@ -34,8 +35,8 @@ from repro import kernels  # noqa: E402
 from repro.congest import Simulator  # noqa: E402
 from repro.graphs.generators import make_workload  # noqa: E402
 
-#: The engines the gate compares; the distributed one also has a ledger.
-ALGORITHMS = ("new-centralized", "new-distributed")
+#: The builders the gate compares; the distributed one also has a ledger.
+ALGORITHMS = ("new-centralized", "new-distributed", "elkin05-surrogate")
 
 
 def build_outcome(algorithm: str, graph, seed: int, mode: str):
@@ -46,7 +47,7 @@ def build_outcome(algorithm: str, graph, seed: int, mode: str):
     kernels.set_kernel(mode)
     simulator = Simulator(graph) if algorithm == "new-distributed" else None
     run = repro.build(algorithm, graph, seed=seed, simulator=simulator)
-    merges = sum(int(phase["cluster_merges"]) for phase in run.phases)
+    merges = sum(int(phase["num_superclustered"]) for phase in run.phases)
     charges = None
     if simulator is not None:
         charges = [dataclasses.astuple(charge) for charge in simulator.ledger.charges]

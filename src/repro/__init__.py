@@ -35,7 +35,7 @@ Quickstart::
 
     # ... or any registered algorithm by name, via the registry facade:
     run = build("baswana-sen", graph, kappa=3, seed=1)
-    print(run.algorithm, run.num_edges, run.effective_guarantee())
+    print(run.algorithm, run.num_edges, run.guarantee)
 """
 
 from . import algorithms

@@ -80,7 +80,11 @@ class RunResult:
         return self.graph.num_vertices
 
     def effective_guarantee(self) -> Optional[StretchGuarantee]:
-        """The declared ``(1 + alpha, beta)`` guarantee, or ``None``."""
+        """The same as :attr:`guarantee`; read that instead.
+
+        Only the benchmark harness under ``perfbench/`` still calls this, and
+        it goes when that harness reads :attr:`guarantee` (ROADMAP item 8).
+        """
         return self.guarantee
 
     def to_dict(self) -> Dict[str, object]:

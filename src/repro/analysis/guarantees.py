@@ -84,7 +84,7 @@ def measured_average_stretch(
 def _verify_stretch(spec, run, num_pairs: int, seed: int) -> GuaranteeCheck:
     from .stretch import evaluate_run_stretch
 
-    guarantee = run.effective_guarantee()
+    guarantee = run.guarantee
     if guarantee is None:
         return GuaranteeCheck(
             kind="stretch",

@@ -120,7 +120,7 @@ def render_run_result(run, title: str = "per-phase statistics") -> str:
     if run.engine:
         header += f" (engine: {run.engine})"
     lines = [header]
-    guarantee = run.effective_guarantee()
+    guarantee = run.guarantee
     if guarantee is not None:
         lines.append(
             f"guarantee: d_H <= {guarantee.multiplicative:.4g} * d_G "

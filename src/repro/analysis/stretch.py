@@ -269,7 +269,7 @@ def evaluate_run_stretch(
     ``num_pairs`` sampled pairs.
     """
     if guarantee is None:
-        guarantee = run.effective_guarantee()
+        guarantee = run.guarantee
     if num_pairs <= 0 or run.graph.num_vertices <= exhaustive_below:
         return evaluate_stretch(run.graph, run.spanner, guarantee=guarantee)
     return evaluate_stretch_sampled(

@@ -29,7 +29,10 @@ from typing import Dict, List, Set, Tuple
 from ..algorithms.result import RunResult
 from ..core.certificate import INTERCONNECTION_STEP, SUPERCLUSTERING_STEP, SpannerCertificate
 from ..core.cluster_table import ClusterTable
-from ..core.interconnection import count_interconnection_paths, interconnection_requests
+from ..core.interconnection import (
+    count_interconnection_paths,
+    interconnection_requests_from_near,
+)
 from ..core.parameters import SpannerParameters, StretchGuarantee, guarantee_from_schedules
 from ..core.superclustering import (
     deterministic_forest,
@@ -38,8 +41,8 @@ from ..core.superclustering import (
 )
 from ..graphs.bfs import bfs_distances
 from ..graphs.graph import Graph
-from ..primitives.exploration import centralized_bounded_exploration
-from ..primitives.traceback import centralized_traceback
+from ..primitives.exploration import centralized_engine_exploration
+from ..primitives.traceback import centralized_traceback_flat
 
 
 def _sequential_ruling_set(graph: Graph, candidates: List[int], separation: int) -> Set[int]:
@@ -97,7 +100,7 @@ def build_elkin05_surrogate_spanner(
         degree_i = parameters.degree_threshold(i, n)
         centers = table.centers()
 
-        exploration = centralized_bounded_exploration(graph, centers, delta_i, degree_i)
+        exploration = centralized_engine_exploration(graph, centers, delta_i, degree_i)
         nominal_rounds += exploration.nominal_rounds
         popular = sorted(exploration.popular)
 
@@ -118,8 +121,10 @@ def build_elkin05_surrogate_spanner(
         else:
             unclustered = table.retire_all()
 
-        requests = interconnection_requests(unclustered.centers(), exploration)
-        interconnection_edges = centralized_traceback(exploration, requests)
+        requests = interconnection_requests_from_near(
+            unclustered.centers(), exploration.near_centers
+        )
+        interconnection_edges = centralized_traceback_flat(exploration, requests)
         certificate.record(interconnection_edges, i, INTERCONNECTION_STEP)
         spanner.add_edges(interconnection_edges)
         nominal_rounds += degree_i * delta_i

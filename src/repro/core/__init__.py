@@ -7,12 +7,10 @@ from .certificate import (
     SpannerCertificate,
 )
 from .cluster_table import (
-    ClusterHandle,
     ClusterTable,
     FlatClusters,
     flat_collections_partition_vertices,
 )
-from .clusters import Cluster, ClusterCollection, collections_partition_vertices
 from .centralized import build_spanner_centralized
 from .distributed import build_spanner_distributed
 from .interconnection import (
@@ -38,7 +36,6 @@ from .spanner import (
     make_parameters,
 )
 from .superclustering import (
-    build_superclusters,
     deterministic_forest,
     forest_path_edges,
     spanned_center_roots,
@@ -46,9 +43,6 @@ from .superclustering import (
 
 __all__ = [
     "CONCLUDING_STAGE",
-    "Cluster",
-    "ClusterCollection",
-    "ClusterHandle",
     "ClusterTable",
     "FlatClusters",
     "flat_collections_partition_vertices",
@@ -70,8 +64,6 @@ __all__ = [
     "build_spanner",
     "build_spanner_centralized",
     "build_spanner_distributed",
-    "build_superclusters",
-    "collections_partition_vertices",
     "count_interconnection_paths",
     "deterministic_forest",
     "forest_path_edges",

@@ -1,15 +1,13 @@
-"""Flat-array clustering core: the partition structure behind both engines.
+"""Flat-array clustering core: the partition structure behind every builder.
 
 The superclustering/interconnection phases (paper Sections 2.2-2.3) reduce to
 repeated maintenance of a *partition of a subset of V into clusters*: phase
 ``i`` receives ``P_i``, merges the spanned clusters into superclusters
-(``P_{i+1}``) and retires the rest (``U_i``).  The historical implementation
-carried this as sets of ``frozenset``-based :class:`~repro.core.clusters.Cluster`
-objects -- exactly the per-vertex set/dict traversal style the flat-array
-hot-path contract (ROADMAP, "Performance architecture") bans from the build
-path.
-
-This module replaces it with two array-backed structures:
+(``P_{i+1}``) and retires the rest (``U_i``).  The paper proves
+(Corollary 2.5) that ``U_0, ..., U_ell`` together partition ``V``.  Following
+the flat-array hot-path contract (ROADMAP, "Performance architecture"), the
+partition lives in two array-backed structures and no per-cluster object or
+vertex set is ever built:
 
 * :class:`ClusterTable` -- the *mutable* partition the engines carry across
   phases: a dense ``cluster_of[v]`` membership array plus parallel per-slot
@@ -21,22 +19,15 @@ This module replaces it with two array-backed structures:
 * :class:`FlatClusters` -- the *frozen* snapshot recorded in result histories
   (one ``P_i`` or ``U_i``): a compact ``cluster_of`` array (vertex -> local
   cluster index), parallel center tuple and CSR-style member lists
-  (``indptr``/``members``).  It is API-compatible with the legacy
-  :class:`~repro.core.clusters.ClusterCollection` accessors the analysis
-  layer uses (``len``, iteration, ``centers()``, ``vertex_to_center()``,
-  ``max_radius_in()``, ``summary()``), but every bulk query is an array
-  sweep.
-
-:class:`~repro.core.clusters.Cluster` objects are only materialized at API
-boundaries (iteration hands out :class:`ClusterHandle` proxies whose
-``vertices`` property builds a ``frozenset`` on demand); nothing on the build
-hot path allocates them.
+  (``indptr``/``members``).  The analysis layer reads it through ``len``,
+  ``centers()``, ``vertex_to_center()``, ``max_radius_in()``, ``summary()``
+  and the flat accessors; every bulk query is an array sweep.
 """
 
 from __future__ import annotations
 
 from array import array
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..graphs.bfs import _flat_bfs_distances, _np_bfs_dist_array
 from ..graphs.graph import Graph
@@ -78,83 +69,11 @@ def _np_members_radius(graph: Graph, center: int, members) -> int:
     return int(d.max())
 
 
-class ClusterHandle:
-    """Read-only view of one cluster inside a :class:`FlatClusters` snapshot.
-
-    Quacks like the legacy :class:`~repro.core.clusters.Cluster` (``center``,
-    ``vertices``, ``size``, containment, ``radius_in``) without owning any
-    vertex set: all data lives in the parent snapshot's flat arrays.
-    """
-
-    __slots__ = ("_snapshot", "_index")
-
-    def __init__(self, snapshot: "FlatClusters", index: int) -> None:
-        self._snapshot = snapshot
-        self._index = index
-
-    @property
-    def center(self) -> int:
-        return self._snapshot._centers[self._index]
-
-    @property
-    def members(self) -> Tuple[int, ...]:
-        """The cluster's vertices as a sorted tuple (no set allocation)."""
-        snap = self._snapshot
-        lo = snap._indptr[self._index]
-        hi = snap._indptr[self._index + 1]
-        return tuple(snap._members[lo:hi])
-
-    @property
-    def vertices(self) -> frozenset:
-        """Legacy accessor: the member set as a ``frozenset`` (API boundary)."""
-        return frozenset(self.members)
-
-    @property
-    def size(self) -> int:
-        snap = self._snapshot
-        return snap._indptr[self._index + 1] - snap._indptr[self._index]
-
-    def __contains__(self, vertex: int) -> bool:
-        snap = self._snapshot
-        return (
-            0 <= vertex < snap.num_vertices and snap._cluster_of[vertex] == self._index
-        )
-
-    def __iter__(self) -> Iterator[int]:
-        snap = self._snapshot
-        return iter(snap._members[snap._indptr[self._index]: snap._indptr[self._index + 1]])
-
-    def radius_in(self, graph: Graph) -> int:
-        """``Rad(C)`` measured in ``graph`` (one flat BFS from the center)."""
-        snap = self._snapshot
-        if use_numpy(graph.num_vertices):
-            lo = snap._indptr[self._index]
-            hi = snap._indptr[self._index + 1]
-            return _np_members_radius(graph, self.center, snap._members[lo:hi])
-        dist, _ = _flat_bfs_distances(graph, (self.center,))
-        worst = 0
-        center = self.center
-        snap = self._snapshot
-        for v in snap._members[snap._indptr[self._index]: snap._indptr[self._index + 1]]:
-            d = dist[v]
-            if d < 0:
-                raise ValueError(
-                    f"vertex {v} of the cluster centered at {center} is unreachable"
-                )
-            if d > worst:
-                worst = d
-        return worst
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"ClusterHandle(center={self.center}, size={self.size})"
-
-
 class FlatClusters:
     """A frozen, array-backed cluster collection (one ``P_i`` or ``U_i``).
 
-    Clusters are indexed ``0..k-1`` in ascending center order (the order the
-    legacy :class:`~repro.core.clusters.ClusterCollection` produced for every
-    collection the engines build).  Storage is three flat buffers:
+    Clusters are indexed ``0..k-1`` in ascending center order.  Storage is
+    three flat buffers:
 
     * ``cluster_of[v]`` -- local cluster index of vertex ``v``, or ``-1``;
     * ``centers[i]`` -- center vertex of cluster ``i`` (ascending);
@@ -186,31 +105,6 @@ class FlatClusters:
     def empty(cls, num_vertices: int) -> "FlatClusters":
         """A collection with no clusters."""
         return cls(num_vertices, (), array("q", [0]), array("q"), array("q", [-1]) * num_vertices)
-
-    @classmethod
-    def from_center_map(
-        cls, num_vertices: int, vertex_center: Dict[int, int]
-    ) -> "FlatClusters":
-        """Build a snapshot from a ``vertex -> center`` mapping (test helper)."""
-        centers = sorted(set(vertex_center.values()))
-        index_of = {c: i for i, c in enumerate(centers)}
-        cluster_of = array("q", [-1]) * num_vertices
-        counts = [0] * (len(centers) + 1)
-        for v, c in vertex_center.items():
-            li = index_of[c]
-            cluster_of[v] = li
-            counts[li + 1] += 1
-        for i in range(1, len(counts)):
-            counts[i] += counts[i - 1]
-        indptr = array("q", counts)
-        members = array("q", bytes(8 * len(vertex_center)))
-        cursor = list(indptr[:-1])
-        for v in range(num_vertices):
-            li = cluster_of[v]
-            if li >= 0:
-                members[cursor[li]] = v
-                cursor[li] += 1
-        return cls(num_vertices, centers, indptr, members, cluster_of)
 
     # ------------------------------------------------------------------
     # Flat accessors (the hot-path API)
@@ -245,36 +139,14 @@ class FlatClusters:
         return self._centers[index]
 
     # ------------------------------------------------------------------
-    # ClusterCollection-compatible accessors
+    # Collection-level queries
     # ------------------------------------------------------------------
     def __len__(self) -> int:
         return len(self._centers)
 
-    def __iter__(self) -> Iterator[ClusterHandle]:
-        return (ClusterHandle(self, i) for i in range(len(self._centers)))
-
-    def __contains__(self, center: int) -> bool:
-        idx = self._cluster_of[center] if 0 <= center < self.num_vertices else -1
-        return idx >= 0 and self._centers[idx] == center
-
-    def clusters(self) -> List[ClusterHandle]:
-        """All clusters, ascending by center."""
-        return [ClusterHandle(self, i) for i in range(len(self._centers))]
-
     def centers(self) -> List[int]:
         """All cluster centers (the set ``S_i``), sorted."""
         return list(self._centers)
-
-    def by_center(self, center: int) -> ClusterHandle:
-        """The cluster centered at ``center``."""
-        idx = self._cluster_of[center] if 0 <= center < self.num_vertices else -1
-        if idx < 0 or self._centers[idx] != center:
-            raise KeyError(center)
-        return ClusterHandle(self, idx)
-
-    def vertex_set(self) -> set:
-        """Union of all member lists (API boundary: allocates a set)."""
-        return set(self._members)
 
     def vertex_to_center(self) -> Dict[int, int]:
         """Map every clustered vertex to its cluster center (one array sweep)."""
@@ -297,10 +169,6 @@ class FlatClusters:
     def total_vertices(self) -> int:
         """Total number of clustered vertices."""
         return len(self._members)
-
-    def is_vertex_disjoint(self) -> bool:
-        """Snapshots are partitions by construction."""
-        return True
 
     def max_radius_in(self, graph: Graph) -> int:
         """``Rad(P_i)`` measured in ``graph`` (0 for an empty collection).
@@ -363,8 +231,8 @@ def flat_collections_partition_vertices(
 
     The collections partition ``0..n-1`` iff every vertex is covered exactly
     once; with array-backed snapshots this is a byte-table sweep (or, under
-    the vectorized tier, a summed bincount) instead of the legacy per-vertex
-    set bookkeeping.
+    the vectorized tier, a summed bincount) instead of per-vertex set
+    bookkeeping.
     """
     if use_numpy(num_vertices):
         np = require_numpy()

@@ -13,12 +13,10 @@ This module provides the forest-side helpers shared by the centralized and
 distributed engines -- a centralized forest construction that uses exactly
 the same deterministic tie-breaking as the distributed protocol (so both
 engines agree on the forest), the root-assignment restriction and the
-forest-path edge collection.  The cluster merge/retire bookkeeping itself is
-a single batched sweep on the flat-array
-:class:`~repro.core.cluster_table.ClusterTable`
-(:meth:`~repro.core.cluster_table.ClusterTable.supercluster`);
-:func:`build_superclusters` below is the legacy frozenset-based reference of
-that step, kept for tests and API-boundary use.
+forest-path edge collection.  The cluster merge/retire bookkeeping itself
+(step 4) is one batched sweep on the flat-array
+:class:`~repro.core.cluster_table.ClusterTable`:
+:meth:`~repro.core.cluster_table.ClusterTable.supercluster`.
 """
 
 from __future__ import annotations
@@ -26,7 +24,6 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from ..graphs.graph import Graph
-from .clusters import Cluster, ClusterCollection
 
 
 def deterministic_forest(
@@ -95,31 +92,6 @@ def forest_path_edges(
             current = nxt
             nxt = parent[current]
     return edges
-
-
-def build_superclusters(
-    collection: ClusterCollection,
-    center_root: Dict[int, int],
-) -> Tuple[ClusterCollection, ClusterCollection]:
-    """Split ``P_i`` into the new superclusters ``P_{i+1}`` and the leftovers ``U_i``.
-
-    ``center_root`` maps every *spanned* cluster center to the root of its
-    forest tree; the new supercluster centered at a root is the union of the
-    vertex sets of all its spanned constituent clusters (the forest path
-    itself is **not** part of the cluster -- it only enters the spanner).
-    """
-    clusters_by_root: Dict[int, List[Cluster]] = {}
-    unclustered = ClusterCollection()
-    for cluster in collection:
-        root = center_root.get(cluster.center)
-        if root is None:
-            unclustered.add(cluster)
-        else:
-            clusters_by_root.setdefault(root, []).append(cluster)
-    next_collection = ClusterCollection()
-    for root in sorted(clusters_by_root.keys()):
-        next_collection.add(Cluster.merge(root, clusters_by_root[root]))
-    return next_collection, unclustered
 
 
 def spanned_center_roots(

@@ -97,7 +97,7 @@ def measure_algorithm(
     start = time.perf_counter()
     run = spec.run(graph, params, seed=seed)
     elapsed = time.perf_counter() - start
-    guarantee = run.effective_guarantee()
+    guarantee = run.guarantee
     stretch = _stretch_for(
         graph,
         run.spanner,

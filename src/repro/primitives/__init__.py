@@ -1,19 +1,10 @@
 """Distributed CONGEST primitives used by the spanner construction."""
 
-from .aggregation import (
-    BroadcastResult,
-    ConvergecastResult,
-    count_vertices,
-    run_broadcast,
-    run_convergecast,
-)
-from .bellman_ford import BellmanFordResult, run_bellman_ford
 from .bfs_forest import ForestResult, forest_membership, run_bfs_forest
 from .exploration import (
     CenterExploration,
     ExplorationResult,
     KnownCenter,
-    centralized_bounded_exploration,
     centralized_engine_exploration,
     run_bounded_exploration,
 )
@@ -27,39 +18,27 @@ from .ruling_set import (
 )
 from .traceback import (
     TracebackResult,
-    centralized_forest_markup,
-    centralized_traceback,
     centralized_traceback_flat,
     run_forest_path_markup,
     run_traceback,
 )
 
 __all__ = [
-    "BellmanFordResult",
-    "BroadcastResult",
     "CenterExploration",
-    "ConvergecastResult",
     "ExplorationResult",
     "ForestResult",
     "KnownCenter",
     "MSFResult",
     "RulingSetResult",
     "TracebackResult",
-    "centralized_bounded_exploration",
     "centralized_engine_exploration",
-    "centralized_forest_markup",
     "centralized_ruling_set",
-    "centralized_traceback",
     "centralized_traceback_flat",
-    "count_vertices",
     "forest_membership",
     "id_digits",
-    "run_bellman_ford",
     "run_bfs_forest",
     "run_boruvka_msf",
     "run_bounded_exploration",
-    "run_broadcast",
-    "run_convergecast",
     "run_forest_path_markup",
     "run_ruling_set",
     "run_traceback",

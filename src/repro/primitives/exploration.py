@@ -49,6 +49,12 @@ the network is already quiet are skipped by the simulator as a wall-clock
 optimization, but the *nominal* cost charged to the ledger is the full
 ``1 + deg_i * delta_i`` rounds exactly as the paper counts it.
 
+The centralized builders (the centralized engine and the Elkin'05
+surrogate) skip the message passing: :func:`centralized_engine_exploration`
+computes the exact knowledge the non-popular centers end up with, as one
+bounded breadth-first sweep per center in flat arrays
+(:class:`CenterExploration`).
+
 Guarantees verified by the test-suite (Theorem 2.1 / Lemma A.1):
 
 1. the popular set is exactly the set of centers with at least ``deg_i``
@@ -103,8 +109,7 @@ class ExplorationResult:
 
     * **dicts**: ``known_dist[v]`` maps center -> distance and
       ``known_via[v]`` maps center -> via-neighbour.  The per-broadcast
-      Python tier (with or without a fault plan) and
-      :func:`centralized_bounded_exploration` write these directly.
+      Python tier (with or without a fault plan) writes these directly.
     * **arrays** (:class:`_KnowledgeArrays`): the array tier keeps each
       phase's learn log in delivery order, sorts the ``receiver * n +
       center`` keys with parallel via and distance arrays on the first
@@ -766,25 +771,28 @@ class CenterExploration:
     """Flat-array exploration summary used by the centralized engine.
 
     Holds exactly what the engine consumes from Algorithm 1's exact
-    (untruncated) knowledge, in flat-array form instead of per-vertex
-    dictionaries of :class:`KnownCenter`:
+    (untruncated) knowledge -- every vertex knowing every center within
+    ``depth``, which Theorem 2.1 guarantees for the non-popular centers the
+    engine reads -- in flat arrays instead of per-vertex dictionaries of
+    :class:`KnownCenter`:
 
     * ``near_centers[c]`` -- the sorted centers within ``depth`` of center
       ``c`` (excluding ``c``); drives popularity and the interconnection
       requests.
     * ``parents[c]`` -- the BFS-tree parent of every vertex *toward* ``c``
-      (``-1`` for unreached vertices, ``c`` for the root itself), with the
-      same sorted-neighbour tie-breaking as :func:`centralized_bounded_exploration`'s
-      via-pointers; drives the shortest-path trace-back.  **Depth-1
+      (``-1`` for unreached vertices, ``c`` for the root itself), the first
+      toucher of a breadth-first sweep over sorted neighbour rows; drives
+      the shortest-path trace-back.  **Depth-1
       explorations carry no parent arrays at all**: every trace-back path is
       the single edge ``(initiator, target)``, which
       :func:`~repro.primitives.traceback.centralized_traceback_flat` emits
       directly -- skipping the dense arrays turns the phase-0 exploration
       (all ``n`` vertices are centers) from O(n^2) into O(n + m).
 
-    The full per-vertex knowledge of :func:`centralized_bounded_exploration`
-    is a strict superset of this; the engine only ever reads the parts kept
-    here, so both produce identical spanners.
+    ``popular``, the near-center lists and the trace-back edges equal those
+    of the exhaustive per-vertex knowledge map (the oracle kept in the
+    tests), so the centralized engine and the Elkin'05 surrogate, which
+    both explore with it, build the same spanners as that map would.
     """
 
     near_centers: Dict[int, Sequence[int]]
@@ -832,9 +840,8 @@ def centralized_engine_exploration(
 
     Runs one depth-bounded breadth-first sweep per center over the CSR
     snapshot, recording only parent pointers (a dense array per center) and
-    the centers encountered.  Visit order matches
-    :func:`centralized_bounded_exploration` exactly, so the parent chains
-    equal its via chains.
+    the centers encountered.  Visit order is a sorted-neighbour BFS, so the
+    parent chains are the via chains of Algorithm 1's exact knowledge.
 
     The sweep has two backends, chosen by :mod:`repro.kernels` with the
     :data:`~repro.kernels.AUTO_MIN_TRAVERSAL_VERTICES` threshold: a CPython
@@ -928,70 +935,6 @@ def centralized_engine_exploration(
     return CenterExploration(
         near_centers=near_centers,
         parents=parents,
-        popular=popular,
-        centers=center_list,
-        depth=depth,
-        cap=cap,
-        nominal_rounds=1 + cap * depth,
-    )
-
-
-def centralized_bounded_exploration(
-    graph,
-    centers: Iterable[int],
-    depth: int,
-    cap: int,
-) -> ExplorationResult:
-    """Centralized reference implementation of Algorithm 1.
-
-    Produces the *exact* knowledge (no truncation at intermediate vertices):
-    every vertex knows every center within ``depth`` of it, and popularity is
-    decided against the true neighbourhood counts.  This matches the guarantee
-    of Theorem 2.1 for the vertices the algorithm cares about (non-popular
-    centers know everything; popular centers are exactly those with ``>= cap``
-    near centers) and is what the centralized reference engine uses.
-
-    Each center's sweep is a depth-bounded frontier walk over the CSR
-    snapshot, so the work is proportional to the explored balls rather than
-    ``|centers| * n``.  Visit order matches a sorted-neighbour BFS exactly,
-    which keeps the recorded via-pointers (the BFS-tree parents pointing
-    toward the center) bit-identical to the historical implementation.
-    """
-    n = graph.num_vertices
-    center_list = sorted(set(centers))
-    for center in center_list:
-        if not 0 <= center < n:
-            raise ValueError(f"center {center} out of range")
-    known_dist: List[Dict[int, int]] = [dict() for _ in range(n)]
-    known_via: List[Dict[int, Optional[int]]] = [dict() for _ in range(n)]
-    rows = graph.csr().rows()
-    for center in center_list:
-        known_dist[center][center] = 0
-        known_via[center][center] = None
-        seen = {center}
-        seen_add = seen.add
-        frontier = [center]
-        d = 0
-        while frontier and d < depth:
-            d += 1
-            next_frontier: List[int] = []
-            push = next_frontier.append
-            for u in frontier:
-                for v in rows[u]:
-                    if v not in seen:
-                        seen_add(v)
-                        # ``u`` is the BFS-tree parent of ``v``, i.e. the
-                        # direction a trace-back toward the center must walk.
-                        known_dist[v][center] = d
-                        known_via[v][center] = u
-                        push(v)
-            frontier = next_frontier
-    popular = {
-        center for center in center_list if len(known_dist[center]) - 1 >= cap
-    }
-    return ExplorationResult(
-        known_dist=known_dist,
-        known_via=known_via,
         popular=popular,
         centers=center_list,
         depth=depth,

@@ -31,7 +31,6 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 from ..congest.message import Message
 from ..congest.node import NodeContext, NodeProgram
 from ..congest.simulator import Simulator
-from ..graphs.graph import normalize_edge
 from .bfs_forest import ForestResult
 from .exploration import ExplorationResult
 
@@ -262,22 +261,6 @@ def run_forest_path_markup(
     )
 
 
-def centralized_traceback(
-    exploration: ExplorationResult,
-    requests: Dict[int, Iterable[int]],
-) -> Set[Tuple[int, int]]:
-    """Centralized equivalent of :func:`run_traceback` (used by the reference engine)."""
-    edges: Set[Tuple[int, int]] = set()
-    for initiator, targets in requests.items():
-        for target in targets:
-            if target == initiator or exploration.distance_to(initiator, target) is None:
-                continue
-            path = exploration.trace_path(initiator, target)
-            for a, b in zip(path, path[1:]):
-                edges.add(normalize_edge(a, b))
-    return edges
-
-
 def centralized_traceback_flat(
     exploration: "CenterExploration",
     requests: Dict[int, Iterable[int]],
@@ -285,9 +268,9 @@ def centralized_traceback_flat(
     """Trace-back over a flat-array :class:`~repro.primitives.exploration.CenterExploration`.
 
     Walks each requested ``initiator -> target`` shortest path along the
-    target's dense parent array; the chains (and hence the produced edge
-    set) are identical to :func:`centralized_traceback` over the exhaustive
-    knowledge maps.  Depth-1 explorations carry no parent arrays (see
+    target's dense parent array, the centralized counterpart of
+    :func:`run_traceback`'s via-chains.  Depth-1 explorations carry no
+    parent arrays (see
     :class:`~repro.primitives.exploration.CenterExploration`): each path is
     the single edge ``(initiator, target)``, emitted directly.
     """
@@ -318,17 +301,4 @@ def centralized_traceback_flat(
                 nxt = int(parent[current])
                 add((current, nxt) if current <= nxt else (nxt, current))
                 current = nxt
-    return edges
-
-
-def centralized_forest_markup(
-    forest: ForestResult,
-    targets: Iterable[int],
-) -> Set[Tuple[int, int]]:
-    """Centralized equivalent of :func:`run_forest_path_markup`."""
-    edges: Set[Tuple[int, int]] = set()
-    for target in targets:
-        path = forest.tree_path_to_root(target)
-        for a, b in zip(path, path[1:]):
-            edges.add(normalize_edge(a, b))
     return edges

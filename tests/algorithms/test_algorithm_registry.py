@@ -216,7 +216,7 @@ class TestBuildFacade:
         assert isinstance(run, RunResult)
         assert run.algorithm == "greedy"
         assert run.spanner.is_subgraph_of(graph)
-        assert run.effective_guarantee().multiplicative == 5.0
+        assert run.guarantee.multiplicative == 5.0
 
     def test_build_unknown_name(self, graph):
         with pytest.raises(KeyError):

@@ -45,7 +45,7 @@ def test_declared_guarantee_holds(name, graph_name):
     assert run.spanner.is_subgraph_of(graph)
     assert same_component_structure(graph, run.spanner)
 
-    guarantee = run.effective_guarantee()
+    guarantee = run.guarantee
     assert guarantee is not None, f"{name} must declare a stretch guarantee"
     report = evaluate_stretch(graph, run.spanner, guarantee=guarantee)
     assert report.pairs_checked > 0
@@ -65,7 +65,7 @@ def test_declared_guarantee_matches_spec_formula(name):
     if declared is None:
         pytest.skip(f"{name} declares no guarantee formula")
     run = spec.run(GRAPHS["gnp"](), params, seed=2)
-    reported = run.effective_guarantee()
+    reported = run.guarantee
     assert reported.multiplicative == pytest.approx(declared.multiplicative)
     assert reported.additive == pytest.approx(declared.additive)
 
@@ -143,6 +143,6 @@ def test_evaluate_run_stretch_accessor_agrees():
     spec = algorithms.get_spec("new-centralized")
     run = spec.run(graph, spec.subset_params(PARAMETER_POOL))
     report = evaluate_run_stretch(run)  # exhaustive below 60 vertices
-    direct = evaluate_stretch(graph, run.spanner, guarantee=run.effective_guarantee())
+    direct = evaluate_stretch(graph, run.spanner, guarantee=run.guarantee)
     assert report.pairs_checked == direct.pairs_checked
     assert report.satisfies_guarantee == direct.satisfies_guarantee

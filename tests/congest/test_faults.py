@@ -24,14 +24,13 @@ from repro.congest import (
 )
 from repro.congest.faults import NEVER, fresh_fault_counters
 from repro.graphs import cycle_graph, make_workload, path_graph, planted_partition_graph
-from repro.primitives.aggregation import run_broadcast, run_convergecast
 from repro.primitives.bfs_forest import run_bfs_forest
 from repro.primitives.exploration import run_bounded_exploration
 from repro.primitives.fragments import run_boruvka_msf
 from repro.primitives.ruling_set import run_ruling_set
 from repro.primitives.traceback import run_forest_path_markup, run_traceback
 
-from reference_programs import ForestProgram
+from reference_programs import ForestProgram, run_broadcast, run_convergecast
 from reference_programs import faulted_cases as _faulted_cases
 
 

@@ -1,16 +1,14 @@
 """Tests for the flat-array clustering core (:mod:`repro.core.cluster_table`).
 
-Three layers of coverage:
+Four layers of coverage:
 
 * unit tests of the :class:`ClusterTable` invariants (singleton construction,
   O(1) queries, batched merge/retire semantics, version bumps, snapshot
   freezing);
-* :class:`FlatClusters` compatibility with the legacy
-  :class:`~repro.core.clusters.ClusterCollection` accessors;
+* the :class:`FlatClusters` queries the analysis layer reads;
 * a randomized cross-check: random merge/retire schedules are applied to
-  both a :class:`ClusterTable` and the frozenset-based reference
-  (:func:`~repro.core.superclustering.build_superclusters` over
-  :class:`ClusterCollection`), and every observable must match exactly;
+  both a :class:`ClusterTable` and a small ``center -> frozenset`` oracle,
+  and every observable must match exactly;
 * the engine-level invariant: on real runs, the partition property holds on
   every phase boundary.
 """
@@ -27,10 +25,10 @@ from repro.core.cluster_table import (
     FlatClusters,
     flat_collections_partition_vertices,
 )
-from repro.core.clusters import ClusterCollection
-from repro.core.superclustering import build_superclusters
 from repro.graphs import gnp_random_graph
 from repro.graphs.graph import Graph
+
+from reference_programs import flat_clusters
 
 
 def path_graph(n: int) -> Graph:
@@ -79,7 +77,7 @@ class TestClusterTableBasics:
         assert table.centers() == [0]
         assert table.members_of_center(0) == [0, 1, 2, 3]
         assert unclustered.centers() == [4]
-        assert sorted(unclustered.by_center(4).members) == [4, 5]
+        assert list(unclustered.members_of(0)) == [4, 5]
 
     def test_retire_all(self):
         table = ClusterTable.singletons(3)
@@ -125,37 +123,23 @@ class TestClusterTableBasics:
         assert snap.vertex_to_center() == {v: v for v in range(4)}
 
 
-class TestFlatClustersCompat:
-    """FlatClusters must quack like the legacy ClusterCollection."""
+class TestFlatClustersQueries:
+    """The snapshot queries the analysis layer reads."""
 
     def _view(self) -> FlatClusters:
-        return FlatClusters.from_center_map(6, {0: 0, 1: 0, 3: 3, 4: 3, 5: 3})
+        return flat_clusters(6, {0: 0, 1: 0, 3: 3, 4: 3, 5: 3})
 
-    def test_len_iter_contains(self):
+    def test_len_centers_and_members(self):
         view = self._view()
         assert len(view) == 2
-        assert [c.center for c in view] == [0, 3]
-        assert 0 in view and 3 in view
-        assert 1 not in view and 2 not in view
-
-    def test_centers_and_by_center(self):
-        view = self._view()
         assert view.centers() == [0, 3]
-        cluster = view.by_center(3)
-        assert cluster.center == 3
-        assert cluster.members == (3, 4, 5)
-        assert cluster.vertices == frozenset({3, 4, 5})
-        assert cluster.size == 3
-        assert 4 in cluster and 1 not in cluster
-        with pytest.raises(KeyError):
-            view.by_center(1)
+        assert view.center(1) == 3
+        assert list(view.members_of(1)) == [3, 4, 5]
 
     def test_vertex_queries(self):
         view = self._view()
         assert view.vertex_to_center() == {0: 0, 1: 0, 3: 3, 4: 3, 5: 3}
-        assert view.vertex_set() == {0, 1, 3, 4, 5}
         assert view.total_vertices() == 5
-        assert view.is_vertex_disjoint()
         assert view.cluster_index_of(4) == 1
         assert view.center_of_vertex(4) == 3
         assert view.center_of_vertex(2) == -1
@@ -169,42 +153,55 @@ class TestFlatClustersCompat:
 
     def test_max_radius_in(self):
         graph = path_graph(6)
-        view = FlatClusters.from_center_map(6, {0: 0, 1: 0, 3: 4, 4: 4, 5: 4})
+        view = flat_clusters(6, {0: 0, 1: 0, 3: 4, 4: 4, 5: 4})
         assert view.max_radius_in(graph) == 1
         assert FlatClusters.empty(6).max_radius_in(graph) == 0
 
     def test_max_radius_unreachable_raises(self):
         graph = Graph(4)
         graph.add_edge(0, 1)
-        view = FlatClusters.from_center_map(4, {0: 0, 3: 0})
+        view = flat_clusters(4, {0: 0, 3: 0})
         with pytest.raises(ValueError, match="unreachable"):
             view.max_radius_in(graph)
 
     def test_partition_check(self):
-        a = FlatClusters.from_center_map(4, {0: 0, 1: 0})
-        b = FlatClusters.from_center_map(4, {2: 2, 3: 3})
+        a = flat_clusters(4, {0: 0, 1: 0})
+        b = flat_clusters(4, {2: 2, 3: 3})
         assert flat_collections_partition_vertices([a, b], 4)
-        overlap = FlatClusters.from_center_map(4, {1: 1, 2: 1})
+        overlap = flat_clusters(4, {1: 1, 2: 1})
         assert not flat_collections_partition_vertices([a, overlap], 4)
         assert not flat_collections_partition_vertices([a], 4)
 
 
 class TestRandomizedCrossCheck:
-    """Random merge/retire schedules vs. the frozenset reference."""
+    """Random merge/retire schedules vs. a ``center -> frozenset`` oracle."""
 
     @staticmethod
-    def _as_center_map(collection: ClusterCollection):
-        return collection.vertex_to_center()
+    def reference_supercluster(clusters, center_root):
+        """One superclustering step: every spanned cluster merges into the
+        supercluster of its root, the rest retire.  Returns ``(P_{i+1}, U_i)``."""
+        merged, retired = {}, {}
+        for center, members in clusters.items():
+            root = center_root.get(center)
+            if root is None:
+                retired[center] = members
+            else:
+                merged[root] = merged.get(root, frozenset()) | members
+        return merged, retired
+
+    @staticmethod
+    def as_center_map(clusters):
+        return {v: center for center, members in clusters.items() for v in members}
 
     @pytest.mark.parametrize("seed", range(8))
     def test_matches_frozenset_reference(self, seed):
         rng = random.Random(seed)
         n = rng.randrange(1, 40)
         table = ClusterTable.singletons(n)
-        reference = ClusterCollection.singletons(n)
+        reference = {v: frozenset({v}) for v in range(n)}
 
         for _step in range(rng.randrange(1, 5)):
-            centers = reference.centers()
+            centers = sorted(reference)
             assert table.centers() == centers
             if not centers:
                 break
@@ -219,27 +216,22 @@ class TestRandomizedCrossCheck:
                     center_root[c] = rng.choice(roots)
                 for r in roots:
                     center_root[r] = r
-            next_reference, unclustered_ref = build_superclusters(
+            next_reference, unclustered_ref = self.reference_supercluster(
                 reference, center_root
             )
             unclustered_flat = table.supercluster(center_root)
 
             # The retired views agree with the reference U_i ...
-            assert unclustered_flat.vertex_to_center() == self._as_center_map(
-                unclustered_ref
-            )
-            assert len(unclustered_flat) == len(unclustered_ref)
-            assert unclustered_flat.centers() == unclustered_ref.centers()
+            assert unclustered_flat.vertex_to_center() == self.as_center_map(unclustered_ref)
+            assert unclustered_flat.centers() == sorted(unclustered_ref)
             # ... and the live table agrees with the reference P_{i+1}.
             snapshot = table.snapshot()
-            assert snapshot.vertex_to_center() == self._as_center_map(next_reference)
-            assert snapshot.centers() == next_reference.centers()
-            assert [c.size for c in snapshot] == [
-                cluster.size for cluster in next_reference.clusters()
-            ]
-            for cluster in next_reference:
-                handle = snapshot.by_center(cluster.center)
-                assert frozenset(handle.members) == cluster.vertices
+            assert snapshot.vertex_to_center() == self.as_center_map(next_reference)
+            assert snapshot.centers() == sorted(next_reference)
+            for index, center in enumerate(snapshot.centers()):
+                members = list(snapshot.members_of(index))
+                assert members == sorted(next_reference[center])
+                assert table.members_of_center(center) == members
             reference = next_reference
 
 
@@ -260,7 +252,8 @@ class TestEnginePhaseBoundaries:
         # Every P_i is internally a partition of a subset of V, and
         # P_{i+1} + U_i together cover exactly the vertices of P_i.
         for i, p_i in enumerate(result.cluster_history):
-            assert p_i.is_vertex_disjoint()
+            members = list(p_i.members_array())
+            assert len(set(members)) == len(members)
             if i < len(result.unclustered_history):
                 u_i = result.unclustered_history[i]
                 if i + 1 < len(result.cluster_history):

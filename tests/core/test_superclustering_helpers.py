@@ -6,9 +6,6 @@ import pytest
 
 from repro.congest import Simulator
 from repro.core import (
-    Cluster,
-    ClusterCollection,
-    build_superclusters,
     deterministic_forest,
     forest_path_edges,
     interconnection_requests,
@@ -20,10 +17,12 @@ from repro.core.interconnection import (
     interconnection_requests_from_near,
 )
 from repro.graphs import gnp_random_graph, path_graph
-from repro.primitives import centralized_bounded_exploration, run_bfs_forest
+from repro.primitives import run_bfs_forest
 from repro.primitives.exploration import centralized_engine_exploration
 from repro.primitives.ruling_set import centralized_ruling_set
 from repro.primitives.traceback import centralized_traceback_flat
+
+from reference_programs import centralized_bounded_exploration
 
 
 class TestDeterministicForest:
@@ -61,26 +60,10 @@ class TestForestPathEdges:
         assert edges == {(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)}
 
 
-class TestBuildSuperclusters:
-    def test_split_into_next_and_unclustered(self):
-        collection = ClusterCollection.singletons(5)
-        center_root = {0: 0, 1: 0, 3: 3}
-        next_collection, unclustered = build_superclusters(collection, center_root)
-        assert sorted(c.center for c in next_collection) == [0, 3]
-        assert next_collection.by_center(0).vertices == frozenset({0, 1})
-        assert sorted(c.center for c in unclustered) == [2, 4]
-
+class TestSpannedCenterRoots:
     def test_spanned_center_roots_filters_unspanned(self):
         roots = [0, 0, None, 3, None]
         assert spanned_center_roots([0, 1, 2, 3, 4], roots) == {0: 0, 1: 0, 3: 3}
-
-    def test_merged_vertex_sets_are_unions(self):
-        collection = ClusterCollection(
-            [Cluster(0, frozenset({0, 1})), Cluster(2, frozenset({2, 3})), Cluster(4, frozenset({4}))]
-        )
-        next_collection, unclustered = build_superclusters(collection, {0: 0, 2: 0})
-        assert next_collection.by_center(0).vertices == frozenset({0, 1, 2, 3})
-        assert [c.center for c in unclustered] == [4]
 
 
 class TestInterconnectionRequests:

@@ -27,16 +27,15 @@ from repro.analysis.stretch import empirical_additive_term, evaluate_stretch
 from repro.congest import RecordingTracer, Simulator
 from repro.core import build_spanner
 from repro.experiments import default_parameters
-from repro.core.cluster_table import (
-    FlatClusters,
-    flat_collections_partition_vertices,
-)
+from repro.core.cluster_table import flat_collections_partition_vertices
 from repro.core.parameters import StretchGuarantee
 from repro.graphs import Graph, disjoint_union, gnp_random_graph, sparse_gnp_random_graph
 from repro.graphs.bfs import bfs_distances
 from repro.graphs.distances import distance_histogram, single_source_distances
 from repro.primitives.exploration import centralized_engine_exploration
 from repro.primitives.traceback import centralized_traceback_flat
+
+from reference_programs import flat_clusters
 
 pytestmark = pytest.mark.skipif(
     not kernels.numpy_available(), reason="numpy/scipy not installed"
@@ -78,7 +77,7 @@ def voronoi_clusters(graph, centers):
             ((dist[c].get(v, INF), c) for c in centers), key=lambda t: (t[0], t[1])
         )
         vertex_center[v] = best[1] if best[0] < INF else v
-    return FlatClusters.from_center_map(graph.num_vertices, vertex_center)
+    return flat_clusters(graph.num_vertices, vertex_center)
 
 
 # ----------------------------------------------------------------------
@@ -121,12 +120,17 @@ class TestClusterEquivalence:
     def test_bulk_queries_match(self, kernel, seed):
         graph = workload(80, 0.05, seed)
         snapshot = voronoi_clusters(graph, centers=[0, 11, 37, 62])
+        n = graph.num_vertices
+        clusters = [
+            flat_clusters(n, dict.fromkeys(snapshot.members_of(i), snapshot.center(i)))
+            for i in range(len(snapshot))
+        ]
 
         def query():
             return {
                 "vertex_to_center": snapshot.vertex_to_center(),
                 "max_radius": snapshot.max_radius_in(graph),
-                "radii": [h.radius_in(graph) for h in snapshot],
+                "radii": [cluster.max_radius_in(graph) for cluster in clusters],
                 "summary": snapshot.summary(),
                 "partition": flat_collections_partition_vertices(
                     [snapshot], graph.num_vertices
@@ -139,8 +143,8 @@ class TestClusterEquivalence:
 
     def test_partition_check_rejects_overlap_on_both_backends(self, kernel):
         n = 40
-        full = FlatClusters.from_center_map(n, {v: 0 for v in range(n)})
-        extra = FlatClusters.from_center_map(n, {0: 0})
+        full = flat_clusters(n, {v: 0 for v in range(n)})
+        extra = flat_clusters(n, {0: 0})
         py, np_ = both_backends(
             kernel, lambda: flat_collections_partition_vertices([full, extra], n)
         )

@@ -1,4 +1,4 @@
-"""Tests for the optional networkx bridge (cross-validation of distances)."""
+"""Cross-check of the all-pairs distances against networkx."""
 
 from __future__ import annotations
 
@@ -7,42 +7,15 @@ import pytest
 networkx = pytest.importorskip("networkx")
 
 from repro.graphs import all_pairs_distances, gnp_random_graph
-from repro.graphs.nxbridge import from_networkx, to_networkx
-
-
-def test_round_trip_preserves_structure():
-    g = gnp_random_graph(20, 0.2, seed=6)
-    assert from_networkx(to_networkx(g)) == g
-
-
-def test_to_networkx_counts():
-    g = gnp_random_graph(20, 0.2, seed=6)
-    nx_graph = to_networkx(g)
-    assert nx_graph.number_of_nodes() == g.num_vertices
-    assert nx_graph.number_of_edges() == g.num_edges
-
-
-def test_from_networkx_relabels_arbitrary_nodes():
-    nx_graph = networkx.Graph()
-    nx_graph.add_edge("alpha", "beta")
-    nx_graph.add_edge("beta", "gamma")
-    g = from_networkx(nx_graph)
-    assert g.num_vertices == 3
-    assert g.num_edges == 2
-
-
-def test_from_networkx_drops_self_loops():
-    nx_graph = networkx.Graph()
-    nx_graph.add_edge(0, 0)
-    nx_graph.add_edge(0, 1)
-    g = from_networkx(nx_graph)
-    assert g.num_edges == 1
 
 
 def test_distances_agree_with_networkx():
     g = gnp_random_graph(30, 0.15, seed=9)
+    nx_graph = networkx.Graph()
+    nx_graph.add_nodes_from(range(g.num_vertices))
+    nx_graph.add_edges_from(g.edges())
     ours = all_pairs_distances(g)
-    theirs = dict(networkx.all_pairs_shortest_path_length(to_networkx(g)))
+    theirs = dict(networkx.all_pairs_shortest_path_length(nx_graph))
     for u in range(30):
         for v in range(30):
             if v in theirs.get(u, {}):

@@ -1,10 +1,19 @@
-"""Tests for broadcast / convergecast primitives."""
+"""Tests for the tree flood and convergecast reference programs."""
 
 from __future__ import annotations
 
+from operator import add
+
 from repro.congest import Simulator
 from repro.graphs import Graph, path_graph, star_graph
-from repro.primitives import count_vertices, run_broadcast, run_convergecast
+
+from reference_programs import run_broadcast, run_convergecast
+
+
+def count_vertices(simulator, root):
+    """Count the vertices of ``root``'s component by a convergecast."""
+    n = simulator.graph.num_vertices
+    return run_convergecast(simulator, root, [1] * n, add).value
 
 
 def test_broadcast_reaches_component_only():

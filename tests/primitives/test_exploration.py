@@ -19,6 +19,10 @@ from repro.congest import (
     RoundLimitExceeded,
     Simulator,
 )
+from repro.core.interconnection import (
+    interconnection_requests,
+    interconnection_requests_from_near,
+)
 from repro.graphs import (
     Graph,
     bfs_distances,
@@ -31,11 +35,16 @@ from repro.graphs import (
     sparse_gnp_random_graph,
     star_graph,
 )
-from repro.primitives import centralized_bounded_exploration, run_bounded_exploration
+from repro.primitives import run_bounded_exploration
 from repro.primitives.exploration import _run_exploration_once, centralized_engine_exploration
 from repro.primitives.traceback import centralized_traceback_flat
 
-from reference_programs import explore_with_programs, faulted_cases
+from reference_programs import (
+    centralized_bounded_exploration,
+    centralized_traceback,
+    explore_with_programs,
+    faulted_cases,
+)
 
 
 def run_both(graph, centers, depth, cap):
@@ -431,6 +440,31 @@ class TestCompiledTraversalEquivalence:
             dist = bfs_distances(graph, center)
             reached = {v for v, p in enumerate(exploration.parents[center]) if p >= 0}
             assert reached == {v for v, d in dist.items() if d <= depth}
+
+
+class TestExhaustiveOracleEquivalence:
+    """The centralized engine's flat exploration and trace-back give what the
+    exhaustive knowledge map gives: the same popular set, near-center lists
+    and trace-back edges (the contract every centralized builder relies on)."""
+
+    @pytest.mark.parametrize("case", sorted(ENGINE_CASES))
+    @pytest.mark.parametrize("depth", [0, 1, 2, 5])
+    def test_flat_exploration_matches_the_oracle(self, backend, case, depth):
+        graph, centers = ENGINE_CASES[case]
+        flat = centralized_engine_exploration(graph, centers, depth, cap=2)
+        oracle = centralized_bounded_exploration(graph, centers, depth, cap=2)
+        assert flat.popular == oracle.popular
+        # Every center's requests: the unclustered centers of any phase are
+        # among them.
+        requests = interconnection_requests_from_near(flat.centers, flat.near_centers)
+        assert {c: list(near) for c, near in requests.items()} == interconnection_requests(
+            oracle.centers, oracle
+        )
+        for center, targets in requests.items():
+            single = {center: targets}
+            assert centralized_traceback_flat(flat, single) == centralized_traceback(
+                oracle, single
+            )
 
 
 class TestBroadcastScheduleErrorPaths:

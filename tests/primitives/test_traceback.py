@@ -8,14 +8,14 @@ import repro.primitives.traceback as traceback_module
 from repro.congest import RecordingTracer, Simulator
 from repro.graphs import bfs_distances, grid_graph, path_graph, sparse_gnp_random_graph
 from repro.primitives import (
-    centralized_forest_markup,
-    centralized_traceback,
     run_bfs_forest,
     run_bounded_exploration,
     run_forest_path_markup,
     run_traceback,
 )
 from repro.primitives.exploration import ExplorationResult
+
+from reference_programs import centralized_forest_markup, centralized_traceback
 
 
 # Every test runs once per kernel backend: the numpy kernel keeps the

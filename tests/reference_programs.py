@@ -1,4 +1,4 @@
-"""Per-node reference programs for the broadcast-schedule primitives.
+"""Reference programs and centralized oracles for the CONGEST primitives.
 
 Algorithm 1's exploration phases and the depth-bounded BFS forest run as
 broadcast schedules on the simulator (``Simulator.run_broadcast_schedule``,
@@ -9,19 +9,27 @@ oracles: the equivalence tests check that the schedules reproduce them
 exactly, fault-free and under every fault plan of :func:`faulted_cases`.  The
 drivers also restate how a faulted run derives its per-phase plans, so the
 production helpers are checked against an independent copy.
+
+It also holds the exhaustive-knowledge centralized forms of Algorithm 1 and
+of the two trace-backs, which the flat exploration of the centralized engine
+and the distributed protocols are checked against, the tree flood and
+convergecast that the fault tests use as protocol subjects, and a builder
+for hand-made cluster snapshots.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.congest import FaultPlan, LinkOutage, Message, NodeContext, NodeProgram
 from repro.congest.errors import ProtocolFault, RoundLimitExceeded
 from repro.congest.faults import fault_round_limit, fresh_fault_counters
+from repro.core.cluster_table import ClusterTable, FlatClusters
 from repro.experiments.chaos import FAULT_PROFILES
 from repro.graphs import grid_graph, make_workload
-from repro.primitives.bfs_forest import FOREST_TAG, ForestResult
+from repro.graphs.graph import normalize_edge
+from repro.primitives.bfs_forest import FOREST_TAG, ForestResult, run_bfs_forest
 from repro.primitives.exploration import EXPLORE_TAG, ExplorationResult
 
 
@@ -336,3 +344,230 @@ def forest_with_programs(
             attempts=attempt + 1,
         )
     raise AssertionError("unreachable")
+
+
+# ----------------------------------------------------------------------
+# Centralized oracles: exhaustive Algorithm 1 and the trace-backs
+# ----------------------------------------------------------------------
+def centralized_bounded_exploration(graph, centers, depth: int, cap: int) -> ExplorationResult:
+    """Algorithm 1 with exact, untruncated knowledge.
+
+    Every vertex knows every center within ``depth`` of it, at its exact
+    distance, with the sorted-neighbour BFS parent toward that center as its
+    via-pointer; a center is popular iff it has at least ``cap`` other
+    centers within ``depth`` (Theorem 2.1).
+    """
+    n = graph.num_vertices
+    center_list = sorted(set(centers))
+    for center in center_list:
+        if not 0 <= center < n:
+            raise ValueError(f"center {center} out of range")
+    known_dist: List[Dict[int, int]] = [dict() for _ in range(n)]
+    known_via: List[Dict[int, Optional[int]]] = [dict() for _ in range(n)]
+    rows = graph.csr().rows()
+    for center in center_list:
+        known_dist[center][center] = 0
+        known_via[center][center] = None
+        seen = {center}
+        frontier = [center]
+        d = 0
+        while frontier and d < depth:
+            d += 1
+            next_frontier: List[int] = []
+            for u in frontier:
+                for v in rows[u]:
+                    if v not in seen:
+                        seen.add(v)
+                        known_dist[v][center] = d
+                        known_via[v][center] = u
+                        next_frontier.append(v)
+            frontier = next_frontier
+    return ExplorationResult(
+        known_dist=known_dist,
+        known_via=known_via,
+        popular={c for c in center_list if len(known_dist[c]) - 1 >= cap},
+        centers=center_list,
+        depth=depth,
+        cap=cap,
+        nominal_rounds=1 + cap * depth,
+    )
+
+
+def centralized_traceback(
+    exploration: ExplorationResult, requests: Dict[int, Iterable[int]]
+) -> Set[Tuple[int, int]]:
+    """The edges of every requested ``initiator -> target`` via-chain."""
+    edges: Set[Tuple[int, int]] = set()
+    for initiator, targets in requests.items():
+        for target in targets:
+            if target == initiator or exploration.distance_to(initiator, target) is None:
+                continue
+            path = exploration.trace_path(initiator, target)
+            for a, b in zip(path, path[1:]):
+                edges.add(normalize_edge(a, b))
+    return edges
+
+
+def centralized_forest_markup(
+    forest: ForestResult, targets: Iterable[int]
+) -> Set[Tuple[int, int]]:
+    """The edges of the forest paths from every target up to its root."""
+    edges: Set[Tuple[int, int]] = set()
+    for target in targets:
+        path = forest.tree_path_to_root(target)
+        for a, b in zip(path, path[1:]):
+            edges.add(normalize_edge(a, b))
+    return edges
+
+
+# ----------------------------------------------------------------------
+# Tree flood and convergecast (protocol subjects for the fault tests)
+# ----------------------------------------------------------------------
+BROADCAST_TAG = "bcast"
+CONVERGE_TAG = "converge"
+
+
+@dataclass
+class BroadcastResult:
+    """Which vertices a flood reached."""
+
+    value: Any
+    received: List[bool]
+    rounds: int
+
+
+class FloodProgram(NodeProgram):
+    """Forward the value once, on first receipt."""
+
+    def __init__(self, is_source: bool, value: Any) -> None:
+        self.value = value if is_source else None
+        self.received = is_source
+        self._sent = False
+
+    def on_start(self, ctx: NodeContext) -> None:
+        self._maybe_send(ctx)
+
+    def on_round(self, ctx: NodeContext, inbox: List[Message]) -> None:
+        if self.received:
+            return
+        for message in inbox:
+            if message.content[0] == BROADCAST_TAG:
+                self.value = message.content[1]
+                self.received = True
+                break
+        self._maybe_send(ctx)
+
+    def _maybe_send(self, ctx: NodeContext) -> None:
+        if self.received and not self._sent:
+            ctx.broadcast(BROADCAST_TAG, self.value)
+            self._sent = True
+
+    def result(self):
+        return (self.received, self.value)
+
+
+def run_broadcast(simulator, source: int, value: Any, label: str = "broadcast") -> BroadcastResult:
+    """Flood ``value`` from ``source`` to every reachable vertex."""
+    n = simulator.graph.num_vertices
+    if not 0 <= source < n:
+        raise ValueError(f"source {source} out of range")
+    programs = [FloodProgram(v == source, value) for v in range(n)]
+    # Only the source starts, and no flood program is spontaneously awake.
+    run = simulator.run_protocol(programs, label=label, starters=(source,), message_driven=True)
+    return BroadcastResult(value, [r[0] for r in run.results], run.rounds_executed)
+
+
+@dataclass
+class ConvergecastResult:
+    """The value aggregated at the root."""
+
+    root: int
+    value: Any
+    rounds: int
+
+
+class ConvergecastProgram(NodeProgram):
+    """Combine the children's values with the own one, then report upward."""
+
+    def __init__(
+        self,
+        parent: Optional[int],
+        num_children: int,
+        local_value: Any,
+        combine: Callable[[Any, Any], Any],
+    ) -> None:
+        self.parent = parent
+        self.pending_children = num_children
+        self.accumulated = local_value
+        self.combine = combine
+        self._reported = False
+
+    def on_start(self, ctx: NodeContext) -> None:
+        self._maybe_report(ctx)
+
+    def on_round(self, ctx: NodeContext, inbox: List[Message]) -> None:
+        for message in inbox:
+            if message.content[0] == CONVERGE_TAG:
+                self.accumulated = self.combine(self.accumulated, message.content[1])
+                self.pending_children -= 1
+        self._maybe_report(ctx)
+
+    def _maybe_report(self, ctx: NodeContext) -> None:
+        if self._reported or self.pending_children > 0:
+            return
+        if self.parent is not None:
+            ctx.send(self.parent, CONVERGE_TAG, self.accumulated)
+        self._reported = True
+
+    def is_idle(self) -> bool:
+        return self._reported or self.pending_children > 0
+
+    def result(self):
+        return self.accumulated
+
+
+def run_convergecast(
+    simulator,
+    root: int,
+    local_values: List[Any],
+    combine: Callable[[Any, Any], Any],
+    tree: Optional[ForestResult] = None,
+    label: str = "convergecast",
+) -> ConvergecastResult:
+    """Aggregate ``local_values`` toward ``root`` over a BFS tree.
+
+    Without ``tree`` a BFS tree rooted at ``root`` is grown first.  Vertices
+    outside the root's component do not take part.
+    """
+    n = simulator.graph.num_vertices
+    if len(local_values) != n:
+        raise ValueError("local_values must have one entry per vertex")
+    if tree is None:
+        tree = run_bfs_forest(simulator, [root], depth=n, label=f"{label}:tree")
+    in_tree = [tree.root[v] == root for v in range(n)]
+    children = [0] * n
+    for v in range(n):
+        if in_tree[v] and tree.parent[v] is not None:
+            children[tree.parent[v]] += 1
+    programs = [
+        ConvergecastProgram(
+            tree.parent[v] if in_tree[v] else None, children[v], local_values[v], combine
+        )
+        for v in range(n)
+    ]
+    leaves = [v for v in range(n) if in_tree[v] and not children[v]]
+    # A node reports in the round that completes its children, so none is
+    # ever observed non-idle; only the leaves start.
+    run = simulator.run_protocol(programs, label=label, starters=leaves, message_driven=True)
+    return ConvergecastResult(root, run.results[root], run.rounds_executed)
+
+
+# ----------------------------------------------------------------------
+# Hand-made cluster snapshots
+# ----------------------------------------------------------------------
+def flat_clusters(num_vertices: int, vertex_center: Dict[int, int]) -> FlatClusters:
+    """The snapshot of the partition ``vertex -> center`` (every center maps
+    to itself), built by one superclustering step over the singletons."""
+    table = ClusterTable.singletons(num_vertices)
+    table.supercluster(vertex_center)
+    return table.snapshot()

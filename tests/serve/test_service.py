@@ -121,7 +121,7 @@ class TestQueries:
         graph = make_workload(BUILD.family, BUILD.size, seed=BUILD.seed)
         run = algorithms.build(BUILD.algorithm, graph, seed=BUILD.seed)
         # n = 48 <= 60: evaluate_run_stretch's exhaustive branch.
-        report = evaluate_stretch(graph, run.spanner, guarantee=run.effective_guarantee())
+        report = evaluate_stretch(graph, run.spanner, guarantee=run.guarantee)
         assert response.payload == canonicalize_payload(report.to_dict())
 
     def test_repeated_stretch_query_hits_the_memo(self):

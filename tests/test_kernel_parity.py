@@ -39,6 +39,15 @@ def test_distributed_spanners_and_ledgers_match_at_the_schedule_threshold():
     assert "identical ledger charges" in proc.stdout
 
 
+@pytest.mark.skipif(not kernels.numpy_available(), reason="numpy/scipy not installed")
+def test_surrogate_spanners_match_past_the_traversal_threshold():
+    # The Elkin'05 surrogate explores with the centralized engine's traversal.
+    size = kernels.AUTO_MIN_TRAVERSAL_VERTICES
+    proc = run_gate("--algorithm", "elkin05-surrogate", "--size", str(size), "--seed", "3")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "identical spanner edges" in proc.stdout
+
+
 def test_a_graph_without_merges_fails_the_gate():
     # Degree 1 leaves nothing to supercluster: comparing would prove nothing.
     proc = run_gate("--size", "300", "--degree", "1")
