@@ -118,6 +118,8 @@ ARRAY_PLANE_TESTS = (
     "analysis/test_degradation.py",
     "congest/test_golden_run.py",
     "core/test_engine_cross_validation.py",
+    # What each phase decided, pinned independently of its round accounting.
+    "core/test_phase_structure_pin.py",
     # The Elkin'05 surrogate explores with the centralized engine's compiled
     # traversal.
     "baselines/test_elkin05_surrogate.py",

@@ -8,41 +8,31 @@ structural: supercluster formation proceeds by *sequential* work over cluster
 centers (one candidate after another), instead of the parallel ruling-set
 computation of the new algorithm.
 
-Our surrogate keeps the superclustering-and-interconnection skeleton of the
-reproduction but replaces the parallel ruling-set step by a sequential greedy
-scan over the popular centers: candidates are examined one at a time (in ID
-order) and join the center set if no already-chosen center lies within
-``2 delta_i``; each examination costs a depth-``2 delta_i`` exploration, i.e.
-``2 delta_i`` CONGEST rounds, executed one after the other.  The nominal round
-cost is therefore ``sum_i |W_i| * 2 delta_i`` -- superlinear in ``n`` whenever
-a constant fraction of the clusters is popular -- which reproduces the
-qualitative running-time gap of Table 1.  (The theoretical columns of Table 1
+**Substitution 3.** The surrogate runs the reproduction's phase loop
+(:func:`repro.core.phases.run_phases`) with the centralized engine's steps,
+but replaces the parallel ruling-set step by a sequential greedy scan over
+the popular centers: candidates are examined one at a time (in ID order) and
+join the center set if no already-chosen center lies within ``2 delta_i``;
+each examination costs a depth-``2 delta_i`` exploration, i.e. ``2 delta_i``
+CONGEST rounds, executed one after the other.  The nominal round cost is
+therefore ``sum_i |W_i| * 2 delta_i`` -- superlinear in ``n`` whenever a
+constant fraction of the clusters is popular -- which reproduces the
+qualitative running-time gap of Table 1.  The theoretical columns of Table 1
 for [Elk05] are reproduced exactly from the published formulas in
-:mod:`repro.analysis.bounds`; see DESIGN.md, substitution 3.)
+:mod:`repro.analysis.bounds`.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Set, Tuple
+from typing import List, Set, Tuple
 
 from ..algorithms.result import RunResult
-from ..core.certificate import INTERCONNECTION_STEP, SUPERCLUSTERING_STEP, SpannerCertificate
-from ..core.cluster_table import ClusterTable
-from ..core.interconnection import (
-    count_interconnection_paths,
-    interconnection_requests_from_near,
-)
+from ..core.centralized import CentralizedSteps
 from ..core.parameters import SpannerParameters, StretchGuarantee, guarantee_from_schedules
-from ..core.superclustering import (
-    deterministic_forest,
-    forest_path_edges,
-    spanned_center_roots,
-)
+from ..core.phases import run_phases
 from ..graphs.bfs import bfs_distances
 from ..graphs.graph import Graph
-from ..primitives.exploration import centralized_engine_exploration
-from ..primitives.traceback import centralized_traceback_flat
 
 
 def _sequential_ruling_set(graph: Graph, candidates: List[int], separation: int) -> Set[int]:
@@ -64,7 +54,7 @@ def _elkin05_schedules(parameters: SpannerParameters) -> Tuple[List[int], List[i
     """
     radii = [0]
     deltas: List[int] = []
-    for i in parameters.phases():
+    for i in range(parameters.num_phases):
         delta_i = int(math.ceil(parameters.epsilon ** (-i) - 1e-9)) + 2 * radii[i]
         deltas.append(delta_i)
         radii.append(2 * delta_i + radii[i])
@@ -81,74 +71,49 @@ def elkin05_surrogate_guarantee(parameters: SpannerParameters) -> StretchGuarant
     return guarantee_from_schedules(radii, deltas)
 
 
+class _SequentialScanSteps(CentralizedSteps):
+    """The centralized engine's steps with the sequential superclustering scan."""
+
+    def __init__(self, graph: Graph, parameters: SpannerParameters) -> None:
+        super().__init__(graph, parameters)
+        self.radii, self.deltas = _elkin05_schedules(parameters)
+
+    def supercluster(self, i: int, centers: List[int], popular: Set[int]):
+        if not popular:
+            return set(), {}, set()
+        # Sequential scans: |W_i| explorations of depth 2*delta_i, one at a
+        # time, then the forest growth and path mark-up at that depth.
+        depth = 2 * self.deltas[i]
+        self.nominal_rounds += len(popular) * depth + 2 * depth
+        ruling_set = _sequential_ruling_set(self.graph, popular, separation=depth)
+        return self.grow_forest(centers, ruling_set, depth)
+
+
 def build_elkin05_surrogate_spanner(
     graph: Graph,
     parameters: SpannerParameters,
 ) -> RunResult:
     """Run the sequential-scan surrogate of the Elkin'05 deterministic algorithm."""
-    n = graph.num_vertices
-    spanner = Graph(n)
-    certificate = SpannerCertificate()
-    table = ClusterTable.singletons(n)
-    nominal_rounds = 0
-    phase_stats: List[Dict[str, int]] = []
-
-    radii, deltas = _elkin05_schedules(parameters)
-
-    for i in parameters.phases():
-        delta_i = deltas[i]
-        degree_i = parameters.degree_threshold(i, n)
-        centers = table.centers()
-
-        exploration = centralized_engine_exploration(graph, centers, delta_i, degree_i)
-        nominal_rounds += exploration.nominal_rounds
-        popular = sorted(exploration.popular)
-
-        spanned_centers: List[int] = []
-        ruling_set: Set[int] = set()
-        if i < parameters.ell and popular:
-            # Sequential scans: |W_i| explorations of depth 2*delta_i, one at a time.
-            ruling_set = _sequential_ruling_set(graph, popular, separation=2 * delta_i)
-            nominal_rounds += len(popular) * 2 * delta_i
-            root, _dist, parent = deterministic_forest(graph, ruling_set, 2 * delta_i)
-            center_root = spanned_center_roots(centers, root)
-            spanned_centers = sorted(center_root)
-            forest_edges = forest_path_edges(parent, spanned_centers)
-            certificate.record(forest_edges, i, SUPERCLUSTERING_STEP)
-            spanner.add_edges(forest_edges)
-            unclustered = table.supercluster(center_root)
-            nominal_rounds += 2 * 2 * delta_i
-        else:
-            unclustered = table.retire_all()
-
-        requests = interconnection_requests_from_near(
-            unclustered.centers(), exploration.near_centers
-        )
-        interconnection_edges = centralized_traceback_flat(exploration, requests)
-        certificate.record(interconnection_edges, i, INTERCONNECTION_STEP)
-        spanner.add_edges(interconnection_edges)
-        nominal_rounds += degree_i * delta_i
-
-        phase_stats.append(
-            {
-                "index": i,
-                "num_clusters": len(centers),
-                "num_popular": len(popular),
-                "ruling_set_size": len(ruling_set),
-                "num_superclustered": len(spanned_centers),
-                "num_unclustered": len(unclustered),
-                "interconnection_paths": count_interconnection_paths(requests),
-                "delta": delta_i,
-                "degree_threshold": degree_i,
-            }
-        )
-
-    guarantee = guarantee_from_schedules(radii, deltas)
+    steps = _SequentialScanSteps(graph, parameters)
+    result = run_phases(graph, parameters, steps)
     return RunResult(
         algorithm="elkin05-surrogate",
         graph=graph,
-        spanner=spanner,
-        guarantee=guarantee,
-        nominal_rounds=nominal_rounds,
-        phases=phase_stats,
+        spanner=result.spanner,
+        guarantee=guarantee_from_schedules(steps.radii, steps.deltas),
+        nominal_rounds=result.nominal_rounds,
+        phases=[
+            {
+                "index": record.index,
+                "num_clusters": record.num_clusters,
+                "num_popular": record.num_popular,
+                "ruling_set_size": record.ruling_set_size,
+                "num_superclustered": record.num_superclustered,
+                "num_unclustered": record.num_unclustered,
+                "interconnection_paths": record.interconnection_paths,
+                "delta": record.delta,
+                "degree_threshold": record.degree_threshold,
+            }
+            for record in result.phase_records
+        ],
     )

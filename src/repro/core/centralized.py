@@ -1,41 +1,31 @@
 """Centralized reference engine for the deterministic spanner construction.
 
-This engine executes *exactly* the same phase logic as the distributed engine
-(:mod:`repro.core.distributed`) -- the same popular-cluster detection, the
-same digit-by-digit ruling set, the same deterministic BFS forest and the same
-interconnection rule -- but with global knowledge instead of message passing.
-It is therefore fast enough to run on graphs with thousands of vertices and is
-used for cross-validating the distributed engine, for property-based testing
-and for the larger benchmark sweeps.
+This engine runs the same phase loop (:func:`repro.core.phases.run_phases`)
+as the distributed engine (:mod:`repro.core.distributed`) -- the same
+popular-cluster detection, the same digit-by-digit ruling set, the same
+deterministic BFS forest and the same interconnection rule -- but each step
+uses global knowledge instead of message passing.  It is therefore fast
+enough to run on graphs with thousands of vertices and is used for
+cross-validating the distributed engine, for property-based testing and for
+the larger benchmark sweeps.
 
-Cluster bookkeeping runs on the flat-array
-:class:`~repro.core.cluster_table.ClusterTable`: membership is a dense
-``cluster_of`` array, the superclustering step is one batched merge/retire
-sweep, and the per-phase history snapshots are frozen
-:class:`~repro.core.cluster_table.FlatClusters` views.
-
-The nominal CONGEST round counts recorded in the phase records are computed
-from the same formulas the distributed engine charges to its ledger, so both
-engines report comparable round figures.
+The nominal CONGEST rounds of each step are computed from the same formulas
+the distributed engine charges to its ledger, so both engines report
+comparable round figures.
 """
 
 from __future__ import annotations
 
-from typing import List, Set
+from typing import Dict, List, Set, Tuple
 
 from ..graphs.graph import Graph
 from ..primitives.exploration import centralized_engine_exploration
 from ..primitives.ruling_set import centralized_ruling_set
 from ..primitives.traceback import centralized_traceback_flat
-from .certificate import INTERCONNECTION_STEP, SUPERCLUSTERING_STEP, SpannerCertificate
-from .cluster_table import ClusterTable, FlatClusters
-from .interconnection import (
-    count_interconnection_paths,
-    flatten_requests,
-    interconnection_requests_from_near,
-)
+from .interconnection import interconnection_requests_from_near
 from .parameters import SpannerParameters
-from .result import PhaseRecord, SpannerResult
+from .phases import Edges, PhaseSteps, run_phases
+from .result import SpannerResult
 from .superclustering import (
     deterministic_forest,
     forest_path_edges,
@@ -43,106 +33,52 @@ from .superclustering import (
 )
 
 
+class CentralizedSteps(PhaseSteps):
+    """The phase steps with global knowledge; rounds follow the CONGEST formulas."""
+
+    engine = "centralized"
+
+    def __init__(self, graph: Graph, parameters: SpannerParameters) -> None:
+        super().__init__(graph, parameters)
+        self.nominal_rounds = 0
+
+    def rounds(self) -> Tuple[int, int]:
+        return self.nominal_rounds, 0
+
+    def explore(self, i: int, centers: List[int], delta: int, degree: int):
+        exploration = centralized_engine_exploration(self.graph, centers, delta, degree)
+        self.nominal_rounds += exploration.nominal_rounds
+        return exploration
+
+    def supercluster(self, i: int, centers: List[int], popular: Set[int]):
+        depth = self.parameters.superclustering_depth(i)
+        # Forest growth and path mark-up.
+        self.nominal_rounds += 2 * depth
+        if not popular:
+            return set(), {}, set()
+        ruling_set = centralized_ruling_set(
+            self.graph, popular,
+            q=self.parameters.ruling_set_q(i), c=self.parameters.domination_multiplier,
+        )
+        self.nominal_rounds += ruling_set.nominal_rounds
+        return self.grow_forest(centers, ruling_set.ruling_set, depth)
+
+    def grow_forest(
+        self, centers: List[int], ruling_set: Set[int], depth: int
+    ) -> Tuple[Set[int], Dict[int, int], Edges]:
+        """The forest of depth ``depth`` around ``ruling_set`` and the centers it spans."""
+        root, _dist, parent = deterministic_forest(self.graph, ruling_set, depth)
+        center_root = spanned_center_roots(centers, root)
+        return ruling_set, center_root, forest_path_edges(parent, sorted(center_root))
+
+    def interconnect(self, i: int, exploration, unclustered_centers: List[int]):
+        requests = interconnection_requests_from_near(
+            unclustered_centers, exploration.near_centers
+        )
+        self.nominal_rounds += exploration.cap * exploration.depth
+        return requests, centralized_traceback_flat(exploration, requests)
+
+
 def build_spanner_centralized(graph: Graph, parameters: SpannerParameters) -> SpannerResult:
     """Run the full deterministic construction with the centralized engine."""
-    n = graph.num_vertices
-    spanner = Graph(n)
-    certificate = SpannerCertificate()
-    table = ClusterTable.singletons(n)
-    cluster_history: List[FlatClusters] = [table.snapshot()]
-    unclustered_history: List[FlatClusters] = []
-    phase_records: List[PhaseRecord] = []
-    radius_bounds = parameters.radius_bounds()
-    c = parameters.domination_multiplier
-
-    for i in parameters.phases():
-        delta = parameters.delta(i)
-        degree = parameters.degree_threshold(i, n)
-        centers = table.centers()
-        nominal_rounds = 0
-
-        exploration = centralized_engine_exploration(graph, centers, delta, degree)
-        nominal_rounds += exploration.nominal_rounds
-        popular = exploration.popular
-
-        ruling_set: Set[int] = set()
-        spanned_centers: List[int] = []
-        superclustering_edges = 0
-        forest_edge_count = 0
-        if i < parameters.ell:
-            if popular:
-                rs_result = centralized_ruling_set(
-                    graph, popular, q=parameters.ruling_set_q(i), c=c
-                )
-                ruling_set = rs_result.ruling_set
-                nominal_rounds += rs_result.nominal_rounds
-                root, _dist, parent = deterministic_forest(
-                    graph, ruling_set, parameters.superclustering_depth(i)
-                )
-                center_root = spanned_center_roots(centers, root)
-                spanned_centers = sorted(center_root)
-                forest_edges = forest_path_edges(parent, spanned_centers)
-                forest_edge_count = len(forest_edges)
-                superclustering_edges = certificate.record(
-                    forest_edges, i, SUPERCLUSTERING_STEP
-                )
-                spanner.add_edges(forest_edges)
-                unclustered = table.supercluster(center_root)
-            else:
-                unclustered = table.retire_all()
-            nominal_rounds += 2 * parameters.superclustering_depth(i)
-        else:
-            # Concluding phase: the superclustering step is skipped entirely.
-            unclustered = table.retire_all()
-
-        requests = interconnection_requests_from_near(
-            unclustered.centers(), exploration.near_centers
-        )
-        interconnection_edges_set = centralized_traceback_flat(exploration, requests)
-        interconnection_edges = certificate.record(
-            interconnection_edges_set, i, INTERCONNECTION_STEP
-        )
-        spanner.add_edges(interconnection_edges_set)
-        nominal_rounds += degree * delta
-
-        phase_records.append(
-            PhaseRecord(
-                index=i,
-                stage=parameters.stage(i),
-                delta=delta,
-                degree_threshold=degree,
-                num_clusters=len(centers),
-                num_popular=len(popular),
-                ruling_set_size=len(ruling_set),
-                num_superclustered=len(spanned_centers),
-                num_unclustered=len(unclustered),
-                superclustering_edges=superclustering_edges,
-                interconnection_edges=interconnection_edges,
-                interconnection_paths=count_interconnection_paths(requests),
-                radius_bound=radius_bounds[i],
-                nominal_rounds=nominal_rounds,
-                simulated_rounds=0,
-                clusters_out=table.num_active,
-                cluster_merges=len(spanned_centers),
-                forest_edges=forest_edge_count,
-                popular_centers=sorted(popular),
-                ruling_set=sorted(ruling_set),
-                superclustered_centers=list(spanned_centers),
-                interconnection_pairs=flatten_requests(requests),
-            )
-        )
-        unclustered_history.append(unclustered)
-        if i < parameters.ell:
-            cluster_history.append(table.snapshot())
-
-    return SpannerResult(
-        graph=graph,
-        spanner=spanner,
-        parameters=parameters,
-        engine="centralized",
-        phase_records=phase_records,
-        cluster_history=cluster_history,
-        unclustered_history=unclustered_history,
-        certificate=certificate,
-        ledger=None,
-    )
+    return run_phases(graph, parameters, CentralizedSteps(graph, parameters))

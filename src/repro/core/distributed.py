@@ -1,25 +1,25 @@
 """Distributed (CONGEST-simulated) engine for the deterministic construction.
 
-Every communication step of the algorithm -- Algorithm 1's bounded
+The engine runs the shared phase loop (:func:`repro.core.phases.run_phases`)
+with every communication step of the algorithm -- Algorithm 1's bounded
 exploration, the digit-by-digit ruling set, the supercluster BFS forest, the
-forest-path mark-up and the interconnection trace-back -- runs as a genuine
+forest-path mark-up and the interconnection trace-back -- as a genuine
 message-passing protocol on :class:`repro.congest.Simulator`, with per-edge
 bandwidth auditing.  The phase orchestration (which protocol runs next, with
 which parameters) requires no communication: it is a fixed schedule computable
 from ``n`` and the parameters, which every vertex knows.
 
-Cluster membership bookkeeping (which vertices belong to which supercluster)
-is carried driver-side in a flat-array
+**Substitution 1.** Cluster membership bookkeeping (which vertices belong to
+which supercluster) is carried by the loop in a flat-array
 :class:`~repro.core.cluster_table.ClusterTable`: the algorithm itself never
-needs a non-center vertex to know its cluster -- only centers act in every
-step, and every protocol message carries compact cluster (center) ids, never
-vertex sets -- so maintaining the membership table centrally does not hide
-any communication (see DESIGN.md, substitution 1).
+needs a non-center vertex to know its cluster -- only centers act in every step, and every protocol message
+carries compact cluster (center) ids, never vertex sets -- so maintaining the
+membership table centrally does not hide any communication.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Set
+from typing import List, Optional, Set, Tuple
 
 from ..congest.simulator import Simulator
 from ..graphs.graph import Graph
@@ -27,16 +27,62 @@ from ..primitives.bfs_forest import run_bfs_forest
 from ..primitives.exploration import run_bounded_exploration
 from ..primitives.ruling_set import run_ruling_set
 from ..primitives.traceback import run_forest_path_markup, run_traceback
-from .certificate import INTERCONNECTION_STEP, SUPERCLUSTERING_STEP, SpannerCertificate
-from .cluster_table import ClusterTable, FlatClusters
-from .interconnection import (
-    count_interconnection_paths,
-    flatten_requests,
-    interconnection_requests,
-)
+from .interconnection import interconnection_requests
 from .parameters import SpannerParameters
-from .result import PhaseRecord, SpannerResult
+from .phases import PhaseSteps, run_phases
+from .result import SpannerResult
 from .superclustering import spanned_center_roots
+
+
+class DistributedSteps(PhaseSteps):
+    """The phase steps as CONGEST protocols; rounds come from the ledger."""
+
+    engine = "distributed"
+
+    def __init__(self, graph: Graph, parameters: SpannerParameters, simulator: Simulator) -> None:
+        super().__init__(graph, parameters)
+        self.simulator = simulator
+        self.ledger = simulator.ledger
+
+    def rounds(self) -> Tuple[int, int]:
+        return self.ledger.nominal_rounds, self.ledger.simulated_rounds
+
+    def explore(self, i: int, centers: List[int], delta: int, degree: int):
+        return run_bounded_exploration(
+            self.simulator, centers, depth=delta, cap=degree, label=f"phase{i}:explore"
+        )
+
+    def supercluster(self, i: int, centers: List[int], popular: Set[int]):
+        if not popular:
+            return set(), {}, set()
+        simulator = self.simulator
+        ruling_set = run_ruling_set(
+            simulator,
+            popular,
+            q=self.parameters.ruling_set_q(i),
+            c=self.parameters.domination_multiplier,
+            label=f"phase{i}:ruling-set",
+        ).ruling_set
+        forest = run_bfs_forest(
+            simulator,
+            ruling_set,
+            depth=self.parameters.superclustering_depth(i),
+            label=f"phase{i}:forest",
+            collect_node_results=False,
+        )
+        center_root = spanned_center_roots(centers, forest.root)
+        markup = run_forest_path_markup(
+            simulator, forest, sorted(center_root), label=f"phase{i}:markup"
+        )
+        return ruling_set, center_root, markup.edges
+
+    def interconnect(self, i: int, exploration, unclustered_centers: List[int]):
+        requests = interconnection_requests(unclustered_centers, exploration)
+        # The trace-back is charged the exploration's deg_i * delta_i rounds.
+        traceback = run_traceback(
+            self.simulator, exploration, requests, label=f"phase{i}:interconnect"
+        )
+        return requests, traceback.edges
 
 
 def build_spanner_distributed(
@@ -54,117 +100,4 @@ def build_spanner_distributed(
         simulator = Simulator(graph, strict_congestion=True)
     elif simulator.graph is not graph:
         raise ValueError("the simulator must be built over the same graph")
-
-    n = graph.num_vertices
-    spanner = Graph(n)
-    certificate = SpannerCertificate()
-    table = ClusterTable.singletons(n)
-    cluster_history: List[FlatClusters] = [table.snapshot()]
-    unclustered_history: List[FlatClusters] = []
-    phase_records: List[PhaseRecord] = []
-    radius_bounds = parameters.radius_bounds()
-    c = parameters.domination_multiplier
-
-    for i in parameters.phases():
-        delta = parameters.delta(i)
-        degree = parameters.degree_threshold(i, n)
-        centers = table.centers()
-        ledger_nominal_before = simulator.ledger.nominal_rounds
-        ledger_simulated_before = simulator.ledger.simulated_rounds
-
-        exploration = run_bounded_exploration(
-            simulator, centers, depth=delta, cap=degree, label=f"phase{i}:explore"
-        )
-        popular = exploration.popular
-
-        ruling_set: Set[int] = set()
-        spanned_centers: List[int] = []
-        superclustering_edges = 0
-        forest_edge_count = 0
-        if i < parameters.ell:
-            if popular:
-                rs_result = run_ruling_set(
-                    simulator,
-                    popular,
-                    q=parameters.ruling_set_q(i),
-                    c=c,
-                    label=f"phase{i}:ruling-set",
-                )
-                ruling_set = rs_result.ruling_set
-                forest = run_bfs_forest(
-                    simulator,
-                    ruling_set,
-                    depth=parameters.superclustering_depth(i),
-                    label=f"phase{i}:forest",
-                    collect_node_results=False,
-                )
-                center_root = spanned_center_roots(centers, forest.root)
-                spanned_centers = sorted(center_root)
-                markup = run_forest_path_markup(
-                    simulator, forest, spanned_centers, label=f"phase{i}:markup"
-                )
-                forest_edge_count = len(markup.edges)
-                superclustering_edges = certificate.record(
-                    markup.edges, i, SUPERCLUSTERING_STEP
-                )
-                spanner.add_edges(markup.edges)
-                unclustered = table.supercluster(center_root)
-            else:
-                unclustered = table.retire_all()
-        else:
-            unclustered = table.retire_all()
-
-        requests = interconnection_requests(unclustered.centers(), exploration)
-        traceback = run_traceback(
-            simulator,
-            exploration,
-            requests,
-            label=f"phase{i}:interconnect",
-            nominal_rounds=degree * delta,
-        )
-        interconnection_edges = certificate.record(
-            traceback.edges, i, INTERCONNECTION_STEP
-        )
-        spanner.add_edges(traceback.edges)
-
-        phase_records.append(
-            PhaseRecord(
-                index=i,
-                stage=parameters.stage(i),
-                delta=delta,
-                degree_threshold=degree,
-                num_clusters=len(centers),
-                num_popular=len(popular),
-                ruling_set_size=len(ruling_set),
-                num_superclustered=len(spanned_centers),
-                num_unclustered=len(unclustered),
-                superclustering_edges=superclustering_edges,
-                interconnection_edges=interconnection_edges,
-                interconnection_paths=count_interconnection_paths(requests),
-                radius_bound=radius_bounds[i],
-                nominal_rounds=simulator.ledger.nominal_rounds - ledger_nominal_before,
-                simulated_rounds=simulator.ledger.simulated_rounds - ledger_simulated_before,
-                clusters_out=table.num_active,
-                cluster_merges=len(spanned_centers),
-                forest_edges=forest_edge_count,
-                popular_centers=sorted(popular),
-                ruling_set=sorted(ruling_set),
-                superclustered_centers=list(spanned_centers),
-                interconnection_pairs=flatten_requests(requests),
-            )
-        )
-        unclustered_history.append(unclustered)
-        if i < parameters.ell:
-            cluster_history.append(table.snapshot())
-
-    return SpannerResult(
-        graph=graph,
-        spanner=spanner,
-        parameters=parameters,
-        engine="distributed",
-        phase_records=phase_records,
-        cluster_history=cluster_history,
-        unclustered_history=unclustered_history,
-        certificate=certificate,
-        ledger=simulator.ledger,
-    )
+    return run_phases(graph, parameters, DistributedSteps(graph, parameters, simulator))

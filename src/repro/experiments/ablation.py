@@ -1,4 +1,4 @@
-"""Ablation experiments for the design choices DESIGN.md calls out.
+"""Ablation experiments over the construction's three parameters.
 
 Three ablations, all on the same workload:
 

@@ -12,10 +12,10 @@ The reproduction has two parts:
    below [Elk05]'s ``beta_E`` as ``kappa`` grows (the paper's "same ballpark
    as [EN17], much better than [Elk05]" claim).
 2. **Measured rows** -- the new algorithm and the Elkin'05-style sequential
-   surrogate (DESIGN.md substitution 3) run on the same graphs over an ``n``
-   sweep.  The shape to reproduce is the running-time gap: the new
-   algorithm's nominal round count grows like ``n^rho`` (sublinear), while
-   the surrogate's grows superlinearly in ``n``.
+   surrogate (substitution 3 in :mod:`repro.baselines.elkin05_surrogate`)
+   run on the same graphs over an ``n`` sweep.  The shape to reproduce is
+   the running-time gap: the new algorithm's nominal round count grows like
+   ``n^rho`` (sublinear), while the surrogate's grows superlinearly in ``n``.
 
 This module holds only the paper-specific logic: the per-size measurement
 task, the deterministic merge that rebuilds the table, and the

@@ -152,6 +152,7 @@ class TestStagePlan:
         assert any(part.endswith("test_golden_run.py") for part in stage)
         assert any(part.endswith("test_bfs_forest.py") for part in stage)
         assert any(part.endswith("test_elkin05_surrogate.py") for part in stage)
+        assert any(part.endswith("test_phase_structure_pin.py") for part in stage)
 
     def test_array_plane_stage_skips_locally_without_numpy(self, ci_check, no_github):
         plan = ci_check.stage_plan(_args(), vectorized=False)
