@@ -71,6 +71,13 @@ def elkin05_surrogate_guarantee(parameters: SpannerParameters) -> StretchGuarant
     return guarantee_from_schedules(radii, deltas)
 
 
+#: The per-phase statistics the surrogate reports, in payload order.
+_PHASE_KEYS = (
+    "index", "num_clusters", "num_popular", "ruling_set_size", "num_superclustered",
+    "num_unclustered", "interconnection_paths", "delta", "degree_threshold",
+)
+
+
 class _SequentialScanSteps(CentralizedSteps):
     """The centralized engine's steps with the sequential superclustering scan."""
 
@@ -103,17 +110,7 @@ def build_elkin05_surrogate_spanner(
         guarantee=guarantee_from_schedules(steps.radii, steps.deltas),
         nominal_rounds=result.nominal_rounds,
         phases=[
-            {
-                "index": record.index,
-                "num_clusters": record.num_clusters,
-                "num_popular": record.num_popular,
-                "ruling_set_size": record.ruling_set_size,
-                "num_superclustered": record.num_superclustered,
-                "num_unclustered": record.num_unclustered,
-                "interconnection_paths": record.interconnection_paths,
-                "delta": record.delta,
-                "degree_threshold": record.degree_threshold,
-            }
+            {key: getattr(record, key) for key in _PHASE_KEYS}
             for record in result.phase_records
         ],
     )

@@ -10,8 +10,8 @@ cross-validating the distributed engine, for property-based testing and for
 the larger benchmark sweeps.
 
 The nominal CONGEST rounds of each step are computed from the same formulas
-the distributed engine charges to its ledger, so both engines report
-comparable round figures.
+the distributed engine charges to its ledger, idle steps included, so both
+engines report identical per-phase round figures.
 """
 
 from __future__ import annotations
@@ -51,16 +51,14 @@ class CentralizedSteps(PhaseSteps):
         return exploration
 
     def supercluster(self, i: int, centers: List[int], popular: Set[int]):
-        depth = self.parameters.superclustering_depth(i)
-        # Forest growth and path mark-up.
-        self.nominal_rounds += 2 * depth
-        if not popular:
-            return set(), {}, set()
+        # Runs on an empty W_i too, so the schedule charges every phase alike.
         ruling_set = centralized_ruling_set(
             self.graph, popular,
             q=self.parameters.ruling_set_q(i), c=self.parameters.domination_multiplier,
         )
-        self.nominal_rounds += ruling_set.nominal_rounds
+        depth = self.parameters.superclustering_depth(i)
+        # The ruling set, then the forest growth and its path mark-up.
+        self.nominal_rounds += ruling_set.nominal_rounds + 2 * depth
         return self.grow_forest(centers, ruling_set.ruling_set, depth)
 
     def grow_forest(

@@ -7,14 +7,18 @@ forest-path mark-up and the interconnection trace-back -- as a genuine
 message-passing protocol on :class:`repro.congest.Simulator`, with per-edge
 bandwidth auditing.  The phase orchestration (which protocol runs next, with
 which parameters) requires no communication: it is a fixed schedule computable
-from ``n`` and the parameters, which every vertex knows.
+from ``n`` and the parameters, which every vertex knows.  Every step of a
+phase ``i < ell`` runs, on empty sets when no cluster is popular, and charges
+its schedule, so the ledger totals
+:meth:`~repro.core.parameters.SpannerParameters.round_bound` exactly.
 
 **Substitution 1.** Cluster membership bookkeeping (which vertices belong to
 which supercluster) is carried by the loop in a flat-array
 :class:`~repro.core.cluster_table.ClusterTable`: the algorithm itself never
-needs a non-center vertex to know its cluster -- only centers act in every step, and every protocol message
-carries compact cluster (center) ids, never vertex sets -- so maintaining the
-membership table centrally does not hide any communication.
+needs a non-center vertex to know its cluster -- only centers act in every
+step, and every protocol message carries compact cluster (center) ids, never
+vertex sets -- so maintaining the membership table centrally does not hide
+any communication.
 """
 
 from __future__ import annotations
@@ -53,8 +57,8 @@ class DistributedSteps(PhaseSteps):
         )
 
     def supercluster(self, i: int, centers: List[int], popular: Set[int]):
-        if not popular:
-            return set(), {}, set()
+        # Runs on an empty W_i too: every protocol then charges its idle
+        # schedule.
         simulator = self.simulator
         ruling_set = run_ruling_set(
             simulator,

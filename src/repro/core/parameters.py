@@ -374,12 +374,14 @@ class SpannerParameters:
         return total
 
     def round_bound(self, num_vertices: int) -> float:
-        """Upper bound on the nominal CONGEST rounds of the full algorithm.
+        """The nominal CONGEST rounds of the full algorithm.
 
         Sums, per phase: Algorithm 1 (``1 + deg_i * delta_i``), the ruling set
         (``c * ceil(n^{1/c}) * 2 delta_i``), the supercluster BFS forest and
         its path mark-up (``2 c delta_i`` each), and the interconnection
-        trace-back (``deg_i * delta_i``).
+        trace-back (``deg_i * delta_i``).  Both engines charge this fixed
+        schedule in full, idle steps included, so for ``n >= 2`` it equals
+        their ``nominal_rounds`` exactly, not only as an upper bound.
         """
         n = max(2, num_vertices)
         c = self.domination_multiplier

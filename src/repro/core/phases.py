@@ -14,7 +14,7 @@ engine (:mod:`repro.core.distributed`) and the Elkin'05 surrogate
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import List, Optional, Set, Tuple
 
 from ..congest.ledger import RoundLedger
 from ..graphs.graph import Graph
@@ -31,9 +31,16 @@ class PhaseSteps:
     """How one builder runs the steps of a phase, and its schedule.
 
     ``radii`` and ``deltas`` are the radius and exploration-depth schedules
-    (the paper's by default); :meth:`rounds` returns the running
-    ``(nominal, simulated)`` round totals, which the loop differences per
-    phase.
+    (the paper's by default).  A builder supplies:
+
+    * ``rounds()`` -- the running ``(nominal, simulated)`` round totals, which
+      the loop differences per phase;
+    * ``explore(i, centers, delta, degree)`` -- Algorithm 1 from ``centers``;
+      the result exposes ``popular``;
+    * ``supercluster(i, centers, popular)`` -- the ruling set, the spanned
+      center -> root map and the forest edges (phases ``i < ell``);
+    * ``interconnect(i, exploration, unclustered_centers)`` -- the trace-back
+      requests of ``U_i`` and the edges they add.
     """
 
     engine = ""
@@ -44,25 +51,6 @@ class PhaseSteps:
         self.parameters = parameters
         self.radii: List[int] = parameters.radius_bounds()
         self.deltas: List[int] = parameters.deltas()
-
-    def rounds(self) -> Tuple[int, int]:
-        raise NotImplementedError
-
-    def explore(self, i: int, centers: List[int], delta: int, degree: int):
-        """Algorithm 1 from ``centers``; the result exposes ``popular``."""
-        raise NotImplementedError
-
-    def supercluster(
-        self, i: int, centers: List[int], popular: Set[int]
-    ) -> Tuple[Set[int], Dict[int, int], Edges]:
-        """The ruling set, the spanned center -> root map and the forest edges."""
-        raise NotImplementedError
-
-    def interconnect(
-        self, i: int, exploration, unclustered_centers: List[int]
-    ) -> Tuple[Dict[int, List[int]], Edges]:
-        """The trace-back requests of ``U_i`` and the edges they add."""
-        raise NotImplementedError
 
 
 def run_phases(graph: Graph, parameters: SpannerParameters, steps: PhaseSteps) -> SpannerResult:
@@ -94,6 +82,7 @@ def run_phases(graph: Graph, parameters: SpannerParameters, steps: PhaseSteps) -
             superclustering_edges = certificate.record(forest_edges, i, SUPERCLUSTERING_STEP)
             spanner.add_edges(forest_edges)
             unclustered = table.supercluster(center_root)
+            cluster_history.append(table.snapshot())
         else:
             # Concluding phase: the superclustering step is skipped entirely.
             unclustered = table.retire_all()
@@ -130,8 +119,6 @@ def run_phases(graph: Graph, parameters: SpannerParameters, steps: PhaseSteps) -
             )
         )
         unclustered_history.append(unclustered)
-        if i < parameters.ell:
-            cluster_history.append(table.snapshot())
 
     return SpannerResult(
         graph=graph,

@@ -111,7 +111,7 @@ class SpannerResult:
 
     @property
     def nominal_rounds(self) -> int:
-        """Total scheduled CONGEST rounds (0 for the centralized engine without a ledger)."""
+        """Total scheduled CONGEST rounds (the ledger's, or the phase records' sum)."""
         if self.ledger is None:
             return sum(record.nominal_rounds for record in self.phase_records)
         return self.ledger.nominal_rounds

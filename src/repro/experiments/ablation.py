@@ -222,7 +222,7 @@ def epsilon_ablation_spec(
         workload_keys=("clusters", "cluster_size", "p_intra", "p_inter", "graph_seed"),
         task=ablation_task,
         merge=epsilon_merge,
-        version="2",
+        version="3",
     )
 
 
@@ -248,7 +248,7 @@ def rho_ablation_spec(
         workload_keys=("clusters", "cluster_size", "p_intra", "p_inter", "graph_seed"),
         task=ablation_task,
         merge=rho_merge,
-        version="2",
+        version="3",
     )
 
 
@@ -273,7 +273,7 @@ def kappa_ablation_spec(
         workload_keys=("clusters", "cluster_size", "p_intra", "p_inter", "graph_seed"),
         task=ablation_task,
         merge=kappa_merge,
-        version="2",
+        version="3",
     )
 
 

@@ -157,7 +157,7 @@ def family_spec(
         task=family_task,
         merge=family_merge,
         checks=checks,
-        version="2",
+        version="3",
     )
 
 

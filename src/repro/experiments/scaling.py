@@ -145,7 +145,7 @@ def scaling_spec(
         workload_keys=("family", "size", "workload_seed"),
         task=scaling_task,
         merge=scaling_merge,
-        version="2",
+        version="3",
     )
 
 
@@ -325,7 +325,7 @@ SCALING_GROWTH_SPEC = register(
         workload_keys=("family", "size", "workload_seed"),
         task=growth_task,
         merge=growth_merge,
-        version="1",
+        version="2",
     )
 )
 

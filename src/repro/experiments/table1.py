@@ -204,7 +204,7 @@ def table1_merge(
         "the center-selection step the paper derandomizes: the ruling-set approach "
         "costs ~n^{1/c} per phase while the sequential-scan approach costs ~|W_i| "
         "(linear in n on dense inputs), which is the source of Elkin'05's superlinear "
-        "running time (see DESIGN.md substitution 3)."
+        "running time (see substitution 3 in repro.baselines.elkin05_surrogate)."
     )
     record.add_note(
         "Theory rows evaluate the published formulas with all O(1) constants set "
@@ -246,7 +246,7 @@ def table1_spec(
         workload_keys=("family", "size", "workload_seed", "edge_probability"),
         task=table1_task,
         merge=table1_merge,
-        version="2",
+        version="3",
     )
 
 

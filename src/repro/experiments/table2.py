@@ -212,7 +212,7 @@ def table2_spec(
         workload_keys=("n",),
         task=table2_task,
         merge=table2_merge,
-        version="2",
+        version="3",
     )
 
 

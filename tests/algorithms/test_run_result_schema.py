@@ -125,8 +125,8 @@ PINNED_PAYLOADS = {
     "elkin-peleg-2001": "c37a0d7edc56e155",
     "elkin05-surrogate": "dc6daab766c0533a",
     "greedy": "02e556f53fe6dda5",
-    "new-centralized": "d41bfb3f0f08b163",
-    "new-distributed": "e4bb960f696e180d",
+    "new-centralized": "52f2652cffb4432b",
+    "new-distributed": "a80bc84be3af9512",
 }
 
 

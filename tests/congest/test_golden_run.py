@@ -78,7 +78,7 @@ class TestDistributedBuildGoldenRun:
         result = build_spanner(
             graph, parameters=default_parameters(), engine="distributed"
         )
-        assert result.nominal_rounds == 31496
+        assert result.nominal_rounds == 41408
         assert result.num_edges == 126
         assert _digest(sorted(result.spanner.edge_set())) == "8f0c24506186ec50"
         # Every sub-protocol's charge, in order: any drift in per-protocol
@@ -88,4 +88,4 @@ class TestDistributedBuildGoldenRun:
              c.max_edge_congestion]
             for c in result.ledger.charges
         ]
-        assert _digest(charges) == "0854280b37d1284e"
+        assert _digest(charges) == "18c48d6ce12b58b8"

@@ -8,6 +8,8 @@ sets, cluster collections -- and both must satisfy the same guarantees.
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 import repro
@@ -75,6 +77,23 @@ def test_interconnection_pairs_match(both_results):
     centralized, distributed = both_results
     for rc, rd in zip(centralized.phase_records, distributed.phase_records):
         assert sorted(rc.interconnection_pairs) == sorted(rd.interconnection_pairs)
+
+
+def test_nominal_rounds_match_the_fixed_schedule(both_results, default_params):
+    """Both engines charge every step of every phase, idle or not.
+
+    The schedule depends only on ``n`` and the parameters, so the per-phase
+    rounds agree and their total is exactly ``round_bound(n)`` -- also in a
+    phase without popular clusters, whose ruling set, forest and mark-up run
+    on empty sets.
+    """
+    centralized, distributed = both_results
+    assert [r.nominal_rounds for r in centralized.phase_records] == [
+        r.nominal_rounds for r in distributed.phase_records
+    ]
+    bound = default_params.round_bound(centralized.num_vertices)
+    for result in both_results:
+        assert math.isclose(result.nominal_rounds, bound)
 
 
 def test_edge_counts_are_close(both_results):
