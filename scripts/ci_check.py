@@ -46,8 +46,10 @@ Runs, in order (see :func:`stage_plan`):
     registered algorithm must have a measured CAPACITY.json entry, a row in
     EXPERIMENTS.md's Algorithm registry table, and membership in at least
     one scenario matrix.  Registration drift fails the build.
-12. ``experiments-md drift`` -- the committed EXPERIMENTS.md must match the
-    current algorithm/scenario registries.
+12. ``experiments-md drift`` -- ``scripts/generate_experiments_md.py
+    --check``: the whole EXPERIMENTS.md, registry and measured sections
+    alike, is regenerated in memory and must match the committed file byte
+    for byte.
 
 The golden protocol counters (a fixed distributed build and a fixed
 BFS-forest run, bit-identical) are ``tests/congest/test_golden_run.py``, run

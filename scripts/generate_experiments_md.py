@@ -2,20 +2,18 @@
 """Regenerate EXPERIMENTS.md from the algorithm and scenario registries.
 
 Documents every registered algorithm and scenario (straight from the
-registries, no runs needed), the suite CLI and the result-store layout; then,
-unless ``--no-measure`` is given, runs every scenario through the experiment
-pipeline at its registered (CLI) scale and appends the measured
-paper-vs-measured sections.  Refresh with::
+registries), the suite CLI and the result-store layout, then runs every
+scenario through the experiment pipeline at its registered (CLI) scale and
+appends the measured paper-vs-measured sections.  Refresh with::
 
-    python scripts/generate_experiments_md.py              # full (runs everything)
+    python scripts/generate_experiments_md.py              # write the file
     python scripts/generate_experiments_md.py --jobs 4     # same, process-parallel
-    python scripts/generate_experiments_md.py --no-measure # registry docs only
     python scripts/generate_experiments_md.py --check      # CI drift check
 
-``--check`` regenerates the registry-derived sections in memory and verifies
-the committed EXPERIMENTS.md starts with exactly those sections (no scenario
-runs); a non-zero exit means someone changed a registry without regenerating
-the docs.
+``--check`` builds the whole document in memory, through the same code path
+as a write, and compares it byte for byte with the committed EXPERIMENTS.md
+(no writes); a non-zero exit means a registry or a measured result changed
+without the docs being regenerated.
 """
 
 from __future__ import annotations
@@ -23,8 +21,10 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
+from typing import Tuple
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+DOC_PATH = REPO_ROOT / "EXPERIMENTS.md"
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro import algorithms  # noqa: E402
@@ -248,31 +248,6 @@ def registry_section() -> str:
     return "## Scenario registry\n\n" + render_markdown_table(rows)
 
 
-def registry_prefix() -> str:
-    """The registry-derived document prefix (everything that needs no runs)."""
-    return "\n\n".join([DOC_HEADER, algorithm_registry_section(), registry_section()])
-
-
-def check_drift() -> int:
-    """Verify EXPERIMENTS.md starts with the current registry-derived prefix."""
-    path = REPO_ROOT / "EXPERIMENTS.md"
-    if not path.exists():
-        print("EXPERIMENTS.md missing; run scripts/generate_experiments_md.py",
-              file=sys.stderr)
-        return 1
-    content = path.read_text(encoding="utf-8")
-    prefix = registry_prefix()
-    if not content.startswith(prefix):
-        print(
-            "EXPERIMENTS.md is out of date with the algorithm/scenario "
-            "registries; regenerate it with scripts/generate_experiments_md.py",
-            file=sys.stderr,
-        )
-        return 1
-    print("EXPERIMENTS.md registry sections are up to date", file=sys.stderr)
-    return 0
-
-
 def _compact_row(row):
     """Elide nested row lists (e.g. the dynamic tier's per-step records):
     they belong in the JSON records, not in a one-line markdown cell."""
@@ -314,49 +289,60 @@ def record_to_markdown(record, max_rows=40):
     return "\n".join(lines)
 
 
+def render_document(jobs: int = 1) -> Tuple[str, bool]:
+    """The whole EXPERIMENTS.md text, and whether every scenario passed."""
+    sections = [DOC_HEADER, algorithm_registry_section(), registry_section()]
+    specs = all_specs()
+    print(f"running {len(specs)} scenarios (jobs={jobs}) ...", file=sys.stderr)
+    result = run_suite(specs, jobs=jobs)
+    for outcome in result.outcomes:
+        claim = PAPER_CLAIMS.get(outcome.name, "")
+        title = f"## {outcome.name}"
+        if outcome.record is None:
+            sections.append(f"{title}\n\n{claim}\n\n**ERROR**: {outcome.error}")
+            continue
+        body = record_to_markdown(outcome.record)
+        sections.append(f"{title}\n\n{claim}\n\n{body}")
+    return "\n\n".join(sections) + "\n", result.ok
+
+
+def check_drift(path: Path = DOC_PATH, jobs: int = 1) -> int:
+    """Rebuild the document in memory and compare it byte for byte with ``path``."""
+    if not path.exists():
+        print(f"{path} missing; run scripts/generate_experiments_md.py", file=sys.stderr)
+        return 1
+    document, _ok = render_document(jobs)
+    if path.read_bytes() != document.encode("utf-8"):
+        print(
+            f"{path} is out of date with the registries or the measured "
+            "results; regenerate it with scripts/generate_experiments_md.py",
+            file=sys.stderr,
+        )
+        return 1
+    print(f"{path} is up to date", file=sys.stderr)
+    return 0
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--no-measure", action="store_true",
-                        help="skip the measured sections (registry docs only)")
     parser.add_argument("--check", action="store_true",
-                        help="verify EXPERIMENTS.md matches the registries (no runs, no writes)")
+                        help="verify EXPERIMENTS.md matches a fresh regeneration (no writes)")
     parser.add_argument("--jobs", type=int, default=1,
                         help="worker processes for the measured runs")
     args = parser.parse_args()
 
     if args.check:
-        return check_drift()
+        return check_drift(jobs=args.jobs)
 
-    sections = [registry_prefix()]
-    failed = False
-
-    if args.no_measure:
-        sections.append(
-            "## Measured results\n\n(omitted: regenerate without `--no-measure` "
-            "to append the per-scenario paper-vs-measured sections.)"
-        )
-    else:
-        specs = all_specs()
-        print(f"running {len(specs)} scenarios (jobs={args.jobs}) ...", file=sys.stderr)
-        result = run_suite(specs, jobs=args.jobs)
-        for outcome in result.outcomes:
-            claim = PAPER_CLAIMS.get(outcome.name, "")
-            title = f"## {outcome.name}"
-            if outcome.record is None:
-                sections.append(f"{title}\n\n{claim}\n\n**ERROR**: {outcome.error}")
-                continue
-            body = record_to_markdown(outcome.record)
-            sections.append(f"{title}\n\n{claim}\n\n{body}")
-        if not result.ok:
-            failed = True
-            print("ERROR: some scenarios failed; see the generated file", file=sys.stderr)
-
-    output = "\n\n".join(sections) + "\n"
-    (REPO_ROOT / "EXPERIMENTS.md").write_text(output, encoding="utf-8")
-    print(f"wrote {REPO_ROOT / 'EXPERIMENTS.md'} ({len(output)} bytes)", file=sys.stderr)
-    # The file is still written (the ERROR sections make the failure easy to
-    # inspect), but a scripted regeneration must not pass silently.
-    return 1 if failed else 0
+    output, ok = render_document(args.jobs)
+    DOC_PATH.write_text(output, encoding="utf-8")
+    print(f"wrote {DOC_PATH} ({len(output)} bytes)", file=sys.stderr)
+    if not ok:
+        # The file is still written (the ERROR sections make the failure easy
+        # to inspect), but a scripted regeneration must not pass silently.
+        print("ERROR: some scenarios failed; see the generated file", file=sys.stderr)
+        return 1
+    return 0
 
 
 if __name__ == "__main__":

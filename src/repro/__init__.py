@@ -41,7 +41,6 @@ Quickstart::
 from . import algorithms
 from .algorithms import AlgorithmSpec, RunResult, build
 from .core import (
-    SpannerDistanceOracle,
     SpannerParameters,
     SpannerResult,
     StretchGuarantee,
@@ -58,7 +57,6 @@ __all__ = [
     "AlgorithmSpec",
     "Graph",
     "RunResult",
-    "SpannerDistanceOracle",
     "SpannerParameters",
     "SpannerResult",
     "StretchGuarantee",

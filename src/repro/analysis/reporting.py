@@ -31,16 +31,6 @@ def percentile(values: Sequence[float], q: float) -> float:
     return float(ordered[rank - 1])
 
 
-def percentile_summary(
-    values: Sequence[float], quantiles: Sequence[float] = (50, 99)
-) -> Dict[str, float]:
-    """``{"p50": ..., "p99": ...}`` via :func:`percentile` (shared helper)."""
-    return {
-        f"p{int(q) if float(q).is_integer() else q}": percentile(values, q)
-        for q in quantiles
-    }
-
-
 def format_value(value: object, precision: int = 3) -> str:
     """Human-friendly formatting: scientific for huge magnitudes, fixed otherwise."""
     if value is None:

@@ -1,14 +1,14 @@
 """Spanner size accounting (paper Section 2.4.2).
 
-Compares measured edge counts against the per-phase bounds of Lemma 2.12 and
-the overall ``O(beta * n^{1+1/kappa})`` bound of Corollary 2.13, and provides
-the per-step breakdown used by the Figure 4/5 experiments.
+Compares measured edge counts against the overall ``O(beta * n^{1+1/kappa})``
+bound of Corollary 2.13 and breaks them down by phase and by step (the
+per-phase Lemma 2.12 check is the Figure 5 experiment's).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict
 
 from ..core.certificate import INTERCONNECTION_STEP, SUPERCLUSTERING_STEP
 from ..core.result import SpannerResult
@@ -64,44 +64,3 @@ def size_report(result: SpannerResult) -> SizeReport:
         interconnection_edges=by_step.get(INTERCONNECTION_STEP, 0),
         density_ratio=result.num_edges / graph_edges if graph_edges else 1.0,
     )
-
-
-def per_phase_interconnection_budget(result: SpannerResult) -> List[Dict[str, float]]:
-    """Per-phase interconnection accounting against the Lemma 2.12 budget.
-
-    For every phase ``i``, the number of interconnection *paths* must not
-    exceed ``|U_i| * deg_i`` (each unclustered cluster is non-popular, hence
-    connects to fewer than ``deg_i`` other clusters), and each path has at
-    most ``delta_i`` edges.
-    """
-    rows: List[Dict[str, float]] = []
-    for record in result.phase_records:
-        budget_paths = record.num_unclustered * record.degree_threshold
-        rows.append(
-            {
-                "phase": record.index,
-                "paths": record.interconnection_paths,
-                "path_budget": budget_paths,
-                "edges": record.interconnection_edges,
-                "edge_budget": budget_paths * record.delta,
-                "within_budget": float(
-                    record.interconnection_paths <= budget_paths
-                    and record.interconnection_edges <= budget_paths * record.delta
-                ),
-            }
-        )
-    return rows
-
-
-def compression_summary(result: SpannerResult) -> Dict[str, float]:
-    """How much sparser than the input the spanner is, plus the n^{1+1/kappa} scaling."""
-    n = max(2, result.num_vertices)
-    target_exponent = 1.0 + 1.0 / result.parameters.kappa
-    return {
-        "graph_edges": float(result.graph.num_edges),
-        "spanner_edges": float(result.num_edges),
-        "compression": (
-            result.num_edges / result.graph.num_edges if result.graph.num_edges else 1.0
-        ),
-        "normalized_size": result.num_edges / (n ** target_exponent),
-    }

@@ -9,7 +9,7 @@ only by the ``1 + eps`` factor, with a fixed additive term.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.parameters import StretchGuarantee
 from ..graphs.distances import INFINITY, sample_vertex_pairs
@@ -25,18 +25,6 @@ class PairStretch:
     v: int
     graph_distance: float
     spanner_distance: float
-
-    @property
-    def additive_surplus(self) -> float:
-        """``d_H(u, v) - d_G(u, v)``."""
-        return self.spanner_distance - self.graph_distance
-
-    @property
-    def multiplicative_ratio(self) -> float:
-        """``d_H(u, v) / d_G(u, v)`` (1.0 for zero-distance pairs)."""
-        if self.graph_distance == 0:
-            return 1.0
-        return self.spanner_distance / self.graph_distance
 
 
 @dataclass
@@ -275,20 +263,6 @@ def evaluate_run_stretch(
     return evaluate_stretch_sampled(
         run.graph, run.spanner, num_pairs=num_pairs, seed=seed, guarantee=guarantee
     )
-
-
-def best_additive_for_multiplicative(
-    report_pairs: Iterable[PairStretch], multiplicative: float
-) -> float:
-    """Smallest additive term ``b`` such that every pair satisfies ``d_H <= multiplicative * d_G + b``.
-
-    Useful for fitting an empirical ``(1 + eps, beta_measured)`` description of
-    a produced spanner (what Figure 7's experiment reports).
-    """
-    best = 0.0
-    for pair in report_pairs:
-        best = max(best, pair.spanner_distance - multiplicative * pair.graph_distance)
-    return max(0.0, best)
 
 
 def empirical_additive_term(

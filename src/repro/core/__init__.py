@@ -18,7 +18,6 @@ from .interconnection import (
     flatten_requests,
     interconnection_requests,
 )
-from .oracle import SpannerDistanceOracle
 from .parameters import (
     CONCLUDING_STAGE,
     DEFAULT_PARAMETERS,
@@ -57,7 +56,6 @@ __all__ = [
     "PhaseRecord",
     "SUPERCLUSTERING_STEP",
     "SpannerCertificate",
-    "SpannerDistanceOracle",
     "SpannerParameters",
     "SpannerResult",
     "StretchGuarantee",

@@ -117,10 +117,6 @@ class FlatClusters:
         """All clustered vertices, grouped by cluster (read-only CSR payload)."""
         return self._members
 
-    def indptr_array(self) -> array:
-        """CSR offsets into :meth:`members_array` (read-only)."""
-        return self._indptr
-
     def cluster_index_of(self, vertex: int) -> int:
         """Local cluster index of ``vertex`` (``-1`` if unclustered) -- O(1)."""
         return self._cluster_of[vertex]
@@ -325,10 +321,6 @@ class ClusterTable:
     def num_active(self) -> int:
         """Number of live clusters."""
         return len(self._active_centers)
-
-    def cluster_slot(self, vertex: int) -> int:
-        """Storage slot of the live cluster containing ``vertex`` (or ``-1``)."""
-        return self._cluster_of[vertex]
 
     def center_of(self, vertex: int) -> int:
         """Center of the live cluster containing ``vertex`` (or ``-1``)."""

@@ -14,24 +14,21 @@ Three layers (PR 8):
   dynamic``), asserting guarantee preservation after every step.
 """
 
-from .deltas import GraphDelta, apply_delta, delta_summary, replay_deltas
+from .deltas import GraphDelta, apply_delta
 from .maintenance import (
     CERTIFICATE_MODES,
     DECISIONS,
     DynamicSpanner,
     MaintenanceRecord,
     default_certificate_for,
-    run_trace,
 )
 from .scenarios import (
     CHURN_KINDS,
     dynamic_churn_spec,
     dynamic_growth_spec,
     incremental_algorithm_names,
-    run_dynamic_churn,
-    run_dynamic_growth,
 )
-from .traces import TRACE_KINDS, ChurnTrace, make_trace, trace_from_params
+from .traces import TRACE_KINDS, ChurnTrace, trace_from_params
 
 __all__ = [
     "CERTIFICATE_MODES",
@@ -44,14 +41,8 @@ __all__ = [
     "TRACE_KINDS",
     "apply_delta",
     "default_certificate_for",
-    "delta_summary",
     "dynamic_churn_spec",
     "dynamic_growth_spec",
     "incremental_algorithm_names",
-    "make_trace",
-    "replay_deltas",
-    "run_dynamic_churn",
-    "run_dynamic_growth",
-    "run_trace",
     "trace_from_params",
 ]

@@ -119,30 +119,8 @@ def apply_delta(graph: Graph, delta: GraphDelta) -> Tuple[int, int]:
     return added, removed
 
 
-def replay_deltas(graph: Graph, deltas: Iterable[GraphDelta]) -> Graph:
-    """Apply a sequence of deltas to a copy of ``graph`` and return it."""
-    result = graph.copy()
-    for delta in deltas:
-        apply_delta(result, delta)
-    return result
-
-
-def delta_summary(deltas: Iterable[GraphDelta]) -> Dict[str, int]:
-    """Aggregate counters over a delta sequence (for records and logs)."""
-    steps = 0
-    added = 0
-    removed = 0
-    for delta in deltas:
-        steps += 1
-        added += delta.num_add
-        removed += delta.num_remove
-    return {"steps": steps, "edges_added": added, "edges_removed": removed}
-
-
 __all__ = [
     "GraphDelta",
     "apply_delta",
     "canonical_edges",
-    "delta_summary",
-    "replay_deltas",
 ]

@@ -362,34 +362,10 @@ class DynamicSpanner:
         self.rebuild_count += 1
 
 
-def run_trace(
-    algorithm: str,
-    trace,
-    params: Optional[Mapping[str, object]] = None,
-    *,
-    seed: int = 0,
-    rebuild_budget: Optional[int] = None,
-    certificate: Optional[str] = None,
-) -> DynamicSpanner:
-    """Convenience: build on a trace's initial graph and maintain every delta."""
-    dynamic = DynamicSpanner(
-        algorithm,
-        trace.initial_graph(),
-        params,
-        seed=seed,
-        rebuild_budget=rebuild_budget,
-        certificate=certificate,
-    )
-    for delta in trace.deltas():
-        dynamic.maintain(delta)
-    return dynamic
-
-
 __all__ = [
     "CERTIFICATE_MODES",
     "DECISIONS",
     "DynamicSpanner",
     "MaintenanceRecord",
     "default_certificate_for",
-    "run_trace",
 ]

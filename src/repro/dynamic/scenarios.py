@@ -335,18 +335,6 @@ register(dynamic_churn_spec())
 register(dynamic_growth_spec())
 
 
-def run_dynamic_churn(**kwargs) -> ExperimentRecord:
-    from ..experiments.pipeline import run_scenario
-
-    return run_scenario(dynamic_churn_spec(), **kwargs)
-
-
-def run_dynamic_growth(**kwargs) -> ExperimentRecord:
-    from ..experiments.pipeline import run_scenario
-
-    return run_scenario(dynamic_growth_spec(), **kwargs)
-
-
 __all__ = [
     "CHURN_KINDS",
     "dynamic_churn_spec",
@@ -354,6 +342,4 @@ __all__ = [
     "dynamic_task",
     "dynamic_workload",
     "incremental_algorithm_names",
-    "run_dynamic_churn",
-    "run_dynamic_growth",
 ]

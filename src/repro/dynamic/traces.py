@@ -215,11 +215,6 @@ class ChurnTrace:
         )
 
 
-def make_trace(kind: str, **kwargs: object) -> ChurnTrace:
-    """Convenience constructor mirroring ``make_workload``'s shape."""
-    return ChurnTrace(kind=kind, **kwargs)  # type: ignore[arg-type]
-
-
 def trace_from_params(params: Dict[str, object]) -> ChurnTrace:
     """Build the trace of one dynamic-scenario task from its parameter dict.
 
@@ -236,4 +231,4 @@ def trace_from_params(params: Dict[str, object]) -> ChurnTrace:
     )
 
 
-__all__ = ["ChurnTrace", "TRACE_KINDS", "make_trace", "trace_from_params"]
+__all__ = ["ChurnTrace", "TRACE_KINDS", "trace_from_params"]

@@ -11,13 +11,9 @@ from .ablation import (
     epsilon_ablation_spec,
     kappa_ablation_spec,
     rho_ablation_spec,
-    run_epsilon_ablation,
-    run_kappa_ablation,
-    run_rho_ablation,
 )
 from .figures import (
     ALL_FIGURES,
-    build_result,
     figure1_superclustering,
     figure2_bfs_trees,
     figure3_ruling_set,
@@ -27,7 +23,6 @@ from .figures import (
     figure7_stretch_decomposition,
     figure8_segment_argument,
     figure_spec,
-    run_all_figures,
 )
 from .pipeline import (
     FAILURE_MANIFEST_SCHEMA,
@@ -45,7 +40,6 @@ from .registry import (
     ensure_builtin_specs,
     get_spec,
     register,
-    scenario_names,
 )
 from .results import ExperimentRecord, save_records
 from .runner import (
@@ -54,11 +48,11 @@ from .runner import (
     measure_algorithm,
     measurement_row,
 )
-from .scaling import run_scaling, scaling_spec
+from .scaling import scaling_spec
 from .store import ResultStore
-from .table1 import run_table1, table1_spec
-from .table2 import run_table2, table2_spec
-from .workloads import default_parameters, scaling_graphs, scaling_sizes
+from .table1 import table1_spec
+from .table2 import table2_spec
+from .workloads import default_parameters
 
 __all__ = [
     "ALL_FIGURES",
@@ -72,7 +66,6 @@ __all__ = [
     "TaskError",
     "TaskSpec",
     "all_specs",
-    "build_result",
     "default_parameters",
     "ensure_builtin_specs",
     "epsilon_ablation_spec",
@@ -92,20 +85,10 @@ __all__ = [
     "measurement_row",
     "register",
     "rho_ablation_spec",
-    "run_all_figures",
-    "run_epsilon_ablation",
-    "run_kappa_ablation",
-    "run_rho_ablation",
-    "run_scaling",
     "run_scenario",
     "run_suite",
-    "run_table1",
-    "run_table2",
     "save_records",
-    "scaling_graphs",
-    "scaling_sizes",
     "scaling_spec",
-    "scenario_names",
     "table1_spec",
     "table2_spec",
     "validate_failure_manifest",

@@ -181,7 +181,7 @@ def kappa_merge(
 
 
 # ----------------------------------------------------------------------
-# Specs and wrappers
+# Specs
 # ----------------------------------------------------------------------
 def _ablation_defaults(
     graph: Optional[Graph], graph_seed: int, sample_pairs: int
@@ -281,53 +281,3 @@ def kappa_ablation_spec(
 EPSILON_ABLATION_SPEC = register(epsilon_ablation_spec())
 RHO_ABLATION_SPEC = register(rho_ablation_spec())
 KAPPA_ABLATION_SPEC = register(kappa_ablation_spec())
-
-
-def run_epsilon_ablation(
-    epsilons: Sequence[float] = (0.1, 0.25, 0.5, 0.9),
-    kappa: int = 3,
-    rho: float = 1.0 / 3.0,
-    graph: Optional[Graph] = None,
-    sample_pairs: int = 150,
-) -> ExperimentRecord:
-    """Sweep the internal epsilon and record guarantee / size / rounds."""
-    from .pipeline import run_scenario
-
-    return run_scenario(
-        epsilon_ablation_spec(
-            epsilons=epsilons, kappa=kappa, rho=rho, graph=graph, sample_pairs=sample_pairs
-        )
-    )
-
-
-def run_rho_ablation(
-    rhos: Sequence[float] = (1.0 / 3.0, 0.4, 0.5),
-    epsilon: float = 0.25,
-    kappa: int = 3,
-    graph: Optional[Graph] = None,
-    sample_pairs: int = 150,
-) -> ExperimentRecord:
-    """Sweep rho and record the round budget / beta trade-off."""
-    from .pipeline import run_scenario
-
-    return run_scenario(
-        rho_ablation_spec(
-            rhos=rhos, epsilon=epsilon, kappa=kappa, graph=graph, sample_pairs=sample_pairs
-        )
-    )
-
-
-def run_kappa_ablation(
-    kappas: Sequence[int] = (2, 3, 4),
-    epsilon: float = 0.25,
-    graph: Optional[Graph] = None,
-    sample_pairs: int = 150,
-) -> ExperimentRecord:
-    """Sweep kappa (with rho = 1/2 so every kappa is admissible) and record sparsity."""
-    from .pipeline import run_scenario
-
-    return run_scenario(
-        kappa_ablation_spec(
-            kappas=kappas, epsilon=epsilon, graph=graph, sample_pairs=sample_pairs
-        )
-    )

@@ -29,26 +29,12 @@ from typing import Dict, List, Optional, Tuple
 
 from ..algorithms import get_spec as get_algorithm
 from ..analysis.stretch import evaluate_stretch, evaluate_stretch_sampled
-from ..core.parameters import SpannerParameters
 from ..core.result import SpannerResult
-from ..core.spanner import build_spanner
 from ..graphs.bfs import bfs_distances
 from ..graphs.generators import planted_partition_graph
 from ..graphs.graph import Graph
 from .registry import ScenarioSpec, register
 from .results import ExperimentRecord
-from .workloads import default_parameters
-
-
-def build_result(
-    graph: Graph,
-    parameters: Optional[SpannerParameters] = None,
-    engine: str = "centralized",
-) -> SpannerResult:
-    """Build the spanner run shared by the figure experiments."""
-    if parameters is None:
-        parameters = default_parameters()
-    return build_spanner(graph, parameters=parameters, engine=engine)
 
 
 # ----------------------------------------------------------------------
@@ -482,16 +468,6 @@ _FIGURE_CAPTIONS = {
     "figure7": "End-to-end stretch decomposition against the (1+eps, beta) guarantee.",
     "figure8": "The segmenting argument: surplus per eps^{-ell}-length segment (Lemma 2.16).",
 }
-
-
-def run_all_figures(
-    graph: Graph,
-    parameters: Optional[SpannerParameters] = None,
-    engine: str = "centralized",
-) -> Dict[str, ExperimentRecord]:
-    """Run every figure experiment on a single shared spanner build."""
-    result = build_result(graph, parameters, engine=engine)
-    return {name: fn(result) for name, fn in ALL_FIGURES.items()}
 
 
 # ----------------------------------------------------------------------

@@ -456,7 +456,7 @@ def run_suite(
         tasks = expand_tasks(spec, store)
         tasks_by_scenario[spec.name] = tasks
         if jobs > 1 or store is not None or task_timeout is not None:
-            # Graph-bearing params (the run_* wrappers' explicit ``graph=``
+            # Graph-bearing params (the spec builders' explicit ``graph=``
             # escape hatch) are neither picklable-by-contract nor content-
             # addressable; insist on the in-process serial path for them.
             for task in tasks:
@@ -724,9 +724,10 @@ def run_scenario(
 ) -> ExperimentRecord:
     """Run a single scenario through the pipeline and return its record.
 
-    The library form of ``repro suite run --filter NAME``, behind the
-    per-module ``run_*`` wrappers: one :func:`run_suite` call whose errors
-    raise instead of being reported in the manifest.
+    The library form of ``repro suite run --filter NAME``: one
+    :func:`run_suite` call whose errors raise instead of being reported in
+    the manifest.  A spec builder's result (``table1_spec(sizes=...)``,
+    ``epsilon_ablation_spec(...)``) runs a scenario at another scale.
     """
     spec = get_spec(spec_or_name) if isinstance(spec_or_name, str) else spec_or_name
     result = run_suite(

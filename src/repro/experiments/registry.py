@@ -221,8 +221,3 @@ def all_specs(filter_tag: Optional[str] = None) -> List[ScenarioSpec]:
     if filter_tag in _REGISTRY:
         return [_REGISTRY[filter_tag]]
     return [spec for spec in specs if filter_tag in spec.tags]
-
-
-def scenario_names() -> List[str]:
-    """Sorted names of every registered scenario."""
-    return [spec.name for spec in all_specs()]

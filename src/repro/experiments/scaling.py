@@ -121,7 +121,10 @@ def scaling_spec(
     tags: Sequence[str] = ("scaling", "paper"),
     description: Optional[str] = None,
 ) -> ScenarioSpec:
-    """The scaling scenario at an arbitrary scale (the registry holds the CLI scale)."""
+    """The scaling scenario at an arbitrary scale (the registry holds the CLI scale).
+
+    Run it with :func:`~repro.experiments.pipeline.run_scenario`.
+    """
     return ScenarioSpec(
         name=name,
         description=description
@@ -328,30 +331,3 @@ SCALING_GROWTH_SPEC = register(
         version="2",
     )
 )
-
-
-def run_scaling(
-    sizes: Sequence[int] = (100, 200, 400, 800),
-    epsilon: float = 0.25,
-    kappa: int = 3,
-    rho: float = 1.0 / 3.0,
-    family: str = "gnp",
-    seed: int = 23,
-    algorithm: str = "new-centralized",
-    sample_pairs: int = 150,
-) -> ExperimentRecord:
-    """Sweep ``n`` and check the round/size scaling exponents."""
-    from .pipeline import run_scenario
-
-    return run_scenario(
-        scaling_spec(
-            sizes=sizes,
-            epsilon=epsilon,
-            kappa=kappa,
-            rho=rho,
-            family=family,
-            seed=seed,
-            algorithm=algorithm,
-            sample_pairs=sample_pairs,
-        )
-    )

@@ -223,7 +223,15 @@ def table1_spec(
     seed: int = 11,
     sample_pairs: int = 200,
 ) -> ScenarioSpec:
-    """The Table 1 scenario at an arbitrary scale (the registry holds the CLI scale)."""
+    """The Table 1 scenario at an arbitrary scale (the registry holds the CLI scale).
+
+    Run it with :func:`~repro.experiments.pipeline.run_scenario`.  The
+    measured sweep defaults to moderately dense ``G(n, p)`` graphs (constant
+    ``p``): there a constant fraction of the clusters is popular in phase 0,
+    which is the regime where the sequential-scan selection of the
+    Elkin'05-style approach pays ``Theta(n)`` rounds while the ruling-set
+    selection pays only ``~n^{1/c}`` -- the running-time gap Table 1 is about.
+    """
     return ScenarioSpec(
         name="table1",
         description=(
@@ -252,37 +260,3 @@ def table1_spec(
 
 #: The registered, CLI-scale Table 1 scenario.
 TABLE1_SPEC = register(table1_spec(sizes=(80, 160, 320), sample_pairs=120))
-
-
-def run_table1(
-    sizes: Sequence[int] = (100, 200, 400),
-    epsilon: float = 0.25,
-    kappa: int = 3,
-    rho: float = 1.0 / 3.0,
-    family: str = "gnp",
-    edge_probability: Optional[float] = 0.15,
-    seed: int = 11,
-    sample_pairs: int = 200,
-) -> ExperimentRecord:
-    """Regenerate Table 1 (theory + measured deterministic-CONGEST comparison).
-
-    The measured sweep defaults to moderately dense ``G(n, p)`` graphs
-    (constant ``p``): there a constant fraction of the clusters is popular in
-    phase 0, which is the regime where the sequential-scan selection of the
-    Elkin'05-style approach pays ``Theta(n)`` rounds while the ruling-set
-    selection pays only ``~n^{1/c}`` -- the running-time gap Table 1 is about.
-    """
-    from .pipeline import run_scenario
-
-    return run_scenario(
-        table1_spec(
-            sizes=sizes,
-            epsilon=epsilon,
-            kappa=kappa,
-            rho=rho,
-            family=family,
-            edge_probability=edge_probability,
-            seed=seed,
-            sample_pairs=sample_pairs,
-        )
-    )

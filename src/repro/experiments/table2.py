@@ -183,9 +183,10 @@ def table2_spec(
 ) -> ScenarioSpec:
     """The Table 2 scenario at an arbitrary scale (the registry holds the CLI scale).
 
-    Passing an explicit ``graph`` puts a live Graph into the parameters, so
-    the pipeline will refuse to run the spec with ``jobs > 1`` or a store
-    attached — use it for in-process serial runs only.
+    Run it with :func:`~repro.experiments.pipeline.run_scenario`.  Passing an
+    explicit ``graph`` puts a live Graph into the parameters, so the pipeline
+    will refuse to run the spec with ``jobs > 1`` or a store attached — use
+    it for in-process serial runs only.
     """
     defaults: Dict[str, object] = {
         "n": n,
@@ -218,32 +219,3 @@ def table2_spec(
 
 #: The registered, CLI-scale Table 2 scenario.
 TABLE2_SPEC = register(table2_spec(n=140, sample_pairs=150))
-
-
-def run_table2(
-    n: int = 200,
-    epsilon: float = 0.25,
-    kappa: int = 3,
-    rho: float = 1.0 / 3.0,
-    graph: Optional[Graph] = None,
-    seed: int = 5,
-    sample_pairs: int = 300,
-    include_distributed: bool = True,
-    include_greedy: bool = True,
-) -> ExperimentRecord:
-    """Regenerate Table 2: the survey rows plus measured rows for implemented algorithms."""
-    from .pipeline import run_scenario
-
-    return run_scenario(
-        table2_spec(
-            n=n,
-            epsilon=epsilon,
-            kappa=kappa,
-            rho=rho,
-            graph=graph,
-            seed=seed,
-            sample_pairs=sample_pairs,
-            include_distributed=include_distributed,
-            include_greedy=include_greedy,
-        )
-    )

@@ -221,32 +221,9 @@ def bfs_distances(
     return {v: dist[v] for v in sorted(order)}
 
 
-def bfs_layers(graph: Graph, source: int, max_depth: Optional[int] = None) -> List[List[int]]:
-    """Return the BFS layers ``[L0, L1, ...]`` around ``source``."""
-    dist = bfs_distances(graph, source, max_depth=max_depth)
-    if not dist:
-        return []
-    deepest = max(dist.values())
-    layers: List[List[int]] = [[] for _ in range(deepest + 1)]
-    for v, d in dist.items():
-        layers[d].append(v)
-    for layer in layers:
-        layer.sort()
-    return layers
-
-
 def ball(graph: Graph, center: int, radius: int) -> List[int]:
     """Return the sorted list of vertices at distance at most ``radius``."""
     return sorted(bfs_distances(graph, center, max_depth=radius).keys())
-
-
-def vertices_within(
-    graph: Graph, center: int, radius: int, targets: Iterable[int]
-) -> List[int]:
-    """Return the members of ``targets`` at distance at most ``radius`` of ``center``."""
-    target_set = set(targets)
-    dist = bfs_distances(graph, center, max_depth=radius)
-    return sorted(v for v in dist if v in target_set)
 
 
 def shortest_path(graph: Graph, u: int, v: int) -> Optional[List[int]]:

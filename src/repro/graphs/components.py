@@ -7,7 +7,7 @@ candidate spanner.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import List
 
 from .bfs import bfs_distances
 from .graph import Graph
@@ -25,15 +25,6 @@ def connected_components(graph: Graph) -> List[List[int]]:
             seen[u] = True
         components.append(members)
     return components
-
-
-def component_labels(graph: Graph) -> List[int]:
-    """Return ``label[v]`` = index of ``v``'s component in :func:`connected_components`."""
-    labels = [-1] * graph.num_vertices
-    for index, members in enumerate(connected_components(graph)):
-        for v in members:
-            labels[v] = index
-    return labels
 
 
 def is_connected(graph: Graph) -> bool:
@@ -65,16 +56,3 @@ def component_labels_as_partition(graph: Graph) -> List[frozenset]:
         (frozenset(members) for members in connected_components(graph)),
         key=lambda s: min(s) if s else -1,
     )
-
-
-def largest_component(graph: Graph) -> List[int]:
-    """Return the vertex list of a largest connected component (ties: smallest min vertex)."""
-    components = connected_components(graph)
-    if not components:
-        return []
-    return max(components, key=lambda members: (len(members), -members[0]))
-
-
-def component_sizes(graph: Graph) -> Dict[int, int]:
-    """Return ``{component index: size}``."""
-    return {i: len(members) for i, members in enumerate(connected_components(graph))}

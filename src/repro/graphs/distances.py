@@ -8,7 +8,7 @@ host graph and the spanner.
 from __future__ import annotations
 
 import random
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..kernels import active_backend, require_numpy, use_numpy
 from .bfs import _np_bfs_dist_array, bfs_distances
@@ -158,20 +158,6 @@ class DistanceCache:
         return self.vector(u)[v]
 
 
-def all_pairs_distances(graph: Graph) -> List[List[float]]:
-    """Return the full ``n x n`` distance matrix (``inf`` for unreachable pairs).
-
-    This is ``O(n(n+m))`` and intended for verification on small/medium graphs.
-    """
-    return [single_source_distances(graph, s) for s in graph.vertices()]
-
-
-def pairwise_distance(graph: Graph, u: int, v: int) -> float:
-    """Return the exact distance between ``u`` and ``v`` (``inf`` if disconnected)."""
-    dist = bfs_distances(graph, u)
-    return float(dist[v]) if v in dist else INFINITY
-
-
 def eccentricity(graph: Graph, v: int) -> float:
     """Return the eccentricity of ``v`` within its connected component."""
     dist = bfs_distances(graph, v)
@@ -195,28 +181,6 @@ def radius(graph: Graph) -> float:
     if graph.num_vertices == 0:
         return 0.0
     return min(eccentricity(graph, v) for v in graph.vertices())
-
-
-def average_distance(graph: Graph, pairs: Optional[Iterable[Tuple[int, int]]] = None) -> float:
-    """Average finite distance over all (or the given) vertex pairs."""
-    total = 0.0
-    count = 0
-    if pairs is None:
-        matrix = all_pairs_distances(graph)
-        n = graph.num_vertices
-        for u in range(n):
-            for v in range(u + 1, n):
-                d = matrix[u][v]
-                if d != INFINITY:
-                    total += d
-                    count += 1
-    else:
-        for u, v in pairs:
-            d = pairwise_distance(graph, u, v)
-            if d != INFINITY:
-                total += d
-                count += 1
-    return total / count if count else 0.0
 
 
 def sample_vertex_pairs(

@@ -64,15 +64,6 @@ def star_graph(num_leaves: int) -> Graph:
     return g
 
 
-def complete_bipartite_graph(left: int, right: int) -> Graph:
-    """The complete bipartite graph K_{left,right}."""
-    g = Graph(left + right)
-    for u in range(left):
-        for v in range(left, left + right):
-            g.add_edge(u, v)
-    return g
-
-
 def grid_graph(rows: int, cols: int) -> Graph:
     """The ``rows x cols`` grid (4-neighbour lattice).
 
@@ -118,22 +109,6 @@ def hypercube_graph(dimension: int) -> Graph:
             u = v ^ (1 << bit)
             if u > v:
                 g.add_edge(v, u)
-    return g
-
-
-def balanced_tree(branching: int, height: int) -> Graph:
-    """A complete ``branching``-ary tree of the given height (height 0 = single root)."""
-    if branching < 1:
-        raise ValueError("branching factor must be >= 1")
-    num_vertices = 1
-    layer = 1
-    for _ in range(height):
-        layer *= branching
-        num_vertices += layer
-    g = Graph(num_vertices)
-    for v in range(1, num_vertices):
-        parent = (v - 1) // branching
-        g.add_edge(v, parent)
     return g
 
 
@@ -432,24 +407,6 @@ def disjoint_union(graphs: Sequence[Graph]) -> Graph:
             result.add_edge(u + offset, v + offset)
         offset += g.num_vertices
     return result
-
-
-def add_random_perturbation(graph: Graph, num_extra_edges: int, seed: int = 0) -> Graph:
-    """Return a copy of ``graph`` with up to ``num_extra_edges`` random chords added."""
-    rng = random.Random(seed)
-    g = graph.copy()
-    n = g.num_vertices
-    if n < 2:
-        return g
-    attempts = 0
-    added = 0
-    while added < num_extra_edges and attempts < 50 * (num_extra_edges + 1):
-        attempts += 1
-        u = rng.randrange(n)
-        v = rng.randrange(n)
-        if u != v and g.add_edge(u, v):
-            added += 1
-    return g
 
 
 # ----------------------------------------------------------------------

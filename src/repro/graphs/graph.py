@@ -9,7 +9,7 @@ centralized reference algorithms can share it.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from .csr import CSRGraph, vertex_ids
 
@@ -305,16 +305,3 @@ class Graph:
     def _check_vertex(self, v: int) -> None:
         if not 0 <= v < self._n:
             raise ValueError(f"vertex {v} is out of range [0, {self._n})")
-
-
-def graph_from_edge_list(num_vertices: int, edges: Sequence[Edge]) -> Graph:
-    """Convenience constructor mirroring :class:`Graph`'s signature."""
-    return Graph(num_vertices, edges)
-
-
-def union_of_edges(num_vertices: int, *edge_groups: Iterable[Edge]) -> Graph:
-    """Build a graph whose edge set is the union of several edge iterables."""
-    g = Graph(num_vertices)
-    for group in edge_groups:
-        g.add_edges(group)
-    return g

@@ -6,7 +6,6 @@ spanners so that benchmark runs can be inspected and re-verified offline.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 from typing import Union
 
@@ -40,26 +39,3 @@ def read_edge_list(path: PathLike) -> Graph:
             raise ValueError(f"{path}: malformed edge line {line!r}")
         graph.add_edge(int(parts[0]), int(parts[1]))
     return graph
-
-
-def graph_to_dict(graph: Graph) -> dict:
-    """Return a JSON-serializable dictionary representation."""
-    return {
-        "num_vertices": graph.num_vertices,
-        "edges": sorted(graph.edges()),
-    }
-
-
-def graph_from_dict(data: dict) -> Graph:
-    """Inverse of :func:`graph_to_dict`."""
-    return Graph(int(data["num_vertices"]), [tuple(e) for e in data["edges"]])
-
-
-def write_json(graph: Graph, path: PathLike) -> None:
-    """Write the graph as JSON."""
-    Path(path).write_text(json.dumps(graph_to_dict(graph)), encoding="utf-8")
-
-
-def read_json(path: PathLike) -> Graph:
-    """Read a graph previously written by :func:`write_json`."""
-    return graph_from_dict(json.loads(Path(path).read_text(encoding="utf-8")))

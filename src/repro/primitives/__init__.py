@@ -1,6 +1,6 @@
 """Distributed CONGEST primitives used by the spanner construction."""
 
-from .bfs_forest import ForestResult, forest_membership, run_bfs_forest
+from .bfs_forest import ForestResult, run_bfs_forest
 from .exploration import (
     CenterExploration,
     ExplorationResult,
@@ -12,7 +12,6 @@ from .fragments import MSFResult, run_boruvka_msf
 from .ruling_set import (
     RulingSetResult,
     centralized_ruling_set,
-    id_digits,
     run_ruling_set,
     verify_ruling_set,
 )
@@ -34,8 +33,6 @@ __all__ = [
     "centralized_engine_exploration",
     "centralized_ruling_set",
     "centralized_traceback_flat",
-    "forest_membership",
-    "id_digits",
     "run_bfs_forest",
     "run_boruvka_msf",
     "run_bounded_exploration",

@@ -35,7 +35,7 @@ applies the plan.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 from ..congest.errors import ProtocolFault, RoundLimitExceeded
 from ..congest.faults import FaultPlan
@@ -305,14 +305,3 @@ def _run_forest_arrays(
             dist_list[v] = hops
             parent_list[v] = p
     return root_list, dist_list, parent_list, run
-
-
-def forest_membership(result: ForestResult) -> Dict[int, List[int]]:
-    """Group spanned vertices by their forest root."""
-    members: Dict[int, List[int]] = {}
-    for v, root in enumerate(result.root):
-        if root is not None:
-            members.setdefault(root, []).append(v)
-    for vertex_list in members.values():
-        vertex_list.sort()
-    return members

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set
 
 from ..congest.errors import ProtocolFault
 from ..congest.faults import FaultPlan, add_fault_counters, fresh_fault_counters, window_plan
@@ -77,18 +77,6 @@ class RulingSetResult:
     simulated_rounds: int = 0
     attempts: int = 1
     fault_counters: Optional[Dict[str, int]] = None
-
-
-def id_digits(vertex_id: int, base: int, num_digits: int) -> Tuple[int, ...]:
-    """Return ``vertex_id`` written as ``num_digits`` digits in ``base`` (most significant first)."""
-    if base < 2:
-        base = 2
-    digits = []
-    value = vertex_id
-    for _ in range(num_digits):
-        digits.append(value % base)
-        value //= base
-    return tuple(reversed(digits))
 
 
 def _digit_base(num_vertices: int, c: int) -> int:

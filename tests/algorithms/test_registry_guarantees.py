@@ -125,11 +125,13 @@ def test_survey_sibling_verified_under_kernel_pin(name, kernel, monkeypatch):
 )
 def test_incremental_sibling_survives_churn_under_kernel_pin(name, kernel, monkeypatch):
     """supports_incremental survey siblings maintain their spanner through churn."""
-    from repro.dynamic import make_trace, run_trace
+    from repro.dynamic import ChurnTrace, DynamicSpanner
 
     _pin_kernel(monkeypatch, kernel)
-    trace = make_trace("uniform", size=32, steps=10, seed=6)
-    dynamic = run_trace(name, trace, seed=3)
+    trace = ChurnTrace(kind="uniform", size=32, steps=10, seed=6)
+    dynamic = DynamicSpanner(name, trace.initial_graph(), seed=3)
+    for delta in trace.deltas():
+        dynamic.maintain(delta)
     assert len(dynamic.records) == 10
     graph, spanner = dynamic.graph, dynamic.spanner
     assert spanner.is_subgraph_of(graph)

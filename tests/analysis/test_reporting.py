@@ -7,7 +7,6 @@ import pytest
 from repro.analysis import (
     format_value,
     percentile,
-    percentile_summary,
     render_markdown_table,
     render_serve_report,
     render_series,
@@ -92,11 +91,6 @@ class TestPercentile:
             percentile([1.0], -1)
         with pytest.raises(ValueError):
             percentile([1.0], 101)
-
-    def test_summary_shape(self):
-        summary = percentile_summary([1.0, 2.0, 3.0, 4.0])
-        assert summary == {"p50": 2.0, "p99": 4.0}
-        assert percentile_summary([5.0], quantiles=(90,)) == {"p90": 5.0}
 
 
 def test_render_serve_report_shows_the_load_facts():

@@ -4,12 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis import (
-    compression_summary,
-    per_phase_interconnection_budget,
-    size_report,
-    verify_run,
-)
+from repro.analysis import size_report, verify_run
 from repro.core import build_spanner
 from repro.graphs import planted_partition_graph
 
@@ -39,17 +34,6 @@ class TestSizeReport:
         data = size_report(run_result).to_dict()
         assert data["within_bound"] is True
         assert "per_phase_edges" in data
-
-    def test_interconnection_budget_rows(self, run_result):
-        rows = per_phase_interconnection_budget(run_result)
-        assert len(rows) == len(run_result.phase_records)
-        assert all(row["within_budget"] == 1.0 for row in rows)
-
-    def test_compression_summary(self, run_result):
-        summary = compression_summary(run_result)
-        assert summary["spanner_edges"] <= summary["graph_edges"]
-        assert summary["compression"] <= 1.0
-        assert summary["normalized_size"] > 0
 
 
 class TestVerificationReport:

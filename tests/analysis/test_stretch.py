@@ -6,7 +6,6 @@ import pytest
 
 from repro.analysis import (
     PairStretch,
-    best_additive_for_multiplicative,
     empirical_additive_term,
     evaluate_stretch,
     evaluate_stretch_sampled,
@@ -83,12 +82,6 @@ class TestSampledAndFitting:
         full = evaluate_stretch(medium_random, spanner)
         assert sampled.pairs_checked <= 100
         assert sampled.max_additive_surplus <= full.max_additive_surplus + 1e-9
-
-    def test_best_additive_for_multiplicative(self):
-        pairs = [PairStretch(0, 1, 10, 16), PairStretch(0, 2, 2, 5)]
-        assert best_additive_for_multiplicative(pairs, 1.0) == 6
-        assert best_additive_for_multiplicative(pairs, 2.0) == 1.0
-        assert best_additive_for_multiplicative(pairs, 10.0) == 0.0
 
     def test_empirical_additive_term(self):
         graph = cycle_graph(8)

@@ -9,8 +9,6 @@ from repro.congest import (
     MessageTooLarge,
     NodeContext,
     NodeProgram,
-    StatefulNodeProgram,
-    make_programs,
 )
 
 
@@ -58,24 +56,3 @@ class TestNodeProgram:
     def test_base_on_round_not_implemented(self):
         with pytest.raises(NotImplementedError):
             NodeProgram().on_round(make_context(), [])
-
-    def test_stateful_program_returns_state(self):
-        state = {"x": 1}
-        program = StatefulNodeProgram(3, state)
-        assert program.result() is state
-        assert program.node_id == 3
-
-
-class TestMakePrograms:
-    def test_factory_without_states(self):
-        programs = make_programs(3, lambda v: StatefulNodeProgram(v, {}))
-        assert [p.node_id for p in programs] == [0, 1, 2]
-
-    def test_factory_with_states(self):
-        states = [{"id": v} for v in range(3)]
-        programs = make_programs(3, StatefulNodeProgram, states)
-        assert programs[2].state == {"id": 2}
-
-    def test_state_count_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            make_programs(3, StatefulNodeProgram, [{}])

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from repro.dynamic import GraphDelta, apply_delta, delta_summary, replay_deltas
+from repro.dynamic import GraphDelta, apply_delta
 from repro.graphs import Graph
 
 
@@ -69,20 +69,3 @@ class TestApply:
         assert (added, removed) == (0, 0)
         assert g.version == version
         assert g.csr() is csr
-
-    def test_replay_copies_the_input_graph(self):
-        g = Graph(4, [(0, 1)])
-        final = replay_deltas(g, [GraphDelta.make(add=[(1, 2)])])
-        assert g.edge_set() == {(0, 1)}
-        assert final.edge_set() == {(0, 1), (1, 2)}
-
-    def test_delta_summary_counts(self):
-        deltas = [
-            GraphDelta.make(add=[(0, 1), (1, 2)]),
-            GraphDelta.make(remove=[(0, 1)]),
-        ]
-        assert delta_summary(deltas) == {
-            "steps": 2,
-            "edges_added": 2,
-            "edges_removed": 1,
-        }

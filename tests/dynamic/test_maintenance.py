@@ -14,7 +14,7 @@ import pytest
 
 import repro.kernels as kernels
 from repro.analysis.stretch import evaluate_stretch
-from repro.dynamic import ChurnTrace, DynamicSpanner, GraphDelta, run_trace
+from repro.dynamic import ChurnTrace, DynamicSpanner, GraphDelta
 from repro.graphs import Graph
 
 KERNEL_MODES = [
@@ -36,6 +36,14 @@ def small_trace(kind, seed=11):
     return ChurnTrace(
         kind=kind, family="sparse_gnp", size=48, steps=4, batch_size=3, seed=seed
     )
+
+
+def run_trace(algorithm, trace, **kwargs):
+    """Build on the trace's initial graph and maintain every delta."""
+    dynamic = DynamicSpanner(algorithm, trace.initial_graph(), **kwargs)
+    for delta in trace.deltas():
+        dynamic.maintain(delta)
+    return dynamic
 
 
 class TestConstruction:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.dynamic import ChurnTrace, TRACE_KINDS, make_trace, trace_from_params
+from repro.dynamic import ChurnTrace, TRACE_KINDS, trace_from_params
 
 
 def trace(kind, **overrides):
@@ -82,10 +82,6 @@ class TestKindShapes:
 
 
 class TestHelpers:
-    def test_make_trace_forwards_kwargs(self):
-        t = make_trace("growth", size=32, steps=2, batch_size=2, seed=3)
-        assert (t.kind, t.size, t.steps) == ("growth", 32, 2)
-
     def test_trace_from_params_matches_explicit_construction(self):
         params = {
             "kind": "uniform",

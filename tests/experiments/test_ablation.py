@@ -8,7 +8,12 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments import run_epsilon_ablation, run_kappa_ablation, run_rho_ablation
+from repro.experiments import (
+    epsilon_ablation_spec,
+    kappa_ablation_spec,
+    rho_ablation_spec,
+    run_scenario,
+)
 from repro.graphs import planted_partition_graph
 
 SMALL_WORKLOAD = planted_partition_graph(5, 8, 0.6, 0.03, seed=1)
@@ -23,7 +28,7 @@ SMALL_WORKLOAD = planted_partition_graph(5, 8, 0.6, 0.03, seed=1)
     ids=["small", "default"],
 )
 def test_epsilon_ablation_checks_pass(kwargs):
-    record = run_epsilon_ablation(**kwargs)
+    record = run_scenario(epsilon_ablation_spec(**kwargs))
     assert record.all_checks_passed, record.checks
     assert len(record.rows) == len(kwargs["epsilons"])
     betas = record.series["beta"]
@@ -39,7 +44,7 @@ def test_epsilon_ablation_checks_pass(kwargs):
     ids=["small", "default"],
 )
 def test_rho_ablation_checks_pass(kwargs):
-    record = run_rho_ablation(**kwargs)
+    record = run_scenario(rho_ablation_spec(**kwargs))
     assert record.all_checks_passed, record.checks
     assert all("round_bound" in row for row in record.rows)
 
@@ -53,12 +58,12 @@ def test_rho_ablation_checks_pass(kwargs):
     ids=["small", "default"],
 )
 def test_kappa_ablation_checks_pass(kwargs):
-    record = run_kappa_ablation(**kwargs)
+    record = run_scenario(kappa_ablation_spec(**kwargs))
     assert record.all_checks_passed, record.checks
     assert [row["kappa"] for row in record.rows] == list(kwargs["kappas"])
 
 
 def test_empty_sweep_yields_empty_record():
-    record = run_epsilon_ablation(epsilons=())
+    record = run_scenario(epsilon_ablation_spec(epsilons=()))
     assert record.rows == []
     assert record.all_checks_passed

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments import all_specs, get_spec, scenario_names
+from repro.experiments import all_specs, get_spec
 from repro.experiments.registry import (
     ScenarioSpec,
     canonical_json,
@@ -56,7 +56,7 @@ EXPECTED_SCENARIOS = {
 
 class TestBuiltinRegistry:
     def test_every_expected_scenario_registered(self):
-        assert EXPECTED_SCENARIOS <= set(scenario_names())
+        assert EXPECTED_SCENARIOS <= {spec.name for spec in all_specs()}
 
     def test_scaling_and_ablations_runnable_by_name(self):
         # The old CLI registry hardwired tables/figures only; every scenario
@@ -102,10 +102,15 @@ class TestBuiltinRegistry:
 
 class TestScenarioSpec:
     def test_duplicate_registration_rejected(self):
+        from repro.experiments import registry as registry_module
+
         spec = _make_spec(name="duplicate-test-spec")
         register(spec)
-        with pytest.raises(ValueError):
-            register(_make_spec(name="duplicate-test-spec"))
+        try:
+            with pytest.raises(ValueError):
+                register(_make_spec(name="duplicate-test-spec"))
+        finally:
+            registry_module._REGISTRY.pop("duplicate-test-spec", None)
 
     def test_grid_expansion_is_cartesian_and_ordered(self):
         spec = _make_spec(

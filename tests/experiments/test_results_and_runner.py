@@ -11,8 +11,6 @@ from repro.experiments import (
     measure_algorithm,
     measurement_row,
     save_records,
-    scaling_graphs,
-    scaling_sizes,
 )
 from repro.graphs import gnp_random_graph
 
@@ -90,14 +88,6 @@ class TestWorkloads:
         params = default_parameters()
         assert params.kappa == 3
         assert params.num_phases >= 2
-
-    def test_scaling_sizes_geometric(self):
-        assert scaling_sizes(base=50, steps=3, factor=2) == [50, 100, 200]
-
-    def test_scaling_graphs(self):
-        graphs = scaling_graphs([20, 40], family="gnp")
-        assert [size for size, _ in graphs] == [20, 40]
-        assert graphs[1][1].num_vertices == 40
 
 
 class TestRunner:

@@ -4,14 +4,14 @@ from __future__ import annotations
 
 import pytest
 
+from repro import build_spanner
 from repro.experiments import (
     ALL_FIGURES,
-    build_result,
     default_parameters,
-    run_all_figures,
-    run_scaling,
-    run_table1,
-    run_table2,
+    run_scenario,
+    scaling_spec,
+    table1_spec,
+    table2_spec,
 )
 from repro.graphs import planted_partition_graph
 
@@ -44,8 +44,10 @@ ROW_BOUNDS = {
 @pytest.fixture(scope="module", params=sorted(FIGURE_WORKLOADS))
 def figure_run(request):
     graph, figure_kwargs = FIGURE_WORKLOADS[request.param]
-    result = build_result(
-        graph, default_parameters(epsilon=0.25, kappa=3, rho=1.0 / 3.0), engine="centralized"
+    result = build_spanner(
+        graph,
+        parameters=default_parameters(epsilon=0.25, kappa=3, rho=1.0 / 3.0),
+        engine="centralized",
     )
     return result, figure_kwargs
 
@@ -65,7 +67,7 @@ class TestTableExperiments:
         ids=["n60-120", "n80-320"],
     )
     def test_table1_shape_checks_pass(self, kwargs):
-        record = run_table1(**kwargs)
+        record = run_scenario(table1_spec(**kwargs))
         assert record.all_checks_passed, record.checks
         theory = [row for row in record.rows if row.get("kind") == "theory"]
         references = {row["reference"] for row in theory}
@@ -84,7 +86,7 @@ class TestTableExperiments:
         ids=["n80", "n100", "n140"],
     )
     def test_table2_shape_checks_pass(self, kwargs):
-        record = run_table2(**kwargs)
+        record = run_scenario(table2_spec(**kwargs))
         assert record.all_checks_passed, record.checks
         theory = [row for row in record.rows if row.get("kind") == "theory"]
         assert len(theory) == 14
@@ -103,7 +105,7 @@ class TestTableExperiments:
         ids=["n60-240", "n80-640"],
     )
     def test_scaling_checks_pass(self, kwargs):
-        record = run_scaling(**kwargs)
+        record = run_scenario(scaling_spec(**kwargs))
         assert record.all_checks_passed, record.checks
         assert record.parameters["rounds-exponent"] < 1.0
 
@@ -120,12 +122,6 @@ class TestFigureExperiments:
             # Both workloads reach a non-trivial ruling set and a
             # superclustering phase, so these figures have rows to check.
             assert record.rows
-
-    def test_run_all_figures_returns_all(self):
-        graph = planted_partition_graph(4, 8, 0.6, 0.05, seed=8)
-        records = run_all_figures(graph)
-        assert set(records.keys()) == set(ALL_FIGURES.keys())
-        assert all(record.all_checks_passed for record in records.values())
 
     def test_figure1_reports_popular_clusters(self, figure_run):
         record = _figure("figure1", figure_run)

@@ -9,12 +9,10 @@ from repro.graphs import (
     ball,
     bfs,
     bfs_distances,
-    bfs_layers,
     bfs_tree_edges,
     multi_source_bfs,
     path_graph,
     shortest_path,
-    vertices_within,
 )
 
 
@@ -90,18 +88,8 @@ class TestMultiSource:
 
 
 class TestNeighbourhoods:
-    def test_layers(self, cycle_8):
-        layers = bfs_layers(cycle_8, 0)
-        assert layers[0] == [0]
-        assert layers[1] == [1, 7]
-        assert layers[4] == [4]
-
     def test_ball(self, grid_5x5):
         assert ball(grid_5x5, 12, 1) == [7, 11, 12, 13, 17]
-
-    def test_vertices_within_filters_targets(self, grid_5x5):
-        targets = [0, 7, 13, 24]
-        assert vertices_within(grid_5x5, 12, 1, targets) == [7, 13]
 
     def test_shortest_path(self, grid_5x5):
         path = shortest_path(grid_5x5, 0, 24)

@@ -4,14 +4,11 @@ from __future__ import annotations
 
 from repro.graphs import (
     Graph,
-    component_labels,
     connected_components,
     is_connected,
-    largest_component,
     num_components,
     same_component_structure,
 )
-from repro.graphs.components import component_sizes
 
 
 def test_single_component(grid_5x5):
@@ -36,24 +33,6 @@ def test_component_membership():
     assert [0, 1, 2] in components
     assert [3, 4] in components
     assert [5] in components
-
-
-def test_component_labels_consistent():
-    g = Graph(6, [(0, 1), (1, 2), (3, 4)])
-    labels = component_labels(g)
-    assert labels[0] == labels[1] == labels[2]
-    assert labels[3] == labels[4]
-    assert labels[5] not in (labels[0], labels[3])
-
-
-def test_largest_component():
-    g = Graph(6, [(0, 1), (1, 2), (3, 4)])
-    assert largest_component(g) == [0, 1, 2]
-
-
-def test_component_sizes():
-    g = Graph(6, [(0, 1), (1, 2), (3, 4)])
-    assert sorted(component_sizes(g).values()) == [1, 2, 3]
 
 
 def test_same_component_structure_for_spanning_tree(grid_5x5):

@@ -8,14 +8,11 @@ from repro.graphs import (
     INFINITY,
     DistanceCache,
     Graph,
-    all_pairs_distances,
-    average_distance,
     cycle_graph,
     diameter,
     distance_histogram,
     eccentricity,
     grid_graph,
-    pairwise_distance,
     path_graph,
     radius,
     sample_vertex_pairs,
@@ -31,18 +28,14 @@ class TestSingleSource:
         # array); element values are identical on both kernel backends.
         assert list(vec) == [0.0, 1.0, 2.0, INFINITY]
 
-    def test_pairwise_distance(self, cycle_8):
-        assert pairwise_distance(cycle_8, 0, 4) == 4
-        assert pairwise_distance(cycle_8, 0, 7) == 1
 
-    def test_pairwise_disconnected(self):
-        g = Graph(3, [(0, 1)])
-        assert pairwise_distance(g, 0, 2) == INFINITY
+def all_pairs(graph):
+    return [single_source_distances(graph, s) for s in graph.vertices()]
 
 
 class TestAllPairs:
     def test_matrix_symmetry(self, grid_5x5):
-        matrix = all_pairs_distances(grid_5x5)
+        matrix = all_pairs(grid_5x5)
         for u in range(25):
             assert matrix[u][u] == 0
             for v in range(25):
@@ -50,12 +43,12 @@ class TestAllPairs:
 
     def test_matrix_matches_manhattan_distance_on_grid(self):
         g = grid_graph(3, 3)
-        matrix = all_pairs_distances(g)
+        matrix = all_pairs(g)
         assert matrix[0][8] == 4
         assert matrix[0][2] == 2
 
     def test_triangle_inequality(self, small_random):
-        matrix = all_pairs_distances(small_random)
+        matrix = all_pairs(small_random)
         n = small_random.num_vertices
         for u in range(0, n, 7):
             for v in range(0, n, 5):
@@ -82,12 +75,6 @@ class TestGlobalMeasures:
     def test_empty_graph_measures(self):
         assert diameter(Graph(0)) == 0
         assert radius(Graph(0)) == 0
-
-    def test_average_distance_on_triangle(self, triangle):
-        assert average_distance(triangle) == 1.0
-
-    def test_average_distance_with_explicit_pairs(self, path_6):
-        assert average_distance(path_6, pairs=[(0, 5), (0, 1)]) == 3.0
 
 
 class TestSampling:

@@ -6,11 +6,9 @@ import pytest
 
 from repro.graphs import (
     WORKLOAD_FAMILIES,
-    balanced_tree,
     barbell_graph,
     caterpillar_graph,
     clustered_path_graph,
-    complete_bipartite_graph,
     complete_graph,
     cycle_graph,
     diameter,
@@ -31,7 +29,7 @@ from repro.graphs import (
     star_graph,
     torus_graph,
 )
-from repro.graphs.generators import add_random_perturbation, disjoint_union
+from repro.graphs.generators import disjoint_union
 
 
 class TestDeterministicFamilies:
@@ -53,12 +51,6 @@ class TestDeterministicFamilies:
         assert g.num_edges == 5
         assert g.degree(0) == 5
 
-    def test_complete_bipartite(self):
-        g = complete_bipartite_graph(3, 4)
-        assert g.num_edges == 12
-        assert g.degree(0) == 4
-        assert g.degree(3) == 3
-
     def test_grid_dimensions(self):
         g = grid_graph(4, 6)
         assert g.num_vertices == 24
@@ -74,16 +66,6 @@ class TestDeterministicFamilies:
         assert g.num_vertices == 16
         assert all(g.degree(v) == 4 for v in g.vertices())
         assert diameter(g) == 4
-
-    def test_balanced_tree(self):
-        g = balanced_tree(2, 3)
-        assert g.num_vertices == 15
-        assert g.num_edges == 14
-        assert is_connected(g)
-
-    def test_balanced_tree_rejects_zero_branching(self):
-        with pytest.raises(ValueError):
-            balanced_tree(0, 2)
 
     def test_caterpillar(self):
         g = caterpillar_graph(5, 2)
@@ -170,12 +152,6 @@ class TestCombinators:
         assert g.num_vertices == 7
         assert g.num_edges == 2 + 4
         assert not g.has_edge(2, 3)
-
-    def test_add_random_perturbation(self):
-        base = path_graph(20)
-        perturbed = add_random_perturbation(base, 5, seed=1)
-        assert perturbed.num_edges == base.num_edges + 5
-        assert base.is_subgraph_of(perturbed)
 
 
 class TestWorkloadFactory:

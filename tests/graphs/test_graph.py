@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.graphs import Graph, graph_from_edge_list, normalize_edge, union_of_edges
+from repro.graphs import Graph, normalize_edge
 
 
 class TestConstruction:
@@ -31,14 +31,6 @@ class TestConstruction:
     def test_duplicate_edges_collapsed(self):
         g = Graph(3, [(0, 1), (1, 0), (0, 1)])
         assert g.num_edges == 1
-
-    def test_from_edge_list_helper(self):
-        g = graph_from_edge_list(4, [(0, 3), (1, 2)])
-        assert g.num_edges == 2
-
-    def test_union_of_edges(self):
-        g = union_of_edges(4, [(0, 1)], [(1, 2), (0, 1)], [(2, 3)])
-        assert g.num_edges == 3
 
 
 class TestMutation:

@@ -6,14 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.graphs import (
-    all_pairs_distances,
     bfs,
     bfs_distances,
     connected_components,
     gnp_random_graph,
-    graph_from_dict,
-    graph_to_dict,
     multi_source_bfs,
+    single_source_distances,
 )
 
 graph_strategy = st.builds(
@@ -26,14 +24,8 @@ graph_strategy = st.builds(
 
 @settings(max_examples=40, deadline=None)
 @given(graph_strategy)
-def test_serialization_round_trip(graph):
-    assert graph_from_dict(graph_to_dict(graph)) == graph
-
-
-@settings(max_examples=40, deadline=None)
-@given(graph_strategy)
 def test_bfs_distances_are_metric(graph):
-    matrix = all_pairs_distances(graph)
+    matrix = [single_source_distances(graph, s) for s in graph.vertices()]
     n = graph.num_vertices
     for u in range(n):
         assert matrix[u][u] == 0

@@ -7,12 +7,8 @@ import pytest
 from repro.graphs import (
     Graph,
     gnp_random_graph,
-    graph_from_dict,
-    graph_to_dict,
     read_edge_list,
-    read_json,
     write_edge_list,
-    write_json,
 )
 
 
@@ -44,15 +40,3 @@ def test_edge_list_malformed_line_rejected(tmp_path):
     path.write_text("# repro-graph n=3 m=1\n0 1 2\n")
     with pytest.raises(ValueError):
         read_edge_list(path)
-
-
-def test_dict_round_trip():
-    g = Graph(5, [(0, 4), (1, 2)])
-    assert graph_from_dict(graph_to_dict(g)) == g
-
-
-def test_json_round_trip(tmp_path):
-    g = gnp_random_graph(15, 0.3, seed=2)
-    path = tmp_path / "graph.json"
-    write_json(g, path)
-    assert read_json(path) == g

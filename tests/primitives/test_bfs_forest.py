@@ -30,7 +30,7 @@ from repro.graphs import (
     sparse_gnp_random_graph,
     star_graph,
 )
-from repro.primitives import forest_membership, run_bfs_forest
+from repro.primitives import run_bfs_forest
 
 from reference_programs import faulted_cases, forest_with_programs
 
@@ -91,14 +91,6 @@ class TestMultiSource:
         assert forest.root[5:] == [8, 8, 8, 8]
         # the middle vertex ties; the smaller root wins deterministically
         assert forest.root[4] == 0
-
-    def test_membership_grouping(self):
-        graph = path_graph(9)
-        sim = simulator_for(graph)
-        forest = run_bfs_forest(sim, [0, 8], depth=10)
-        members = forest_membership(forest)
-        assert members[0] == [0, 1, 2, 3, 4]
-        assert members[8] == [5, 6, 7, 8]
 
     def test_matches_centralized_multi_source(self, community_graph):
         sim = simulator_for(community_graph)

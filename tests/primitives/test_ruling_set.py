@@ -16,24 +16,9 @@ from repro.graphs import (
 )
 from repro.primitives import (
     centralized_ruling_set,
-    id_digits,
     run_ruling_set,
     verify_ruling_set,
 )
-
-
-class TestDigits:
-    def test_id_digits_base10(self):
-        assert id_digits(123, base=10, num_digits=3) == (1, 2, 3)
-
-    def test_id_digits_pads_with_zeros(self):
-        assert id_digits(7, base=10, num_digits=3) == (0, 0, 7)
-
-    def test_id_digits_base2(self):
-        assert id_digits(5, base=2, num_digits=4) == (0, 1, 0, 1)
-
-    def test_small_base_clamped(self):
-        assert id_digits(3, base=1, num_digits=2) == (1, 1)
 
 
 class TestGuarantees:
