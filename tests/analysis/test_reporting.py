@@ -92,6 +92,12 @@ class TestPercentile:
         with pytest.raises(ValueError):
             percentile([1.0], 101)
 
+    def test_summary_shape(self):
+        # The p50/p99 pair the serve load report and suite manifests print.
+        values = [1.0, 2.0, 3.0, 4.0]
+        assert (percentile(values, 50), percentile(values, 99)) == (2.0, 4.0)
+        assert percentile([5.0], 90) == 5.0
+
 
 def test_render_serve_report_shows_the_load_facts():
     report = {

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis import size_report, verify_run
+from repro.experiments.figures import figure5_interconnection
 from repro.core import build_spanner
 from repro.graphs import planted_partition_graph
 
@@ -34,6 +35,20 @@ class TestSizeReport:
         data = size_report(run_result).to_dict()
         assert data["within_bound"] is True
         assert "per_phase_edges" in data
+
+    def test_interconnection_budget_rows(self, run_result):
+        # The per-phase Lemma 2.12 budget is the Figure 5 experiment's check.
+        record = figure5_interconnection(run_result)
+        assert len(record.rows) == len(run_result.phase_records)
+        assert record.all_checks_passed, record.checks
+        assert all(row["edges_added"] <= row["edge_budget"] or row["edge_budget"] == 0
+                   for row in record.rows)
+
+    def test_compression_summary(self, run_result):
+        report = size_report(run_result)
+        assert report.num_spanner_edges <= report.num_graph_edges
+        assert report.density_ratio == report.num_spanner_edges / report.num_graph_edges
+        assert report.size_bound > 0
 
 
 class TestVerificationReport:

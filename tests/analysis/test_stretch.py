@@ -83,6 +83,16 @@ class TestSampledAndFitting:
         assert sampled.pairs_checked <= 100
         assert sampled.max_additive_surplus <= full.max_additive_surplus + 1e-9
 
+    def test_best_additive_for_multiplicative(self):
+        # Dropping (0, 11) from C_12 stretches that pair from 1 to 11 hops;
+        # every other pair keeps its distance or gains less.
+        graph = cycle_graph(12)
+        spanner = graph.subgraph_from_edges([e for e in graph.edges() if e != (0, 11)])
+        pairs = [(0, 11), (0, 6)]
+        assert empirical_additive_term(graph, spanner, 1.0, pairs=pairs) == 10
+        assert empirical_additive_term(graph, spanner, 2.0, pairs=pairs) == 9
+        assert empirical_additive_term(graph, spanner, 11.0, pairs=pairs) == 0.0
+
     def test_empirical_additive_term(self):
         graph = cycle_graph(8)
         spanner = graph.subgraph_from_edges([e for e in graph.edges() if e != (0, 7)])

@@ -69,3 +69,24 @@ class TestApply:
         assert (added, removed) == (0, 0)
         assert g.version == version
         assert g.csr() is csr
+
+    def test_replay_copies_the_input_graph(self):
+        g = Graph(4, [(0, 1)])
+        final = g.copy()
+        for delta in [GraphDelta.make(add=[(1, 2)])]:
+            apply_delta(final, delta)
+        assert g.edge_set() == {(0, 1)}
+        assert final.edge_set() == {(0, 1), (1, 2)}
+
+    def test_delta_summary_counts(self):
+        deltas = [
+            GraphDelta.make(add=[(0, 1), (1, 2)]),
+            GraphDelta.make(remove=[(0, 1)]),
+        ]
+        assert sum(d.num_add for d in deltas) == 2
+        assert sum(d.num_remove for d in deltas) == 1
+        assert [d.num_edges for d in deltas] == [2, 1]
+        g = Graph(3)
+        applied = [apply_delta(g, d) for d in deltas]
+        assert applied == [(2, 0), (0, 1)]
+        assert g.edge_set() == {(1, 2)}

@@ -82,6 +82,13 @@ class TestKindShapes:
 
 
 class TestHelpers:
+    def test_make_trace_forwards_kwargs(self):
+        t = ChurnTrace(kind="growth", size=32, steps=2, batch_size=2, seed=3)
+        assert (t.kind, t.size, t.steps) == ("growth", 32, 2)
+        deltas = list(t.deltas())
+        assert len(deltas) == 2
+        assert all(d.num_add == 2 and d.num_remove == 0 for d in deltas)
+
     def test_trace_from_params_matches_explicit_construction(self):
         params = {
             "kind": "uniform",

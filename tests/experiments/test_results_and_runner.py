@@ -11,7 +11,9 @@ from repro.experiments import (
     measure_algorithm,
     measurement_row,
     save_records,
+    scaling_spec,
 )
+from repro.experiments.scaling import scaling_workload
 from repro.graphs import gnp_random_graph
 
 
@@ -88,6 +90,18 @@ class TestWorkloads:
         params = default_parameters()
         assert params.kappa == 3
         assert params.num_phases >= 2
+
+    def test_scaling_sizes_geometric(self):
+        points = scaling_spec(sizes=(50, 100, 200), seed=4).task_params()
+        assert [p["size"] for p in points] == [50, 100, 200]
+        # The workload seed follows the sweep position.
+        assert [p["workload_seed"] for p in points] == [4, 5, 6]
+
+    def test_scaling_graphs(self):
+        points = scaling_spec(sizes=(20, 40), family="gnp").task_params()
+        graphs = [scaling_workload(p) for p in points]
+        assert [g.num_vertices for g in graphs] == [20, 40]
+        assert scaling_workload(points[1]) == graphs[1]
 
 
 class TestRunner:

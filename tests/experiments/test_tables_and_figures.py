@@ -8,6 +8,7 @@ from repro import build_spanner
 from repro.experiments import (
     ALL_FIGURES,
     default_parameters,
+    figure_spec,
     run_scenario,
     scaling_spec,
     table1_spec,
@@ -122,6 +123,12 @@ class TestFigureExperiments:
             # Both workloads reach a non-trivial ruling set and a
             # superclustering phase, so these figures have rows to check.
             assert record.rows
+
+    def test_run_all_figures_returns_all(self):
+        graph = planted_partition_graph(4, 8, 0.6, 0.05, seed=8)
+        records = {name: run_scenario(figure_spec(name, graph=graph)) for name in ALL_FIGURES}
+        assert set(records.keys()) == set(ALL_FIGURES.keys())
+        assert all(record.all_checks_passed for record in records.values())
 
     def test_figure1_reports_popular_clusters(self, figure_run):
         record = _figure("figure1", figure_run)

@@ -88,8 +88,22 @@ class TestMultiSource:
 
 
 class TestNeighbourhoods:
+    def test_layers(self, cycle_8):
+        dist = bfs(cycle_8, 0).dist
+        layers = {}
+        for v, d in enumerate(dist):
+            layers.setdefault(d, []).append(v)
+        assert layers[0] == [0]
+        assert layers[1] == [1, 7]
+        assert layers[4] == [4]
+
     def test_ball(self, grid_5x5):
         assert ball(grid_5x5, 12, 1) == [7, 11, 12, 13, 17]
+
+    def test_vertices_within_filters_targets(self, grid_5x5):
+        targets = [0, 7, 13, 24]
+        assert [v for v in ball(grid_5x5, 12, 1) if v in targets] == [7, 13]
+        assert ball(grid_5x5, 12, 0) == [12]
 
     def test_shortest_path(self, grid_5x5):
         path = shortest_path(grid_5x5, 0, 24)

@@ -35,6 +35,25 @@ def test_component_membership():
     assert [5] in components
 
 
+def test_component_labels_consistent():
+    g = Graph(6, [(0, 1), (1, 2), (3, 4)])
+    label = {v: i for i, members in enumerate(connected_components(g)) for v in members}
+    assert label[0] == label[1] == label[2]
+    assert label[3] == label[4]
+    assert label[5] not in (label[0], label[3])
+
+
+def test_largest_component():
+    g = Graph(6, [(0, 1), (1, 2), (3, 4)])
+    assert max(connected_components(g), key=len) == [0, 1, 2]
+
+
+def test_component_sizes():
+    g = Graph(6, [(0, 1), (1, 2), (3, 4)])
+    assert sorted(len(members) for members in connected_components(g)) == [1, 2, 3]
+    assert num_components(g) == 3
+
+
 def test_same_component_structure_for_spanning_tree(grid_5x5):
     from repro.graphs import bfs_tree_edges
 

@@ -28,6 +28,15 @@ class TestSingleSource:
         # array); element values are identical on both kernel backends.
         assert list(vec) == [0.0, 1.0, 2.0, INFINITY]
 
+    def test_pairwise_distance(self, cycle_8):
+        cache = DistanceCache(cycle_8)
+        assert cache.distance(0, 4) == 4
+        assert cache.distance(0, 7) == 1
+
+    def test_pairwise_disconnected(self):
+        g = Graph(3, [(0, 1)])
+        assert DistanceCache(g).distance(0, 2) == INFINITY
+
 
 def all_pairs(graph):
     return [single_source_distances(graph, s) for s in graph.vertices()]
@@ -75,6 +84,17 @@ class TestGlobalMeasures:
     def test_empty_graph_measures(self):
         assert diameter(Graph(0)) == 0
         assert radius(Graph(0)) == 0
+
+    def test_average_distance_on_triangle(self, triangle):
+        # All three pairs are one hop apart: the mean distance is 1.
+        histogram = distance_histogram(triangle)
+        assert histogram == {1: 3}
+        assert sum(d * c for d, c in histogram.items()) / sum(histogram.values()) == 1.0
+
+    def test_average_distance_with_explicit_pairs(self, path_6):
+        cache = path_6.distance_cache()
+        pairs = [(0, 5), (0, 1)]
+        assert sum(cache.distance(u, v) for u, v in pairs) / len(pairs) == 3.0
 
 
 class TestSampling:

@@ -123,6 +123,18 @@ class TestRandomFamilies:
         assert g.num_edges == 24
         assert is_connected(g)
 
+    def test_random_tree_is_seeded(self):
+        assert random_tree(25, seed=9) == random_tree(25, seed=9)
+        assert random_tree(25, seed=9) != random_tree(25, seed=10)
+
+    def test_random_connected_is_tree_plus_chords(self):
+        # The chords are drawn after the tree from the same stream, so the
+        # seeded tree is a subgraph of the graph with chords.
+        tree = random_tree(30, seed=2)
+        graph = random_connected_graph(30, 10, seed=2)
+        assert graph.num_edges == tree.num_edges + 10
+        assert tree.is_subgraph_of(graph)
+
     def test_regular_like_degree_bounded(self):
         g = random_regular_like_graph(30, 4, seed=1)
         assert g.max_degree() <= 4
@@ -152,6 +164,17 @@ class TestCombinators:
         assert g.num_vertices == 7
         assert g.num_edges == 2 + 4
         assert not g.has_edge(2, 3)
+
+    def test_disjoint_union_keeps_parts_apart(self):
+        from repro.graphs import num_components
+
+        g = disjoint_union([path_graph(3), cycle_graph(4), star_graph(2)])
+        assert num_components(g) == 3
+        assert g.degree(7) == 2 and g.has_edge(7, 9)
+
+    def test_disjoint_union_of_nothing_is_empty(self):
+        g = disjoint_union([])
+        assert (g.num_vertices, g.num_edges) == (0, 0)
 
 
 class TestWorkloadFactory:

@@ -32,6 +32,18 @@ class TestConstruction:
         g = Graph(3, [(0, 1), (1, 0), (0, 1)])
         assert g.num_edges == 1
 
+    def test_from_edge_list_helper(self):
+        # Any one-shot iterable of edges builds the graph, in either orientation.
+        g = Graph(4, iter([(3, 0), (1, 2)]))
+        assert g.num_edges == 2
+        assert list(g.edges()) == [(0, 3), (1, 2)]
+
+    def test_union_of_edges(self):
+        g = Graph(4)
+        batches = [[(0, 1)], [(1, 2), (0, 1)], [(2, 3)]]
+        assert [g.add_edges(batch) for batch in batches] == [1, 1, 1]
+        assert g.num_edges == 3
+
 
 class TestMutation:
     def test_add_edge_returns_true_when_new(self):

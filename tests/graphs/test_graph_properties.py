@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import tempfile
+from pathlib import Path
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,7 +14,9 @@ from repro.graphs import (
     connected_components,
     gnp_random_graph,
     multi_source_bfs,
+    read_edge_list,
     single_source_distances,
+    write_edge_list,
 )
 
 graph_strategy = st.builds(
@@ -20,6 +25,15 @@ graph_strategy = st.builds(
     edge_probability=st.floats(min_value=0.0, max_value=0.5),
     seed=st.integers(min_value=0, max_value=10_000),
 )
+
+
+@settings(max_examples=40, deadline=None)
+@given(graph_strategy)
+def test_serialization_round_trip(graph):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "graph.txt"
+        write_edge_list(graph, path)
+        assert read_edge_list(path) == graph
 
 
 @settings(max_examples=40, deadline=None)

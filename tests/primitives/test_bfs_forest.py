@@ -92,6 +92,16 @@ class TestMultiSource:
         # the middle vertex ties; the smaller root wins deterministically
         assert forest.root[4] == 0
 
+    def test_membership_grouping(self):
+        graph = path_graph(9)
+        sim = simulator_for(graph)
+        forest = run_bfs_forest(sim, [0, 8], depth=10)
+        members = {}
+        for v in forest.spanned_vertices():
+            members.setdefault(forest.root[v], []).append(v)
+        assert members[0] == [0, 1, 2, 3, 4]
+        assert members[8] == [5, 6, 7, 8]
+
     def test_matches_centralized_multi_source(self, community_graph):
         sim = simulator_for(community_graph)
         sources = [0, 15, 33]

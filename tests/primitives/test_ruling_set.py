@@ -10,15 +10,46 @@ from hypothesis import strategies as st
 
 from repro.congest import Simulator
 from repro.graphs import (
+    Graph,
     complete_graph,
     gnp_random_graph,
     path_graph,
+    star_graph,
 )
 from repro.primitives import (
     centralized_ruling_set,
     run_ruling_set,
     verify_ruling_set,
 )
+from repro.primitives.ruling_set import _digit_base
+
+
+class TestDigits:
+    """Vertex IDs are scanned as c base-b digits, b = ceil(n^(1/c))."""
+
+    def test_id_digits_base10(self):
+        assert _digit_base(1000, 3) == 10
+        result = centralized_ruling_set(path_graph(1000), range(0, 1000, 50), q=1, c=3)
+        assert result.base == 10
+        assert result.nominal_rounds == 3 * 10 * 1
+
+    def test_id_digits_pads_with_zeros(self):
+        # All leaves of a star are within q=2 of each other.  IDs 5 and 7
+        # share the padded leading digits (0, 0) and the last digit decides;
+        # 100 has leading digit 1 and beats both.
+        star = star_graph(999)
+        assert centralized_ruling_set(star, [5, 7], q=2, c=3).ruling_set == {7}
+        assert centralized_ruling_set(star, [5, 7, 100], q=2, c=3).ruling_set == {100}
+
+    def test_id_digits_base2(self):
+        assert _digit_base(16, 4) == 2
+        assert _digit_base(17, 4) == 3
+        assert centralized_ruling_set(path_graph(16), [0, 15], q=1, c=4).base == 2
+
+    def test_small_base_clamped(self):
+        assert _digit_base(1, 5) == 2
+        assert _digit_base(3, 10) == 2
+        assert centralized_ruling_set(Graph(1), [0], q=1, c=2).ruling_set == {0}
 
 
 class TestGuarantees:
