@@ -122,6 +122,8 @@ ARRAY_PLANE_TESTS = (
     "core/test_engine_cross_validation.py",
     # What each phase decided, pinned independently of its round accounting.
     "core/test_phase_structure_pin.py",
+    # Provenance, spanner and phase-record edge counts agree on the array tier.
+    "core/test_certificate.py",
     # The Elkin'05 surrogate explores with the centralized engine's compiled
     # traversal.
     "baselines/test_elkin05_surrogate.py",

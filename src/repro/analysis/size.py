@@ -49,10 +49,12 @@ class SizeReport:
 
 def size_report(result: SpannerResult) -> SizeReport:
     """Build a :class:`SizeReport` for a run of the deterministic algorithm."""
-    per_phase: Dict[int, int] = {}
-    for (phase, _step), count in result.certificate.count_by_phase_and_step().items():
-        per_phase[phase] = per_phase.get(phase, 0) + count
-    by_step = result.certificate.summary()
+    per_phase = {
+        record.index: record.superclustering_edges + record.interconnection_edges
+        for record in result.phase_records
+        if record.superclustering_edges or record.interconnection_edges
+    }
+    by_step = result.edges_by_step()
     graph_edges = result.graph.num_edges
     return SizeReport(
         num_vertices=result.num_vertices,
@@ -60,7 +62,7 @@ def size_report(result: SpannerResult) -> SizeReport:
         num_spanner_edges=result.num_edges,
         size_bound=result.parameters.size_bound(result.num_vertices),
         per_phase_edges=per_phase,
-        superclustering_edges=by_step.get(SUPERCLUSTERING_STEP, 0),
-        interconnection_edges=by_step.get(INTERCONNECTION_STEP, 0),
+        superclustering_edges=by_step[SUPERCLUSTERING_STEP],
+        interconnection_edges=by_step[INTERCONNECTION_STEP],
         density_ratio=result.num_edges / graph_edges if graph_edges else 1.0,
     )

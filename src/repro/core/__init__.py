@@ -14,7 +14,6 @@ from .cluster_table import (
 from .centralized import build_spanner_centralized
 from .distributed import build_spanner_distributed
 from .interconnection import (
-    count_interconnection_paths,
     flatten_requests,
     interconnection_requests,
 )
@@ -62,7 +61,6 @@ __all__ = [
     "build_spanner",
     "build_spanner_centralized",
     "build_spanner_distributed",
-    "count_interconnection_paths",
     "deterministic_forest",
     "forest_path_edges",
     "guarantee_from_schedules",

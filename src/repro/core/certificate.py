@@ -1,16 +1,19 @@
 """Provenance certificates: which phase and step added each spanner edge.
 
-Besides being useful for debugging, the certificate is what the figure
-experiments consume: Figure 2/4 count superclustering edges per phase,
-Figure 5 counts interconnection edges per phase, and so on.
+The phase loop (:func:`~repro.core.phases.run_phases`) hands the certificate
+every edge batch it adds to the spanner.  The certificate keeps the batches
+as they are and builds the per-edge provenance map only when it is first
+read, so the build path does constant work per batch.  The per-(phase, step)
+counts of new edges are not kept here: they are the ``superclustering_edges``
+and ``interconnection_edges`` of each :class:`~repro.core.result.PhaseRecord`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Tuple
+from typing import Collection, Dict, List, Optional, Tuple
 
-from ..graphs.graph import normalize_edge
+from ..graphs.graph import Edge
 
 SUPERCLUSTERING_STEP = "superclustering"
 INTERCONNECTION_STEP = "interconnection"
@@ -26,66 +29,30 @@ class EdgeProvenance:
 
 @dataclass
 class SpannerCertificate:
-    """Records, for every spanner edge, the first (phase, step) that added it.
+    """The edge batches of a build, each with the (phase, step) that added it."""
 
-    Besides the per-edge provenance map, the certificate maintains the
-    ``(phase, step) -> new-edge`` counts incrementally, so the per-phase and
-    per-step summaries consumed by every serialized run are O(#batches)
-    lookups instead of a full pass over the provenance map.
-    """
+    _batches: List[Tuple[Collection[Edge], EdgeProvenance]] = field(default_factory=list)
+    _provenance: Optional[Dict[Edge, EdgeProvenance]] = field(
+        default=None, repr=False, compare=False
+    )
 
-    provenance: Dict[Tuple[int, int], EdgeProvenance] = field(default_factory=dict)
-    _counts: Dict[Tuple[int, str], int] = field(default_factory=dict)
+    def record(self, edges: Collection[Edge], phase: int, step: str) -> None:
+        """Record ``edges`` as added by ``(phase, step)``.
 
-    def record(self, edges: Iterable[Tuple[int, int]], phase: int, step: str) -> int:
-        """Record ``edges`` as added by ``(phase, step)``; returns how many were new."""
+        The batch is kept, not copied: the caller must not change it later.
+        """
         if step not in (SUPERCLUSTERING_STEP, INTERCONNECTION_STEP):
             raise ValueError(f"unknown step {step!r}")
-        new_edges = 0
-        provenance = self.provenance
-        # EdgeProvenance is immutable, so every edge of this batch can share
-        # one instance.
-        origin = EdgeProvenance(phase=phase, step=step)
-        for u, v in edges:
-            key = (u, v) if u <= v else (v, u)
-            if key not in provenance:
-                provenance[key] = origin
-                new_edges += 1
-        if new_edges:
-            counts_key = (phase, step)
-            self._counts[counts_key] = self._counts.get(counts_key, 0) + new_edges
-        return new_edges
+        self._batches.append((edges, EdgeProvenance(phase=phase, step=step)))
+        self._provenance = None
 
-    def __len__(self) -> int:
-        return len(self.provenance)
-
-    def __contains__(self, edge: Tuple[int, int]) -> bool:
-        return normalize_edge(*edge) in self.provenance
-
-    def edges(self) -> List[Tuple[int, int]]:
-        """All recorded edges, sorted."""
-        return sorted(self.provenance.keys())
-
-    def edges_for_phase(self, phase: int) -> List[Tuple[int, int]]:
-        """Edges first added in ``phase``."""
-        return sorted(
-            edge for edge, origin in self.provenance.items() if origin.phase == phase
-        )
-
-    def edges_for_step(self, step: str) -> List[Tuple[int, int]]:
-        """Edges first added by the given step (across all phases)."""
-        return sorted(
-            edge for edge, origin in self.provenance.items() if origin.step == step
-        )
-
-    def count_by_phase_and_step(self) -> Dict[Tuple[int, str], int]:
-        """``{(phase, step): number of edges first added there}`` (O(#batches))."""
-        return dict(self._counts)
-
-    def summary(self) -> Dict[str, int]:
-        """Totals per step, plus the overall edge count (O(#batches))."""
-        by_step: Dict[str, int] = {SUPERCLUSTERING_STEP: 0, INTERCONNECTION_STEP: 0}
-        for (_phase, step), count in self._counts.items():
-            by_step[step] = by_step.get(step, 0) + count
-        by_step["total"] = len(self.provenance)
-        return by_step
+    @property
+    def provenance(self) -> Dict[Edge, EdgeProvenance]:
+        """``{(u, v) with u <= v: the first (phase, step) that added the edge}``."""
+        if self._provenance is None:
+            provenance: Dict[Edge, EdgeProvenance] = {}
+            for edges, origin in self._batches:
+                for u, v in edges:
+                    provenance.setdefault((u, v) if u <= v else (v, u), origin)
+            self._provenance = provenance
+        return self._provenance

@@ -72,7 +72,6 @@ class DistributedSteps(PhaseSteps):
             ruling_set,
             depth=self.parameters.superclustering_depth(i),
             label=f"phase{i}:forest",
-            collect_node_results=False,
         )
         center_root = spanned_center_roots(centers, forest.root)
         markup = run_forest_path_markup(

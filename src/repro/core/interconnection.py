@@ -46,11 +46,6 @@ def interconnection_requests_from_near(
     return {center: near_centers[center] for center in unclustered_centers}
 
 
-def count_interconnection_paths(requests: Dict[int, List[int]]) -> int:
-    """Total number of center-to-center paths the step will add."""
-    return sum(len(targets) for targets in requests.values())
-
-
 def flatten_requests(requests: Dict[int, List[int]]) -> List[tuple]:
     """The request map as a flat, deterministically ordered pair list.
 

@@ -10,6 +10,11 @@ while a :class:`PhaseSteps` object says *how* each step runs and what it
 costs: the centralized engine (:mod:`repro.core.centralized`), the CONGEST
 engine (:mod:`repro.core.distributed`) and the Elkin'05 surrogate
 (:mod:`repro.baselines.elkin05_surrogate`) each supply one.
+
+No edge is copied into a second store.  A step's edge batch goes into the
+spanner, whose ``add_edges`` returns how many of its edges are new -- the
+phase record's ``superclustering_edges`` / ``interconnection_edges`` -- and
+the certificate keeps a reference to the same batch, for provenance.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from ..congest.ledger import RoundLedger
 from ..graphs.graph import Graph
 from .certificate import INTERCONNECTION_STEP, SUPERCLUSTERING_STEP, SpannerCertificate
 from .cluster_table import ClusterTable, FlatClusters
-from .interconnection import count_interconnection_paths, flatten_requests
+from .interconnection import flatten_requests
 from .parameters import SpannerParameters
 from .result import PhaseRecord, SpannerResult
 
@@ -79,8 +84,8 @@ def run_phases(graph: Graph, parameters: SpannerParameters, steps: PhaseSteps) -
         if i < parameters.ell:
             ruling_set, center_root, forest_edges = steps.supercluster(i, centers, popular)
             spanned_centers = sorted(center_root)
-            superclustering_edges = certificate.record(forest_edges, i, SUPERCLUSTERING_STEP)
-            spanner.add_edges(forest_edges)
+            superclustering_edges = spanner.add_edges(forest_edges)
+            certificate.record(forest_edges, i, SUPERCLUSTERING_STEP)
             unclustered = table.supercluster(center_root)
             cluster_history.append(table.snapshot())
         else:
@@ -88,8 +93,9 @@ def run_phases(graph: Graph, parameters: SpannerParameters, steps: PhaseSteps) -
             unclustered = table.retire_all()
 
         requests, edges = steps.interconnect(i, exploration, unclustered.centers())
-        interconnection_edges = certificate.record(edges, i, INTERCONNECTION_STEP)
-        spanner.add_edges(edges)
+        interconnection_edges = spanner.add_edges(edges)
+        certificate.record(edges, i, INTERCONNECTION_STEP)
+        pairs = flatten_requests(requests)
 
         nominal_after, simulated_after = steps.rounds()
         phase_records.append(
@@ -105,7 +111,7 @@ def run_phases(graph: Graph, parameters: SpannerParameters, steps: PhaseSteps) -
                 num_unclustered=len(unclustered),
                 superclustering_edges=superclustering_edges,
                 interconnection_edges=interconnection_edges,
-                interconnection_paths=count_interconnection_paths(requests),
+                interconnection_paths=len(pairs),
                 radius_bound=steps.radii[i],
                 nominal_rounds=nominal_after - nominal_before,
                 simulated_rounds=simulated_after - simulated_before,
@@ -115,7 +121,7 @@ def run_phases(graph: Graph, parameters: SpannerParameters, steps: PhaseSteps) -
                 popular_centers=sorted(popular),
                 ruling_set=sorted(ruling_set),
                 superclustered_centers=spanned_centers,
-                interconnection_pairs=flatten_requests(requests),
+                interconnection_pairs=pairs,
             )
         )
         unclustered_history.append(unclustered)

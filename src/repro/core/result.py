@@ -5,6 +5,8 @@ analysis and the benchmark harness need: per-phase statistics, the cluster
 history (``P_0 .. P_ell`` and ``U_0 .. U_ell`` as frozen array-backed
 :class:`~repro.core.cluster_table.FlatClusters` snapshots), the edge
 provenance certificate and -- for the distributed engine -- the round ledger.
+The per-phase records hold the only edge counts of a run: the per-step
+totals of :meth:`SpannerResult.edges_by_step` are summed from them.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from typing import Dict, List, Optional
 
 from ..congest.ledger import RoundLedger
 from ..graphs.graph import Graph
-from .certificate import SpannerCertificate
+from .certificate import INTERCONNECTION_STEP, SUPERCLUSTERING_STEP, SpannerCertificate
 from .cluster_table import FlatClusters, flat_collections_partition_vertices
 from .parameters import SpannerParameters
 
@@ -123,14 +125,6 @@ class SpannerResult:
                 return record
         raise KeyError(f"no phase record with index {index}")
 
-    def clusters_at_phase(self, index: int) -> FlatClusters:
-        """The collection ``P_index`` handed to phase ``index``."""
-        return self.cluster_history[index]
-
-    def unclustered_at_phase(self, index: int) -> FlatClusters:
-        """The collection ``U_index`` left unclustered by phase ``index``."""
-        return self.unclustered_history[index]
-
     def unclustered_partitions_vertices(self) -> bool:
         """Check Corollary 2.5 on this run: ``U_0, ..., U_ell`` partition ``V``.
 
@@ -142,8 +136,13 @@ class SpannerResult:
         )
 
     def edges_by_step(self) -> Dict[str, int]:
-        """Edge counts by construction step (from the certificate)."""
-        return self.certificate.summary()
+        """New edges per construction step, summed over the phases, and the total."""
+        records = self.phase_records
+        return {
+            SUPERCLUSTERING_STEP: sum(record.superclustering_edges for record in records),
+            INTERCONNECTION_STEP: sum(record.interconnection_edges for record in records),
+            "total": self.num_edges,
+        }
 
     def to_dict(self) -> Dict[str, object]:
         """JSON-friendly summary (does not embed the graphs).

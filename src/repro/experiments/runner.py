@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from ..algorithms import RunResult, get_spec
-from ..analysis.stretch import evaluate_stretch, evaluate_stretch_sampled
+from ..analysis.stretch import evaluate_run_stretch
 from ..graphs.graph import Graph
 
 
@@ -98,12 +98,8 @@ def measure_algorithm(
     run = spec.run(graph, params, seed=seed)
     elapsed = time.perf_counter() - start
     guarantee = run.guarantee
-    stretch = _stretch_for(
-        graph,
-        run.spanner,
-        sample_pairs,
-        seed if stretch_seed is None else stretch_seed,
-        guarantee,
+    stretch = evaluate_run_stretch(
+        run, num_pairs=sample_pairs, seed=seed if stretch_seed is None else stretch_seed
     )
     extra: Dict[str, object] = {}
     edges_by_step = run.details.get("edges_by_step")
@@ -128,14 +124,6 @@ def measure_algorithm(
         extra=extra,
     )
     return measurement, run
-
-
-def _stretch_for(graph, spanner, sample_pairs, seed, guarantee):
-    if sample_pairs <= 0 or graph.num_vertices <= 60:
-        return evaluate_stretch(graph, spanner, guarantee=guarantee)
-    return evaluate_stretch_sampled(
-        graph, spanner, num_pairs=sample_pairs, seed=seed, guarantee=guarantee
-    )
 
 
 def fit_power_law(sizes: Sequence[int], values: Sequence[float]) -> float:

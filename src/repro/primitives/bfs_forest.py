@@ -66,7 +66,8 @@ class ForestResult:
     nominal_rounds:
         The scheduled number of rounds (= ``depth``), as the paper counts.
     run:
-        The raw simulator statistics.
+        The raw simulator statistics (its ``results`` are empty: the
+        per-vertex labels are ``root`` / ``dist`` / ``parent``).
     """
 
     root: List[Optional[int]]
@@ -100,7 +101,6 @@ def run_bfs_forest(
     sources: Iterable[int],
     depth: int,
     label: str = "bfs-forest",
-    collect_node_results: bool = True,
     fault_plan: Optional[FaultPlan] = None,
     max_attempts: int = 1,
 ) -> ForestResult:
@@ -109,11 +109,6 @@ def run_bfs_forest(
     The nominal round cost charged to the simulator's ledger is ``depth``
     (the scheduled exploration depth), matching how the paper accounts for
     this step.
-
-    ``collect_node_results=True`` also fills ``ForestResult.run.results``
-    with each vertex's ``(root, dist, parent)``; callers that only consume
-    the ``root``/``dist``/``parent`` lists pass ``False`` (the results are
-    then empty).
 
     ``fault_plan`` runs the protocol under an injected fault schedule with a
     bounded round budget (:func:`~repro.congest.faults.fault_round_limit`);
@@ -148,8 +143,6 @@ def run_bfs_forest(
             if attempt == len(plans) - 1:
                 raise ProtocolFault(label, "round-timeout", attempts=len(plans))
             continue
-        if collect_node_results:
-            run.results = list(zip(root, dist, parent))
         return ForestResult(
             root=root,
             dist=dist,

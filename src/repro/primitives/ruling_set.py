@@ -225,7 +225,6 @@ def _run_ruling_set_once(
             sources=group,
             depth=q,
             label=f"{label}:pos{position}:val{value}",
-            collect_node_results=False,
             fault_plan=ko_plan,
         )
         rounds["simulated"] += forest.run.rounds_executed

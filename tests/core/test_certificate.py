@@ -2,16 +2,17 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
-from repro.core import INTERCONNECTION_STEP, SUPERCLUSTERING_STEP, SpannerCertificate
-
-
-def test_record_counts_new_edges_only():
-    cert = SpannerCertificate()
-    assert cert.record([(0, 1), (1, 2)], phase=0, step=SUPERCLUSTERING_STEP) == 2
-    assert cert.record([(1, 0), (2, 3)], phase=1, step=INTERCONNECTION_STEP) == 1
-    assert len(cert) == 3
+from repro.core import (
+    INTERCONNECTION_STEP,
+    SUPERCLUSTERING_STEP,
+    EdgeProvenance,
+    SpannerCertificate,
+    build_spanner,
+)
 
 
 def test_first_provenance_wins():
@@ -31,33 +32,29 @@ def test_unknown_step_rejected():
 def test_edges_are_normalized():
     cert = SpannerCertificate()
     cert.record([(5, 2)], phase=0, step=INTERCONNECTION_STEP)
-    assert (2, 5) in cert
-    assert (5, 2) in cert
-    assert cert.edges() == [(2, 5)]
+    assert cert.provenance == {(2, 5): EdgeProvenance(0, INTERCONNECTION_STEP)}
 
 
-def test_edges_for_phase_and_step():
+def test_provenance_read_before_a_record_is_rebuilt():
     cert = SpannerCertificate()
     cert.record([(0, 1)], phase=0, step=SUPERCLUSTERING_STEP)
-    cert.record([(1, 2), (2, 3)], phase=1, step=INTERCONNECTION_STEP)
-    assert cert.edges_for_phase(1) == [(1, 2), (2, 3)]
-    assert cert.edges_for_step(SUPERCLUSTERING_STEP) == [(0, 1)]
+    assert list(cert.provenance) == [(0, 1)]
+    cert.record([(2, 1), (0, 1)], phase=1, step=INTERCONNECTION_STEP)
+    assert cert.provenance == {
+        (0, 1): EdgeProvenance(0, SUPERCLUSTERING_STEP),
+        (1, 2): EdgeProvenance(1, INTERCONNECTION_STEP),
+    }
 
 
-def test_count_by_phase_and_step():
-    cert = SpannerCertificate()
-    cert.record([(0, 1), (1, 2)], phase=0, step=SUPERCLUSTERING_STEP)
-    cert.record([(3, 4)], phase=0, step=INTERCONNECTION_STEP)
-    counts = cert.count_by_phase_and_step()
-    assert counts[(0, SUPERCLUSTERING_STEP)] == 2
-    assert counts[(0, INTERCONNECTION_STEP)] == 1
-
-
-def test_summary_totals():
-    cert = SpannerCertificate()
-    cert.record([(0, 1)], phase=0, step=SUPERCLUSTERING_STEP)
-    cert.record([(1, 2), (2, 3)], phase=1, step=INTERCONNECTION_STEP)
-    summary = cert.summary()
-    assert summary["superclustering"] == 1
-    assert summary["interconnection"] == 2
-    assert summary["total"] == 3
+@pytest.mark.parametrize("engine", ["centralized", "distributed"])
+def test_provenance_agrees_with_spanner_and_phase_records(any_graph, default_params, engine):
+    result = build_spanner(any_graph, parameters=default_params, engine=engine)
+    provenance = result.certificate.provenance
+    assert set(provenance) == result.spanner.edge_set()
+    tallies = Counter((origin.phase, origin.step) for origin in provenance.values())
+    counted = {}
+    for record in result.phase_records:
+        counted[(record.index, SUPERCLUSTERING_STEP)] = record.superclustering_edges
+        counted[(record.index, INTERCONNECTION_STEP)] = record.interconnection_edges
+    assert dict(tallies) == {key: count for key, count in counted.items() if count}
+    assert result.edges_by_step()["total"] == result.num_edges

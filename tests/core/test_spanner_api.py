@@ -68,8 +68,8 @@ def test_edges_by_step_sums_to_total(graph, default_params):
 
 def test_clusters_at_phase_accessors(graph, default_params):
     result = build_spanner(graph, parameters=default_params)
-    assert len(result.clusters_at_phase(0)) == graph.num_vertices
-    assert result.unclustered_at_phase(0) is result.unclustered_history[0]
+    assert len(result.cluster_history[0]) == graph.num_vertices
+    assert len(result.unclustered_history[0]) == result.phase_records[0].num_unclustered
 
 
 def test_top_level_package_exports():

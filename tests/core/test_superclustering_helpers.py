@@ -12,10 +12,7 @@ from repro.core import (
     spanned_center_roots,
 )
 from repro.core.cluster_table import ClusterTable
-from repro.core.interconnection import (
-    count_interconnection_paths,
-    interconnection_requests_from_near,
-)
+from repro.core.interconnection import flatten_requests, interconnection_requests_from_near
 from repro.graphs import gnp_random_graph, path_graph
 from repro.primitives import run_bfs_forest
 from repro.primitives.exploration import centralized_engine_exploration
@@ -74,7 +71,7 @@ class TestInterconnectionRequests:
         assert set(requests[0]) == {2, 12}
 
     def test_path_count(self):
-        assert count_interconnection_paths({0: [1, 2], 5: [6]}) == 3
+        assert flatten_requests({5: [6], 0: [1, 2]}) == [(0, 1), (0, 2), (5, 6)]
 
 
 class TestPhaseZeroDrivers:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 from typing import List
 
 import pytest
@@ -133,37 +134,65 @@ class TestMultiSource:
 
 
 def forest_traced(
-    graph, sources, depth, *, programs=False, collect=True, simulator=None, plan=None
+    graph, sources, depth, *, programs=False, reused=False, simulator=None, plan=None
 ):
     """One forest with everything observable recorded.
 
     ``programs=False`` runs :func:`run_bfs_forest` (the broadcast schedule);
     ``programs=True`` runs the per-node reference programs, which the
-    schedule must reproduce.  Either runs under ``plan`` with two attempts;
-    a :class:`ProtocolFault` is recorded as the outcome.
+    schedule must reproduce.  ``labels`` is every vertex's ``(root, dist,
+    parent)``: the reference programs' own per-node results, and the
+    schedule's ``root`` / ``dist`` / ``parent`` lists (its run carries no
+    per-node results).  Either runs under ``plan`` with two attempts; a
+    :class:`ProtocolFault` is recorded as the outcome.  Without a
+    ``simulator`` it runs on a fresh one, or with ``reused`` on one that
+    :func:`used_simulator` made.
     """
     tracer = RecordingTracer()
-    sim = simulator if simulator is not None else Simulator(graph)
+    sim = simulator
+    if sim is None:
+        sim = used_simulator(graph, programs) if reused else Simulator(graph)
     sim.tracer = tracer
     grow = forest_with_programs if programs else run_bfs_forest
     try:
-        forest = grow(
-            sim, sources, depth, label="forest", collect_node_results=collect,
-            fault_plan=plan, max_attempts=2,
-        )
+        forest = grow(sim, sources, depth, label="forest", fault_plan=plan, max_attempts=2)
     except ProtocolFault as fault:
         outcome = {"fault": (fault.label, fault.reason, fault.attempts)}
     else:
+        run = forest.run
+        if programs:
+            labels = run.results
+            run = dataclasses.replace(run, results=[])
+        else:
+            labels = list(zip(forest.root, forest.dist, forest.parent))
         outcome = {
             "root": forest.root,
             "dist": forest.dist,
             "parent": forest.parent,
-            "run": forest.run,
+            "labels": labels,
+            "run": run,
             "attempts": forest.attempts,
         }
     outcome["charges"] = sim.ledger.charges
     outcome["events"] = tracer.events
     return outcome
+
+
+def used_simulator(graph, programs):
+    """A simulator that has already grown another forest on ``graph``.
+
+    The engines grow every forest on a simulator that ran other protocols
+    before it (earlier phases, the ruling set's knock-outs); the run must
+    not depend on what those left behind.
+    """
+    simulator = Simulator(graph)
+    grow = forest_with_programs if programs else run_bfs_forest
+    grow(simulator, [graph.num_vertices - 1], 1)
+    return simulator
+
+
+#: Run each equivalence case on a fresh simulator and on a used one.
+REUSED = pytest.mark.parametrize("reused", [False, True], ids=["fresh", "reused"])
 
 
 def _isolated_source_graph():
@@ -201,28 +230,28 @@ FAULTED_CONFIGS = {
 class TestBroadcastScheduleEquivalence:
     """The schedule reproduces the per-node programs exactly, with or without faults."""
 
-    @pytest.mark.parametrize("collect", [True, False])
+    @REUSED
     @pytest.mark.parametrize("case", sorted(EQUIVALENCE_CASES))
-    def test_schedule_matches_reference_programs(self, case, collect):
+    def test_schedule_matches_reference_programs(self, case, reused):
         graph, sources, depth = EQUIVALENCE_CASES[case]
-        schedule = forest_traced(graph, sources, depth, collect=collect)
-        reference = forest_traced(graph, sources, depth, programs=True, collect=collect)
+        schedule = forest_traced(graph, sources, depth, reused=reused)
+        reference = forest_traced(graph, sources, depth, programs=True, reused=reused)
         assert schedule == reference
-        if collect:
-            assert len(schedule["run"].results) == graph.num_vertices
+        assert len(schedule["labels"]) == graph.num_vertices
+        assert schedule["run"].results == []
 
-    @pytest.mark.parametrize("collect", [True, False])
+    @REUSED
     @pytest.mark.parametrize("config", sorted(FAULTED_CONFIGS))
     @pytest.mark.parametrize(
         "graph, plan", [case[::2] for case in FAULTED_CASES], ids=FAULTED_IDS
     )
     def test_schedule_matches_reference_programs_under_faults(
-        self, graph, plan, config, collect
+        self, graph, plan, config, reused
     ):
         sources, depth = FAULTED_CONFIGS[config](graph.num_vertices)
-        schedule = forest_traced(graph, sources, depth, collect=collect, plan=plan)
+        schedule = forest_traced(graph, sources, depth, reused=reused, plan=plan)
         reference = forest_traced(
-            graph, sources, depth, programs=True, collect=collect, plan=plan
+            graph, sources, depth, programs=True, reused=reused, plan=plan
         )
         assert schedule == reference
         if "fault" not in schedule:
@@ -248,15 +277,15 @@ class TestBroadcastScheduleEquivalence:
 class TestArrayTierEquivalence:
     """The array forest matches the per-broadcast form however it is blocked."""
 
-    @pytest.mark.parametrize("collect", [True, False])
+    @REUSED
     @pytest.mark.parametrize("case", sorted(EQUIVALENCE_CASES))
-    def test_array_form_matches_per_broadcast_form(self, kernel, monkeypatch, case, collect):
+    def test_array_form_matches_per_broadcast_form(self, kernel, monkeypatch, case, reused):
         graph, sources, depth = EQUIVALENCE_CASES[case]
         kernel(kernels.KERNEL_PYTHON)
-        expected = forest_traced(graph, sources, depth, collect=collect)
+        expected = forest_traced(graph, sources, depth, reused=reused)
         kernel(kernels.KERNEL_NUMPY)
         monkeypatch.setattr(simulator_module, "BROADCAST_BLOCK", 5)
-        blocked = forest_traced(graph, sources, depth, collect=collect)
+        blocked = forest_traced(graph, sources, depth, reused=reused)
         assert blocked == expected
         labels = blocked["root"] + blocked["dist"] + blocked["parent"]
         assert all(type(label) in (int, type(None)) for label in labels)

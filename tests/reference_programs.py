@@ -298,13 +298,13 @@ def forest_with_programs(
     sources,
     depth: int,
     label: str = "bfs-forest",
-    collect_node_results: bool = True,
     fault_plan: Optional[FaultPlan] = None,
     max_attempts: int = 1,
 ) -> ForestResult:
     """The BFS forest as per-node programs, with ``run_bfs_forest``'s contract.
 
-    Fault-free it passes the wall-clock hints the program form always used;
+    Unlike ``run_bfs_forest``, its run also carries every program's
+    ``(root, dist, parent)`` as the per-node results.  Fault-free it passes the wall-clock hints the program form always used;
     under an active plan each attempt gets ``fault_round_limit`` rounds and
     the retries run under ``fault_plan.retry(k)``.
     """
@@ -325,7 +325,7 @@ def forest_with_programs(
                 programs,
                 label=label,
                 nominal_rounds=depth,
-                collect_results=collect_node_results,
+                collect_results=True,
                 fault_plan=plan,
                 max_rounds=fault_round_limit(depth, plan),
                 **hints,
