@@ -133,6 +133,10 @@ ARRAY_PLANE_TESTS = (
     "experiments/test_chaos.py",
     # Every registered algorithm's payload pin holds on the array tier too.
     "algorithms/test_run_result_schema.py",
+    # The distance vectors from the compiled traversal, and the stretch
+    # reports that read them.
+    "analysis/test_stretch.py",
+    "graphs/test_distances.py",
 )
 
 #: Name of the stage that needs the ``fast`` extra (NumPy/SciPy).

@@ -12,9 +12,9 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.parameters import StretchGuarantee
-from ..graphs.distances import INFINITY, sample_vertex_pairs
+from ..graphs.distances import INFINITY, array_vectors, sample_vertex_pairs
 from ..graphs.graph import Graph
-from ..kernels import require_numpy, use_numpy
+from ..kernels import require_numpy
 
 
 @dataclass
@@ -113,7 +113,7 @@ def evaluate_stretch(
         mult_bound = guarantee.multiplicative
         add_bound = guarantee.additive
 
-    if use_numpy(graph.num_vertices):
+    if array_vectors(graph.num_vertices):
         # Vectorized sweep.  All per-pair quantities are the same IEEE-754
         # operations as the scalar loop below, the running maxima are exact,
         # and the two means are accumulated *sequentially in the identical
@@ -276,7 +276,7 @@ def empirical_additive_term(
     best = 0.0
     graph_cache = graph.distance_cache()
     spanner_cache = spanner.distance_cache()
-    if use_numpy(graph.num_vertices):
+    if array_vectors(graph.num_vertices):
         # max() is exact, so the vectorized per-source maxima reproduce the
         # scalar fold bit-for-bit.
         np = require_numpy()

@@ -10,31 +10,69 @@ from __future__ import annotations
 import random
 from typing import Dict, List, Optional, Tuple
 
-from ..kernels import active_backend, require_numpy, use_numpy
-from .bfs import _np_bfs_dist_array, bfs_distances
+from ..kernels import (
+    AUTO_MIN_TRAVERSAL_VERTICES,
+    require_csgraph,
+    require_numpy,
+    use_numpy,
+)
+from .bfs import bfs_distances
 from .graph import Graph
 
 INFINITY: float = float("inf")
 
 
+def array_vectors(num_vertices: int) -> bool:
+    """Whether distance vectors over ``num_vertices`` vertices are NumPy arrays.
+
+    The one switch of the distance layer: :func:`single_source_distances`
+    returns arrays exactly when this holds, and the loops that read the
+    vectors (stretch reports, additive terms, histograms) pick their array
+    form by the same test, so vector and reader always agree on the type.
+    Under ``auto`` it holds from
+    :data:`~repro.kernels.AUTO_MIN_TRAVERSAL_VERTICES` vertices up, the
+    threshold of the compiled traversal that computes the arrays.
+    """
+    return use_numpy(num_vertices, AUTO_MIN_TRAVERSAL_VERTICES)
+
+
 def single_source_distances(graph: Graph, source: int) -> List[float]:
     """Return a dense distance vector from ``source`` (``inf`` if unreachable).
 
-    This is the distance-only hot path: a level-synchronous sweep over the
-    graph's CSR snapshot writing straight into the dense float vector, with no
-    intermediate dict and no parent bookkeeping.  Under the vectorized kernel
-    tier the vector is a read-only ``numpy.float64`` array instead of a list;
-    element values are identical either way (whole hop counts, ``inf`` for
-    unreachable), and every consumer treats the vector as read-only.
+    This is the distance-only hot path, with no intermediate dict.  It has
+    two backends, chosen by :func:`array_vectors`: a level-synchronous
+    CPython sweep over ``CSRGraph.rows()`` writing straight into a float
+    list, and SciPy's compiled ``breadth_first_order`` over
+    ``CSRGraph.scipy_csr()``, whose predecessors give the hop counts by
+    pointer doubling (O(n log D) work for eccentricity D).  The compiled
+    vector is a read-only ``numpy.float64`` array; element values are
+    identical either way (whole hop counts, ``inf`` for unreachable), and
+    every consumer treats the vector as read-only.
     """
     n = graph.num_vertices
     if not 0 <= source < n:
         raise ValueError(f"source {source} is out of range [0, {n})")
-    if use_numpy(n):
+    if array_vectors(n):
         np = require_numpy()
-        hops = _np_bfs_dist_array(graph, (source,))
-        vec = hops.astype(np.float64)
-        vec[hops < 0] = np.inf
+        order, parent = require_csgraph().breadth_first_order(
+            graph.csr().scipy_csr(), source, directed=True, return_predecessors=True
+        )
+        # Work in BFS-order positions: ``up[i]`` is the position of an
+        # ancestor of ``order[i]`` and ``hops[i]`` its distance from it.  Each
+        # round doubles the jump, and the root (position 0) is a fixed point.
+        # The last vertex in BFS order is the farthest, so once its jump lands
+        # on the root every jump has.
+        pos = np.empty(n, dtype=order.dtype)
+        pos[order] = np.arange(order.size, dtype=order.dtype)
+        parent[source] = source
+        up = pos[parent[order]]
+        hops = np.ones(order.size)
+        hops[0] = 0.0
+        while up[-1] != 0:
+            hops += hops[up]
+            up = up[up]
+        vec = np.full(n, np.inf)
+        vec[order] = hops
         # Cached vectors are shared by reference; freeze the numpy ones so a
         # stray in-place edit cannot corrupt every later analysis.
         vec.flags.writeable = False
@@ -76,14 +114,20 @@ class DistanceCache:
     Long-lived holders -- the serving tier -- opt into an LRU entry cap via
     :meth:`set_max_entries`; capped caches evict the least-recently-used
     vector once the cap is exceeded.
+
+    The vectors are lists or NumPy arrays as :func:`array_vectors` decides
+    for the graph's order (arrays from
+    :data:`~repro.kernels.AUTO_MIN_TRAVERSAL_VERTICES` vertices up under
+    ``auto``).  A kernel switch that flips that answer drops the memoized
+    vectors, so a reader never gets a vector of the other type.
     """
 
-    __slots__ = ("_graph", "_version", "_backend", "_vectors", "_max_entries")
+    __slots__ = ("_graph", "_version", "_arrays", "_vectors", "_max_entries")
 
     def __init__(self, graph: Graph, max_entries: Optional[int] = None) -> None:
         self._graph = graph
         self._version = graph.version
-        self._backend = active_backend(graph.num_vertices)
+        self._arrays = array_vectors(graph.num_vertices)
         self._vectors: Dict[int, List[float]] = {}
         self._max_entries: Optional[int] = None
         if max_entries is not None:
@@ -123,7 +167,7 @@ class DistanceCache:
         """Whether ``source``'s vector is memoized *and still valid*."""
         return (
             self._version == self._graph.version
-            and self._backend == active_backend(self._graph.num_vertices)
+            and self._arrays == array_vectors(self._graph.num_vertices)
             and source in self._vectors
         )
 
@@ -136,12 +180,12 @@ class DistanceCache:
         if self._version != self._graph.version:
             self._vectors.clear()
             self._version = self._graph.version
-        backend = active_backend(self._graph.num_vertices)
-        if backend != self._backend:
+        arrays = array_vectors(self._graph.num_vertices)
+        if arrays != self._arrays:
             # A kernel switch mid-session (CLI --kernel, tests) must not hand
             # out vectors of the previous backend's type.
             self._vectors.clear()
-            self._backend = backend
+            self._arrays = arrays
         vec = self._vectors.get(source)
         if vec is None:
             vec = self._vectors[source] = single_source_distances(self._graph, source)
@@ -253,7 +297,7 @@ def distance_histogram(graph: Graph, max_sources: Optional[int] = None, seed: in
     cache = graph.distance_cache()
     inf = INFINITY
     histogram: Dict[int, int] = {}
-    if use_numpy(graph.num_vertices):
+    if array_vectors(graph.num_vertices):
         np = require_numpy()
         n = graph.num_vertices
         is_source = np.zeros(n, dtype=bool)
@@ -272,7 +316,7 @@ def distance_histogram(graph: Graph, max_sources: Optional[int] = None, seed: in
     for s in sources:
         vec = cache.vector(s)
         for v, d in enumerate(vec):
-            if d is inf or v == s:
+            if d == inf or v == s:
                 continue
             if v in source_set and v < s:
                 continue  # already counted from the smaller sampled endpoint

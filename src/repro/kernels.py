@@ -23,8 +23,11 @@ This module is the single switch deciding which one runs.  Selection rules:
   graphs (every golden workload, every tier-1 test default) therefore run the
   historical loops bit-for-bit.  Kernels that cross over earlier pass their
   own threshold to :func:`use_numpy`: the fault-free exploration phases and
-  BFS forests :data:`AUTO_MIN_SCHEDULE_VERTICES`, the centralized engine's
-  per-center traversal :data:`AUTO_MIN_TRAVERSAL_VERTICES`;
+  BFS forests :data:`AUTO_MIN_SCHEDULE_VERTICES`; the centralized engine's
+  per-center traversal and the distance layer's vectors (one predicate,
+  ``graphs.distances.array_vectors``, which ``DistanceCache`` and the
+  stretch, additive-term and histogram loops read too)
+  :data:`AUTO_MIN_TRAVERSAL_VERTICES`;
 * when NumPy/SciPy are missing (they are an *optional* extra:
   ``pip install .[fast]``), every mode silently resolves to ``python``.
 
@@ -57,12 +60,16 @@ KERNEL_MODES = (KERNEL_PYTHON, KERNEL_NUMPY, KERNEL_AUTO)
 #: (also how ``--kernel`` propagates into experiment worker processes).
 KERNEL_ENV_VAR = "REPRO_KERNEL"
 
-#: ``auto`` threshold: vectorized kernels win on graphs with at least this
-#: many vertices.  Measured crossover on sparse_gnp workloads (reference
-#: machine): single-source sweeps reach parity around n=24k-32k (1.15x at
-#: 32768, 2.4x at 131072) and the full centralized build follows (1.9x at
-#: 131072); below the threshold the per-level NumPy call overhead loses to
-#: the tight CPython loops (0.4-0.7x under n=16k).
+#: ``auto`` threshold of the level-synchronous NumPy kernels: the bounded
+#: sweeps (``bfs_distances`` with ``max_depth``, the cluster-table radii) and
+#: the cluster-table bulk queries.  Measured crossover on sparse_gnp
+#: workloads (reference machine): the level-synchronous sweep reaches parity
+#: with the CPython loop around n=24k-32k (1.15x at 32768, 2.4x at 131072);
+#: below, the per-level NumPy call overhead loses to the tight CPython loops
+#: (0.4-0.7x under n=16k).  Unbounded distance vectors no longer use it: the
+#: compiled traversal of :data:`AUTO_MIN_TRAVERSAL_VERTICES` beats the
+#: level-synchronous sweep 5.4x at n=32768 and 6.4x at 100k (sparse_gnp
+#: degree 16, 2-vCPU VM).
 AUTO_MIN_VERTICES = 32768
 
 #: ``auto`` threshold of the array message plane: fault-free exploration
@@ -77,21 +84,27 @@ AUTO_MIN_VERTICES = 32768
 #: ~45 ms the exploration saves per build repays the one-off ~65 ms NumPy
 #: import from the second build on; below it, a small build would pay the
 #: import for a few milliseconds.  It is separate from
-#: :data:`AUTO_MIN_VERTICES` because the BFS-style sweeps still lose below
-#: ~16k vertices.
+#: :data:`AUTO_MIN_VERTICES` because the level-synchronous sweeps still lose
+#: below ~16k vertices.
 AUTO_MIN_SCHEDULE_VERTICES = 2048
 
-#: ``auto`` threshold of the centralized engine's exploration (Algorithm 1):
-#: its per-center sweeps run as SciPy's compiled breadth-first traversal from
-#: this many vertices up.  Measured on sparse_gnp degree-16 new-centralized
-#: builds (median of 10 per size, in process, 2-vCPU VM), the traversal takes
-#: 0.63x of the CPython loop's build time at n=1024, 0.41x at 2048, 0.40x at
-#: 4096, 0.28x at 8192, 0.23x at 12000 and 16384 and 0.25x at 20000.  The
-#: one-off import of NumPy, scipy.sparse and scipy.sparse.csgraph costs
-#: 0.25-0.43 s and 45 MB of resident memory.  At 8192 a build saves ~190 ms,
-#: so the import is repaid from the second build on; at 4096 (~47 ms saved)
-#: it would take six to nine builds.  The central-20k benchmark (n=20000)
-#: takes the traversal; the 512-vertex serve catalogue stays far below.
+#: ``auto`` threshold of SciPy's compiled breadth-first traversal: the
+#: centralized engine's exploration (Algorithm 1) runs its per-center sweeps
+#: on it, and the distance layer (``DistanceCache``, hence every stretch
+#: certificate) its single-source sweeps, from this many vertices up.  Per
+#: source, on sparse_gnp degree 16 (2-vCPU VM), the traversal plus the
+#: pointer doubling that turns its predecessors into hop counts takes 0.28x
+#: of the CPython loop's time at n=512, 0.17x at 4096, 0.16x at 8192 and
+#: 0.24x at 20000.  Measured on sparse_gnp degree-16 new-centralized
+#: builds (median of 10 per size, in process, 2-vCPU VM), the engine's
+#: traversal takes 0.63x of the CPython loop's build time at n=1024, 0.41x at
+#: 2048, 0.40x at 4096, 0.28x at 8192, 0.23x at 12000 and 16384 and 0.25x at
+#: 20000.  The one-off import of NumPy, scipy.sparse and scipy.sparse.csgraph
+#: costs 0.25-0.43 s and 45 MB of resident memory.  At 8192 a build saves
+#: ~190 ms, so the import is repaid from the second build on; at 4096 (~47 ms
+#: saved) it would take six to nine builds.  The central-20k benchmark
+#: (n=20000) takes the traversal, its certificate included; congest-4k and
+#: the 512-vertex serve catalogue stay below.
 AUTO_MIN_TRAVERSAL_VERTICES = 8192
 
 #: Largest ``n * k`` (vertices times centers) for which the array tier of
@@ -259,10 +272,12 @@ def use_numpy(num_vertices: int, min_vertices: int = AUTO_MIN_VERTICES) -> bool:
     """Whether the vectorized tier handles a graph of ``num_vertices``.
 
     ``min_vertices`` is the kernel's ``auto`` threshold:
-    :data:`AUTO_MIN_VERTICES` for the BFS-style sweeps,
+    :data:`AUTO_MIN_VERTICES` for the level-synchronous NumPy sweeps and
+    the cluster-table queries,
     :data:`AUTO_MIN_SCHEDULE_VERTICES` for the exploration phases and
     BFS forests,
-    :data:`AUTO_MIN_TRAVERSAL_VERTICES` for the centralized engine's
-    per-center traversal.
+    :data:`AUTO_MIN_TRAVERSAL_VERTICES` for the compiled traversal: the
+    centralized engine's per-center sweeps and the distance layer's vectors
+    (read through ``graphs.distances.array_vectors``, never re-derived).
     """
     return active_backend(num_vertices, min_vertices) == KERNEL_NUMPY

@@ -113,6 +113,96 @@ class TestBFSEquivalence:
 
 
 # ----------------------------------------------------------------------
+# The distance layer at the traversal threshold
+# ----------------------------------------------------------------------
+def python_and_auto(kernel, fn):
+    """Run ``fn`` under the pure-Python kernel and under ``auto``."""
+    kernel(kernels.KERNEL_PYTHON)
+    python_result = fn()
+    kernel(kernels.KERNEL_AUTO)
+    auto_result = fn()
+    return python_result, auto_result
+
+
+def threshold_graph(seed):
+    """A sparse_gnp giant part, a small far component and two isolated
+    vertices: ``AUTO_MIN_TRAVERSAL_VERTICES`` vertices in all."""
+    n = kernels.AUTO_MIN_TRAVERSAL_VERTICES
+    big = n - 62
+    return disjoint_union(
+        [
+            sparse_gnp_random_graph(big, 16 / (big - 1), seed=seed),
+            sparse_gnp_random_graph(60, 0.1, seed=seed),
+            Graph(2),
+        ]
+    )
+
+
+class TestDistancesAtTheTraversalThreshold:
+    N = kernels.AUTO_MIN_TRAVERSAL_VERTICES
+
+    @staticmethod
+    def _vectors(kernel, graph, sources):
+        def run():
+            vectors = [single_source_distances(graph, s) for s in sources]
+            return [type(vec) is list for vec in vectors], [list(vec) for vec in vectors]
+
+        (py_lists, py), (auto_lists, auto) = python_and_auto(kernel, run)
+        assert all(py_lists) and not any(auto_lists)
+        return py, auto
+
+    def test_sparse_gnp_vectors_match(self, kernel):
+        graph = sparse_gnp_random_graph(self.N, 16 / (self.N - 1), seed=3)
+        py, auto = self._vectors(kernel, graph, (0, 4097, self.N - 1))
+        assert py == auto
+
+    def test_unreachable_entries_match(self, kernel):
+        graph = threshold_graph(seed=5)
+        isolated = self.N - 1
+        py, auto = self._vectors(kernel, graph, (0, self.N - 30, isolated))
+        assert py == auto
+        assert py[0][self.N - 30] == INF and py[1][0] == INF
+        assert py[2].count(INF) == self.N - 1 and py[2][isolated] == 0.0
+
+    def test_long_path_vectors_match(self, kernel):
+        # Eccentricity n-1: the pointer doubling needs its most rounds here.
+        graph = Graph(self.N, [(v, v + 1) for v in range(self.N - 1)])
+        py, auto = self._vectors(kernel, graph, (0, self.N // 3, self.N - 1))
+        assert py == auto
+        assert py[0] == [float(v) for v in range(self.N)]
+
+    def test_single_vertex_under_the_numpy_kernel(self, kernel, monkeypatch):
+        monkeypatch.setenv(kernels.KERNEL_ENV_VAR, kernels.KERNEL_NUMPY)
+        vec = single_source_distances(Graph(1), 0)
+        assert type(vec) is not list and list(vec) == [0.0]
+
+    def test_stretch_readers_match(self, kernel):
+        graph = threshold_graph(seed=7)
+        spanner = build_spanner(
+            graph, parameters=default_parameters(), engine="centralized"
+        ).spanner
+        assert spanner.num_edges < graph.num_edges
+        sources = (0, 9, 2048, self.N - 40, self.N - 2, self.N - 1)
+        pairs = [(s, v) for s in sources for v in range(self.N) if v != s]
+        # A deliberately unsatisfiable guarantee so violations are exercised.
+        guarantee = StretchGuarantee(multiplicative=1.0, additive=0.0)
+
+        def run():
+            graph.distance_cache().clear()
+            spanner.distance_cache().clear()
+            report = evaluate_stretch(graph, spanner, guarantee=guarantee, pairs=pairs)
+            return (
+                report.to_dict(),
+                empirical_additive_term(graph, spanner, 1.0, pairs=pairs),
+                distance_histogram(graph, max_sources=6, seed=2),
+            )
+
+        py, auto = python_and_auto(kernel, run)
+        assert py == auto
+        assert py[0]["num_violations"] > 0 and py[0]["pairs_checked"] > 0
+
+
+# ----------------------------------------------------------------------
 # Cluster-table bulk queries
 # ----------------------------------------------------------------------
 class TestClusterEquivalence:
@@ -417,6 +507,13 @@ class TestKernelSelector:
             "graph = sparse_gnp_random_graph(n, 16 / n, seed=3)\n"
             "result = repro.build('new-centralized', graph, seed=3)\n"
             "assert result.spanner.num_edges < graph.num_edges\n"
+            # So are the certificate's distance vectors and their readers.
+            "from repro.analysis.stretch import evaluate_stretch\n"
+            "from repro.graphs.distances import distance_histogram\n"
+            "pairs = [(s, v) for s in (0, 1) for v in range(n) if v != s]\n"
+            "report = evaluate_stretch(graph, result.spanner, pairs=pairs)\n"
+            "assert report.pairs_checked > 0\n"
+            "assert distance_histogram(result.spanner, max_sources=2, seed=1)\n"
             "assert 'numpy' not in sys.modules, 'numpy imported on a small pure-Python workload'\n"
             "assert 'scipy' not in sys.modules, 'scipy imported on a small pure-Python workload'\n"
         )

@@ -26,6 +26,8 @@ def test_spanners_match_past_the_traversal_threshold():
     proc = run_gate("--size", str(size), "--seed", "3")
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "identical spanner edges" in proc.stdout
+    # The certificate's distance sweeps take the compiled traversal too.
+    assert "identical stretch reports (8 sources" in proc.stdout
 
 
 @pytest.mark.skipif(not kernels.numpy_available(), reason="numpy/scipy not installed")
