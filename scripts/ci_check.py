@@ -14,9 +14,11 @@ Runs, in order (see :func:`stage_plan`):
    NumPy/SciPy tier (an optional extra).  Also skipped under ``--fast``.
 4. ``array message plane (numpy kernel)`` -- the exploration, trace-back,
    BFS-forest, ruling-set, tracing, degradation-verifier, golden-run, engine
-   cross-validation, fault-injection, chaos and run-result payload-pin tests
-   under ``REPRO_KERNEL=numpy``, so the array forms of the exploration
-   phases and BFS forests run at every test size.  It
+   cross-validation, fault-injection, chaos, run-result payload-pin,
+   distance-vector, stretch and cluster-table tests under
+   ``REPRO_KERNEL=numpy``, so the array forms of the exploration phases and
+   BFS forests, and the compiled distance vectors with their readers, run at
+   every test size.  It
    needs the ``fast`` extra (NumPy/SciPy): without it the stage fails under
    GitHub Actions, unless ``--without-fast`` declares a leg that covers the
    pure-Python fallback on purpose, and is skipped with a notice locally.
@@ -137,6 +139,8 @@ ARRAY_PLANE_TESTS = (
     # reports that read them.
     "analysis/test_stretch.py",
     "graphs/test_distances.py",
+    # The cluster radii, read off the compiled distance vectors.
+    "core/test_cluster_table.py",
 )
 
 #: Name of the stage that needs the ``fast`` extra (NumPy/SciPy).

@@ -116,7 +116,13 @@ from .experiments import (
 )
 from .graphs import make_workload, read_edge_list, write_edge_list
 from .graphs.generators import WORKLOAD_FAMILIES
-from .kernels import AUTO_MIN_VERTICES, KERNEL_ENV_VAR, KERNEL_MODES, set_kernel
+from .kernels import (
+    AUTO_MIN_SCHEDULE_VERTICES,
+    AUTO_MIN_TRAVERSAL_VERTICES,
+    KERNEL_ENV_VAR,
+    KERNEL_MODES,
+    set_kernel,
+)
 
 
 def _add_parameter_arguments(parser: argparse.ArgumentParser) -> None:
@@ -503,8 +509,10 @@ def build_argument_parser() -> argparse.ArgumentParser:
         choices=list(KERNEL_MODES),
         default=None,
         help="kernel backend: 'python' (pure loops), 'numpy' (vectorized "
-        "NumPy/SciPy sweeps) or 'auto' (vectorized from "
-        f"{AUTO_MIN_VERTICES} vertices up; the default). Overrides the "
+        "NumPy/SciPy sweeps) or 'auto' (the default: array exploration "
+        f"phases and BFS forests from {AUTO_MIN_SCHEDULE_VERTICES} vertices "
+        "up, compiled traversal and distance vectors from "
+        f"{AUTO_MIN_TRAVERSAL_VERTICES}). Overrides the "
         f"{KERNEL_ENV_VAR} environment variable and propagates to worker "
         "processes.",
     )

@@ -20,8 +20,11 @@ vertex set is ever built:
   (one ``P_i`` or ``U_i``): a compact ``cluster_of`` array (vertex -> local
   cluster index), parallel center tuple and CSR-style member lists
   (``indptr``/``members``).  The analysis layer reads it through ``len``,
-  ``centers()``, ``vertex_to_center()``, ``max_radius_in()``, ``summary()``
-  and the flat accessors; every bulk query is an array sweep.
+  ``centers()``, ``vertex_to_center()``, ``max_radius_in()`` and the flat
+  accessors.  The bulk queries are single passes over the flat buffers;
+  ``max_radius_in()`` reads one distance vector per center from the
+  distance layer, which computes it with SciPy's compiled traversal from
+  :data:`~repro.kernels.AUTO_MIN_TRAVERSAL_VERTICES` vertices up.
 """
 
 from __future__ import annotations
@@ -29,44 +32,8 @@ from __future__ import annotations
 from array import array
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..graphs.bfs import _flat_bfs_distances, _np_bfs_dist_array
+from ..graphs.distances import INFINITY, single_source_distances
 from ..graphs.graph import Graph
-from ..kernels import require_numpy, use_numpy
-
-
-def _np_of(buf):
-    """A flat int buffer (``array('q')``, list or range) as a numpy array.
-
-    ``array('q')`` buffers are wrapped zero-copy via the buffer protocol;
-    list/range buffers (snapshot fast paths) are materialized once.
-    """
-    np = require_numpy()
-    if isinstance(buf, array):
-        if len(buf) == 0:
-            return np.empty(0, dtype=np.int64)
-        return np.frombuffer(buf, dtype=np.int64)
-    return np.asarray(buf, dtype=np.int64)
-
-
-def _np_members_radius(graph: Graph, center: int, members) -> int:
-    """Vectorized ``max dist(center, v) for v in members`` with error parity.
-
-    Raises on the first unreachable member in member order, exactly like the
-    pure-Python sweep.
-    """
-    np = require_numpy()
-    dist = _np_bfs_dist_array(graph, (center,))
-    idx = _np_of(members)
-    if idx.size == 0:
-        return 0
-    d = dist[idx]
-    bad = np.flatnonzero(d < 0)
-    if bad.size:
-        raise ValueError(
-            f"vertex {int(idx[bad[0]])} of the cluster centered at {center} "
-            "is unreachable"
-        )
-    return int(d.max())
 
 
 class FlatClusters:
@@ -147,18 +114,9 @@ class FlatClusters:
     def vertex_to_center(self) -> Dict[int, int]:
         """Map every clustered vertex to its cluster center (one array sweep)."""
         centers = self._centers
-        cluster_of = self._cluster_of
-        if use_numpy(self.num_vertices):
-            np = require_numpy()
-            idx = _np_of(cluster_of)
-            clustered = np.flatnonzero(idx >= 0)
-            center_arr = _np_of(centers)
-            return dict(
-                zip(clustered.tolist(), center_arr[idx[clustered]].tolist())
-            )
         return {
             v: centers[idx]
-            for v, idx in enumerate(cluster_of)
+            for v, idx in enumerate(self._cluster_of)
             if idx >= 0
         }
 
@@ -169,49 +127,25 @@ class FlatClusters:
     def max_radius_in(self, graph: Graph) -> int:
         """``Rad(P_i)`` measured in ``graph`` (0 for an empty collection).
 
-        One flat BFS per cluster center; membership is read straight off the
-        CSR member segments.
+        One distance vector per cluster center
+        (:func:`~repro.graphs.distances.single_source_distances`, a list or a
+        compiled array by the graph's order); membership is read straight off
+        the CSR member segments.
         """
         worst = 0
         indptr = self._indptr
         members = self._members
-        if use_numpy(graph.num_vertices):
-            for idx, center in enumerate(self._centers):
-                radius = _np_members_radius(
-                    graph, center, members[indptr[idx]: indptr[idx + 1]]
-                )
-                if radius > worst:
-                    worst = radius
-            return worst
         for idx, center in enumerate(self._centers):
-            dist, _ = _flat_bfs_distances(graph, (center,))
+            dist = single_source_distances(graph, center)
             for v in members[indptr[idx]: indptr[idx + 1]]:
                 d = dist[v]
-                if d < 0:
+                if d == INFINITY:
                     raise ValueError(
                         f"vertex {v} of the cluster centered at {center} is unreachable"
                     )
                 if d > worst:
                     worst = d
-        return worst
-
-    def summary(self) -> Dict[str, int]:
-        """Compact statistics used by the phase records."""
-        indptr = self._indptr
-        max_size = 0
-        if self._centers and use_numpy(self.num_vertices):
-            np = require_numpy()
-            max_size = int(np.diff(_np_of(indptr)).max())
-        else:
-            for i in range(len(self._centers)):
-                size = indptr[i + 1] - indptr[i]
-                if size > max_size:
-                    max_size = size
-        return {
-            "num_clusters": len(self._centers),
-            "num_vertices": len(self._members),
-            "max_cluster_size": max_size,
-        }
+        return int(worst)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -226,22 +160,9 @@ def flat_collections_partition_vertices(
     """Check Corollary 2.5 over snapshots: one pass over each ``cluster_of``.
 
     The collections partition ``0..n-1`` iff every vertex is covered exactly
-    once; with array-backed snapshots this is a byte-table sweep (or, under
-    the vectorized tier, a summed bincount) instead of per-vertex set
-    bookkeeping.
+    once; with array-backed snapshots this is a byte-table sweep instead of
+    per-vertex set bookkeeping.
     """
-    if use_numpy(num_vertices):
-        np = require_numpy()
-        counts = np.zeros(num_vertices, dtype=np.int64)
-        total = 0
-        for collection in collections:
-            payload = _np_of(collection.members_array())
-            if payload.size:
-                counts += np.bincount(payload, minlength=num_vertices)
-            total += collection.total_vertices()
-        if total != num_vertices:
-            return False
-        return not counts.size or int(counts.max()) == 1
     seen = bytearray(num_vertices)
     total = 0
     for collection in collections:

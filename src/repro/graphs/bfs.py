@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from ..kernels import require_numpy, use_numpy
 from .graph import Graph
 
 
@@ -157,66 +156,10 @@ def _flat_bfs_distances(
     return dist, order
 
 
-def _np_bfs_dist_array(
-    graph: Graph, sources: Iterable[int], max_depth: Optional[int] = None
-):
-    """Vectorized level-synchronous (multi-source) BFS distance kernel.
-
-    Returns a dense ``numpy.int64`` array with ``-1`` for unreached vertices
-    -- the vectorized counterpart of :func:`_flat_bfs_distances`'s ``dist``
-    list, guaranteed element-identical to it (distances are unique, so
-    frontier *order* cannot influence them).  Each level expands every
-    frontier row at once: one fancy-indexed gather of all neighbour segments
-    (``np.repeat`` over the CSR ``indptr`` spans), one mask against the
-    distance array, one ``np.unique`` to form the next frontier.
-    """
-    np = require_numpy()
-    csr = graph.csr()
-    n = csr.num_vertices
-    indptr = csr.indptr_np
-    adj = csr.adj_np
-    dist = np.full(n, -1, dtype=np.int64)
-    seeds = []
-    for s in sources:
-        if not 0 <= s < n:
-            raise ValueError(f"source {s} is out of range [0, {n})")
-        seeds.append(s)
-    if not seeds:
-        return dist
-    frontier = np.unique(np.asarray(seeds, dtype=np.int64))
-    dist[frontier] = 0
-    arange = np.arange
-    depth = 0
-    while frontier.size:
-        if max_depth is not None and depth >= max_depth:
-            break
-        depth += 1
-        starts = indptr[frontier]
-        counts = indptr[frontier + 1] - starts
-        total = int(counts.sum())
-        if total == 0:
-            break
-        # Gather all frontier rows back-to-back: element k of the expansion
-        # is adj[starts[i] + offset] for the k-th (row i, offset) pair.
-        flat = np.repeat(starts - (np.cumsum(counts) - counts), counts) + arange(total)
-        neighbors = adj[flat]
-        fresh = neighbors[dist[neighbors] < 0]
-        if fresh.size == 0:
-            break
-        frontier = np.unique(fresh)
-        dist[frontier] = depth
-    return dist
-
-
 def bfs_distances(
     graph: Graph, source: int, max_depth: Optional[int] = None
 ) -> Dict[int, int]:
     """Return ``{v: dist(source, v)}`` for all reached vertices (ascending ``v``)."""
-    if use_numpy(graph.num_vertices):
-        np = require_numpy()
-        dist = _np_bfs_dist_array(graph, (source,), max_depth=max_depth)
-        reached = np.flatnonzero(dist >= 0)
-        return dict(zip(reached.tolist(), dist[reached].tolist()))
     dist, order = _flat_bfs_distances(graph, (source,), max_depth=max_depth)
     return {v: dist[v] for v in sorted(order)}
 

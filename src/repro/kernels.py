@@ -1,16 +1,18 @@
 """Kernel backend selection: pure-Python loops vs NumPy/SciPy vectorized sweeps.
 
-The hot kernels of the reproduction -- BFS frontiers, cluster-table bulk
-queries, the stretch evaluator, the exploration phases' message plane, the
-centralized engine's per-center exploration -- exist in two implementations:
+The hot kernels of the reproduction -- the distance vectors behind the
+stretch evaluator and the cluster radii, the exploration phases' message
+plane, the BFS forests, the centralized engine's per-center exploration --
+exist in two implementations:
 
 * the historical **pure-Python** loops over flat ``array('q')`` buffers (the
   only implementation until PR 7, and still the only one when NumPy is not
   installed); and
-* a **vectorized** tier over zero-copy NumPy views of the same CSR buffers
-  (``CSRGraph.indptr_np`` / ``adj_np``) and SciPy's compiled graph
-  traversals over the ``CSRGraph.scipy_csr()`` handle, which wins past a few
-  tens of thousands of vertices and is what pushes the capacity ladder to
+* a **vectorized** tier of two array paths: blocked NumPy reductions over
+  zero-copy views of the same CSR buffers (``CSRGraph.indptr_np`` /
+  ``adj_np``) for the message plane, and SciPy's compiled graph traversals
+  over the ``CSRGraph.scipy_csr()`` handle for the per-center sweeps and
+  the distance vectors.  It is what pushes the capacity ladder to
   n >= 100k.
 
 This module is the single switch deciding which one runs.  Selection rules:
@@ -18,16 +20,15 @@ This module is the single switch deciding which one runs.  Selection rules:
 * ``REPRO_KERNEL`` environment variable or :func:`set_kernel` picks the mode:
   ``python`` (always pure Python), ``numpy`` (always vectorized) or ``auto``
   (the default);
-* ``auto`` selects the vectorized tier for graphs with at least
-  :data:`AUTO_MIN_VERTICES` vertices and the pure-Python tier below -- small
-  graphs (every golden workload, every tier-1 test default) therefore run the
-  historical loops bit-for-bit.  Kernels that cross over earlier pass their
-  own threshold to :func:`use_numpy`: the fault-free exploration phases and
-  BFS forests :data:`AUTO_MIN_SCHEDULE_VERTICES`; the centralized engine's
-  per-center traversal and the distance layer's vectors (one predicate,
-  ``graphs.distances.array_vectors``, which ``DistanceCache`` and the
-  stretch, additive-term and histogram loops read too)
-  :data:`AUTO_MIN_TRAVERSAL_VERTICES`;
+* ``auto`` selects each array path from its own threshold up and the
+  pure-Python loops below, so small graphs (every golden workload, every
+  tier-1 test default) run the historical loops bit-for-bit.  Every caller
+  names its threshold to :func:`use_numpy`: the fault-free exploration
+  phases and BFS forests :data:`AUTO_MIN_SCHEDULE_VERTICES`; the
+  centralized engine's per-center traversal and the distance layer's
+  vectors (one predicate, ``graphs.distances.array_vectors``, which
+  ``DistanceCache``, the cluster radii and the stretch, additive-term and
+  histogram loops read too) :data:`AUTO_MIN_TRAVERSAL_VERTICES`;
 * when NumPy/SciPy are missing (they are an *optional* extra:
   ``pip install .[fast]``), every mode silently resolves to ``python``.
 
@@ -60,18 +61,6 @@ KERNEL_MODES = (KERNEL_PYTHON, KERNEL_NUMPY, KERNEL_AUTO)
 #: (also how ``--kernel`` propagates into experiment worker processes).
 KERNEL_ENV_VAR = "REPRO_KERNEL"
 
-#: ``auto`` threshold of the level-synchronous NumPy kernels: the bounded
-#: sweeps (``bfs_distances`` with ``max_depth``, the cluster-table radii) and
-#: the cluster-table bulk queries.  Measured crossover on sparse_gnp
-#: workloads (reference machine): the level-synchronous sweep reaches parity
-#: with the CPython loop around n=24k-32k (1.15x at 32768, 2.4x at 131072);
-#: below, the per-level NumPy call overhead loses to the tight CPython loops
-#: (0.4-0.7x under n=16k).  Unbounded distance vectors no longer use it: the
-#: compiled traversal of :data:`AUTO_MIN_TRAVERSAL_VERTICES` beats the
-#: level-synchronous sweep 5.4x at n=32768 and 6.4x at 100k (sparse_gnp
-#: degree 16, 2-vCPU VM).
-AUTO_MIN_VERTICES = 32768
-
 #: ``auto`` threshold of the array message plane: fault-free exploration
 #: phases (Algorithm 1) run as blocked NumPy first-arrival reductions, and
 #: fault-free BFS forests as array frontiers, from this many vertices up.
@@ -84,27 +73,27 @@ AUTO_MIN_VERTICES = 32768
 #: ~45 ms the exploration saves per build repays the one-off ~65 ms NumPy
 #: import from the second build on; below it, a small build would pay the
 #: import for a few milliseconds.  It is separate from
-#: :data:`AUTO_MIN_VERTICES` because the level-synchronous sweeps still lose
-#: below ~16k vertices.
+#: :data:`AUTO_MIN_TRAVERSAL_VERTICES` because the message plane needs NumPy
+#: alone, while the compiled traversal pays the larger SciPy import.
 AUTO_MIN_SCHEDULE_VERTICES = 2048
 
 #: ``auto`` threshold of SciPy's compiled breadth-first traversal: the
 #: centralized engine's exploration (Algorithm 1) runs its per-center sweeps
 #: on it, and the distance layer (``DistanceCache``, hence every stretch
-#: certificate) its single-source sweeps, from this many vertices up.  Per
-#: source, on sparse_gnp degree 16 (2-vCPU VM), the traversal plus the
-#: pointer doubling that turns its predecessors into hop counts takes 0.28x
-#: of the CPython loop's time at n=512, 0.17x at 4096, 0.16x at 8192 and
-#: 0.24x at 20000.  Measured on sparse_gnp degree-16 new-centralized
-#: builds (median of 10 per size, in process, 2-vCPU VM), the engine's
-#: traversal takes 0.63x of the CPython loop's build time at n=1024, 0.41x at
-#: 2048, 0.40x at 4096, 0.28x at 8192, 0.23x at 12000 and 16384 and 0.25x at
-#: 20000.  The one-off import of NumPy, scipy.sparse and scipy.sparse.csgraph
-#: costs 0.25-0.43 s and 45 MB of resident memory.  At 8192 a build saves
-#: ~190 ms, so the import is repaid from the second build on; at 4096 (~47 ms
-#: saved) it would take six to nine builds.  The central-20k benchmark
-#: (n=20000) takes the traversal, its certificate included; congest-4k and
-#: the 512-vertex serve catalogue stay below.
+#: certificate, and the cluster radii) its single-source sweeps, from this
+#: many vertices up.  Per source, on sparse_gnp degree 16 (2-vCPU VM), the
+#: traversal plus the pointer doubling that turns its predecessors into hop
+#: counts takes 0.28x of the CPython loop's time at n=512, 0.17x at 4096,
+#: 0.16x at 8192 and 0.24x at 20000.  Measured on sparse_gnp degree-16
+#: new-centralized builds (median of 10 per size, in process, 2-vCPU VM), the
+#: engine's traversal takes 0.63x of the CPython loop's build time at n=1024,
+#: 0.41x at 2048, 0.40x at 4096, 0.28x at 8192, 0.23x at 12000 and 16384 and
+#: 0.25x at 20000.  The one-off import of NumPy, scipy.sparse and
+#: scipy.sparse.csgraph costs 0.25-0.43 s and 45 MB of resident memory.  At
+#: 8192 a build saves ~190 ms, so the import is repaid from the second build
+#: on; at 4096 (~47 ms saved) it would take six to nine builds.  The
+#: central-20k benchmark (n=20000) takes the traversal, its certificate
+#: included; congest-4k and the 512-vertex serve catalogue stay below.
 AUTO_MIN_TRAVERSAL_VERTICES = 8192
 
 #: Largest ``n * k`` (vertices times centers) for which the array tier of
@@ -247,13 +236,16 @@ def kernel_mode() -> str:
 
 
 def active_backend(
-    num_vertices: Optional[int] = None, min_vertices: int = AUTO_MIN_VERTICES
+    num_vertices: Optional[int] = None,
+    min_vertices: int = AUTO_MIN_TRAVERSAL_VERTICES,
 ) -> str:
     """Resolve the backend (``python`` or ``numpy``) for a workload size.
 
     ``num_vertices=None`` asks for the large-``n`` resolution (what ``auto``
     picks once past the threshold) -- the value capacity ladders stamp.
-    ``min_vertices`` is the kernel's ``auto`` threshold.
+    ``min_vertices`` is the kernel's ``auto`` threshold.  The default,
+    :data:`AUTO_MIN_TRAVERSAL_VERTICES`, is the higher of the two: a graph
+    at or past it runs every array path.
     """
     mode = kernel_mode()
     if mode == KERNEL_PYTHON:
@@ -268,12 +260,10 @@ def active_backend(
     return KERNEL_NUMPY if _installed() else KERNEL_PYTHON
 
 
-def use_numpy(num_vertices: int, min_vertices: int = AUTO_MIN_VERTICES) -> bool:
+def use_numpy(num_vertices: int, min_vertices: int) -> bool:
     """Whether the vectorized tier handles a graph of ``num_vertices``.
 
     ``min_vertices`` is the kernel's ``auto`` threshold:
-    :data:`AUTO_MIN_VERTICES` for the level-synchronous NumPy sweeps and
-    the cluster-table queries,
     :data:`AUTO_MIN_SCHEDULE_VERTICES` for the exploration phases and
     BFS forests,
     :data:`AUTO_MIN_TRAVERSAL_VERTICES` for the compiled traversal: the

@@ -144,13 +144,6 @@ class TestFlatClustersQueries:
         assert view.center_of_vertex(4) == 3
         assert view.center_of_vertex(2) == -1
 
-    def test_summary(self):
-        assert self._view().summary() == {
-            "num_clusters": 2,
-            "num_vertices": 5,
-            "max_cluster_size": 3,
-        }
-
     def test_max_radius_in(self):
         graph = path_graph(6)
         view = flat_clusters(6, {0: 0, 1: 0, 3: 4, 4: 4, 5: 4})

@@ -201,6 +201,27 @@ class TestDistancesAtTheTraversalThreshold:
         assert py == auto
         assert py[0]["num_violations"] > 0 and py[0]["pairs_checked"] > 0
 
+    def test_cluster_radii_match(self, kernel):
+        # Under auto the radius reader takes the compiled distance vectors.
+        graph = threshold_graph(seed=5)
+        snapshot = voronoi_clusters(graph, centers=[0, 9, 2048, self.N - 40])
+        py, auto = python_and_auto(kernel, lambda: snapshot.max_radius_in(graph))
+        assert py == auto
+        assert type(auto) is int and auto > 0
+
+    def test_unreachable_cluster_member_raises_on_both(self, kernel):
+        graph = threshold_graph(seed=5)
+        far = self.N - 30
+        cluster = flat_clusters(self.N, {0: 0, 9: 0, far: 0})
+
+        def run():
+            with pytest.raises(ValueError, match="unreachable") as info:
+                cluster.max_radius_in(graph)
+            return str(info.value)
+
+        py, auto = python_and_auto(kernel, run)
+        assert py == auto == f"vertex {far} of the cluster centered at 0 is unreachable"
+
 
 # ----------------------------------------------------------------------
 # Cluster-table bulk queries
@@ -221,7 +242,6 @@ class TestClusterEquivalence:
                 "vertex_to_center": snapshot.vertex_to_center(),
                 "max_radius": snapshot.max_radius_in(graph),
                 "radii": [cluster.max_radius_in(graph) for cluster in clusters],
-                "summary": snapshot.summary(),
                 "partition": flat_collections_partition_vertices(
                     [snapshot], graph.num_vertices
                 ),
@@ -445,25 +465,27 @@ class TestKernelSelector:
     def test_explicit_modes_override_size(self, kernel):
         kernel(kernels.KERNEL_PYTHON)
         assert kernels.active_backend(10**9) == "python"
-        assert not kernels.use_numpy(10**9)
+        assert not kernels.use_numpy(10**9, kernels.AUTO_MIN_SCHEDULE_VERTICES)
         kernel(kernels.KERNEL_NUMPY)
         assert kernels.active_backend(1) == "numpy"
-        assert kernels.use_numpy(1)
+        assert kernels.use_numpy(1, kernels.AUTO_MIN_TRAVERSAL_VERTICES)
 
     def test_auto_threshold(self, kernel):
         kernel(kernels.KERNEL_AUTO)
-        assert kernels.active_backend(kernels.AUTO_MIN_VERTICES - 1) == "python"
-        assert kernels.active_backend(kernels.AUTO_MIN_VERTICES) == "numpy"
+        # The default threshold is the compiled traversal's.
+        threshold = kernels.AUTO_MIN_TRAVERSAL_VERTICES
+        assert kernels.active_backend(threshold - 1) == "python"
+        assert kernels.active_backend(threshold) == "numpy"
+        assert kernels.active_backend(threshold + 1) == "numpy"
         # The stamping resolution (num_vertices=None) is the large-n answer.
         assert kernels.active_backend() == "numpy"
 
     def test_auto_schedule_threshold(self, kernel):
         kernel(kernels.KERNEL_AUTO)
         threshold = kernels.AUTO_MIN_SCHEDULE_VERTICES
-        assert threshold < kernels.AUTO_MIN_VERTICES
+        assert threshold < kernels.AUTO_MIN_TRAVERSAL_VERTICES
         assert not kernels.use_numpy(threshold - 1, threshold)
         assert kernels.use_numpy(threshold, threshold)
-        assert not kernels.use_numpy(threshold)
 
     def test_auto_traversal_threshold(self, kernel):
         kernel(kernels.KERNEL_AUTO)
@@ -473,7 +495,6 @@ class TestKernelSelector:
         assert 4 * 512 <= threshold <= 20000
         assert not kernels.use_numpy(threshold - 1, threshold)
         assert kernels.use_numpy(threshold, threshold)
-        assert not kernels.use_numpy(threshold)
 
     def test_env_var_resolution(self, kernel, monkeypatch):
         monkeypatch.setattr(kernels, "_requested", None)
@@ -514,6 +535,10 @@ class TestKernelSelector:
             "report = evaluate_stretch(graph, result.spanner, pairs=pairs)\n"
             "assert report.pairs_checked > 0\n"
             "assert distance_histogram(result.spanner, max_sources=2, seed=1)\n"
+            # And the cluster radii and the Corollary 2.5 partition check.
+            "engine = result.source\n"
+            "assert [c.max_radius_in(engine.spanner) for c in engine.cluster_history]\n"
+            "assert engine.unclustered_partitions_vertices()\n"
             "assert 'numpy' not in sys.modules, 'numpy imported on a small pure-Python workload'\n"
             "assert 'scipy' not in sys.modules, 'scipy imported on a small pure-Python workload'\n"
         )
