@@ -3,8 +3,8 @@
 Every registered algorithm returns a :class:`~repro.algorithms.RunResult`,
 and the engine's ``SpannerResult.to_dict()`` delegates to it, so one
 ``repro-run-result/v1`` schema covers every serialized run.  These tests pin
-the exact key set, and the payload of every registered algorithm on one
-fixed graph, so neither can drift.
+the exact key set, and the payload of every registered algorithm on two
+fixed graphs, so neither can drift.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import pytest
 from repro import RunResult, build, build_spanner, make_parameters
 from repro.algorithms import RUN_RESULT_KEYS, RUN_RESULT_SCHEMA, algorithm_names
 from repro.baselines import build_baswana_sen_spanner, build_greedy_spanner
-from repro.graphs import gnp_random_graph
+from repro.graphs import clustered_path_graph, gnp_random_graph
 
 #: The one schema every serialized run must emit, pinned key by key.
 PINNED_KEYS = (
@@ -113,21 +113,29 @@ def test_facade_and_legacy_serializations_agree(graph):
 
 
 #: ``sha256(to_dict JSON + sorted edge list JSON)[:16]`` of every registered
-#: algorithm on one fixed graph, identical under every kernel backend: any
-#: drift means a builder changed its payload or its spanner.
+#: algorithm on each of the fixed ``PIN_GRAPHS``, identical under every kernel
+#: backend: any drift means a builder changed its payload or its spanner.
 PINNED_PAYLOADS = {
-    "baswana-sen": "c00f4d4964c900b3",
-    "eest-low-stretch-tree": "2909514831d236f7",
-    "elkin-matar-linear": "edb74528e4db126c",
-    "elkin-mst-2017": "db48fe7f4bb56bdf",
-    "elkin-neiman-2017": "0b99acc3025f27f9",
-    "elkin-neiman-sparse": "9c7e5adda1a07161",
-    "elkin-peleg-2001": "c37a0d7edc56e155",
-    "elkin05-surrogate": "dc6daab766c0533a",
-    "greedy": "02e556f53fe6dda5",
-    "new-centralized": "52f2652cffb4432b",
-    "new-distributed": "a80bc84be3af9512",
+    "baswana-sen": ("c00f4d4964c900b3", "210e1ac43a557756"),
+    "eest-low-stretch-tree": ("2909514831d236f7", "4bfd777a373f081e"),
+    "elkin-matar-linear": ("edb74528e4db126c", "6db968ff6066ae9d"),
+    "elkin-mst-2017": ("db48fe7f4bb56bdf", "9b36b0191e86e14d"),
+    "elkin-neiman-2017": ("0b99acc3025f27f9", "b2f12d0114f013db"),
+    "elkin-neiman-sparse": ("9c7e5adda1a07161", "9dbff14e22e2b3c8"),
+    "elkin-peleg-2001": ("c37a0d7edc56e155", "eb14ea62f8371358"),
+    "elkin05-surrogate": ("dc6daab766c0533a", "cee00a9fef1f4cde"),
+    "greedy": ("02e556f53fe6dda5", "251201ce62b45c42"),
+    "new-centralized": ("52f2652cffb4432b", "f3dc1402c67508b6"),
+    "new-distributed": ("a80bc84be3af9512", "9f3de8f61592539f"),
 }
+
+#: gnp-40 superclusters only in phase 0 for [EP01] and [EN17]; the clustered
+#: path (n=160) superclusters in phases 0-1 for all four superclustering
+#: baselines and in phase 2 for both Elkin-Neiman variants.
+PIN_GRAPHS = (
+    lambda: gnp_random_graph(40, 0.15, seed=4),
+    lambda: clustered_path_graph(20, 8),
+)
 
 
 def test_every_registered_algorithm_has_a_pinned_payload():
@@ -136,7 +144,9 @@ def test_every_registered_algorithm_has_a_pinned_payload():
 
 @pytest.mark.parametrize("name", sorted(PINNED_PAYLOADS))
 def test_registered_payloads_are_pinned(name):
-    run = build(name, gnp_random_graph(40, 0.15, seed=4), seed=3)
-    payload = json.dumps(run.to_dict()) + json.dumps(sorted(run.spanner.edge_set()))
-    digest = hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
-    assert digest == PINNED_PAYLOADS[name]
+    digests = []
+    for make_graph in PIN_GRAPHS:
+        run = build(name, make_graph(), seed=3)
+        payload = json.dumps(run.to_dict()) + json.dumps(sorted(run.spanner.edge_set()))
+        digests.append(hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16])
+    assert tuple(digests) == PINNED_PAYLOADS[name]
