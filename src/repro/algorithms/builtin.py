@@ -33,13 +33,9 @@ from ..baselines import (
     build_elkin_peleg_spanner,
     build_greedy_spanner,
     build_low_stretch_tree,
-    elkin05_surrogate_guarantee,
-    elkin_matar_guarantee,
-    elkin_neiman_guarantee,
-    elkin_neiman_sparse_guarantee,
-    elkin_peleg_guarantee,
 )
-from ..core.parameters import SpannerParameters, StretchGuarantee
+from ..baselines.cluster_scan import sparse_schedules
+from ..core.parameters import SpannerParameters, StretchGuarantee, guarantee_from_schedules, schedules
 from ..core.spanner import ENGINE_CENTRALIZED, ENGINE_DISTRIBUTED, build_spanner, make_parameters
 from ..graphs.graph import Graph
 from .registry import AlgorithmSpec, ParamSpec, Params, register
@@ -249,8 +245,9 @@ NEW_DISTRIBUTED = register(
 # ----------------------------------------------------------------------
 # Near-additive baselines
 # ----------------------------------------------------------------------
-def _elkin_neiman_guarantee(params: Params) -> StretchGuarantee:
-    return elkin_neiman_guarantee(spanner_parameters(params))
+def _cluster_scan_guarantee(params: Params) -> StretchGuarantee:
+    parameters = spanner_parameters(params)
+    return guarantee_from_schedules(*schedules(parameters.epsilon, parameters.num_phases, 1))
 
 
 def build_elkin_neiman(graph: Graph, params: Params, *, seed: int = 0, simulator=None) -> RunResult:
@@ -268,15 +265,11 @@ ELKIN_NEIMAN = register(
         build=build_elkin_neiman,
         tags=("baseline", "randomized", "centralized", "near-additive"),
         params=STRETCH_PARAMS,
-        guarantee=_elkin_neiman_guarantee,
+        guarantee=_cluster_scan_guarantee,
         supports_incremental=True,
         max_practical_vertices=_measured_hint("elkin-neiman-2017", None),
     )
 )
-
-
-def _elkin_peleg_guarantee(params: Params) -> StretchGuarantee:
-    return elkin_peleg_guarantee(spanner_parameters(params))
 
 
 def build_elkin_peleg(graph: Graph, params: Params, *, seed: int = 0, simulator=None) -> RunResult:
@@ -294,7 +287,7 @@ ELKIN_PELEG = register(
         build=build_elkin_peleg,
         tags=("baseline", "deterministic", "centralized", "near-additive"),
         params=STRETCH_PARAMS,
-        guarantee=_elkin_peleg_guarantee,
+        guarantee=_cluster_scan_guarantee,
         supports_incremental=True,
         max_practical_vertices=_measured_hint("elkin-peleg-2001", None),
     )
@@ -302,7 +295,8 @@ ELKIN_PELEG = register(
 
 
 def _elkin05_guarantee(params: Params) -> StretchGuarantee:
-    return elkin05_surrogate_guarantee(spanner_parameters(params))
+    parameters = spanner_parameters(params)
+    return guarantee_from_schedules(*schedules(parameters.epsilon, parameters.num_phases, 2))
 
 
 def build_elkin05_surrogate(graph: Graph, params: Params, *, seed: int = 0, simulator=None) -> RunResult:
@@ -416,8 +410,8 @@ def _sparse_args(params: Params) -> Dict[str, object]:
     return {"epsilon": float(params["epsilon"]), "levels": int(params["levels"])}
 
 
-def _elkin_matar_guarantee(params: Params) -> StretchGuarantee:
-    return elkin_matar_guarantee(**_sparse_args(params))
+def _sparse_guarantee(params: Params) -> StretchGuarantee:
+    return guarantee_from_schedules(*sparse_schedules(**_sparse_args(params)))
 
 
 def build_elkin_matar(graph: Graph, params: Params, *, seed: int = 0, simulator=None) -> RunResult:
@@ -435,15 +429,11 @@ ELKIN_MATAR = register(
         build=build_elkin_matar,
         tags=("baseline", "deterministic", "centralized", "near-additive", "sparse"),
         params=SPARSE_PARAMS,
-        guarantee=_elkin_matar_guarantee,
+        guarantee=_sparse_guarantee,
         supports_incremental=True,
         max_practical_vertices=_measured_hint("elkin-matar-linear", None),
     )
 )
-
-
-def _elkin_neiman_sparse_guarantee(params: Params) -> StretchGuarantee:
-    return elkin_neiman_sparse_guarantee(**_sparse_args(params))
 
 
 def build_elkin_neiman_sparse(graph: Graph, params: Params, *, seed: int = 0, simulator=None) -> RunResult:
@@ -461,7 +451,7 @@ ELKIN_NEIMAN_SPARSE = register(
         build=build_elkin_neiman_sparse,
         tags=("baseline", "randomized", "centralized", "near-additive", "sparse"),
         params=SPARSE_PARAMS,
-        guarantee=_elkin_neiman_sparse_guarantee,
+        guarantee=_sparse_guarantee,
         supports_incremental=True,
         max_practical_vertices=_measured_hint("elkin-neiman-sparse", None),
     )

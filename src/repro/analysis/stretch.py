@@ -145,10 +145,9 @@ def evaluate_stretch(
             peak = float(surplus.max())
             if peak > max_add:
                 max_add = peak
-            for r in ratio.tolist():
-                sum_mult += r
-            for s in surplus.tolist():
-                sum_add += s
+            # add.accumulate adds in order; np.sum would pair terms up.
+            sum_mult = float(np.add.accumulate(np.concatenate(([sum_mult], ratio)))[-1])
+            sum_add = float(np.add.accumulate(np.concatenate(([sum_add], surplus)))[-1])
             buckets = dg.astype(np.int64)
             bucket_peak = np.full(int(buckets.max()) + 1, neg_inf)
             np.maximum.at(bucket_peak, buckets, surplus)

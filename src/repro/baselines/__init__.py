@@ -7,20 +7,23 @@
   Elkin-Matar and Elkin-Neiman spanners, and the EEST low-stretch spanning
   tree.
 
-Every builder returns a :class:`~repro.algorithms.result.RunResult` labelled
-with its registered name, which the registry wrappers in
+Elkin-Peleg'01, Elkin-Neiman'17 and both sparse-schedule spanners share one
+superclustering-and-interconnection loop in :mod:`.cluster_scan` and differ
+only in their host rule and degree schedule; the Elkin'05 surrogate runs the
+paper's own phase loop (:func:`repro.core.phases.run_phases`).  Every builder
+returns a :class:`~repro.algorithms.result.RunResult` labelled with its
+registered name, which the registry wrappers in
 :mod:`repro.algorithms.builtin` hand back unchanged.
 """
 
 from .baswana_sen import build_baswana_sen_spanner
-from .elkin05_surrogate import build_elkin05_surrogate_spanner, elkin05_surrogate_guarantee
-from .elkin_matar import build_elkin_matar_spanner, elkin_matar_guarantee
-from .elkin_neiman import build_elkin_neiman_spanner, elkin_neiman_guarantee
-from .elkin_neiman_sparse import (
+from .cluster_scan import (
+    build_elkin_matar_spanner,
     build_elkin_neiman_sparse_spanner,
-    elkin_neiman_sparse_guarantee,
+    build_elkin_neiman_spanner,
+    build_elkin_peleg_spanner,
 )
-from .elkin_peleg import build_elkin_peleg_spanner, elkin_peleg_guarantee
+from .elkin05_surrogate import build_elkin05_surrogate_spanner
 from .greedy import build_greedy_spanner
 from .low_stretch_tree import build_low_stretch_tree, declared_average_stretch_bound
 from .mst import build_elkin_mst
@@ -36,9 +39,4 @@ __all__ = [
     "build_greedy_spanner",
     "build_low_stretch_tree",
     "declared_average_stretch_bound",
-    "elkin05_surrogate_guarantee",
-    "elkin_matar_guarantee",
-    "elkin_neiman_guarantee",
-    "elkin_neiman_sparse_guarantee",
-    "elkin_peleg_guarantee",
 ]

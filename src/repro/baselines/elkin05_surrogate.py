@@ -24,12 +24,11 @@ for [Elk05] are reproduced exactly from the published formulas in
 
 from __future__ import annotations
 
-import math
-from typing import List, Set, Tuple
+from typing import List, Set
 
 from ..algorithms.result import RunResult
 from ..core.centralized import CentralizedSteps
-from ..core.parameters import SpannerParameters, StretchGuarantee, guarantee_from_schedules
+from ..core.parameters import SpannerParameters, guarantee_from_schedules, schedules
 from ..core.phases import run_phases
 from ..graphs.bfs import bfs_distances
 from ..graphs.graph import Graph
@@ -45,32 +44,6 @@ def _sequential_ruling_set(graph: Graph, candidates: List[int], separation: int)
     return chosen
 
 
-def _elkin05_schedules(parameters: SpannerParameters) -> Tuple[List[int], List[int]]:
-    """Radius / threshold schedules of the sequential-scan surrogate.
-
-    The greedy sequential ruling set dominates candidates within ``2*delta_i``,
-    so superclusters are grown to that depth and radii follow
-    ``R_{i+1} = 2*delta_i + R_i``.
-    """
-    radii = [0]
-    deltas: List[int] = []
-    for i in range(parameters.num_phases):
-        delta_i = int(math.ceil(parameters.epsilon ** (-i) - 1e-9)) + 2 * radii[i]
-        deltas.append(delta_i)
-        radii.append(2 * delta_i + radii[i])
-    return radii[: parameters.num_phases], deltas
-
-
-def elkin05_surrogate_guarantee(parameters: SpannerParameters) -> StretchGuarantee:
-    """The ``(1 + alpha, beta)`` guarantee the surrogate declares.
-
-    Computed from the same schedules the builder uses, so the algorithm
-    registry can state the guarantee without running the algorithm.
-    """
-    radii, deltas = _elkin05_schedules(parameters)
-    return guarantee_from_schedules(radii, deltas)
-
-
 #: The per-phase statistics the surrogate reports, in payload order.
 _PHASE_KEYS = (
     "index", "num_clusters", "num_popular", "ruling_set_size", "num_superclustered",
@@ -83,7 +56,9 @@ class _SequentialScanSteps(CentralizedSteps):
 
     def __init__(self, graph: Graph, parameters: SpannerParameters) -> None:
         super().__init__(graph, parameters)
-        self.radii, self.deltas = _elkin05_schedules(parameters)
+        # The greedy sequential ruling set dominates candidates within
+        # 2*delta_i, so superclusters grow to that depth: R_{i+1} = 2 delta_i + R_i.
+        self.radii, self.deltas = schedules(parameters.epsilon, parameters.num_phases, 2)
 
     def supercluster(self, i: int, centers: List[int], popular: Set[int]):
         if not popular:

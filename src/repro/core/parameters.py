@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 EXPONENTIAL_STAGE = "exponential"
 FIXED_STAGE = "fixed"
@@ -96,6 +96,24 @@ def guarantee_from_schedules(radii: List[int], deltas: List[int]) -> StretchGuar
         alpha += segment_cost / length
         beta = segment_cost
     return StretchGuarantee(multiplicative=1.0 + alpha, additive=beta)
+
+
+def schedules(epsilon: float, num_phases: int, growth: int) -> Tuple[List[int], List[int]]:
+    """The radius bounds ``[R_0, ...]`` and distance thresholds ``[delta_0, ...]``.
+
+    ``R_0 = 0``, ``delta_i = ceil(eps^-i) + 2 R_i`` (paper eq. (3), integer
+    form) and ``R_{i+1} = growth * delta_i + R_i``, for ``num_phases`` phases.
+    ``growth`` is how far one phase's superclusters reach in units of
+    ``delta_i``: ``2c`` for the paper's ruling-set forests, ``2`` for the
+    Elkin'05 surrogate's sequential scan and ``1`` for the cluster-scan
+    baselines, which join hosts within ``delta_i``.
+    """
+    radii = [0]
+    deltas: List[int] = []
+    for i in range(num_phases):
+        deltas.append(int(math.ceil(epsilon ** (-i) - 1e-9)) + 2 * radii[i])
+        radii.append(growth * deltas[i] + radii[i])
+    return radii[:num_phases], deltas
 
 
 @dataclass(frozen=True)
@@ -248,46 +266,28 @@ class SpannerParameters:
         docstring for why the implementation recurrence differs from the
         paper's eq. (2) by constant factors.
         """
-        return list(self._radius_schedule())
+        return list(self._schedules()[0])
 
-    def _radius_schedule(self) -> List[int]:
-        """Memoized ``[R_0, ..., R_ell]`` (do not mutate the returned list)."""
-        def compute() -> List[int]:
-            c = self.domination_multiplier
-            radii = [0]
-            for i in range(self.ell):
-                delta_i = self._delta_from_radius(i, radii[i])
-                radii.append(2 * c * delta_i + radii[i])
-            return radii
-
-        return self._memo("_radius_memo", compute)
-
-    def _delta_from_radius(self, i: int, radius: int) -> int:
-        return int(math.ceil(self.epsilon ** (-i) - 1e-9)) + 2 * radius
+    def _schedules(self) -> Tuple[List[int], List[int]]:
+        """Memoized ``(radius_bounds, deltas)`` (do not mutate)."""
+        return self._memo(
+            "_schedules_memo",
+            lambda: schedules(self.epsilon, self.num_phases, 2 * self.domination_multiplier),
+        )
 
     def radius_bound(self, i: int) -> int:
         """``R_i`` for a single phase."""
         self._check_phase(i)
-        return self._radius_schedule()[i]
+        return self._schedules()[0][i]
 
     def delta(self, i: int) -> int:
         """Distance threshold ``delta_i = ceil(eps^{-i}) + 2 R_i`` (paper eq. (3), integer form)."""
         self._check_phase(i)
-        return self._delta_schedule()[i]
+        return self._schedules()[1][i]
 
     def deltas(self) -> List[int]:
         """All distance thresholds ``[delta_0, ..., delta_ell]``."""
-        return list(self._delta_schedule())
-
-    def _delta_schedule(self) -> List[int]:
-        """Memoized ``[delta_0, ..., delta_ell]`` (do not mutate)."""
-        def compute() -> List[int]:
-            radii = self._radius_schedule()
-            return [
-                self._delta_from_radius(i, radii[i]) for i in range(self.num_phases)
-            ]
-
-        return self._memo("_delta_memo", compute)
+        return list(self._schedules()[1])
 
     def ruling_set_q(self, i: int) -> int:
         """Separation parameter handed to the ruling-set procedure (``2 delta_i``)."""
@@ -338,9 +338,7 @@ class SpannerParameters:
         """
         return self._memo(
             "_stretch_memo",
-            lambda: guarantee_from_schedules(
-                self._radius_schedule(), self._delta_schedule()
-            ),
+            lambda: guarantee_from_schedules(*self._schedules()),
         )
 
     def beta(self) -> float:

@@ -5,12 +5,9 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis import evaluate_stretch
-from repro.baselines import build_elkin_matar_spanner, elkin_matar_guarantee
-from repro.baselines.elkin_matar import (
-    sparse_degree_threshold,
-    sparse_schedules,
-    validate_sparse_parameters,
-)
+from repro.algorithms import get_spec
+from repro.baselines import build_elkin_matar_spanner
+from repro.baselines.cluster_scan import sparse_degree_threshold, sparse_schedules
 from repro.graphs import gnp_random_graph, grid_graph, same_component_structure
 
 
@@ -34,18 +31,20 @@ def test_degree_threshold_doubly_exponential():
 
 def test_parameter_validation():
     with pytest.raises(ValueError):
-        validate_sparse_parameters(0.0, 3)
+        sparse_schedules(0.0, 3)
     with pytest.raises(ValueError):
-        validate_sparse_parameters(1.5, 3)
+        sparse_schedules(1.5, 3)
     with pytest.raises(ValueError):
-        validate_sparse_parameters(0.5, 0)
+        sparse_schedules(0.5, 0)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_stretch_guarantee_holds(seed):
     graph = gnp_random_graph(40, 0.1, seed=seed)
     result = build_elkin_matar_spanner(graph, epsilon=0.5, levels=3)
-    assert result.guarantee == elkin_matar_guarantee(0.5, 3)
+    assert result.guarantee == get_spec("elkin-matar-linear").declared_guarantee(
+        {"epsilon": 0.5, "levels": 3}
+    )
     stretch = evaluate_stretch(graph, result.spanner, guarantee=result.guarantee)
     assert stretch.satisfies_guarantee
 

@@ -5,10 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis import evaluate_stretch
-from repro.baselines import (
-    build_elkin_neiman_sparse_spanner,
-    elkin_neiman_sparse_guarantee,
-)
+from repro.algorithms import get_spec
+from repro.baselines import build_elkin_neiman_sparse_spanner
 from repro.graphs import gnp_random_graph, planted_partition_graph, same_component_structure
 
 
@@ -16,7 +14,9 @@ from repro.graphs import gnp_random_graph, planted_partition_graph, same_compone
 def test_stretch_guarantee_holds(seed):
     graph = gnp_random_graph(40, 0.1, seed=seed)
     result = build_elkin_neiman_sparse_spanner(graph, epsilon=0.5, levels=3, seed=seed)
-    assert result.guarantee == elkin_neiman_sparse_guarantee(0.5, 3)
+    assert result.guarantee == get_spec("elkin-neiman-sparse").declared_guarantee(
+        {"epsilon": 0.5, "levels": 3}
+    )
     stretch = evaluate_stretch(graph, result.spanner, guarantee=result.guarantee)
     assert stretch.satisfies_guarantee
 
