@@ -165,6 +165,13 @@ class TestFlatClustersQueries:
         assert not flat_collections_partition_vertices([a, overlap], 4)
         assert not flat_collections_partition_vertices([a], 4)
 
+    def test_partition_check_rejects_a_vertex_repeated_after_a_full_cover(self):
+        n = 40
+        full = flat_clusters(n, {v: 0 for v in range(n)})
+        extra = flat_clusters(n, {0: 0})
+        assert flat_collections_partition_vertices([full], n)
+        assert not flat_collections_partition_vertices([full, extra], n)
+
 
 class TestRandomizedCrossCheck:
     """Random merge/retire schedules vs. a ``center -> frozenset`` oracle."""

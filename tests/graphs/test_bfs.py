@@ -10,10 +10,27 @@ from repro.graphs import (
     bfs,
     bfs_distances,
     bfs_tree_edges,
+    gnp_random_graph,
     multi_source_bfs,
     path_graph,
     shortest_path,
 )
+
+
+def relaxed_distances(graph, source, max_depth):
+    """Hop distances by relaxing every edge to a fixpoint (no BFS queue)."""
+    dist = {source: 0}
+    changed = True
+    while changed:
+        changed = False
+        for u, v in graph.edges():
+            for a, b in ((u, v), (v, u)):
+                if a in dist and dist[a] + 1 < dist.get(b, graph.num_vertices):
+                    dist[b] = dist[a] + 1
+                    changed = True
+    if max_depth is None:
+        return dist
+    return {v: d for v, d in dist.items() if d <= max_depth}
 
 
 class TestSingleSource:
@@ -29,6 +46,15 @@ class TestSingleSource:
         g = Graph(4, [(0, 1)])
         dist = bfs_distances(g, 0)
         assert 2 not in dist and 3 not in dist
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("max_depth", [None, 3])
+    def test_distances_match_edge_relaxation(self, seed, max_depth):
+        graph = gnp_random_graph(90, 0.03, seed=seed)  # sparse enough to leave stragglers
+        for source in (0, 7, 41):
+            assert bfs_distances(graph, source, max_depth=max_depth) == relaxed_distances(
+                graph, source, max_depth
+            )
 
     def test_parents_form_a_tree(self, grid_5x5):
         result = bfs(grid_5x5, 0)
