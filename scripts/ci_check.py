@@ -14,8 +14,9 @@ Runs, in order (see :func:`stage_plan`):
    NumPy/SciPy tier (an optional extra).  Also skipped under ``--fast``.
 4. ``array message plane (numpy kernel)`` -- the exploration, trace-back,
    BFS-forest, ruling-set, tracing, degradation-verifier, golden-run, engine
-   cross-validation, fault-injection, chaos, run-result payload-pin,
-   distance-vector, stretch and cluster-table tests under
+   cross-validation, Elkin'05-surrogate, cluster-scan-baseline,
+   fault-injection, chaos, run-result payload-pin, distance-vector, stretch
+   and cluster-table tests under
    ``REPRO_KERNEL=numpy``, so the array forms of the exploration phases and
    BFS forests, and the compiled distance vectors with their readers, run at
    every test size.  It
@@ -129,6 +130,11 @@ ARRAY_PLANE_TESTS = (
     # The Elkin'05 surrogate explores with the centralized engine's compiled
     # traversal.
     "baselines/test_elkin05_surrogate.py",
+    # The four cluster-scan baselines explore and trace back with it too.
+    "baselines/test_elkin_neiman.py",
+    "baselines/test_elkin_neiman_sparse.py",
+    "baselines/test_elkin_peleg.py",
+    "baselines/test_elkin_matar.py",
     # A fault plan never takes the array tier: the faulted paths run the
     # same under the pinned numpy kernel.
     "congest/test_faults.py",

@@ -1,15 +1,16 @@
 #!/usr/bin/env python
 """Kernel parity gate: an engine's spanner matches under both kernels.
 
-Builds ``--algorithm`` (``new-centralized`` by default, ``new-distributed``
-or ``elkin05-surrogate``) on one seeded ``sparse_gnp`` graph twice, under
-``--kernel python`` (the CPython loops) and ``--kernel auto`` (which past the
-``auto`` thresholds of :mod:`repro.kernels` runs the vectorized tier: the
-compiled per-center traversal of the centralized engine, which the
-Elkin'05 surrogate explores with too, and the array message plane of the
-distributed one), and fails unless both spanners have exactly the same edge
-set.  For ``new-distributed`` the two builds must also charge
-the same ledger entries, in the same order.  Each build's spanner is also
+Builds ``--algorithm`` (``new-centralized`` by default, ``new-distributed``,
+``elkin05-surrogate`` or ``elkin-neiman-2017``) on one seeded ``sparse_gnp``
+graph twice, under ``--kernel python`` (the CPython loops) and ``--kernel
+auto`` (which past the ``auto`` thresholds of :mod:`repro.kernels` runs the
+vectorized tier: the compiled per-center traversal of the centralized
+engine, which the Elkin'05 surrogate and the cluster-scan baselines explore
+with too, and the array message plane of the distributed one), and fails
+unless both spanners have exactly the same edge set.  For
+``new-distributed`` the two builds must also charge the same ledger
+entries, in the same order.  Each build's spanner is also
 certified under its own kernel on a seeded sample of 8 sources against all
 targets (past the traversal threshold ``auto`` sweeps those distances with
 the compiled traversal too), and the two stretch reports must be identical.
@@ -42,7 +43,7 @@ from repro.congest import Simulator  # noqa: E402
 from repro.graphs.generators import make_workload  # noqa: E402
 
 #: The builders the gate compares; the distributed one also has a ledger.
-ALGORITHMS = ("new-centralized", "new-distributed", "elkin05-surrogate")
+ALGORITHMS = ("new-centralized", "new-distributed", "elkin05-surrogate", "elkin-neiman-2017")
 
 #: Sources of the stretch certificate, each checked against every target.
 CERTIFICATE_SOURCES = 8
@@ -56,6 +57,17 @@ def certificate_pairs(n: int, seed: int):
     return [(s, v) for s in sources for v in range(n) if v != s]
 
 
+def cluster_merges(phase) -> int:
+    """The clusters a phase merged into superclusters.
+
+    The paper's builders report them; for [EN17] they are the clusters that
+    joined a sampled host: neither sampled nor interconnected.
+    """
+    if "num_superclustered" in phase:
+        return int(phase["num_superclustered"])
+    return phase["num_clusters"] - phase["num_sampled"] - phase["num_interconnected"]
+
+
 def build_outcome(algorithm: str, graph, seed: int, mode: str, pairs):
     """The sorted spanner edges, the ledger charges, the merges and the stretch
     report over ``pairs`` under ``mode``.
@@ -65,7 +77,7 @@ def build_outcome(algorithm: str, graph, seed: int, mode: str, pairs):
     kernels.set_kernel(mode)
     simulator = Simulator(graph) if algorithm == "new-distributed" else None
     run = repro.build(algorithm, graph, seed=seed, simulator=simulator)
-    merges = sum(int(phase["num_superclustered"]) for phase in run.phases)
+    merges = sum(cluster_merges(phase) for phase in run.phases)
     charges = None
     if simulator is not None:
         charges = [dataclasses.astuple(charge) for charge in simulator.ledger.charges]

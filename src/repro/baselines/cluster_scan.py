@@ -3,9 +3,10 @@
 All four run one superclustering-and-interconnection loop
 (:func:`_scan_phases`), centralized, on the same ``delta_i = ceil(eps^-i) +
 2 R_i``, ``R_{i+1} = delta_i + R_i`` schedules (joining a host within
-``delta_i`` extends a cluster's radius by the length of the added path).  In
-every phase ``i`` each cluster center runs a BFS to depth ``delta_i``; before
-the concluding phase a *host rule* maps centers to supercluster hosts, and a
+``delta_i`` extends a cluster's radius by the length of the added path).
+Every phase ``i`` explores from all cluster centers to depth ``delta_i`` and
+traces paths back with the centralized engine's primitives.  Before the
+concluding phase a *host rule* maps centers to supercluster hosts, and a
 shortest path from each mapped center to its host enters the spanner.  Every
 unmapped center is *interconnected*: a shortest path to every center within
 ``delta_i`` enters the spanner, and its cluster retires.  The concluding phase
@@ -52,13 +53,14 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from ..algorithms.result import RunResult
 from ..core.cluster_table import ClusterTable
 from ..core.parameters import SpannerParameters, guarantee_from_schedules, schedules
-from ..graphs.bfs import bfs
-from ..graphs.graph import Graph, normalize_edge
+from ..graphs.graph import Graph
+from ..primitives.exploration import CenterExploration, centralized_engine_exploration
+from ..primitives.traceback import centralized_traceback_flat
 
-#: ``host_rule(centers, reach, deg_i)`` -> ``{center: host}``, hosts mapped
-#: to themselves; ``reach[c]`` maps every other center within ``delta_i`` of
-#: ``c`` to its distance, in ascending center order.
-HostRule = Callable[[List[int], Dict[int, Dict[int, int]], int], Dict[int, int]]
+#: ``host_rule(exploration, deg_i)`` -> ``{center: host}``, hosts mapped to
+#: themselves; ``exploration.near_centers[c]`` lists every other center within
+#: ``delta_i`` of ``c``, in ascending center order.
+HostRule = Callable[[CenterExploration, int], Dict[int, int]]
 
 #: The per-phase statistics each baseline reports, in payload order.  The
 #: third names the number of hosts; [EP01] also reports its scans (one per
@@ -88,40 +90,25 @@ def _scan_phases(
 ) -> RunResult:
     """Run every phase on the ``(radii, deltas)`` schedule; return the labelled run."""
     radii, deltas = schedule
-    n = graph.num_vertices
-    spanner = Graph(n)
-    table = ClusterTable.singletons(n)
+    spanner = Graph(graph.num_vertices)
+    table = ClusterTable.singletons(graph.num_vertices)
     last = len(deltas) - 1
     phases: List[Dict[str, int]] = []
     nominal_rounds = 0
 
     for i, (delta_i, degree_i) in enumerate(zip(deltas, degrees)):
         centers = table.centers()
-        reach: Dict[int, Dict[int, int]] = {}
-        parents: Dict[int, List[Optional[int]]] = {}
-        for center in centers:
-            result = bfs(graph, center, max_depth=delta_i)
-            reach[center] = {
-                other: result.dist[other]
-                for other in centers
-                if result.dist[other] is not None and other != center
-            }
-            parents[center] = result.parent
-
-        center_host = host_rule(centers, reach, degree_i) if i < last else {}
+        exploration = centralized_engine_exploration(graph, centers, delta_i, degree_i)
+        center_host = host_rule(exploration, degree_i) if i < last else {}
         interconnected = [c for c in centers if c not in center_host]
-        edges_added = 0
-        for center, host in center_host.items():
-            if center != host:
-                edges_added += _add_path(spanner, parents[host], center)
-        paths = 0
+        requests = {center: [host] for center, host in center_host.items() if center != host}
         for center in interconnected:
-            for other in reach[center]:
-                edges_added += _add_path(spanner, parents[other], center)
-                paths += 1
-        nominal_rounds += 1 + 2 * degree_i * delta_i
+            requests[center] = exploration.near_centers[center]
+        edges_added = spanner.add_edges(centralized_traceback_flat(exploration, requests))
+        nominal_rounds += exploration.nominal_rounds + degree_i * delta_i
 
         hosts = sum(1 for center, host in center_host.items() if center == host)
+        paths = sum(len(exploration.near_centers[c]) for c in interconnected)
         stats = {
             "index": i, "num_clusters": len(centers), keys[2]: hosts,
             "num_interconnected": len(interconnected), "interconnection_paths": paths,
@@ -146,48 +133,49 @@ def _scan_phases(
     )
 
 
-def _add_path(spanner: Graph, parent: List[Optional[int]], start: int) -> int:
-    """Add the BFS-tree path from ``start`` up to the BFS root; return new-edge count."""
-    added = 0
-    current = start
-    while parent[current] is not None:
-        nxt = parent[current]
-        if spanner.add_edge(*normalize_edge(current, nxt)):
-            added += 1
-        current = nxt
-    return added
+def _hops(exploration: CenterExploration, center: int, other: int) -> int:
+    """Distance from ``center`` to a center it knows, walked up ``other``'s parent array."""
+    if exploration.depth <= 1:
+        return 1  # depth-1 explorations carry no parent arrays
+    parent, current, hops = exploration.parents[other], center, 0
+    while current != other:
+        # int(): the compiled path's parent arrays yield numpy scalars.
+        current, hops = int(parent[current]), hops + 1
+    return hops
 
 
 # ----------------------------------------------------------------------
 # Host rules
 # ----------------------------------------------------------------------
-def _max_count_hosts(centers, reach, degree) -> Dict[int, int]:
+def _max_count_hosts(exploration, degree) -> Dict[int, int]:
     """[EP01]: repeatedly merge the center with the most unmerged centers nearby."""
-    available = set(centers)
+    near = exploration.near_centers
+    available = set(exploration.centers)
     center_host: Dict[int, int] = {}
     while True:
         best_center = None
         best_count = -1
         for center in sorted(available):
-            count = sum(1 for other in reach[center] if other in available)
+            count = sum(1 for other in near[center] if other in available)
             if count > best_count:
                 best_count = count
                 best_center = center
         if best_center is None or best_count < degree:
             return center_host
-        merged = [best_center] + [other for other in reach[best_center] if other in available]
+        merged = [best_center] + [other for other in near[best_center] if other in available]
         for center in merged:
             center_host[center] = best_center
         available.difference_update(merged)
 
 
-def _first_fit_hosts(centers, reach, degree) -> Dict[int, int]:
+def _first_fit_hosts(exploration, degree) -> Dict[int, int]:
     """[EM19]: in ascending ID order, a center with ``deg_i`` unhosted centers nearby hosts them."""
+    near = exploration.near_centers
     center_host: Dict[int, int] = {}
-    for center in centers:
+    for center in exploration.centers:
         if center in center_host:
             continue
-        nearby = [other for other in reach[center] if other not in center_host]
+        nearby = [other for other in near[center] if other not in center_host]
         if len(nearby) >= degree:
             center_host[center] = center
             for other in nearby:
@@ -198,14 +186,19 @@ def _first_fit_hosts(centers, reach, degree) -> Dict[int, int]:
 def _closest_sampled_hosts(rng: random.Random) -> HostRule:
     """[EN17]/[EN16]: sample centers w.p. ``1/deg_i``; others join the closest sample."""
 
-    def rule(centers, reach, degree) -> Dict[int, int]:
+    def rule(exploration, degree) -> Dict[int, int]:
+        centers = exploration.centers
         sampled = {center for center in centers if rng.random() < 1.0 / degree}
         center_host: Dict[int, int] = {}
         for center in centers:
             if center in sampled:
                 center_host[center] = center
                 continue
-            nearby = [(dist, other) for other, dist in reach[center].items() if other in sampled]
+            nearby = [
+                (_hops(exploration, center, other), other)
+                for other in exploration.near_centers[center]
+                if other in sampled
+            ]
             if nearby:
                 center_host[center] = min(nearby)[1]
         return center_host

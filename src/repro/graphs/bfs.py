@@ -1,8 +1,9 @@
 """Centralized breadth-first-search utilities.
 
 These are the sequential counterparts of the distributed primitives in
-:mod:`repro.primitives`; the centralized reference engine of the spanner
-algorithm and all verification code are built on them.
+:mod:`repro.primitives`; the centralized ruling set and all verification
+code are built on them.  The spanner builders explore with
+:func:`repro.primitives.exploration.centralized_engine_exploration` instead.
 """
 
 from __future__ import annotations

@@ -49,11 +49,11 @@ the network is already quiet are skipped by the simulator as a wall-clock
 optimization, but the *nominal* cost charged to the ledger is the full
 ``1 + deg_i * delta_i`` rounds exactly as the paper counts it.
 
-The centralized builders (the centralized engine and the Elkin'05
-surrogate) skip the message passing: :func:`centralized_engine_exploration`
-computes the exact knowledge the non-popular centers end up with, as one
-bounded breadth-first sweep per center in flat arrays
-(:class:`CenterExploration`).
+The centralized builders (the centralized engine, the Elkin'05 surrogate
+and the four cluster-scan baselines of :mod:`repro.baselines.cluster_scan`)
+skip the message passing: :func:`centralized_engine_exploration` computes
+the exact knowledge the non-popular centers end up with, as one bounded
+breadth-first sweep per center in flat arrays (:class:`CenterExploration`).
 
 Guarantees verified by the test-suite (Theorem 2.1 / Lemma A.1):
 
@@ -768,17 +768,17 @@ def _first_arrivals(np, keys, key_bound: int):
 
 @dataclass
 class CenterExploration:
-    """Flat-array exploration summary used by the centralized engine.
+    """Flat-array exploration summary used by the centralized builders.
 
-    Holds exactly what the engine consumes from Algorithm 1's exact
-    (untruncated) knowledge -- every vertex knowing every center within
-    ``depth``, which Theorem 2.1 guarantees for the non-popular centers the
-    engine reads -- in flat arrays instead of per-vertex dictionaries of
-    :class:`KnownCenter`:
+    Holds exactly what the centralized engine consumes from Algorithm 1's
+    exact (untruncated) knowledge -- every vertex knowing every center
+    within ``depth``, which Theorem 2.1 guarantees for the non-popular
+    centers the engine reads -- in flat arrays instead of per-vertex
+    dictionaries of :class:`KnownCenter`:
 
     * ``near_centers[c]`` -- the sorted centers within ``depth`` of center
-      ``c`` (excluding ``c``); drives popularity and the interconnection
-      requests.
+      ``c`` (excluding ``c``); drives popularity, the cluster-scan
+      baselines' host rules and the interconnection requests.
     * ``parents[c]`` -- the BFS-tree parent of every vertex *toward* ``c``
       (``-1`` for unreached vertices, ``c`` for the root itself), the first
       toucher of a breadth-first sweep over sorted neighbour rows; drives
@@ -791,8 +791,9 @@ class CenterExploration:
 
     ``popular``, the near-center lists and the trace-back edges equal those
     of the exhaustive per-vertex knowledge map (the oracle kept in the
-    tests), so the centralized engine and the Elkin'05 surrogate, which
-    both explore with it, build the same spanners as that map would.
+    tests), so the centralized engine, the Elkin'05 surrogate and the four
+    cluster-scan baselines, which all explore with it, build the same
+    spanners as that map would.
     """
 
     near_centers: Dict[int, Sequence[int]]
@@ -836,7 +837,7 @@ def centralized_engine_exploration(
     depth: int,
     cap: int,
 ) -> CenterExploration:
-    """Exact per-center exploration in flat arrays (centralized engine hot path).
+    """Exact per-center exploration in flat arrays (every centralized builder's hot path).
 
     Runs one depth-bounded breadth-first sweep per center over the CSR
     snapshot, recording only parent pointers (a dense array per center) and

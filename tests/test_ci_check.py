@@ -152,6 +152,8 @@ class TestStagePlan:
         assert any(part.endswith("test_golden_run.py") for part in stage)
         assert any(part.endswith("test_bfs_forest.py") for part in stage)
         assert any(part.endswith("test_elkin05_surrogate.py") for part in stage)
+        assert any(part.endswith("test_elkin_neiman.py") for part in stage)
+        assert any(part.endswith("test_elkin_matar.py") for part in stage)
         assert any(part.endswith("test_phase_structure_pin.py") for part in stage)
         assert any(part.endswith("test_cluster_table.py") for part in stage)
 

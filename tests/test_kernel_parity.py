@@ -50,9 +50,29 @@ def test_surrogate_spanners_match_past_the_traversal_threshold():
     assert "identical spanner edges" in proc.stdout
 
 
+@pytest.mark.skipif(not kernels.numpy_available(), reason="numpy/scipy not installed")
+def test_cluster_scan_spanners_match_past_the_traversal_threshold():
+    # The [EN17] baseline explores with the centralized engine's traversal,
+    # and its host rule walks the compiled path's parent arrays.
+    size = kernels.AUTO_MIN_TRAVERSAL_VERTICES
+    proc = run_gate("--algorithm", "elkin-neiman-2017", "--size", str(size), "--seed", "3")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "identical spanner edges" in proc.stdout
+    assert "identical stretch reports (8 sources" in proc.stdout
+
+
 def test_a_graph_without_merges_fails_the_gate():
     # Degree 1 leaves nothing to supercluster: comparing would prove nothing.
     proc = run_gate("--size", "300", "--degree", "1")
+    assert proc.returncode == 1
+    if kernels.numpy_available():
+        assert "no cluster merges" in proc.stdout
+
+
+def test_a_cluster_scan_graph_without_merges_fails_the_gate():
+    # [EN17] reports no superclustered count; its merges come from the
+    # clusters that joined a sampled host, and an edgeless graph has none.
+    proc = run_gate("--algorithm", "elkin-neiman-2017", "--size", "300", "--degree", "0")
     assert proc.returncode == 1
     if kernels.numpy_available():
         assert "no cluster merges" in proc.stdout
