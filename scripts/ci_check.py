@@ -141,6 +141,11 @@ ARRAY_PLANE_TESTS = (
     "experiments/test_chaos.py",
     # Every registered algorithm's payload pin holds on the array tier too.
     "algorithms/test_run_result_schema.py",
+    # The readers of a run's result: the lemma checks, the registry facade
+    # and the figure experiments.
+    "analysis/test_size_and_phase_stats.py",
+    "algorithms/test_algorithm_registry.py",
+    "experiments/test_tables_and_figures.py",
     # The distance vectors from the compiled traversal, and the stretch
     # reports that read them.
     "analysis/test_stretch.py",

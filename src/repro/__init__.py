@@ -31,9 +31,11 @@ Quickstart::
 
     graph = gnp_random_graph(300, 0.03, seed=7)
     result = build_spanner(graph, epsilon=0.5, kappa=3, rho=1/3)
-    print(result.num_edges, "edges;", result.parameters.stretch_bound())
+    print(result.algorithm, result.num_edges, "edges;", result.guarantee)
 
-    # ... or any registered algorithm by name, via the registry facade:
+    # ... or any registered algorithm by name, via the registry facade; every
+    # algorithm returns the same RunResult (the engines' also carry their
+    # phase records, cluster histories and certificate):
     run = build("baswana-sen", graph, kappa=3, seed=1)
     print(run.algorithm, run.num_edges, run.guarantee)
 """
@@ -42,7 +44,6 @@ from . import algorithms
 from .algorithms import AlgorithmSpec, RunResult, build
 from .core import (
     SpannerParameters,
-    SpannerResult,
     StretchGuarantee,
     build_spanner,
     build_spanner_centralized,
@@ -58,7 +59,6 @@ __all__ = [
     "Graph",
     "RunResult",
     "SpannerParameters",
-    "SpannerResult",
     "StretchGuarantee",
     "__version__",
     "algorithms",

@@ -15,6 +15,7 @@ See :mod:`repro.algorithms.registry` for the spec/registry contracts and
 :mod:`repro.algorithms.builtin` for the built-in registrations.
 """
 
+from ..core.result import RUN_RESULT_KEYS, RUN_RESULT_SCHEMA, RunResult
 from .registry import (
     GUARANTEE_KINDS,
     AlgorithmSpec,
@@ -27,7 +28,6 @@ from .registry import (
     register,
     select,
 )
-from .result import RUN_RESULT_KEYS, RUN_RESULT_SCHEMA, RunResult
 
 __all__ = [
     "GUARANTEE_KINDS",

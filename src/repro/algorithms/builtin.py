@@ -36,10 +36,10 @@ from ..baselines import (
 )
 from ..baselines.cluster_scan import sparse_schedules
 from ..core.parameters import SpannerParameters, StretchGuarantee, guarantee_from_schedules, schedules
+from ..core.result import RunResult
 from ..core.spanner import ENGINE_CENTRALIZED, ENGINE_DISTRIBUTED, build_spanner, make_parameters
 from ..graphs.graph import Graph
 from .registry import AlgorithmSpec, ParamSpec, Params, register
-from .result import RunResult
 
 #: The committed measured capacity ladder (``capacity-ladder/v1``), written
 #: by ``repro capacity --update-defaults`` (see :mod:`repro.analysis.capacity`
@@ -188,20 +188,18 @@ def _engine_guarantee(params: Params) -> StretchGuarantee:
 
 def build_new_centralized(graph: Graph, params: Params, *, seed: int = 0, simulator=None) -> RunResult:
     _reject_simulator("new-centralized", simulator)
-    result = build_spanner(
+    return build_spanner(
         graph, parameters=spanner_parameters(params), engine=ENGINE_CENTRALIZED
     )
-    return RunResult.from_spanner_result(result)
 
 
 def build_new_distributed(graph: Graph, params: Params, *, seed: int = 0, simulator=None) -> RunResult:
-    result = build_spanner(
+    return build_spanner(
         graph,
         parameters=spanner_parameters(params),
         engine=ENGINE_DISTRIBUTED,
         simulator=simulator,
     )
-    return RunResult.from_spanner_result(result)
 
 
 NEW_CENTRALIZED = register(

@@ -26,7 +26,7 @@ Contracts:
   is the fully-resolved parameter dict (defaults filled in);
 * deterministic algorithms ignore ``seed``; only the distributed engine
   accepts a ``simulator``;
-* the returned :class:`~repro.algorithms.result.RunResult` must carry the
+* the returned :class:`~repro.core.result.RunResult` must carry the
   spec's registered name in ``RunResult.algorithm``.
 """
 
@@ -37,8 +37,8 @@ from importlib import import_module
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from ..core.parameters import StretchGuarantee
+from ..core.result import RunResult
 from ..graphs.graph import Graph
-from .result import RunResult
 
 Params = Dict[str, object]
 BuildFn = Callable[..., RunResult]

@@ -22,6 +22,7 @@ from ..baselines.low_stretch_tree import declared_average_stretch_bound
 from ..graphs.distances import INFINITY, sample_vertex_pairs
 from ..graphs.graph import Graph
 from ..graphs.mst import kruskal_msf, total_weight
+from .stretch import EXHAUSTIVE_MAX_VERTICES
 
 
 @dataclass
@@ -39,7 +40,6 @@ def measured_average_stretch(
     spanner: Graph,
     num_pairs: int = 400,
     seed: int = 0,
-    exhaustive_below: int = 60,
 ) -> GuaranteeCheck:
     """Average multiplicative stretch over vertex pairs, via :class:`DistanceCache`.
 
@@ -49,7 +49,7 @@ def measured_average_stretch(
     are measured over all pairs, larger ones over ``num_pairs`` sampled ones.
     """
     n = graph.num_vertices
-    if n <= exhaustive_below or num_pairs <= 0:
+    if n <= EXHAUSTIVE_MAX_VERTICES or num_pairs <= 0:
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     else:
         pairs = sample_vertex_pairs(n, num_pairs, seed=seed)
@@ -161,7 +161,7 @@ def verify_registered_guarantee(spec, run, num_pairs: int = 400, seed: int = 0) 
     """Check ``run`` against ``spec``'s declared guarantee, whatever its kind.
 
     ``spec`` is an :class:`~repro.algorithms.registry.AlgorithmSpec`; ``run``
-    the :class:`~repro.algorithms.result.RunResult` its builder produced.
+    the :class:`~repro.core.result.RunResult` its builder produced.
     Dispatches on ``spec.guarantee_kind`` (see
     :data:`~repro.algorithms.registry.GUARANTEE_KINDS`).
     """

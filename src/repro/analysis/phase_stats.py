@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List
 
-from ..core.result import SpannerResult
+from ..core.result import RunResult
 from ..graphs.bfs import bfs_distances
 from ..graphs.components import same_component_structure
 
@@ -113,23 +113,17 @@ class VerificationReport:
         }
 
 
-def verify_run(result, check_interconnection_paths: bool = True) -> VerificationReport:
+def verify_run(result: RunResult) -> VerificationReport:
     """Run every structural check on a run of the paper's algorithm.
 
-    Accepts either a :class:`SpannerResult` directly or a
-    :class:`~repro.algorithms.result.RunResult` wrapping one (the unified
-    record the algorithm registry returns); baseline runs carry no phase
-    structure to verify and are rejected.
+    ``result`` is an engine run (``new-centralized`` / ``new-distributed``),
+    from :func:`repro.build` or :func:`repro.build_spanner`; baseline runs
+    (``engine is None``) carry no phase structure to verify and are rejected.
     """
-    if not isinstance(result, SpannerResult):
-        source = getattr(result, "source", None)
-        if isinstance(source, SpannerResult):
-            result = source
-        else:
-            raise TypeError(
-                "verify_run needs a SpannerResult (or a RunResult wrapping "
-                f"one); got {type(result).__name__}"
-            )
+    if result.engine is None:
+        raise TypeError(
+            f"verify_run needs an engine run; {result.algorithm!r} is not an engine algorithm"
+        )
     report = VerificationReport()
     _check_subgraph(result, report)
     _check_connectivity(result, report)
@@ -140,30 +134,29 @@ def verify_run(result, check_interconnection_paths: bool = True) -> Verification
     _check_phase_counter_conservation(result, report)
     _check_ruling_sets(result, report)
     _check_interconnection_budget(result, report)
-    if check_interconnection_paths:
-        _check_interconnection_paths(result, report)
+    _check_interconnection_paths(result, report)
     return report
 
 
 # ----------------------------------------------------------------------
 # Individual checks
 # ----------------------------------------------------------------------
-def _check_subgraph(result: SpannerResult, report: VerificationReport) -> None:
+def _check_subgraph(result: RunResult, report: VerificationReport) -> None:
     ok = result.spanner.is_subgraph_of(result.graph)
     report.add("spanner-is-subgraph", ok)
 
 
-def _check_connectivity(result: SpannerResult, report: VerificationReport) -> None:
+def _check_connectivity(result: RunResult, report: VerificationReport) -> None:
     ok = same_component_structure(result.graph, result.spanner)
     report.add("connectivity-preserved", ok)
 
 
-def _check_partition(result: SpannerResult, report: VerificationReport) -> None:
+def _check_partition(result: RunResult, report: VerificationReport) -> None:
     ok = result.unclustered_partitions_vertices()
     report.add("corollary-2.5-partition", ok)
 
 
-def _check_radii(result: SpannerResult, report: VerificationReport) -> None:
+def _check_radii(result: RunResult, report: VerificationReport) -> None:
     bounds = result.parameters.radius_bounds()
     worst_violation = ""
     ok = True
@@ -183,7 +176,7 @@ def _check_radii(result: SpannerResult, report: VerificationReport) -> None:
     report.add("lemma-2.3-radius-bounds", ok, worst_violation)
 
 
-def _check_popular_superclustered(result: SpannerResult, report: VerificationReport) -> None:
+def _check_popular_superclustered(result: RunResult, report: VerificationReport) -> None:
     ok = True
     details = ""
     for record in result.phase_records:
@@ -197,7 +190,7 @@ def _check_popular_superclustered(result: SpannerResult, report: VerificationRep
     report.add("lemma-2.4-popular-superclustered", ok, details)
 
 
-def _check_cluster_counts(result: SpannerResult, report: VerificationReport) -> None:
+def _check_cluster_counts(result: RunResult, report: VerificationReport) -> None:
     parameters = result.parameters
     n = max(1, result.num_vertices)
     ok = True
@@ -216,7 +209,7 @@ def _check_cluster_counts(result: SpannerResult, report: VerificationReport) -> 
 
 
 def _check_phase_counter_conservation(
-    result: SpannerResult, report: VerificationReport
+    result: RunResult, report: VerificationReport
 ) -> None:
     """The engine-recorded cluster-flow counters are mutually consistent.
 
@@ -257,7 +250,7 @@ def _check_phase_counter_conservation(
     report.add("cluster-flow-conservation", ok, details)
 
 
-def _check_ruling_sets(result: SpannerResult, report: VerificationReport) -> None:
+def _check_ruling_sets(result: RunResult, report: VerificationReport) -> None:
     graph = result.graph
     parameters = result.parameters
     separation_ok = True
@@ -302,7 +295,7 @@ def _check_ruling_sets(result: SpannerResult, report: VerificationReport) -> Non
     report.add("theorem-2.2-ruling-set-domination", domination_ok, details if not domination_ok else "")
 
 
-def _check_interconnection_budget(result: SpannerResult, report: VerificationReport) -> None:
+def _check_interconnection_budget(result: RunResult, report: VerificationReport) -> None:
     ok = True
     details = ""
     for record in result.phase_records:
@@ -320,7 +313,7 @@ def _check_interconnection_budget(result: SpannerResult, report: VerificationRep
     report.add("lemma-2.12-interconnection-budget", ok, details)
 
 
-def _check_interconnection_paths(result: SpannerResult, report: VerificationReport) -> None:
+def _check_interconnection_paths(result: RunResult, report: VerificationReport) -> None:
     """Interconnected pairs lie within delta_i and get *shortest* paths in H."""
     graph = result.graph
     spanner = result.spanner

@@ -100,7 +100,7 @@ _ENGINE_PHASE_COLUMNS = (
 
 
 def render_run_result(run, title: str = "per-phase statistics") -> str:
-    """Plain-text summary of a unified :class:`~repro.algorithms.result.RunResult`.
+    """Plain-text summary of a unified :class:`~repro.core.result.RunResult`.
 
     Works for every registered algorithm: header lines (algorithm, declared
     guarantee, spanner size, nominal rounds where defined) plus the per-phase

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Dict
 
 from ..core.certificate import INTERCONNECTION_STEP, SUPERCLUSTERING_STEP
-from ..core.result import SpannerResult
+from ..core.result import RunResult
 
 
 @dataclass
@@ -47,7 +47,7 @@ class SizeReport:
         }
 
 
-def size_report(result: SpannerResult) -> SizeReport:
+def size_report(result: RunResult) -> SizeReport:
     """Build a :class:`SizeReport` for a run of the deterministic algorithm."""
     per_phase = {
         record.index: record.superclustering_edges + record.interconnection_edges

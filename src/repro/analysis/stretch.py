@@ -16,6 +16,10 @@ from ..graphs.distances import INFINITY, array_vectors, sample_vertex_pairs
 from ..graphs.graph import Graph
 from ..kernels import require_numpy
 
+#: Graphs of at most this many vertices get an exhaustive (all-pairs) stretch
+#: check; larger ones are checked on sampled pairs.
+EXHAUSTIVE_MAX_VERTICES = 60
+
 
 @dataclass
 class PairStretch:
@@ -245,19 +249,18 @@ def evaluate_run_stretch(
     num_pairs: int = 400,
     seed: int = 0,
     guarantee: Optional[StretchGuarantee] = None,
-    exhaustive_below: int = 60,
 ) -> StretchReport:
-    """Stretch report for a :class:`~repro.algorithms.result.RunResult`.
+    """Stretch report for a :class:`~repro.core.result.RunResult`.
 
     The unified-result accessor used by the registry facade, the CLI and the
     registry-driven guarantee tests: graph, spanner and declared guarantee are
-    all read off the run.  Small graphs (at most ``exhaustive_below``
-    vertices, or ``num_pairs <= 0``) are checked exhaustively; larger ones on
-    ``num_pairs`` sampled pairs.
+    all read off the run.  Small graphs (at most
+    :data:`EXHAUSTIVE_MAX_VERTICES` vertices, or ``num_pairs <= 0``) are
+    checked exhaustively; larger ones on ``num_pairs`` sampled pairs.
     """
     if guarantee is None:
         guarantee = run.guarantee
-    if num_pairs <= 0 or run.graph.num_vertices <= exhaustive_below:
+    if num_pairs <= 0 or run.graph.num_vertices <= EXHAUSTIVE_MAX_VERTICES:
         return evaluate_stretch(run.graph, run.spanner, guarantee=guarantee)
     return evaluate_stretch_sampled(
         run.graph, run.spanner, num_pairs=num_pairs, seed=seed, guarantee=guarantee

@@ -12,7 +12,7 @@ superclustering-and-interconnection loop in :mod:`.cluster_scan` and differ
 only in their host rule and degree schedule; the Elkin'05 surrogate runs the
 paper's own phase loop (:func:`repro.core.phases.run_phases`).  All five
 explore and trace back with the centralized engine's primitives.  Every builder
-returns a :class:`~repro.algorithms.result.RunResult` labelled with its
+returns a :class:`~repro.core.result.RunResult` labelled with its
 registered name, which the registry wrappers in
 :mod:`repro.algorithms.builtin` hand back unchanged.
 """

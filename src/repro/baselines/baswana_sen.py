@@ -25,8 +25,8 @@ from __future__ import annotations
 import random
 from typing import Dict, List, Optional
 
-from ..algorithms.result import RunResult
 from ..core.parameters import StretchGuarantee
+from ..core.result import RunResult
 from ..graphs.graph import Graph
 
 

@@ -50,9 +50,9 @@ import math
 import random
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..algorithms.result import RunResult
 from ..core.cluster_table import ClusterTable
 from ..core.parameters import SpannerParameters, guarantee_from_schedules, schedules
+from ..core.result import RunResult
 from ..graphs.graph import Graph
 from ..primitives.exploration import CenterExploration, centralized_engine_exploration
 from ..primitives.traceback import centralized_traceback_flat

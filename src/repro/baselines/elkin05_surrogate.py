@@ -26,10 +26,10 @@ from __future__ import annotations
 
 from typing import List, Set
 
-from ..algorithms.result import RunResult
 from ..core.centralized import CentralizedSteps
 from ..core.parameters import SpannerParameters, guarantee_from_schedules, schedules
 from ..core.phases import run_phases
+from ..core.result import RunResult
 from ..graphs.bfs import bfs_distances
 from ..graphs.graph import Graph
 

@@ -17,8 +17,8 @@ from __future__ import annotations
 from collections import deque
 from typing import Optional
 
-from ..algorithms.result import RunResult
 from ..core.parameters import StretchGuarantee
+from ..core.result import RunResult
 from ..graphs.graph import Graph
 
 

@@ -28,8 +28,8 @@ import math
 from collections import deque
 from typing import Dict, List, Set, Tuple
 
-from ..algorithms.result import RunResult
 from ..core.parameters import StretchGuarantee
+from ..core.result import RunResult
 from ..graphs.graph import Graph
 
 #: Components at or below this size just take their BFS tree; the

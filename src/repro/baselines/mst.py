@@ -20,9 +20,9 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..algorithms.result import RunResult
 from ..congest.simulator import Simulator
 from ..core.parameters import StretchGuarantee
+from ..core.result import RunResult
 from ..graphs.graph import Graph
 from ..graphs.mst import total_weight
 from ..primitives.fragments import run_boruvka_msf

@@ -106,7 +106,8 @@ from .analysis.capacity import (
     render_ladder,
     save_ladder,
 )
-from .core import SpannerResult, make_parameters
+from .analysis.stretch import EXHAUSTIVE_MAX_VERTICES
+from .core import make_parameters
 from .experiments import (
     ExperimentRecord,
     all_specs,
@@ -193,7 +194,7 @@ def _cmd_build(args: argparse.Namespace) -> int:
 
     if args.verify:
         structural_ok = True
-        if isinstance(run.source, SpannerResult):
+        if run.engine is not None:
             report = verify_run(run)
             structural_ok = report.all_passed
             print(f"structural lemma checks: {'all passed' if report.all_passed else 'FAILURES'}")
@@ -202,7 +203,7 @@ def _cmd_build(args: argparse.Namespace) -> int:
         stretch = evaluate_run_stretch(run, num_pairs=args.sample_pairs)
         # evaluate_run_stretch switches to exhaustive all-pairs checking on
         # small graphs; label whichever mode actually ran.
-        exhaustive = args.sample_pairs <= 0 or graph.num_vertices <= 60
+        exhaustive = args.sample_pairs <= 0 or graph.num_vertices <= EXHAUSTIVE_MAX_VERTICES
         mode = "exhaustive stretch" if exhaustive else "sampled stretch"
         print(
             f"{mode} ({stretch.pairs_checked} pairs): max multiplicative "

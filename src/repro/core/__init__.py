@@ -26,7 +26,7 @@ from .parameters import (
     StretchGuarantee,
     guarantee_from_schedules,
 )
-from .result import PhaseRecord, SpannerResult
+from .result import PhaseRecord, RunResult
 from .spanner import (
     ENGINE_CENTRALIZED,
     ENGINE_DISTRIBUTED,
@@ -53,10 +53,10 @@ __all__ = [
     "FIXED_STAGE",
     "INTERCONNECTION_STEP",
     "PhaseRecord",
+    "RunResult",
     "SUPERCLUSTERING_STEP",
     "SpannerCertificate",
     "SpannerParameters",
-    "SpannerResult",
     "StretchGuarantee",
     "build_spanner",
     "build_spanner_centralized",

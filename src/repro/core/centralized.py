@@ -25,7 +25,7 @@ from ..primitives.traceback import centralized_traceback_flat
 from .interconnection import interconnection_requests_from_near
 from .parameters import SpannerParameters
 from .phases import Edges, PhaseSteps, run_phases
-from .result import SpannerResult
+from .result import RunResult
 from .superclustering import (
     deterministic_forest,
     forest_path_edges,
@@ -77,6 +77,6 @@ class CentralizedSteps(PhaseSteps):
         return requests, centralized_traceback_flat(exploration, requests)
 
 
-def build_spanner_centralized(graph: Graph, parameters: SpannerParameters) -> SpannerResult:
+def build_spanner_centralized(graph: Graph, parameters: SpannerParameters) -> RunResult:
     """Run the full deterministic construction with the centralized engine."""
     return run_phases(graph, parameters, CentralizedSteps(graph, parameters))

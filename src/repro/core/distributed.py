@@ -34,7 +34,7 @@ from ..primitives.traceback import run_forest_path_markup, run_traceback
 from .interconnection import interconnection_requests
 from .parameters import SpannerParameters
 from .phases import PhaseSteps, run_phases
-from .result import SpannerResult
+from .result import RunResult
 from .superclustering import spanned_center_roots
 
 
@@ -92,15 +92,18 @@ def build_spanner_distributed(
     graph: Graph,
     parameters: SpannerParameters,
     simulator: Optional[Simulator] = None,
-) -> SpannerResult:
+) -> RunResult:
     """Run the full deterministic construction on the CONGEST simulator.
 
     A pre-configured :class:`Simulator` may be supplied (e.g. with a tracer or
     relaxed congestion checking); by default a strict simulator with the
-    standard O(1)-word bandwidth is created.
+    standard O(1)-word bandwidth is created.  A supplied simulator must not
+    have run anything yet: the run's rounds are read off its ledger.
     """
     if simulator is None:
         simulator = Simulator(graph, strict_congestion=True)
     elif simulator.graph is not graph:
         raise ValueError("the simulator must be built over the same graph")
+    elif simulator.ledger.charges:
+        raise ValueError("the simulator has already run protocols; supply a fresh one")
     return run_phases(graph, parameters, DistributedSteps(graph, parameters, simulator))

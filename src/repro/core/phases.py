@@ -27,7 +27,7 @@ from .certificate import INTERCONNECTION_STEP, SUPERCLUSTERING_STEP, SpannerCert
 from .cluster_table import ClusterTable, FlatClusters
 from .interconnection import flatten_requests
 from .parameters import SpannerParameters
-from .result import PhaseRecord, SpannerResult
+from .result import PhaseRecord, RunResult
 
 Edges = Set[Tuple[int, int]]
 
@@ -58,8 +58,13 @@ class PhaseSteps:
         self.deltas: List[int] = parameters.deltas()
 
 
-def run_phases(graph: Graph, parameters: SpannerParameters, steps: PhaseSteps) -> SpannerResult:
-    """Run every phase of the construction with ``steps``."""
+def run_phases(graph: Graph, parameters: SpannerParameters, steps: PhaseSteps) -> RunResult:
+    """Run every phase of the construction with ``steps``.
+
+    The run is labelled ``new-<engine>``.  Its round total (summed over the
+    phase records) and ledger summary are fixed here, so a simulator that
+    runs more protocols later leaves them as they were.
+    """
     n = graph.num_vertices
     spanner = Graph(n)
     certificate = SpannerCertificate()
@@ -126,14 +131,22 @@ def run_phases(graph: Graph, parameters: SpannerParameters, steps: PhaseSteps) -
         )
         unclustered_history.append(unclustered)
 
-    return SpannerResult(
+    ledger = steps.ledger
+    result = RunResult(
+        algorithm=f"new-{steps.engine}",
         graph=graph,
         spanner=spanner,
-        parameters=parameters,
+        guarantee=parameters.stretch_bound(),
+        nominal_rounds=sum(record.nominal_rounds for record in phase_records),
         engine=steps.engine,
+        phases=[record.to_dict() for record in phase_records],
+        ledger_summary=ledger.summary() if ledger is not None else None,
+        parameters=parameters,
         phase_records=phase_records,
         cluster_history=cluster_history,
         unclustered_history=unclustered_history,
         certificate=certificate,
-        ledger=steps.ledger,
+        ledger=ledger,
     )
+    result.details["edges_by_step"] = result.edges_by_step()
+    return result

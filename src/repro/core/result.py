@@ -1,12 +1,16 @@
-"""Result records produced by a spanner-construction run.
+"""The one result type every registered algorithm returns.
 
-A :class:`SpannerResult` bundles the spanner itself with everything the
-analysis and the benchmark harness need: per-phase statistics, the cluster
-history (``P_0 .. P_ell`` and ``U_0 .. U_ell`` as frozen array-backed
+A :class:`RunResult` is one record with the spanner, the declared stretch
+guarantee, the nominal CONGEST round count (where the algorithm is
+distributed), per-phase statistics and a JSON-safe :meth:`RunResult.to_dict`
+in a single shared schema.  The baselines build it directly; the paper's two
+engines build it in :func:`repro.core.phases.run_phases`, and also keep the
+structure the analyses read: the :class:`PhaseRecord` of every phase, the
+cluster history (``P_0 .. P_ell`` and ``U_0 .. U_ell`` as frozen array-backed
 :class:`~repro.core.cluster_table.FlatClusters` snapshots), the edge
 provenance certificate and -- for the distributed engine -- the round ledger.
-The per-phase records hold the only edge counts of a run: the per-step
-totals of :meth:`SpannerResult.edges_by_step` are summed from them.
+The per-phase records hold the only edge counts of an engine run: the
+per-step totals of :meth:`RunResult.edges_by_step` are summed from them.
 """
 
 from __future__ import annotations
@@ -18,7 +22,25 @@ from ..congest.ledger import RoundLedger
 from ..graphs.graph import Graph
 from .certificate import INTERCONNECTION_STEP, SUPERCLUSTERING_STEP, SpannerCertificate
 from .cluster_table import FlatClusters, flat_collections_partition_vertices
-from .parameters import SpannerParameters
+from .parameters import SpannerParameters, StretchGuarantee
+
+#: Schema identifier stamped into every serialized run result.
+RUN_RESULT_SCHEMA = "repro-run-result/v1"
+
+#: The exact keys, in order, of :meth:`RunResult.to_dict` output.
+RUN_RESULT_KEYS = (
+    "schema",
+    "algorithm",
+    "engine",
+    "num_vertices",
+    "num_graph_edges",
+    "num_spanner_edges",
+    "nominal_rounds",
+    "guarantee",
+    "phases",
+    "details",
+    "ledger",
+)
 
 
 @dataclass
@@ -85,17 +107,34 @@ class PhaseRecord:
 
 
 @dataclass
-class SpannerResult:
-    """Everything produced by one run of the spanner construction."""
+class RunResult:
+    """Outcome of building one spanner, whichever algorithm built it."""
 
+    algorithm: str
     graph: Graph
     spanner: Graph
-    parameters: SpannerParameters
-    engine: str
+    guarantee: Optional[StretchGuarantee] = None
+    #: Fixed when the build returns, like :attr:`ledger_summary`: a reused
+    #: simulator's ledger keeps counting, an old run's payload does not.
+    nominal_rounds: Optional[int] = None
+    #: ``"centralized"`` / ``"distributed"`` for the engine variants, ``None``
+    #: for baselines (which carry no engine notion).
+    engine: Optional[str] = None
+    #: Per-phase statistics as JSON-safe dicts, where the algorithm tracks
+    #: phases (the engine's :class:`PhaseRecord` dicts, the baselines' own
+    #: per-phase stats); empty for phase-less constructions.
+    phases: List[Dict[str, object]] = field(default_factory=list)
+    #: Algorithm-specific extras (edge provenance summaries, sampling seeds,
+    #: cleanup counts, ...).  Must stay JSON-safe.
+    details: Dict[str, object] = field(default_factory=dict)
+    #: Round-ledger summary for CONGEST-simulated runs, else ``None``.
+    ledger_summary: Optional[Dict[str, object]] = None
+    # The engine runs' full structure; empty for every other algorithm.
+    parameters: Optional[SpannerParameters] = None
     phase_records: List[PhaseRecord] = field(default_factory=list)
     cluster_history: List[FlatClusters] = field(default_factory=list)
     unclustered_history: List[FlatClusters] = field(default_factory=list)
-    certificate: SpannerCertificate = field(default_factory=SpannerCertificate)
+    certificate: Optional[SpannerCertificate] = None
     ledger: Optional[RoundLedger] = None
 
     # ------------------------------------------------------------------
@@ -103,7 +142,7 @@ class SpannerResult:
     # ------------------------------------------------------------------
     @property
     def num_edges(self) -> int:
-        """Number of edges in the spanner ``H``."""
+        """Number of edges in the produced spanner."""
         return self.spanner.num_edges
 
     @property
@@ -111,12 +150,13 @@ class SpannerResult:
         """Number of vertices of the host graph."""
         return self.graph.num_vertices
 
-    @property
-    def nominal_rounds(self) -> int:
-        """Total scheduled CONGEST rounds (the ledger's, or the phase records' sum)."""
-        if self.ledger is None:
-            return sum(record.nominal_rounds for record in self.phase_records)
-        return self.ledger.nominal_rounds
+    def effective_guarantee(self) -> Optional[StretchGuarantee]:
+        """The same as :attr:`guarantee`; read that instead.
+
+        Only the benchmark harness under ``perfbench/`` still calls this, and
+        it goes when that harness reads :attr:`guarantee` (ROADMAP item 6).
+        """
+        return self.guarantee
 
     def phase(self, index: int) -> PhaseRecord:
         """The phase record with the given index."""
@@ -145,14 +185,23 @@ class SpannerResult:
         }
 
     def to_dict(self) -> Dict[str, object]:
-        """JSON-friendly summary (does not embed the graphs).
-
-        Emits the unified run-result schema
-        (:data:`repro.algorithms.result.RUN_RESULT_KEYS`) shared with every
-        baseline, so consumers never see engine-specific key names.  The
-        stretch bounds live under ``guarantee`` and the edge provenance under
-        ``details["edges_by_step"]``.
-        """
-        from ..algorithms.result import RunResult
-
-        return RunResult.from_spanner_result(self).to_dict()
+        """JSON-friendly summary in the single shared run-result schema."""
+        guarantee = None
+        if self.guarantee is not None:
+            guarantee = {
+                "multiplicative": self.guarantee.multiplicative,
+                "additive": self.guarantee.additive,
+            }
+        return {
+            "schema": RUN_RESULT_SCHEMA,
+            "algorithm": self.algorithm,
+            "engine": self.engine,
+            "num_vertices": self.num_vertices,
+            "num_graph_edges": self.graph.num_edges,
+            "num_spanner_edges": self.num_edges,
+            "nominal_rounds": self.nominal_rounds,
+            "guarantee": guarantee,
+            "phases": [dict(phase) for phase in self.phases],
+            "details": dict(self.details),
+            "ledger": dict(self.ledger_summary) if self.ledger_summary else None,
+        }

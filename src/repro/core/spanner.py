@@ -7,11 +7,11 @@ Typical usage::
 
     graph = gnp_random_graph(400, 0.02, seed=1)
     result = build_spanner(graph, epsilon=0.5, kappa=3, rho=1/3)
-    print(result.num_edges, result.parameters.stretch_bound())
+    print(result.num_edges, result.guarantee)
 
 ``epsilon`` is the *user-facing* stretch parameter: the returned spanner
 satisfies ``d_H(u, v) <= (1 + epsilon) d_G(u, v) + beta`` for every vertex
-pair, where ``beta = result.parameters.beta()``.  Pass
+pair, where ``beta = result.guarantee.additive``.  Pass
 ``epsilon_is_internal=True`` to hand the phase-threshold epsilon directly
 (useful for studying the phase dynamics with human-scale thresholds; the
 guarantee is then whatever ``parameters.stretch_bound()`` reports).
@@ -26,7 +26,7 @@ from ..graphs.graph import Graph
 from .centralized import build_spanner_centralized
 from .distributed import build_spanner_distributed
 from .parameters import SpannerParameters
-from .result import SpannerResult
+from .result import RunResult
 
 ENGINE_CENTRALIZED = "centralized"
 ENGINE_DISTRIBUTED = "distributed"
@@ -54,7 +54,7 @@ def build_spanner(
     epsilon_is_internal: bool = False,
     parameters: Optional[SpannerParameters] = None,
     simulator: Optional[Simulator] = None,
-) -> SpannerResult:
+) -> RunResult:
     """Construct a ``(1 + epsilon, beta)``-spanner of ``graph``.
 
     Parameters
@@ -77,9 +77,11 @@ def build_spanner(
 
     Returns
     -------
-    SpannerResult
-        The spanner, per-phase statistics, cluster history, edge provenance
-        and (for the distributed engine) the round ledger.
+    RunResult
+        The run labelled ``new-<engine>``, the same record
+        :func:`repro.build` returns: the spanner, the guarantee, per-phase
+        statistics, cluster history, edge provenance and (for the
+        distributed engine) the round ledger.
     """
     if engine not in _ENGINES:
         raise ValueError(f"engine must be one of {_ENGINES}, got {engine!r}")

@@ -34,8 +34,8 @@ from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from ..algorithms.registry import AlgorithmSpec, get_spec
-from ..algorithms.result import RunResult
 from ..core.parameters import StretchGuarantee
+from ..core.result import RunResult
 from ..graphs.bfs import shortest_path
 from ..graphs.distances import INFINITY
 from ..graphs.graph import Edge, Graph, normalize_edge

@@ -29,7 +29,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..algorithms import get_spec as get_algorithm
 from ..analysis.stretch import evaluate_stretch, evaluate_stretch_sampled
-from ..core.result import SpannerResult
+from ..core.result import RunResult
 from ..graphs.bfs import bfs_distances
 from ..graphs.generators import planted_partition_graph
 from ..graphs.graph import Graph
@@ -40,7 +40,7 @@ from .results import ExperimentRecord
 # ----------------------------------------------------------------------
 # Figure 1 -- superclustering around popular centers
 # ----------------------------------------------------------------------
-def figure1_superclustering(result: SpannerResult) -> ExperimentRecord:
+def figure1_superclustering(result: RunResult) -> ExperimentRecord:
     """Per-phase superclustering dynamics (Figure 1)."""
     record = ExperimentRecord(
         name="figure1-superclustering",
@@ -83,7 +83,7 @@ def figure1_superclustering(result: SpannerResult) -> ExperimentRecord:
 # ----------------------------------------------------------------------
 # Figure 2 -- BFS trees of superclusters added to H
 # ----------------------------------------------------------------------
-def figure2_bfs_trees(result: SpannerResult) -> ExperimentRecord:
+def figure2_bfs_trees(result: RunResult) -> ExperimentRecord:
     """Superclustering edges and measured cluster radii vs. the R_i bounds (Figure 2)."""
     record = ExperimentRecord(
         name="figure2-bfs-trees",
@@ -122,7 +122,7 @@ def figure2_bfs_trees(result: SpannerResult) -> ExperimentRecord:
 # ----------------------------------------------------------------------
 # Figure 3 -- disjoint delta-neighbourhoods of the ruling set
 # ----------------------------------------------------------------------
-def figure3_ruling_set(result: SpannerResult) -> ExperimentRecord:
+def figure3_ruling_set(result: RunResult) -> ExperimentRecord:
     """Ruling-set separation, domination and neighbourhood disjointness (Figure 3)."""
     graph = result.graph
     parameters = result.parameters
@@ -191,7 +191,7 @@ def figure3_ruling_set(result: SpannerResult) -> ExperimentRecord:
 # ----------------------------------------------------------------------
 # Figure 4 -- forest paths added to H
 # ----------------------------------------------------------------------
-def figure4_forest_paths(result: SpannerResult) -> ExperimentRecord:
+def figure4_forest_paths(result: RunResult) -> ExperimentRecord:
     """Root-to-member-center forest paths: lengths vs. the superclustering depth (Figure 4)."""
     record = ExperimentRecord(
         name="figure4-forest-paths",
@@ -240,7 +240,7 @@ def figure4_forest_paths(result: SpannerResult) -> ExperimentRecord:
 # ----------------------------------------------------------------------
 # Figure 5 -- interconnection paths
 # ----------------------------------------------------------------------
-def figure5_interconnection(result: SpannerResult) -> ExperimentRecord:
+def figure5_interconnection(result: RunResult) -> ExperimentRecord:
     """Interconnection paths per unclustered cluster vs. the deg_i budget (Figure 5)."""
     record = ExperimentRecord(
         name="figure5-interconnection",
@@ -280,7 +280,7 @@ def figure5_interconnection(result: SpannerResult) -> ExperimentRecord:
 # ----------------------------------------------------------------------
 # Figure 6 -- hop through a neighbouring cluster (Lemma 2.15)
 # ----------------------------------------------------------------------
-def figure6_cluster_hop(result: SpannerResult) -> ExperimentRecord:
+def figure6_cluster_hop(result: RunResult) -> ExperimentRecord:
     """Measured d_H(w, r_C') for neighbouring clusters C in U_j, C' in U_i (Figure 6 / Lemma 2.15)."""
     record = ExperimentRecord(
         name="figure6-cluster-hop",
@@ -345,7 +345,7 @@ def figure6_cluster_hop(result: SpannerResult) -> ExperimentRecord:
 # Figure 7 -- end-to-end stretch decomposition
 # ----------------------------------------------------------------------
 def figure7_stretch_decomposition(
-    result: SpannerResult,
+    result: RunResult,
     sample_pairs: int = 500,
     seed: int = 3,
 ) -> ExperimentRecord:
@@ -396,7 +396,7 @@ def figure7_stretch_decomposition(
 # Figure 8 -- the segmenting argument
 # ----------------------------------------------------------------------
 def figure8_segment_argument(
-    result: SpannerResult,
+    result: RunResult,
     sample_pairs: int = 500,
     seed: int = 9,
 ) -> ExperimentRecord:
@@ -502,12 +502,12 @@ def figure_task(params: Dict[str, object], seed: int) -> Dict[str, object]:
             }
         ),
     )
-    if not isinstance(run.source, SpannerResult):
+    if run.engine is None:
         raise ValueError(
             f"figure experiments need an engine run with full phase structure; "
             f"{run.algorithm!r} is not an engine algorithm"
         )
-    record = ALL_FIGURES[str(params["figure"])](run.source)
+    record = ALL_FIGURES[str(params["figure"])](run)
     return record.to_dict()
 
 
@@ -534,8 +534,8 @@ def figure_spec(
     """One figure experiment as a pipeline scenario.
 
     ``algorithm`` must name a registered *engine* algorithm (the figure
-    experiments inspect the full phase structure of a
-    :class:`SpannerResult`).
+    experiments inspect the phase records and cluster histories that only
+    an engine's :class:`RunResult` carries).
     """
     if figure not in ALL_FIGURES:
         raise KeyError(f"unknown figure {figure!r}")

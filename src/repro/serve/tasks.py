@@ -15,15 +15,14 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .. import algorithms
-from ..analysis.stretch import evaluate_stretch, evaluate_stretch_sampled
+from ..analysis.stretch import (
+    EXHAUSTIVE_MAX_VERTICES,
+    evaluate_stretch,
+    evaluate_stretch_sampled,
+)
 from ..core.parameters import StretchGuarantee
 from ..graphs.distances import INFINITY, DistanceCache
 from ..graphs.graph import Graph
-
-#: Graphs of at most this many vertices get exhaustive (all-pairs) stretch
-#: checks.  Mirrors ``evaluate_run_stretch``'s default so a served stretch
-#: report is byte-identical to direct evaluation of the same request.
-EXHAUSTIVE_BELOW = 60
 
 
 def build_task(params: Mapping[str, object], seed: int) -> Dict[str, object]:
@@ -82,7 +81,7 @@ def stretch_payload(
     Branches exactly like :func:`~repro.analysis.evaluate_run_stretch`:
     exhaustive on small graphs or ``num_pairs <= 0``, sampled otherwise.
     """
-    if num_pairs <= 0 or graph.num_vertices <= EXHAUSTIVE_BELOW:
+    if num_pairs <= 0 or graph.num_vertices <= EXHAUSTIVE_MAX_VERTICES:
         report = evaluate_stretch(graph, spanner, guarantee=guarantee)
     else:
         report = evaluate_stretch_sampled(

@@ -1,8 +1,8 @@
 """Regression tests pinning the unified run-result serialization schema.
 
 Every registered algorithm returns a :class:`~repro.algorithms.RunResult`,
-and the engine's ``SpannerResult.to_dict()`` delegates to it, so one
-``repro-run-result/v1`` schema covers every serialized run.  These tests pin
+and so does :func:`repro.build_spanner`, so one ``repro-run-result/v1``
+schema covers every serialized run.  These tests pin
 the exact key set, and the payload of every registered algorithm on two
 fixed graphs, so neither can drift.
 """

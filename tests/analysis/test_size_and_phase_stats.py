@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.algorithms import build
 from repro.analysis import size_report, verify_run
 from repro.experiments.figures import figure5_interconnection
 from repro.core import build_spanner
@@ -82,16 +83,16 @@ class TestVerificationReport:
         assert data["all_passed"] is True
         assert len(data["checks"]) >= 8
 
+    def test_a_baseline_run_is_refused(self, run_result):
+        run = build("baswana-sen", run_result.graph, seed=1)
+        with pytest.raises(TypeError, match="not an engine algorithm"):
+            verify_run(run)
+
     def test_tampered_run_is_caught(self, run_result):
         """Corrupt the result (drop spanner edges) and make sure checks fail."""
         import copy
 
         tampered = copy.copy(run_result)
         tampered.spanner = run_result.graph.subgraph_from_edges([])
-        report = verify_run(tampered, check_interconnection_paths=True)
+        report = verify_run(tampered)
         assert not report.all_passed
-
-    def test_interconnection_path_check_optional(self, run_result):
-        fast = verify_run(run_result, check_interconnection_paths=False)
-        names = {check.name for check in fast.checks}
-        assert "theorem-2.1-shortest-interconnection-paths" not in names

@@ -141,4 +141,4 @@ class TestUserEpsilonMode:
 
     def test_defaults_produce_valid_run(self, small_random):
         result = build_spanner(small_random)
-        assert verify_run(result, check_interconnection_paths=False).all_passed
+        assert verify_run(result).all_passed

@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
+import repro
 from repro.analysis import evaluate_stretch, verify_run
 from repro.congest import Simulator
 from repro.core import build_spanner
 from repro.graphs import Graph, cycle_graph, gnp_random_graph, grid_graph, planted_partition_graph
+from repro.primitives.exploration import run_bounded_exploration
 
 SMALL_GRAPHS = {
     "cycle": cycle_graph(12),
@@ -42,6 +46,26 @@ def test_congestion_never_exceeds_one_message_per_edge(small_graph, default_para
     )
     assert result.ledger is simulator.ledger
     assert simulator.ledger.max_edge_congestion <= 1
+
+
+def test_a_simulator_that_has_run_protocols_is_rejected():
+    # Its ledger would count the earlier rounds as the new run's.
+    graph = gnp_random_graph(40, 0.15, seed=1)
+    simulator = Simulator(graph)
+    repro.build("new-distributed", graph, simulator=simulator)
+    with pytest.raises(ValueError, match="already run protocols"):
+        repro.build("new-distributed", graph, simulator=simulator)
+
+
+def test_a_run_keeps_its_payload_when_its_simulator_runs_again():
+    graph = gnp_random_graph(40, 0.15, seed=1)
+    simulator = Simulator(graph)
+    run = repro.build("new-distributed", graph, simulator=simulator)
+    payload = json.dumps(run.to_dict(), sort_keys=True)
+    charges = len(simulator.ledger.charges)
+    run_bounded_exploration(simulator, range(graph.num_vertices), depth=2, cap=3)
+    assert len(simulator.ledger.charges) > charges
+    assert json.dumps(run.to_dict(), sort_keys=True) == payload
 
 
 def test_nominal_rounds_within_theoretical_bound(small_graph, default_params):

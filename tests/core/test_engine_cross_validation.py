@@ -110,8 +110,8 @@ def test_engines_agree_at_benchmark_scale():
     forests at scale; here every phase must agree on every structural set.
     """
     graph = sparse_gnp_random_graph(4096, 16 / 4095, seed=3)
-    centralized = repro.build("new-centralized", graph, seed=3).source
-    distributed = repro.build("new-distributed", graph, seed=3).source
+    centralized = repro.build("new-centralized", graph, seed=3)
+    distributed = repro.build("new-distributed", graph, seed=3)
     assert len(centralized.phase_records) == len(distributed.phase_records)
     for rc, rd in zip(centralized.phase_records, distributed.phase_records):
         assert rc.popular_centers == rd.popular_centers

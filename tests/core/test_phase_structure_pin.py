@@ -33,7 +33,7 @@ GRAPHS = {
     "sparse4096": lambda: sparse_gnp_random_graph(4096, 16 / 4095, seed=3),
 }
 
-#: ``structural_digest`` of ``repro.build(engine, graph, seed=3).source``.
+#: ``structural_digest`` of ``repro.build(engine, graph, seed=3)``.
 PINNED_STRUCTURE = {
     ("new-centralized", "gnp40"): "fcbb677ac82064d9",
     ("new-distributed", "gnp40"): "fcbb677ac82064d9",
@@ -85,7 +85,7 @@ def any_kernel(request, kernel):
 
 @pytest.mark.parametrize("engine, graph_name", sorted(PINNED_STRUCTURE))
 def test_phase_structure_is_pinned(engine, graph_name, any_kernel):
-    result = repro.build(engine, GRAPHS[graph_name](), seed=3).source
+    result = repro.build(engine, GRAPHS[graph_name](), seed=3)
     assert structural_digest(result) == PINNED_STRUCTURE[(engine, graph_name)]
 
 

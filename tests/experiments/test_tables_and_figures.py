@@ -14,6 +14,7 @@ from repro.experiments import (
     table1_spec,
     table2_spec,
 )
+from repro.experiments.figures import figure_task
 from repro.graphs import planted_partition_graph
 
 #: The figure workloads: a small planted-community graph, and the larger one
@@ -129,6 +130,11 @@ class TestFigureExperiments:
         records = {name: run_scenario(figure_spec(name, graph=graph)) for name in ALL_FIGURES}
         assert set(records.keys()) == set(ALL_FIGURES.keys())
         assert all(record.all_checks_passed for record in records.values())
+
+    def test_a_baseline_algorithm_is_refused(self):
+        params = figure_spec("figure1", algorithm="baswana-sen").task_params()[0]
+        with pytest.raises(ValueError, match="not an engine algorithm"):
+            figure_task(params, seed=0)
 
     def test_figure1_reports_popular_clusters(self, figure_run):
         record = _figure("figure1", figure_run)

@@ -513,9 +513,8 @@ class TestKernelSelector:
             "assert report.pairs_checked > 0\n"
             "assert distance_histogram(result.spanner, max_sources=2, seed=1)\n"
             # And the cluster radii and the Corollary 2.5 partition check.
-            "engine = result.source\n"
-            "assert [c.max_radius_in(engine.spanner) for c in engine.cluster_history]\n"
-            "assert engine.unclustered_partitions_vertices()\n"
+            "assert [c.max_radius_in(result.spanner) for c in result.cluster_history]\n"
+            "assert result.unclustered_partitions_vertices()\n"
             "assert 'numpy' not in sys.modules, 'numpy imported on a small pure-Python workload'\n"
             "assert 'scipy' not in sys.modules, 'scipy imported on a small pure-Python workload'\n"
         )

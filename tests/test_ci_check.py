@@ -156,6 +156,7 @@ class TestStagePlan:
         assert any(part.endswith("test_elkin_matar.py") for part in stage)
         assert any(part.endswith("test_phase_structure_pin.py") for part in stage)
         assert any(part.endswith("test_cluster_table.py") for part in stage)
+        assert any(part.endswith("test_size_and_phase_stats.py") for part in stage)
 
     def test_array_plane_stage_skips_locally_without_numpy(self, ci_check, no_github):
         plan = ci_check.stage_plan(_args(), vectorized=False)

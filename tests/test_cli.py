@@ -7,7 +7,7 @@ import json
 import pytest
 
 from repro.cli import build_argument_parser, main
-from repro.graphs import gnp_random_graph, read_edge_list, write_edge_list
+from repro.graphs import cycle_graph, gnp_random_graph, read_edge_list, write_edge_list
 
 
 def test_parser_requires_command():
@@ -54,6 +54,21 @@ def test_build_with_registered_baseline_algorithm(capsys):
     assert "algorithm: greedy" in output
     assert "guarantee: d_H <= 5" in output
     assert "guarantee satisfied: True" in output
+    # A baseline run has no phase structure to verify.
+    assert "structural lemma checks" not in output
+
+
+@pytest.mark.parametrize(
+    "n, mode", [(60, "exhaustive stretch (1770 pairs)"), (61, "sampled stretch (20 pairs)")]
+)
+def test_build_labels_the_stretch_check_it_ran(tmp_path, capsys, n, mode):
+    input_path = tmp_path / "cycle.txt"
+    write_edge_list(cycle_graph(n), input_path)
+    exit_code = main(["build", "--input", str(input_path), "--verify", "--sample-pairs", "20"])
+    assert exit_code == 0
+    output = capsys.readouterr().out
+    assert "structural lemma checks: all passed" in output
+    assert mode in output
 
 
 def test_build_distributed_via_algorithm_flag(capsys):
